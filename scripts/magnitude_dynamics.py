@@ -8,52 +8,33 @@ query-CV ratio between the two runs.
 
     python3 scripts/magnitude_dynamics.py
     python3 scripts/magnitude_dynamics.py --epochs 60 --eval-every 20
+
+Without --config the task, encoder and training settings are the
+reference spec of magnorm.cli.load_config (configs/reference.json).
 """
 
 import argparse
+import dataclasses
 
-from magnorm import simcore
-from magnorm.datagen import TaskSpec, gen_asymmetric
-from magnorm.model import TrainConfig, init_encoder, train
-from magnorm.objective import LossConfig
-
-TASK = dict(
-    n_docs=512,
-    n_queries=2048,
-    feature_dim=32,
-    n_clusters=16,
-    hub_fraction=0.05,
-    hub_multiplicity=32,
-    noise_sigma=0.1,
-)
+from magnorm.cli import load_config, run_training
+from magnorm.datagen import gen_asymmetric
 
 
-def run(task, kind_name, args):
-    cfg = TrainConfig(
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        loss=LossConfig(kind=simcore.kind_from_name(kind_name), tau=1.0, alpha=20.0),
-        eval_every=args.eval_every,
-    )
-    encoder = init_encoder(task.doc_features.shape[1], 64, 32, False, args.seed)
-    return train(task, encoder, cfg)
-
-
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--epochs", type=int, default=100)
-    ap.add_argument("--lr", type=float, default=0.01)
-    ap.add_argument("--batch-size", type=int, default=64)
-    ap.add_argument("--eval-every", type=int, default=50)
+    ap.add_argument("--config", default=None, help="JSON experiment config (default: the reference spec)")
+    ap.add_argument("--seed", type=int, default=0, help="seeds the task, the encoders and the training")
     ap.add_argument("--kinds", default="dot,dnorm")
-    args = ap.parse_args()
+    ap.add_argument("--epochs", type=int, default=None)
+    ap.add_argument("--eval-every", type=int, default=None)
+    args = ap.parse_args(argv)
 
-    task = gen_asymmetric(TaskSpec(seed=args.seed, **TASK))
+    cfg = load_config(args.config)
+    given = {"epochs": args.epochs, "eval_every": args.eval_every}
+    cfg.train_params.update({k: v for k, v in given.items() if v is not None})
+    task = gen_asymmetric(dataclasses.replace(cfg.task, seed=args.seed))
     names = [n.strip() for n in args.kinds.split(",")]
-    logs = {name: run(task, name, args).log for name in names}
+    logs = {name: run_training(cfg, task, name, args.seed).log for name in names}
 
     for name in names:
         print(f"\n{name}")

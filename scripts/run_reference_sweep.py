@@ -7,53 +7,31 @@ normalization-dependent differences are visible side by side.
 
     python3 scripts/run_reference_sweep.py --seed 0
     python3 scripts/run_reference_sweep.py --epochs 40 --kinds dot,dnorm
+    python3 scripts/run_reference_sweep.py --config my_experiment.json
+
+Without --config the task, encoder and training settings are the
+reference spec of magnorm.cli.load_config (configs/reference.json).
 """
 
 import argparse
+import dataclasses
 import time
 
 import numpy as np
 
-from magnorm import simcore
-from magnorm.datagen import TaskSpec, gen_asymmetric
+from magnorm.cli import load_config, run_training
+from magnorm.datagen import gen_asymmetric
 from magnorm.diagnostics import cohens_d
 from magnorm.metrics import pearson
-from magnorm.model import (
-    TrainConfig,
-    forward,
-    init_encoder,
-    restore_snapshot,
-    select_checkpoint,
-    train,
-)
-from magnorm.objective import LossConfig
-
-REFERENCE_TASK = dict(
-    n_docs=512,
-    n_queries=2048,
-    feature_dim=32,
-    n_clusters=16,
-    hub_fraction=0.05,
-    hub_multiplicity=32,
-    noise_sigma=0.1,
-)
+from magnorm.model import forward, restore_snapshot, select_checkpoint
 
 
-def run_one(task, kind_name, args):
-    kind = simcore.kind_from_name(kind_name)
-    cfg = TrainConfig(
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        loss=LossConfig(kind=kind, tau=args.tau, alpha=args.alpha),
-        eval_every=args.eval_every,
-    )
-    encoder = init_encoder(task.doc_features.shape[1], args.hidden, args.embed_dim, False, args.seed)
+def run_one(cfg, task, kind_name, seed):
     t0 = time.perf_counter()
-    result = train(task, encoder, cfg)
+    result = run_training(cfg, task, kind_name, seed)
     elapsed = time.perf_counter() - t0
     best = select_checkpoint(result.log, result.snapshots)
+    encoder = result.encoder
     restore_snapshot(encoder, best)
 
     mags = np.linalg.norm(forward(encoder, task.doc_features, "doc"), axis=1)
@@ -76,28 +54,27 @@ def run_one(task, kind_name, args):
     }
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--epochs", type=int, default=100)
-    ap.add_argument("--lr", type=float, default=0.01)
-    ap.add_argument("--batch-size", type=int, default=64)
-    ap.add_argument("--eval-every", type=int, default=50)
-    ap.add_argument("--tau", type=float, default=1.0)
-    ap.add_argument("--alpha", type=float, default=20.0)
-    ap.add_argument("--hidden", type=int, default=64)
-    ap.add_argument("--embed-dim", type=int, default=32)
-    ap.add_argument("--kinds", default="cosine,dot,qnorm,dnorm,learnable")
-    args = ap.parse_args()
+    ap.add_argument("--config", default=None, help="JSON experiment config (default: the reference spec)")
+    ap.add_argument("--seed", type=int, default=0, help="seeds the task, the encoders and the training")
+    ap.add_argument("--kinds", default=None, help="comma-separated kinds (default: the config's)")
+    ap.add_argument("--epochs", type=int, default=None)
+    ap.add_argument("--eval-every", type=int, default=None)
+    args = ap.parse_args(argv)
 
-    task = gen_asymmetric(TaskSpec(seed=args.seed, **REFERENCE_TASK))
+    cfg = load_config(args.config)
+    given = {"epochs": args.epochs, "eval_every": args.eval_every}
+    cfg.train_params.update({k: v for k, v in given.items() if v is not None})
+    task = gen_asymmetric(dataclasses.replace(cfg.task, seed=args.seed))
     hub_counts = [task.relevance_count[d] for d in task.hub_ids]
     print(
         f"task: {len(task.doc_ids)} docs, {len(task.query_ids)} queries, "
         f"{len(task.hub_ids)} hubs averaging {np.mean(hub_counts):.1f} relevant queries"
     )
 
-    rows = [run_one(task, name.strip(), args) for name in args.kinds.split(",")]
+    kinds = args.kinds.split(",") if args.kinds else cfg.kinds
+    rows = [run_one(cfg, task, name.strip(), args.seed) for name in kinds]
 
     hdr = f"{'kind':<11}{'step':>6}{'val@sel':>9}{'val@0':>8}{'pearson':>9}{'d_hub':>8}{'doc_cv':>8}{'sec':>7}"
     print(hdr)

@@ -1,7 +1,9 @@
 """Experiment harness: generation, training sweeps, evaluation, diagnostics.
 
 Every command is deterministic given its config and seeds, and refuses to
-overwrite existing outputs unless --force is passed.  Exit codes:
+overwrite existing outputs unless --force is passed.  load_config(None) is
+the reference spec; train, sweep, --resume and the scripts all train
+through run_training.  Exit codes:
 
     0  success
     1  property failure (verify)
@@ -37,6 +39,8 @@ from .metrics import evaluate_runs, write_metrics_csv, write_run_file
 from .model import (
     GammaParams,
     TrainConfig,
+    TrainResult,
+    _current_kind,
     init_encoder,
     load_checkpoint,
     rank_split,
@@ -139,11 +143,7 @@ def load_config(path) -> ExperimentConfig:
         seeds = [int(s) for s in seeds]
     except (TypeError, ValueError):
         raise ConfigError("seeds must be integers") from None
-    for name in kinds:
-        try:
-            simcore.kind_from_name(str(name))
-        except (ValueError, MagnormError) as e:
-            raise ConfigError(f"bad similarity kind {name!r}: {e}") from None
+    _check_kinds(kinds)
 
     try:
         spec = TaskSpec(
@@ -246,52 +246,56 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _train_config(cfg: ExperimentConfig, kind_name: str, seed: int) -> TrainConfig:
-    kind = simcore.kind_from_name(kind_name)
-    loss = LossConfig(kind=kind, **cfg.loss_params)
-    return TrainConfig(seed=seed, loss=loss, **cfg.train_params)
+def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int) -> TrainResult:
+    """Train one (kind, seed) of the config from a freshly seeded encoder.
 
-
-def _config_echo(cfg: ExperimentConfig, kind_name: str, seed: int) -> dict:
-    return {"kind": kind_name, "seed": seed, **cfg.sections}
-
-
-def _run_one_training(cfg: ExperimentConfig, task, kind_name: str, seed: int):
+    A diverging loss re-raises NonFiniteLoss with the kind and seed in its
+    message, which is what the CLI prints before exiting 5.
+    """
     m = task.doc_features.shape[1]
     encoder = init_encoder(m, cfg.enc_hidden, cfg.enc_dim, cfg.enc_shared, seed)
-    tcfg = _train_config(cfg, kind_name, seed)
-    return train(task, encoder, tcfg), encoder
+    loss = LossConfig(kind=simcore.kind_from_name(kind_name), **cfg.loss_params)
+    try:
+        return train(task, encoder, TrainConfig(seed=seed, loss=loss, **cfg.train_params))
+    except NonFiniteLoss as e:
+        e.args = (f"kind {kind_name} seed {seed} at step {e.step} (loss {e.value})",)
+        raise
+
+
+def _plan(args, cfg: ExperimentConfig) -> list:
+    """(kind name, seed, artifact stem) per training of train or sweep, in run order."""
+    kinds = _parse_kinds(args.kinds) if args.kinds else cfg.kinds
+    seeds = [args.seed] if args.seed is not None else cfg.seeds
+    return [(k, s, f"{simcore.kind_from_name(k).tag}_{s}") for k in kinds for s in seeds]
+
+
+def _train_paths(out: str, stem: str) -> tuple:
+    return os.path.join(out, f"checkpoint_{stem}.json"), os.path.join(out, f"trainlog_{stem}.csv")
+
+
+def _train_and_save(cfg: ExperimentConfig, task, out: str, kind_name: str, seed: int, stem: str):
+    """Train, restore the best validation snapshot, write its trainlog and checkpoint."""
+    result = run_training(cfg, task, kind_name, seed)
+    best = select_checkpoint(result.log, result.snapshots)
+    gamma = restore_snapshot(result.encoder, best)
+    ckpt, tlog = _train_paths(out, stem)
+    write_trainlog_csv(tlog, result.log)
+    echo = {"kind": kind_name, "seed": seed, **cfg.sections}
+    save_checkpoint(ckpt, result.encoder, gamma, best.step, echo)
+    return result, best, ckpt
 
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     out = resolve_out(args.out, cfg.out)
     task = load_task(out)
-    kinds = _parse_kinds(args.kinds) if args.kinds else cfg.kinds
-    seeds = [args.seed] if args.seed is not None else cfg.seeds
-
+    plan = _plan(args, cfg)
     if args.resume:
         return _resume_training(cfg, task, args.resume, out, args.force)
 
-    planned = []
-    for kname in kinds:
-        tag = simcore.kind_from_name(kname).tag
-        for seed in seeds:
-            ckpt = os.path.join(out, f"checkpoint_{tag}_{seed}.json")
-            tlog = os.path.join(out, f"trainlog_{tag}_{seed}.csv")
-            planned.append((kname, tag, seed, ckpt, tlog))
-    _guard([p for _, _, _, c, t in planned for p in (c, t)], args.force)
-
-    for kname, tag, seed, ckpt, tlog in planned:
-        try:
-            result, encoder = _run_one_training(cfg, task, kname, seed)
-        except NonFiniteLoss as e:
-            _err(f"numeric divergence: kind {kname} seed {seed} at step {e.step} (loss {e.value})")
-            return 5
-        best = select_checkpoint(result.log, result.snapshots)
-        gamma = restore_snapshot(encoder, best)
-        write_trainlog_csv(tlog, result.log)
-        save_checkpoint(ckpt, encoder, gamma, best.step, _config_echo(cfg, kname, seed))
+    _guard([p for _, _, stem in plan for p in _train_paths(out, stem)], args.force)
+    for kname, seed, stem in plan:
+        result, best, _ = _train_and_save(cfg, task, out, kname, seed, stem)
         print(
             f"trained {kname} seed {seed}: {len(result.log)} evals, "
             f"selected step {best.step} val_ndcg10 {best.val_ndcg10:.4f}"
@@ -306,7 +310,7 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
     training (bit-identical by construction) and verifies the replayed
     parameters at the checkpoint step before trusting the continuation.
     """
-    enc_saved, gamma_saved, rstep, echo = load_checkpoint(resume_path)
+    enc_saved, _, rstep, echo = load_checkpoint(resume_path)
     kname = echo.get("kind")
     seed = echo.get("seed")
     if kname is None or seed is None:
@@ -314,11 +318,7 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
     tag = simcore.kind_from_name(kname).tag
     tlog = os.path.join(out, f"trainlog_{tag}_{seed}_resumed.csv")
     _guard([tlog], force)
-    try:
-        result, encoder = _run_one_training(cfg, task, kname, int(seed))
-    except NonFiniteLoss as e:
-        _err(f"numeric divergence: kind {kname} seed {seed} at step {e.step} (loss {e.value})")
-        return 5
+    result = run_training(cfg, task, kname, int(seed))
     replayed = next((s for s in result.snapshots if s.step == rstep), None)
     if replayed is None:
         raise ConfigError(f"checkpoint step {rstep} is not an evaluation step of this config")
@@ -333,15 +333,19 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
     return 0
 
 
+def _check_kinds(names) -> None:
+    for name in names:
+        try:
+            simcore.kind_from_name(str(name))
+        except (ValueError, MagnormError) as e:
+            raise ConfigError(f"bad similarity kind {name!r}: {e}") from None
+
+
 def _parse_kinds(text: str) -> list:
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise ConfigError("--kinds given but empty")
-    for name in names:
-        try:
-            simcore.kind_from_name(name)
-        except (ValueError, MagnormError) as e:
-            raise ConfigError(f"bad similarity kind {name!r}: {e}") from None
+    _check_kinds(names)
     return names
 
 
@@ -364,11 +368,11 @@ def _parse_ks(text: str, n_docs: int) -> list:
 
 
 def _kind_for_checkpoint(echo: dict, gamma: GammaParams):
-    kind = simcore.kind_from_name(echo.get("kind", "cosine"))
-    if kind.tag == "learnable":
-        gq, gd = gamma.gammas()
-        return simcore.learnable(gq, gd)
-    return kind
+    return _current_kind(simcore.kind_from_name(echo.get("kind", "cosine")), gamma)
+
+
+def _eval_paths(out: str, stem: str, split: str) -> tuple:
+    return os.path.join(out, f"run_{stem}_{split}.txt"), os.path.join(out, f"metrics_{stem}_{split}.csv")
 
 
 def _eval_checkpoint(ckpt_path: str, out: str, split: str, k_text: str, force: bool):
@@ -379,8 +383,7 @@ def _eval_checkpoint(ckpt_path: str, out: str, split: str, k_text: str, force: b
     runs = rank_split(encoder, gamma, task, kind, split)
     rows = evaluate_runs(runs, task.qrels, metric_ks)
     stem = f"{kind.tag}_{echo.get('seed', 0)}"
-    run_path = os.path.join(out, f"run_{stem}_{split}.txt")
-    met_path = os.path.join(out, f"metrics_{stem}_{split}.csv")
+    run_path, met_path = _eval_paths(out, stem, split)
     _guard([run_path, met_path], force)
     write_run_file(run_path, runs, tag=stem)
     write_metrics_csv(met_path, rows)
@@ -626,8 +629,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out = resolve_out(args.out, cfg.out)
     os.makedirs(out, exist_ok=True)
-    kinds = _parse_kinds(args.kinds) if args.kinds else cfg.kinds
-    seeds = [args.seed] if args.seed is not None else cfg.seeds
+    plan = _plan(args, cfg)
 
     if all(os.path.exists(os.path.join(out, f)) for f in TASK_FILES):
         task = load_task(out)
@@ -638,32 +640,14 @@ def _cmd_sweep(args) -> int:
         print(f"generated task files in {out}")
 
     summary_path = os.path.join(out, "sweep_summary.csv")
-    planned = []
-    for kname in kinds:
-        tag = simcore.kind_from_name(kname).tag
-        for seed in seeds:
-            planned.append((kname, tag, seed))
     targets = [summary_path]
-    for kname, tag, seed in planned:
-        targets.append(os.path.join(out, f"checkpoint_{tag}_{seed}.json"))
-        targets.append(os.path.join(out, f"trainlog_{tag}_{seed}.csv"))
-        targets.append(os.path.join(out, f"run_{tag}_{seed}_test.txt"))
-        targets.append(os.path.join(out, f"metrics_{tag}_{seed}_test.csv"))
+    for _, _, stem in plan:
+        targets += [*_train_paths(out, stem), *_eval_paths(out, stem, "test")]
     _guard(targets, args.force)
 
     summary = []
-    for kname, tag, seed in planned:
-        try:
-            result, encoder = _run_one_training(cfg, task, kname, seed)
-        except NonFiniteLoss as e:
-            _err(f"numeric divergence: kind {kname} seed {seed} at step {e.step} (loss {e.value})")
-            return 5
-        best = select_checkpoint(result.log, result.snapshots)
-        gamma = restore_snapshot(encoder, best)
-        ckpt = os.path.join(out, f"checkpoint_{tag}_{seed}.json")
-        tlog = os.path.join(out, f"trainlog_{tag}_{seed}.csv")
-        write_trainlog_csv(tlog, result.log)
-        save_checkpoint(ckpt, encoder, gamma, best.step, _config_echo(cfg, kname, seed))
+    for kname, seed, stem in plan:
+        result, best, ckpt = _train_and_save(cfg, task, out, kname, seed, stem)
         rows, _, _ = _eval_checkpoint(ckpt, out, "test", "10,100,10", force=True)
         macro = {f"{name}@{k}": v for name, k, v in _macro_rows(rows)}
         summary.append(
@@ -685,18 +669,8 @@ def _cmd_sweep(args) -> int:
             f"(untrained {result.log[0].val_ndcg10:.4f}) test ndcg {summary[-1]['test_ndcg10']:.4f}"
         )
 
-    fields = [
-        "kind",
-        "seed",
-        "selected_step",
-        "val_ndcg10",
-        "untrained_val_ndcg10",
-        "test_ndcg10",
-        "test_recall100",
-        "test_mrr10",
-    ]
     with open(summary_path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
+        w = csv.DictWriter(fh, fieldnames=list(summary[0]))
         w.writeheader()
         for row in summary:
             w.writerow(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class SyntheticTask:
 
     doc_cluster, hub_ids, and spec are generation-side metadata; they are
     not exported and are absent (None) on tasks loaded from disk.
+    relevance_count is derived from qrels: per document, the number of
+    queries that judge it grade >= 1.
     """
 
     doc_ids: list
@@ -85,15 +87,20 @@ class SyntheticTask:
     doc_features: Array
     query_features: Array
     qrels: Qrels
-    relevance_count: dict
     split_of: dict
     doc_cluster: Array | None = None
     hub_ids: list | None = None
     spec: TaskSpec | None = None
     _doc_row: dict = field(default_factory=dict, repr=False)
     _query_row: dict = field(default_factory=dict, repr=False)
+    relevance_count: dict = field(init=False)
 
     def __post_init__(self):
+        self.relevance_count = {d: 0 for d in self.doc_ids}
+        for grades in self.qrels.values():
+            for d, g in grades.items():
+                if g >= 1:
+                    self.relevance_count[d] += 1
         if not self._doc_row:
             self._doc_row = {d: i for i, d in enumerate(self.doc_ids)}
         if not self._query_row:
@@ -199,12 +206,6 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
         for qi in chosen:
             qrels[query_ids[int(qi)]][doc_ids[hub]] = 1
 
-    counts = {d: 0 for d in doc_ids}
-    for grades in qrels.values():
-        for d, g in grades.items():
-            if g >= 1:
-                counts[d] += 1
-
     split_of = _assign_splits(query_ids, spec.splits, rng)
     return SyntheticTask(
         doc_ids=doc_ids,
@@ -212,7 +213,6 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
         doc_features=doc_features,
         query_features=query_features,
         qrels=qrels,
-        relevance_count=counts,
         split_of=split_of,
         doc_cluster=cluster,
         hub_ids=[doc_ids[h] for h in hub_rows],
@@ -254,19 +254,6 @@ def _assign_splits(query_ids, fractions, rng) -> dict:
         name = "train" if pos < b1 else ("val" if pos < b2 else "test")
         split_of[query_ids[int(qi)]] = name
     return split_of
-
-
-def split(task: SyntheticTask, fractions, seed: int) -> SyntheticTask:
-    """Re-partition queries into disjoint train/val/test views.
-
-    The corpus is shared; only the assignment changes.  Sizes differ from
-    the exact fractions by less than one query.
-    """
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
-        raise ValueError("fractions must be three values summing to 1")
-    rng = np.random.default_rng(seed)
-    return replace(task, split_of=_assign_splits(task.query_ids, fr, rng))
 
 
 def gen_symmetric(spec: TaskSpec) -> list:
@@ -380,17 +367,11 @@ def load_task(outdir: str) -> SyntheticTask:
     with open(os.path.join(outdir, "splits.json")) as fh:
         splits = json.load(fh)
     split_of = {q: name for name, qs in splits.items() for q in qs}
-    counts = {d: 0 for d in doc_ids}
-    for grades in qrels.values():
-        for d, g in grades.items():
-            if g >= 1:
-                counts[d] += 1
     return SyntheticTask(
         doc_ids=doc_ids,
         query_ids=query_ids,
         doc_features=doc_features,
         query_features=query_features,
         qrels=qrels,
-        relevance_count=counts,
         split_of=split_of,
     )

@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import simcore
 from .datagen import SyntheticTask
 from .errors import DegenerateInput, DegenerateVariance, EmptyInput, TooFewSamples
-from .model import TwoTowerEncoder, forward
+from .model import TwoTowerEncoder, embed_split
 
 Array = np.ndarray
 
@@ -206,12 +206,9 @@ def magnitude_report(
     Documents are grouped by whether any split query marks them relevant;
     Cohen's d compares relevant against irrelevant document norms.
     """
-    qids = task.split_queries(split)
+    qids, Q, D = embed_split(encoder, task, split)
     if not qids:
         raise EmptyInput(f"split {split!r} has no queries")
-    D = forward(encoder, task.doc_features, "doc")
-    rows = [task.query_row(q) for q in qids]
-    Q = forward(encoder, task.query_features[rows], "query")
     d_mags = np.linalg.norm(D, axis=1)
     q_mags = np.linalg.norm(Q, axis=1)
     rel_ids = relevant_doc_ids(task, split)
@@ -237,16 +234,7 @@ def with_delta_cv(report: DiagnosticsReport, dot_query_cv: float) -> Diagnostics
     """
     if dot_query_cv <= 0.0:
         raise DegenerateInput("baseline query dispersion must be positive")
-    return DiagnosticsReport(
-        split=report.split,
-        kind=report.kind,
-        cohens_d=report.cohens_d,
-        n_rel=report.n_rel,
-        n_irrel=report.n_irrel,
-        query_cv=report.query_cv,
-        doc_cv=report.doc_cv,
-        delta_cv=report.query_cv / dot_query_cv,
-    )
+    return replace(report, delta_cv=report.query_cv / dot_query_cv)
 
 
 def write_report_csv(path, reports) -> None:

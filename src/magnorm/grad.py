@@ -117,10 +117,11 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     With logits z_ij = (alpha/tau) s_ij and softmax rows p_i, the chain
     rule gives dL/ds_ij = (alpha/tau)(p_ij - [j = pos_i]) / B, after
     which each score's SimGradient formula distributes the signal onto
-    queries, candidates, and gammas.
+    queries, candidates, and gammas.  Explicit negatives are handled as
+    one (B, K+1, n) candidate stack with each positive at index 0.
     """
     logits, pos_idx = candidate_logits(batch, cfg)
-    B, C = logits.shape
+    B = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     P = e / e.sum(axis=1, keepdims=True)
@@ -153,38 +154,26 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
             dD -= gd * (gs_col / nd**2)[:, None] * D
         d_neg = None
     else:
-        K = batch.negatives.shape[1]
-        dQ = np.zeros_like(Q)
-        dD = np.zeros_like(batch.positives)
-        d_neg = np.zeros_like(batch.negatives)
-        for i in range(B):
-            cands = np.concatenate([batch.positives[i][None, :], batch.negatives[i]])
-            nd = np.linalg.norm(cands, axis=1)
-            coeff = G[i] / (nq[i] ** gq * nd**gd)
-            dQ[i] = coeff @ cands
-            if gq > 0.0:
-                dQ[i] -= gq * (G[i] * S[i]).sum() / nq[i] ** 2 * Q[i]
-            dC = coeff[:, None] * Q[i][None, :]
-            if gd > 0.0:
-                dC -= gd * ((G[i] * S[i]) / nd**2)[:, None] * cands
-            dD[i] = dC[0]
-            d_neg[i] = dC[1:]
+        C = batch.candidates
+        nd = np.linalg.norm(C, axis=2)
+        coeff = G / ((nq**gq)[:, None] * nd**gd)
+        dQ = np.einsum("bk,bkn->bn", coeff, C)
+        if gq > 0.0:
+            dQ -= gq * ((G * S).sum(axis=1) / nq**2)[:, None] * Q
+        dC = coeff[:, :, None] * Q[:, None, :]
+        if gd > 0.0:
+            dC -= gd * ((G * S) / nd**2)[:, :, None] * C
+        dD = dC[:, 0]
+        d_neg = dC[:, 1:]
 
     if not learn:
         return InfoNCEGradients(loss, dQ, dD, d_neg)
 
-    if batch.in_batch:
-        nd_all = np.linalg.norm(batch.positives, axis=1)
-        dgq = float(-((G * S).sum(axis=1) * np.log(nq)).sum())
-        dgd = float(-((G * S).sum(axis=0) * np.log(nd_all)).sum())
-    else:
-        dgq = 0.0
-        dgd = 0.0
-        for i in range(B):
-            cands = np.concatenate([batch.positives[i][None, :], batch.negatives[i]])
-            nd = np.linalg.norm(cands, axis=1)
-            dgq += float(-(G[i] * S[i]).sum() * np.log(nq[i]))
-            dgd += float(-((G[i] * S[i]) * np.log(nd)).sum())
+    dgq = float(-((G * S).sum(axis=1) * np.log(nq)).sum())
+    # In-batch, each positive is a candidate for every query, so its
+    # gamma_d signal is a column sum; explicit candidates are all distinct.
+    per_doc = (G * S).sum(axis=0) if batch.in_batch else G * S
+    dgd = float(-(per_doc * np.log(nd)).sum())
     return InfoNCEGradients(loss, dQ, dD, d_neg, dgq, dgd)
 
 

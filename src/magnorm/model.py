@@ -328,37 +328,43 @@ def _mag_stats(mags: Array) -> tuple:
     return mean, (sd / mean if mean > 0 else 0.0)
 
 
+def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, split: str) -> tuple:
+    """(query ids, their embeddings, every doc's embedding) for one split."""
+    qids = task.split_queries(split)
+    D = forward(encoder, task.doc_features, "doc")
+    Q = forward(encoder, task.query_features[[task.query_row(q) for q in qids]], "query")
+    return qids, Q, D
+
+
+def _ranked_lists(encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str):
+    """Yield one RankedList per split query, scoring the full corpus.
+
+    A generator, so validation holds one list at a time, not all of them.
+    """
+    qids, Q, D = embed_split(encoder, task, split)
+    S = simcore.similarity_matrix(_current_kind(kind, gamma), Q, D)
+    for i, qid in enumerate(qids):
+        yield ranked_list(qid, zip(task.doc_ids, S[i].tolist()))
+
+
 def validation_ndcg(
     encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str = "val", k: int = 10
 ) -> float:
     """Macro-averaged NDCG@k of the current parameters on one split."""
-    qids = task.split_queries(split)
-    if not qids:
-        return 0.0
-    eval_kind = _current_kind(kind, gamma)
-    D = forward(encoder, task.doc_features, "doc")
-    rows = [task.query_row(q) for q in qids]
-    Q = forward(encoder, task.query_features[rows], "query")
-    S = simcore.similarity_matrix(eval_kind, Q, D)
-    total = 0.0
-    for i, qid in enumerate(qids):
-        run = ranked_list(qid, zip(task.doc_ids, S[i].tolist()))
+    # An explicit loop, not sum(): Python 3.12's sum() compensates float
+    # rounding, which would change the logged values between versions.
+    total, count = 0.0, 0
+    for run in _ranked_lists(encoder, gamma, task, kind, split):
         total += ndcg_at_k(run, task.qrels, k)
-    return total / len(qids)
+        count += 1
+    return total / count if count else 0.0
 
 
 def rank_split(
     encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str
 ) -> list:
     """RankedList per split query, scoring the full corpus with the variant."""
-    qids = task.split_queries(split)
-    if not qids:
-        return []
-    eval_kind = _current_kind(kind, gamma)
-    D = forward(encoder, task.doc_features, "doc")
-    Q = forward(encoder, task.query_features[[task.query_row(q) for q in qids]], "query")
-    S = simcore.similarity_matrix(eval_kind, Q, D)
-    return [ranked_list(qid, zip(task.doc_ids, S[i].tolist())) for i, qid in enumerate(qids)]
+    return list(_ranked_lists(encoder, gamma, task, kind, split))
 
 
 def loss_and_grads(
@@ -425,9 +431,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     def record(step: int, loss: float):
         sync_gamma()
         val = validation_ndcg(encoder, gamma, task, cfg.loss.kind)
-        D = forward(encoder, task.doc_features, "doc")
-        vrows = [task.query_row(q) for q in task.split_queries("val")]
-        Q = forward(encoder, task.query_features[vrows], "query") if vrows else D[:0]
+        _, Q, D = embed_split(encoder, task, "val")
         gq, gd = (
             gamma.gammas() if learn else simcore.effective_gammas(cfg.loss.kind)
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
-from .errors import DegenerateBatch, DimensionMismatch, EmptyInput
+from .errors import DegenerateBatch, DimensionMismatch, EmptyInput, ZeroMagnitude
 from .simcore import SimilarityKind
 
 Array = np.ndarray
@@ -83,6 +83,11 @@ class ContrastiveBatch:
     def in_batch(self) -> bool:
         return self.negatives is None
 
+    @property
+    def candidates(self) -> Array:
+        """Explicit mode's (B, K+1, n) candidate stack, each positive at index 0."""
+        return np.concatenate([self.positives[:, None, :], self.negatives], axis=1)
+
 
 def softmax_probs(q, docs, cfg: LossConfig) -> Array:
     """Softmax distribution over candidate documents for one query.
@@ -109,13 +114,24 @@ def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig) -> tuple[Array, A
         S = simcore.similarity_matrix(cfg.kind, batch.queries, batch.positives)
         pos_idx = np.arange(batch.size)
     else:
-        B, K, n = batch.negatives.shape
-        S = np.empty((B, K + 1), dtype=np.float64)
-        for i in range(B):
-            cands = np.concatenate([batch.positives[i][None, :], batch.negatives[i]])
-            S[i] = simcore.similarity_matrix(cfg.kind, batch.queries[i][None, :], cands)[0]
-        pos_idx = np.zeros(B, dtype=int)
+        S = _stack_similarity(cfg.kind, batch.queries, batch.candidates)
+        pos_idx = np.zeros(batch.size, dtype=int)
     return cfg.alpha * S / cfg.tau, pos_idx
+
+
+def _stack_similarity(kind: SimilarityKind, Q: Array, C: Array) -> Array:
+    """Scores (B, K+1) of each query row against its own candidate stack.
+
+    Same zero-norm errors as similarity_matrix; dividing by |v|**0 = 1 is exact.
+    """
+    gq, gd = simcore.effective_gammas(kind)
+    nq = np.linalg.norm(Q, axis=1)
+    nd = np.linalg.norm(C, axis=2)
+    if gq > 0.0 and np.any(nq == 0.0):
+        raise ZeroMagnitude("zero-norm query in batch")
+    if gd > 0.0 and np.any(nd == 0.0):
+        raise ZeroMagnitude("zero-norm document in batch")
+    return np.einsum("bn,bkn->bk", Q, C) / (nq**gq)[:, None] / nd**gd
 
 
 def infonce_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:

@@ -13,57 +13,28 @@ import numpy as np
 import pytest
 
 from magnorm import simcore
+from magnorm.cli import load_config, run_training
 from magnorm.datagen import TaskSpec, gen_asymmetric, gen_symmetric
 from magnorm.diagnostics import cohens_d, verify_ranking_equivalence
 from magnorm.grad import finite_difference, gradcheck, infonce_grad, rel_error, tangent_projector
 from magnorm.metrics import RankedList, mrr_at_k, ndcg_at_k, pearson, recall_at_k
-from magnorm.model import (
-    GammaParams,
-    TrainConfig,
-    forward,
-    init_encoder,
-    loss_and_grads,
-    select_checkpoint,
-    train,
-)
+from magnorm.model import GammaParams, forward, init_encoder, loss_and_grads, select_checkpoint
 from magnorm.objective import ContrastiveBatch, LossConfig, infonce_loss, softmax_probs
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable
 
-REFERENCE_TASK = TaskSpec(
-    n_docs=512,
-    n_queries=2048,
-    feature_dim=32,
-    n_clusters=16,
-    hub_fraction=0.05,
-    hub_multiplicity=32,
-    noise_sigma=0.1,
-    seed=0,
-)
-REFERENCE_KINDS = ("cosine", "dot", "qnorm", "dnorm", "learnable")
-
-
-def _reference_train_config(kind) -> TrainConfig:
-    return TrainConfig(
-        lr=0.01,
-        epochs=100,
-        batch_size=64,
-        seed=0,
-        loss=LossConfig(kind=kind, tau=1.0, alpha=20.0, lam=0.01),
-        eval_every=50,
-    )
+# The reference spec (task, encoder, training, kinds) is load_config's default.
+REFERENCE = load_config(None)
 
 
 @pytest.fixture(scope="module")
 def reference_runs():
     t0 = time.perf_counter()
-    task = gen_asymmetric(REFERENCE_TASK)
+    task = gen_asymmetric(REFERENCE.task)
     gen_time = time.perf_counter() - t0
     results, times = {}, {}
-    for name in REFERENCE_KINDS:
-        kind = simcore.kind_from_name(name)
-        encoder = init_encoder(32, 64, 32, shared=False, seed=0)
+    for name in REFERENCE.kinds:
         t0 = time.perf_counter()
-        results[name] = (train(task, encoder, _reference_train_config(kind)), encoder)
+        results[name] = run_training(REFERENCE, task, name, seed=0)
         times[name] = time.perf_counter() - t0
     return task, results, times, gen_time
 
@@ -290,8 +261,7 @@ def test_09_metric_oracles():
 
 def test_10_relevance_counter_effect(reference_runs):
     task, results, times, gen_time = reference_runs
-    _, encoder = results["dot"]
-    mags = np.linalg.norm(forward(encoder, task.doc_features, "doc"), axis=1)
+    mags = np.linalg.norm(forward(results["dot"].encoder, task.doc_features, "doc"), axis=1)
     counts = [task.relevance_count[d] for d in task.doc_ids]
     r = pearson(mags.tolist(), counts)
     hubs = set(task.hub_ids)
@@ -310,12 +280,12 @@ def test_10_relevance_counter_effect(reference_runs):
 
 def test_11_step_matched_sweep(reference_runs):
     task, results, _, _ = reference_runs
-    grids = {name: [row.step for row in results[name][0].log] for name in REFERENCE_KINDS}
-    first = grids[REFERENCE_KINDS[0]]
-    assert all(grids[name] == first for name in REFERENCE_KINDS)
+    grids = {name: [row.step for row in results[name].log] for name in REFERENCE.kinds}
+    first = grids[REFERENCE.kinds[0]]
+    assert all(grids[name] == first for name in REFERENCE.kinds)
     margins = []
-    for name in REFERENCE_KINDS:
-        result = results[name][0]
+    for name in REFERENCE.kinds:
+        result = results[name]
         best = select_checkpoint(result.log, result.snapshots)
         untrained = result.log[0].val_ndcg10
         assert best.val_ndcg10 > untrained, f"{name}: {best.val_ndcg10} vs {untrained}"

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from magnorm.cli import main
+from magnorm.cli import load_config, main
 from magnorm.datagen import TASK_FILES
 from magnorm.model import TRAINLOG_HEADER, load_checkpoint
 
@@ -111,6 +111,12 @@ class TestConfigErrors:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 3
 
+    def test_reference_file_matches_defaults(self):
+        ref = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "reference.json"))
+        default = load_config(None)
+        assert ref.sections == default.sections
+        assert (ref.kinds, ref.seeds) == (default.kinds, default.seeds)
+
 
 class TestTrain:
     def test_trains_and_writes_artifacts(self, workdir, capsys):
@@ -174,6 +180,17 @@ class TestTrain:
         rc = main(["train", "--config", other_cfg, "--resume",
                    str(out / "checkpoint_dot_0.json"), "--force"])
         assert rc == 2
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, kind", [("train", "dot"), ("sweep", "cosine")])
+    def test_diverging_loss_exits_five(self, workdir, tmp_path, capsys, command, kind):
+        out, _ = workdir
+        cfg = _write_config(tmp_path / "div.json", out, **{"loss.alpha": 1e308})
+        assert main(["gen", "--config", cfg]) == 0
+        assert main([command, "--config", cfg, "--kinds", kind]) == 5
+        assert f"numeric divergence: kind {kind} seed 0 at step 0 " in capsys.readouterr().err
 
 
 class TestEval:

@@ -15,7 +15,6 @@ from magnorm.datagen import (
     gen_symmetric,
     load_task,
     oracle_run,
-    split,
 )
 from magnorm.errors import InfeasibleSpec
 from magnorm.metrics import evaluate_runs
@@ -104,16 +103,6 @@ class TestAsymmetricStructure:
         task = gen_asymmetric(SMALL)
         with pytest.raises(ValueError):
             task.split_queries("dev")
-
-    def test_resplit_keeps_corpus(self):
-        task = gen_asymmetric(SMALL)
-        other = split(task, (0.5, 0.25, 0.25), seed=9)
-        assert other.doc_ids == task.doc_ids
-        assert np.array_equal(other.doc_features, task.doc_features)
-        assert len(other.split_queries("train")) == 128
-        assert sorted(
-            q for name in SPLIT_NAMES for q in other.split_queries(name)
-        ) == sorted(task.query_ids)
 
 
 class TestDeterminism:

@@ -183,22 +183,50 @@ class TestInfoNCEGrad:
         num = finite_difference(loss_of_gammas, np.array([gq, gd]))
         assert rel_error(np.array([g.d_gamma_q, g.d_gamma_d]), num) <= 1e-6
 
-    def test_explicit_negatives_against_finite_differences(self):
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=simcore.kind_name)
+    def test_explicit_negatives_against_finite_differences(self, kind):
         rng = np.random.default_rng(57)
         B, K, dim = 3, 4, 3
         Q = np.vstack([_safe_vec(rng, dim) for _ in range(B)])
         P = np.vstack([_safe_vec(rng, dim) for _ in range(B)])
         N = np.stack([np.vstack([_safe_vec(rng, dim) for _ in range(K)]) for _ in range(B)])
-        cfg = LossConfig(kind=QNORM, tau=1.0, alpha=2.0)
+        cfg = LossConfig(kind=kind, tau=0.8, alpha=2.0)
         g = infonce_grad(ContrastiveBatch(Q, P, N), cfg)
 
         from magnorm.objective import infonce_loss
 
-        def loss_of_n(flat):
-            return infonce_loss(ContrastiveBatch(Q, P, flat.reshape(B, K, dim)), cfg)
+        def loss_of(q=Q, p=P, n=N, kind=kind):
+            return infonce_loss(ContrastiveBatch(q, p, n), LossConfig(kind=kind, tau=0.8, alpha=2.0))
 
-        num_n = finite_difference(loss_of_n, N.ravel().copy()).reshape(B, K, dim)
+        num_q = finite_difference(lambda x: loss_of(q=x.reshape(B, dim)), Q.ravel().copy())
+        num_p = finite_difference(lambda x: loss_of(p=x.reshape(B, dim)), P.ravel().copy())
+        num_n = finite_difference(lambda x: loss_of(n=x.reshape(B, K, dim)), N.ravel().copy())
+        assert rel_error(g.d_queries, num_q) <= 1e-6
+        assert rel_error(g.d_positives, num_p) <= 1e-6
         assert rel_error(g.d_negatives, num_n) <= 1e-6
+        if kind.tag != "learnable":
+            assert g.d_gamma_q is None and g.d_gamma_d is None
+            return
+        gq, gd = simcore.effective_gammas(kind)
+        num_g = finite_difference(
+            lambda gm: loss_of(kind=learnable(float(gm[0]), float(gm[1]))), np.array([gq, gd])
+        )
+        assert rel_error(np.array([g.d_gamma_q, g.d_gamma_d]), num_g) <= 1e-6
+
+    @pytest.mark.parametrize("name, raises", [("cosine", True), ("dnorm", True), ("dot", False)])
+    def test_explicit_zero_norm_negative(self, name, raises):
+        rng = np.random.default_rng(61)
+        Q, P = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        N = rng.standard_normal((2, 2, 3))
+        N[1, 0] = 0.0
+        batch = ContrastiveBatch(Q, P, N)
+        cfg = LossConfig(kind=simcore.kind_from_name(name), tau=1.0, alpha=2.0)
+        if raises:
+            with pytest.raises(ZeroMagnitude):
+                infonce_grad(batch, cfg)
+        else:
+            g = infonce_grad(batch, cfg)
+            assert np.all(np.isfinite(g.d_queries)) and np.all(np.isfinite(g.d_negatives))
 
     def test_loss_value_matches_objective(self):
         rng = np.random.default_rng(58)
