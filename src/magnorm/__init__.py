@@ -9,6 +9,7 @@ the variants satisfy.
 
 from .errors import (
     ConfigError,
+    CorruptArtifact,
     DegenerateBatch,
     DegenerateInput,
     DegenerateVariance,
@@ -92,5 +93,6 @@ __all__ = [
     "TooFewSamples",
     "EmptyInput",
     "ConfigError",
+    "CorruptArtifact",
     "__version__",
 ]

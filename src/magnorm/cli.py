@@ -8,7 +8,7 @@ through run_training.  Exit codes:
     0  success
     1  property failure (verify)
     2  config error
-    3  I/O error
+    3  I/O error or corrupt artifact
     4  overwrite refusal
     5  numeric divergence
     6  degenerate statistics
@@ -30,6 +30,7 @@ from . import diagnostics, grad, simcore
 from .datagen import TASK_FILES, TaskSpec, export_task, gen_asymmetric, load_task
 from .errors import (
     ConfigError,
+    CorruptArtifact,
     DegenerateVariance,
     MagnormError,
     NonFiniteLoss,
@@ -322,11 +323,8 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
     replayed = next((s for s in result.snapshots if s.step == rstep), None)
     if replayed is None:
         raise ConfigError(f"checkpoint step {rstep} is not an evaluation step of this config")
-    for name, p in enc_saved.param_items():
-        if not np.array_equal(replayed.params[name], p):
-            raise ConfigError(
-                f"checkpoint {resume_path} does not match this config/seed at step {rstep}"
-            )
+    if not np.array_equal(replayed.params[: enc_saved.theta.size], enc_saved.theta):
+        raise ConfigError(f"checkpoint {resume_path} does not match this config/seed at step {rstep}")
     remaining = [r for r in result.log if r.step >= rstep]
     write_trainlog_csv(tlog, remaining)
     print(f"resumed {kname} seed {seed} from step {rstep}: {len(remaining)} remaining evals")
@@ -759,6 +757,9 @@ def main(argv=None) -> int:
         return 6
     except OSError as e:
         _err(f"I/O failure: {e}")
+        return 3
+    except CorruptArtifact as e:
+        _err(f"corrupt artifact: {e}")
         return 3
     except MagnormError as e:
         _err(f"config error: {e}")

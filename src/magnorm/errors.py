@@ -64,3 +64,7 @@ class EmptyInput(MagnormError):
 
 class ConfigError(MagnormError):
     """A configuration file failed to parse or contained unknown keys."""
+
+
+class CorruptArtifact(MagnormError):
+    """An artifact file does not parse, or lacks a key or has one of the wrong type."""

@@ -7,6 +7,11 @@ unconstrained logits gamma_hat with gamma = sigmoid(gamma_hat), so the
 gradient module can stay in gamma space and this module chains the
 sigmoid derivative itself.
 
+An encoder's parameters are one float64 vector theta laid out by
+param_layout; towers, gradients, snapshots and checkpoint weights are
+named views of a vector with that layout.  Under learnable the trainer
+appends the two gamma_hat logits and AdamW updates the whole vector.
+
 Training is single-threaded and bit-deterministic: all shuffling and
 positive sampling flows from the seed in TrainConfig, and the data order
 never depends on the similarity variant, so sweeps across variants are
@@ -16,6 +21,7 @@ step-matched by construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +30,7 @@ import numpy as np
 
 from . import simcore
 from .datagen import SyntheticTask
-from .errors import DegenerateBatch, DimensionMismatch, NonFiniteLoss
+from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from .grad import infonce_grad
 from .metrics import ndcg_at_k, ranked_list
 from .objective import ContrastiveBatch, LossConfig
@@ -42,43 +48,50 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class Tower:
-    """One affine map, optionally with a tanh hidden layer.
+def param_layout(m: int, h: int, n: int, shared: bool) -> list:
+    """(name, shape) of every encoder parameter, in checkpoint order.
 
-    w1 has shape (m, h) and w2 (h, n) when hidden; otherwise w1 is (m, n)
-    and w2/b2 are None.
+    q.w1, q.b1[, q.w2, q.b2], then the same for d unless the towers are
+    shared.  theta, its gradient and a checkpoint's weights all follow it.
     """
-
-    w1: Array
-    b1: Array
-    w2: Array | None = None
-    b2: Array | None = None
+    if h == 0:
+        shapes = [("w1", (m, n)), ("b1", (n,))]
+    else:
+        shapes = [("w1", (m, h)), ("b1", (h,)), ("w2", (h, n)), ("b2", (n,))]
+    return [(f"{t}.{p}", shape) for t in (["q"] if shared else ["q", "d"]) for p, shape in shapes]
 
 
 @dataclass
 class TwoTowerEncoder:
+    """Affine towers, each optionally with a tanh hidden layer, whose
+    parameters are named views into one float64 vector theta.
+
+    w1 has shape (m, h) and w2 (h, n) when hidden; otherwise w1 is (m, n)
+    and there is no w2/b2.  A shared encoder has only the q tower.
+    """
+
     m: int
     h: int
     n: int
     shared: bool
-    towers: dict
+    theta: Array
 
-    def tower(self, name: str) -> Tower:
-        return self.towers["q" if self.shared else name]
+    @property
+    def layout(self) -> list:
+        return param_layout(self.m, self.h, self.n, self.shared)
 
-    def param_items(self) -> list:
-        """(name, array) pairs over distinct parameters, in a fixed order."""
-        names = ["q"] if self.shared else ["q", "d"]
-        items = []
-        for name in names:
-            t = self.towers[name]
-            items.append((f"{name}.w1", t.w1))
-            items.append((f"{name}.b1", t.b1))
-            if t.w2 is not None:
-                items.append((f"{name}.w2", t.w2))
-                items.append((f"{name}.b2", t.b2))
-        return items
+    @property
+    def bounds(self) -> list:
+        """End offset of each parameter's block of theta, in layout order."""
+        return list(itertools.accumulate(math.prod(shape) for _, shape in self.layout))
+
+    def params(self, vec: Array | None = None) -> dict:
+        """Name -> view into vec (default theta); entries past the layout are left out."""
+        vec = self.theta if vec is None else vec
+        return {
+            name: part.reshape(shape)
+            for (name, shape), part in zip(self.layout, np.split(vec, self.bounds))
+        }
 
 
 @dataclass
@@ -97,31 +110,22 @@ def init_encoder(m: int, h: int, n: int, shared: bool, seed: int) -> TwoTowerEnc
     if min(m, n) < 1 or h < 0:
         raise ValueError("dimensions must be positive (hidden width may be 0)")
     rng = np.random.default_rng(seed)
-
-    def make_tower() -> Tower:
-        if h == 0:
-            bound = 1.0 / math.sqrt(m)
-            return Tower(w1=rng.uniform(-bound, bound, size=(m, n)), b1=np.zeros(n))
-        b1 = 1.0 / math.sqrt(m)
-        b2 = 1.0 / math.sqrt(h)
-        return Tower(
-            w1=rng.uniform(-b1, b1, size=(m, h)),
-            b1=np.zeros(h),
-            w2=rng.uniform(-b2, b2, size=(h, n)),
-            b2=np.zeros(n),
-        )
-
-    towers = {"q": make_tower()}
-    if not shared:
-        towers["d"] = make_tower()
-    return TwoTowerEncoder(m=m, h=h, n=n, shared=shared, towers=towers)
+    size = sum(math.prod(shape) for _, shape in param_layout(m, h, n, shared))
+    enc = TwoTowerEncoder(m=m, h=h, n=n, shared=shared, theta=np.zeros(size))
+    for name, p in enc.params().items():
+        if ".w" in name:
+            bound = 1.0 / math.sqrt(p.shape[0])
+            p[...] = rng.uniform(-bound, bound, size=p.shape)
+    return enc
 
 
-def _forward_cached(tower: Tower, X: Array) -> tuple:
-    if tower.w2 is None:
-        return X @ tower.w1 + tower.b1, None
-    H = np.tanh(X @ tower.w1 + tower.b1)
-    return H @ tower.w2 + tower.b2, H
+def _forward_cached(p: dict, t: str, X: Array) -> tuple:
+    """Output of tower t ("q" or "d") with parameter views p, and its hidden layer."""
+    Z = X @ p[f"{t}.w1"] + p[f"{t}.b1"]
+    if f"{t}.w2" not in p:
+        return Z, None
+    H = np.tanh(Z)
+    return H @ p[f"{t}.w2"] + p[f"{t}.b2"], H
 
 
 def forward(encoder: TwoTowerEncoder, features, tower: str = "query") -> Array:
@@ -135,21 +139,18 @@ def forward(encoder: TwoTowerEncoder, features, tower: str = "query") -> Array:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != encoder.m:
         raise DimensionMismatch(f"expected feature dim {encoder.m}, got shape {X.shape}")
-    Y, _ = _forward_cached(encoder.tower(name), X)
+    Y, _ = _forward_cached(encoder.params(), "q" if encoder.shared else name, X)
     return Y[0] if single else Y
 
 
-def _backward_tower(tower: Tower, X: Array, H, dY: Array, grads: dict, prefix: str) -> None:
-    """Accumulate parameter gradients for one tower given dLoss/dOutput."""
-    if tower.w2 is None:
-        grads[f"{prefix}.w1"] += X.T @ dY
-        grads[f"{prefix}.b1"] += dY.sum(axis=0)
-        return
-    grads[f"{prefix}.w2"] += H.T @ dY
-    grads[f"{prefix}.b2"] += dY.sum(axis=0)
-    dH = (dY @ tower.w2.T) * (1.0 - H * H)
-    grads[f"{prefix}.w1"] += X.T @ dH
-    grads[f"{prefix}.b1"] += dH.sum(axis=0)
+def _backward_tower(p: dict, t: str, X: Array, H, dY: Array, grad: dict) -> None:
+    """Accumulate tower t's parameter gradients, given dLoss/dOutput, into grad's views."""
+    if H is not None:
+        grad[f"{t}.w2"] += H.T @ dY
+        grad[f"{t}.b2"] += dY.sum(axis=0)
+        dY = (dY @ p[f"{t}.w2"].T) * (1.0 - H * H)
+    grad[f"{t}.w1"] += X.T @ dY
+    grad[f"{t}.b1"] += dY.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,64 +182,48 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, eval_every must be positive")
 
 
-@dataclass
-class OptState:
-    """Parameters plus first/second moment accumulators, keyed by name."""
+def clip_by_global_norm(grad: Array, clip_norm: float, bounds: list) -> Array:
+    """Scale grad by clip_norm/total_norm when the total exceeds it, else return grad.
 
-    params: dict
-    m: dict
-    v: dict
-
-    @classmethod
-    def for_params(cls, params: dict) -> "OptState":
-        return cls(
-            params=params,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
-
-
-def clip_by_global_norm(grads: dict, clip_norm: float) -> dict:
-    """Scale all gradients by clip_norm/total_norm when the total exceeds it."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    The squared norm is one sum per block (ending at bounds, then the gamma
+    logits past the last bound), so it rounds as a per-parameter sum would.
+    """
+    # An explicit loop, not sum(): Python 3.12's sum() compensates float
+    # rounding, which would change the clip scale between versions.
+    squares = 0.0
+    for g in np.split(grad, bounds):
+        squares += float((g * g).sum())
+    total = math.sqrt(squares)
     if total <= clip_norm or total == 0.0:
-        return grads
-    scale = clip_norm / total
-    return {k: g * scale for k, g in grads.items()}
+        return grad
+    return grad * (clip_norm / total)
 
 
 def adamw_step(
-    state: OptState,
-    grads: dict,
-    step_index: int,
-    cfg: TrainConfig,
-    lr: float | None = None,
-    no_decay: frozenset = frozenset(),
-    lr_overrides: dict | None = None,
-) -> OptState:
-    """One decoupled-weight-decay Adam update, in place.
+    theta: Array, grad: Array, moments: Array, step_index: int, cfg: TrainConfig, bounds: list, lr=None
+) -> None:
+    """One decoupled-weight-decay Adam update of theta and its moments (two rows), in place.
 
-    Gradients are clipped by global norm before touching the moments.
-    step_index is 1-based for bias correction.  Weight decay multiplies
-    the (possibly scheduled) learning rate and skips names in no_decay.
+    grad is clipped by global norm before touching the moments.  step_index
+    is 1-based for bias correction.  lr is one rate or one per entry
+    (default cfg.lr); weight decay multiplies it and skips the gamma logits
+    past the last bound.
     """
     if step_index < 1:
         raise ValueError("step_index is 1-based")
-    base = cfg.lr if lr is None else lr
-    grads = clip_by_global_norm(grads, cfg.clip_norm)
+    step_lr = cfg.lr if lr is None else lr
+    g = clip_by_global_norm(grad, cfg.clip_norm, bounds)
     bc1 = 1.0 - cfg.beta1**step_index
     bc2 = 1.0 - cfg.beta2**step_index
-    for name, p in state.params.items():
-        g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        step_lr = base if lr_overrides is None else lr_overrides.get(name, base)
-        mhat = state.m[name] / bc1
-        vhat = state.v[name] / bc2
-        p -= step_lr * mhat / (np.sqrt(vhat) + cfg.eps)
-        if cfg.weight_decay > 0.0 and name not in no_decay:
-            p -= step_lr * cfg.weight_decay * p
-    return state
+    m, v = moments
+    m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+    mhat = m / bc1
+    vhat = v / bc2
+    theta -= step_lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    if cfg.weight_decay > 0.0:
+        end = bounds[-1]
+        theta[:end] -= np.broadcast_to(step_lr, theta.shape)[:end] * cfg.weight_decay * theta[:end]
 
 
 def lr_at(step: int, total_steps: int, base_lr: float) -> float:
@@ -273,9 +258,10 @@ TRAINLOG_HEADER = "step,loss,val_ndcg10,gamma_q,gamma_d,q_mag_mean,q_mag_cv,d_ma
 
 @dataclass
 class Snapshot:
+    """Parameters at one evaluation: theta, then the gamma logits under learnable."""
+
     step: int
-    params: dict
-    gamma: GammaParams
+    params: Array
     val_ndcg10: float
 
 
@@ -370,28 +356,28 @@ def rank_split(
 def loss_and_grads(
     encoder: TwoTowerEncoder, gamma: GammaParams, Xq: Array, Xd: Array, loss_cfg: LossConfig
 ) -> tuple:
-    """Batch loss plus gradients for every encoder parameter and gamma_hat.
+    """Batch loss plus its gradient as one vector laid out like theta.
 
     Runs the closed-form backward pass: similarity-level gradients from
     the objective, then the tower chain rule, then sigmoid'(gamma_hat)
-    for the normalization logits.
+    for the normalization logits, which under learnable follow the
+    encoder block as two more entries.
     """
     kind = _current_kind(loss_cfg.kind, gamma)
     step_cfg = LossConfig(kind=kind, tau=loss_cfg.tau, alpha=loss_cfg.alpha, lam=loss_cfg.lam)
-    tq = encoder.tower("q")
-    td = encoder.tower("d")
-    Q, Hq = _forward_cached(tq, Xq)
-    D, Hd = _forward_cached(td, Xd)
+    p, td = encoder.params(), "q" if encoder.shared else "d"
+    Q, Hq = _forward_cached(p, "q", Xq)
+    D, Hd = _forward_cached(p, td, Xd)
     g = infonce_grad(ContrastiveBatch(Q, D), step_cfg)
-    grads = {name: np.zeros_like(p) for name, p in encoder.param_items()}
-    _backward_tower(tq, Xq, Hq, g.d_queries, grads, "q")
-    _backward_tower(td, Xd, Hd, g.d_positives, grads, "q" if encoder.shared else "d")
-    if loss_cfg.kind.tag == "learnable":
+    learn = loss_cfg.kind.tag == "learnable"
+    grad = np.zeros(encoder.theta.size + (2 if learn else 0))
+    views = encoder.params(grad)
+    _backward_tower(p, "q", Xq, Hq, g.d_queries, views)
+    _backward_tower(p, td, Xd, Hd, g.d_positives, views)
+    if learn:
         gq, gd = gamma.gammas()
-        grads["gamma_hat"] = np.array(
-            [g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)]
-        )
-    return g.loss, grads
+        grad[-2:] = g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)
+    return g.loss, grad
 
 
 def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> TrainResult:
@@ -402,6 +388,10 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     serve as positives for many queries.  Validation NDCG@10 is measured
     at step 0, every eval_every steps, and at the final step; a full
     parameter snapshot is kept at each evaluation.
+
+    The optimizer updates one vector: theta, then the two gamma logits
+    under learnable.  encoder.theta becomes a view of its head, so the
+    returned encoder holds the trained parameters.
     """
     train_qids = task.split_queries("train")
     if cfg.batch_size > len(train_qids):
@@ -410,20 +400,20 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         )
     rng = np.random.default_rng(cfg.seed)
     gamma = GammaParams()
-    params = dict(encoder.param_items())
     learn = cfg.loss.kind.tag == "learnable"
-    if learn:
-        params["gamma_hat"] = np.array([gamma.gamma_hat_q, gamma.gamma_hat_d])
-    state = OptState.for_params(params)
-    no_decay = frozenset({"gamma_hat"})
+    k = encoder.theta.size
+    params = np.concatenate([encoder.theta, [gamma.gamma_hat_q, gamma.gamma_hat_d] if learn else []])
+    encoder.theta = params[:k]
+    moments = np.zeros((2, params.size))
+    bounds = encoder.bounds
 
     sizes = _batch_layout(len(train_qids), cfg.batch_size)
     total_steps = cfg.epochs * len(sizes)
 
     def sync_gamma():
         if learn:
-            gamma.gamma_hat_q = float(params["gamma_hat"][0])
-            gamma.gamma_hat_d = float(params["gamma_hat"][1])
+            gamma.gamma_hat_q = float(params[k])
+            gamma.gamma_hat_d = float(params[k + 1])
 
     log: list = []
     snapshots: list = []
@@ -438,14 +428,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         qm, qcv = _mag_stats(np.linalg.norm(Q, axis=1)) if len(Q) else (0.0, 0.0)
         dm, dcv = _mag_stats(np.linalg.norm(D, axis=1))
         log.append(TrainLogRow(step, loss, val, gq, gd, qm, qcv, dm, dcv))
-        snapshots.append(
-            Snapshot(
-                step=step,
-                params={k: p.copy() for k, p in params.items()},
-                gamma=GammaParams(gamma.gamma_hat_q, gamma.gamma_hat_d),
-                val_ndcg10=val,
-            )
-        )
+        snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
 
     step = 0
     pending_eval_loss = None
@@ -462,19 +445,17 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             Xq = task.query_features[[task.query_row(q) for q in chunk]]
             Xd = task.doc_features[[task.doc_row(d) for d in positives]]
             sync_gamma()
-            loss, grads = loss_and_grads(encoder, gamma, Xq, Xd, cfg.loss)
+            loss, grad = loss_and_grads(encoder, gamma, Xq, Xd, cfg.loss)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(step, loss)
             if step == 0:
                 record(0, loss)
             sched = lr_at(step, total_steps, cfg.lr)
-            overrides = None
+            lr = sched
             if learn and cfg.gamma_lr is not None:
-                factor = sched / cfg.lr if cfg.lr > 0 else 0.0
-                overrides = {"gamma_hat": cfg.gamma_lr * factor}
-            adamw_step(
-                state, grads, step + 1, cfg, lr=sched, no_decay=no_decay, lr_overrides=overrides
-            )
+                lr = np.full(params.size, sched)
+                lr[k:] = cfg.gamma_lr * (sched / cfg.lr if cfg.lr > 0 else 0.0)
+            adamw_step(params, grad, moments, step + 1, cfg, bounds, lr=lr)
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:
                 pending_eval_loss = None
@@ -498,10 +479,8 @@ def select_checkpoint(log: list, snapshots: list) -> Snapshot:
 
 def restore_snapshot(encoder: TwoTowerEncoder, snapshot: Snapshot) -> GammaParams:
     """Copy a snapshot's parameters back into the encoder; returns its gammas."""
-    live = dict(encoder.param_items())
-    for name, p in live.items():
-        p[...] = snapshot.params[name]
-    return GammaParams(snapshot.gamma.gamma_hat_q, snapshot.gamma.gamma_hat_d)
+    encoder.theta[...] = snapshot.params[: encoder.theta.size]
+    return GammaParams(*map(float, snapshot.params[encoder.theta.size :]))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +510,7 @@ def write_trainlog_csv(path, log) -> None:
 
 def save_checkpoint(path, encoder: TwoTowerEncoder, gamma: GammaParams, step: int, config_echo: dict) -> None:
     """JSON checkpoint: dims, flat row-major weights, gamma logits, step, config."""
-    weights = {name: p.ravel(order="C").tolist() for name, p in encoder.param_items()}
+    weights = {name: p.ravel(order="C").tolist() for name, p in encoder.params().items()}
     payload = {
         "m": encoder.m,
         "h": encoder.h,
@@ -547,17 +526,37 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, gamma: GammaParams, step: in
         fh.write("\n")
 
 
+# The JSON type of every checkpoint key; only "config" may be absent.
+_CHECKPOINT_KEYS = {"m": int, "h": int, "n": int, "shared": bool, "weights": dict,
+                    "gamma_hat": list, "step": int, "config": dict}
+
+
 def load_checkpoint(path) -> tuple:
-    """Rebuild (encoder, gamma, step, config_echo) from a checkpoint file."""
+    """Rebuild (encoder, gamma, step, config_echo) from a checkpoint file.
+
+    Raises CorruptArtifact, naming the file, when it does not parse or a
+    key is missing or of the wrong type, and DimensionMismatch when a
+    weight has the wrong number of entries.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
-    m, h, n, shared = payload["m"], payload["h"], payload["n"], payload["shared"]
-    enc = init_encoder(m, h, n, shared, seed=0)
-    for name, p in enc.param_items():
-        flat = np.asarray(payload["weights"][name], dtype=np.float64)
+        try:
+            payload = json.load(fh)
+        except ValueError as e:
+            raise CorruptArtifact(f"{path} does not parse as JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise CorruptArtifact(f"{path} is not a JSON object")
+    payload.setdefault("config", {})
+    for key, kind in _CHECKPOINT_KEYS.items():
+        if type(payload.get(key)) is not kind:
+            raise CorruptArtifact(f"{path}: key {key!r} is missing or not a JSON {kind.__name__}")
+    try:
+        enc = init_encoder(payload["m"], payload["h"], payload["n"], payload["shared"], seed=0)
+        weights = [np.asarray(payload["weights"][name], dtype=np.float64) for name in enc.params()]
+        gq, gd = (float(x) for x in payload["gamma_hat"])
+    except (KeyError, TypeError, ValueError):
+        raise CorruptArtifact(f"{path}: dimensions, weights or gamma_hat out of range or not numeric") from None
+    for (name, p), flat in zip(enc.params().items(), weights):
         if flat.size != p.size:
             raise DimensionMismatch(f"checkpoint weight {name} has {flat.size} entries, expected {p.size}")
         p[...] = flat.reshape(p.shape)
-    gh = payload["gamma_hat"]
-    gamma = GammaParams(float(gh[0]), float(gh[1]))
-    return enc, gamma, int(payload["step"]), payload.get("config", {})
+    return enc, GammaParams(gq, gd), payload["step"], payload["config"]

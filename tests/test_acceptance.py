@@ -107,30 +107,16 @@ def test_04_gradient_correctness():
     gamma = GammaParams(0.3, -0.2)
     Xq, Xd = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
     cfg = LossConfig(kind=learnable(0.5, 0.5), tau=0.9, alpha=5.0)
-    names = [n for n, _ in enc.param_items()]
-    shapes = {n: p.shape for n, p in enc.param_items()}
-
-    def unpack(flat):
-        i = 0
-        live = dict(enc.param_items())
-        for n in names:
-            size = int(np.prod(shapes[n]))
-            live[n][...] = flat[i : i + size].reshape(shapes[n])
-            i += size
-        gamma.gamma_hat_q, gamma.gamma_hat_d = float(flat[i]), float(flat[i + 1])
+    k = enc.theta.size
 
     def f(flat):
-        unpack(flat)
+        enc.theta[...] = flat[:k]
+        gamma.gamma_hat_q, gamma.gamma_hat_d = float(flat[k]), float(flat[k + 1])
         loss, _ = loss_and_grads(enc, gamma, Xq, Xd, cfg)
         return loss
 
-    x0 = np.concatenate(
-        [p.ravel() for _, p in enc.param_items()]
-        + [np.array([gamma.gamma_hat_q, gamma.gamma_hat_d])]
-    )
-    unpack(x0)
-    _, grads = loss_and_grads(enc, gamma, Xq, Xd, cfg)
-    analytic = np.concatenate([grads[n].ravel() for n in names] + [grads["gamma_hat"]])
+    x0 = np.append(enc.theta, [gamma.gamma_hat_q, gamma.gamma_hat_d])
+    _, analytic = loss_and_grads(enc, gamma, Xq, Xd, cfg)
     err = rel_error(analytic, finite_difference(f, x0.copy()))
     worst = max(worst, err)
     assert err <= 1e-6

@@ -239,6 +239,26 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(out / "nope.json"), "--out", str(out)]) == 3
 
 
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize(
+        "corrupt", [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"')], ids=["cut", "no-step"]
+    )
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_exits_three_naming_the_file(self, workdir, capsys, command, corrupt):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        ckpt = out / "checkpoint_dot_0.json"
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        capsys.readouterr()
+        if command == "eval":
+            assert main(["eval", "--checkpoint", str(ckpt), "--out", str(out)]) == 3
+        else:
+            assert main(["train", "--config", cfg, "--resume", str(ckpt)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("magnorm: corrupt artifact: " + str(ckpt))
+
+
 class TestDiagnose:
     def test_report_with_delta_cv_pairing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("MAGNORM_OUT", raising=False)

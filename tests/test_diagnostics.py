@@ -26,7 +26,7 @@ from magnorm.errors import (
     EmptyInput,
     TooFewSamples,
 )
-from magnorm.model import init_encoder
+from magnorm.model import forward, init_encoder
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM
 
 
@@ -173,7 +173,9 @@ class TestMagnitudeReport:
         task = gen_asymmetric(TASK)
         enc = init_encoder(8, 0, 8, shared=False, seed=1)
         base = magnitude_report(enc, task, DOT)
-        enc.tower("d").w1 *= 3.0
+        docs = forward(enc, task.doc_features, "doc")
+        enc.params()["d.w1"] *= 3.0
+        np.testing.assert_allclose(forward(enc, task.doc_features, "doc"), 3.0 * docs, rtol=1e-12)
         scaled = magnitude_report(enc, task, DOT)
         assert scaled.cohens_d == pytest.approx(base.cohens_d, rel=1e-9)
         assert scaled.doc_cv == pytest.approx(base.doc_cv, rel=1e-9)

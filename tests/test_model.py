@@ -2,17 +2,17 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from magnorm.datagen import TaskSpec, gen_asymmetric
-from magnorm.errors import DegenerateBatch, DimensionMismatch, NonFiniteLoss
+from magnorm.errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from magnorm.grad import finite_difference, rel_error
 from magnorm.model import (
     TRAINLOG_HEADER,
     GammaParams,
-    OptState,
     Snapshot,
     TrainConfig,
     adamw_step,
@@ -22,6 +22,7 @@ from magnorm.model import (
     load_checkpoint,
     loss_and_grads,
     lr_at,
+    param_layout,
     rank_split,
     restore_snapshot,
     save_checkpoint,
@@ -63,13 +64,12 @@ class TestEncoderInit:
     def test_deterministic(self):
         a = init_encoder(6, 8, 4, shared=False, seed=5)
         b = init_encoder(6, 8, 4, shared=False, seed=5)
-        for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items()):
-            assert na == nb
-            assert np.array_equal(pa, pb)
+        assert a.layout == b.layout
+        assert np.array_equal(a.theta, b.theta)
 
     def test_fan_in_bounds_and_zero_biases(self):
         enc = init_encoder(9, 16, 4, shared=False, seed=1)
-        for name, p in enc.param_items():
+        for name, p in enc.params().items():
             if name.endswith(".w1"):
                 assert np.abs(p).max() <= 1.0 / 3.0
             elif name.endswith(".w2"):
@@ -79,7 +79,10 @@ class TestEncoderInit:
 
     def test_shared_has_one_tower(self):
         enc = init_encoder(4, 0, 3, shared=True, seed=0)
-        assert [n for n, _ in enc.param_items()] == ["q.w1", "q.b1"]
+        assert [n for n, _ in enc.layout] == ["q.w1", "q.b1"]
+        assert [n for n, _ in param_layout(6, 8, 4, False)] == [
+            "q.w1", "q.b1", "q.w2", "q.b2", "d.w1", "d.b1", "d.w2", "d.b2"
+        ]
         x = np.ones(4)
         np.testing.assert_array_equal(forward(enc, x, "query"), forward(enc, x, "doc"))
 
@@ -95,15 +98,15 @@ class TestForward:
         enc = init_encoder(5, 7, 3, shared=False, seed=3)
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 5))
-        t = enc.tower("d")
-        expect = np.tanh(X @ t.w1 + t.b1) @ t.w2 + t.b2
+        p = enc.params()
+        expect = np.tanh(X @ p["d.w1"] + p["d.b1"]) @ p["d.w2"] + p["d.b2"]
         np.testing.assert_array_equal(forward(enc, X, "doc"), expect)
 
     def test_affine_when_no_hidden(self):
         enc = init_encoder(5, 0, 3, shared=False, seed=3)
         X = np.random.default_rng(1).standard_normal((4, 5))
-        t = enc.tower("q")
-        np.testing.assert_array_equal(forward(enc, X, "q"), X @ t.w1 + t.b1)
+        p = enc.params()
+        np.testing.assert_array_equal(forward(enc, X, "q"), X @ p["q.w1"] + p["q.b1"])
         # Zero biases at init make the map linear: zero in, zero out.
         np.testing.assert_array_equal(forward(enc, np.zeros(5), "q"), np.zeros(3))
 
@@ -127,55 +130,67 @@ class TestOptimizer:
         # Bias correction makes mhat/sqrt(vhat) = sign(g) at step 1, so the
         # move is lr in magnitude whatever the gradient scale.
         cfg = _tiny_cfg(weight_decay=0.0)
-        state = OptState.for_params({"p": np.zeros(3)})
-        adamw_step(state, {"p": np.ones(3) / math.sqrt(3)}, 1, cfg, lr=0.5)
-        np.testing.assert_allclose(state.params["p"], -0.5, rtol=1e-7)
+        theta, moments = np.zeros(3), np.zeros((2, 3))
+        adamw_step(theta, np.ones(3) / math.sqrt(3), moments, 1, cfg, [3], lr=0.5)
+        np.testing.assert_allclose(theta, -0.5, rtol=1e-7)
 
     def test_clip_scales_to_unit_norm(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0, 0.0])}
-        clipped = clip_by_global_norm(grads, 1.0)
-        np.testing.assert_allclose(clipped["a"], [0.6, 0.0])
-        np.testing.assert_allclose(clipped["b"], [0.8, 0.0])
+        clipped = clip_by_global_norm(np.array([3.0, 0.0, 4.0, 0.0]), 1.0, [2, 4])
+        np.testing.assert_allclose(clipped, [0.6, 0.0, 0.8, 0.0])
 
     def test_clip_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        assert clip_by_global_norm(grads, 1.0) is grads
+        grad = np.array([0.3, 0.4])
+        assert clip_by_global_norm(grad, 1.0, [2]) is grad
+
+    def test_clip_sums_the_norm_block_by_block(self):
+        # The rounding of the clip's norm is that of one sum per parameter
+        # block in layout order, the tail (gamma logits) last, so the
+        # flat-vector trainer reproduces the per-parameter one bit for bit.
+        enc = init_encoder(6, 8, 4, shared=False, seed=0)
+        grad = np.random.default_rng(0).standard_normal(enc.theta.size + 2)
+        per_block = 0.0
+        for b in [*enc.params(grad).values(), grad[-2:]]:
+            per_block += float((b * b).sum())
+        per_block = math.sqrt(per_block)
+        whole = math.sqrt(float((grad * grad).sum()))
+        assert per_block != whole  # the seed makes the two roundings differ
+        clipped = clip_by_global_norm(grad, 1.0, enc.bounds)
+        assert np.array_equal(clipped, grad * (1.0 / per_block))
+        assert not np.array_equal(clipped, grad * (1.0 / whole))
 
     def test_zero_grad_zero_decay_is_identity(self):
         cfg = _tiny_cfg(weight_decay=0.0)
-        p = np.array([1.5, -2.0])
-        state = OptState.for_params({"p": p})
-        adamw_step(state, {"p": np.zeros(2)}, 1, cfg)
-        np.testing.assert_array_equal(state.params["p"], [1.5, -2.0])
+        theta = np.array([1.5, -2.0])
+        adamw_step(theta, np.zeros(2), np.zeros((2, 2)), 1, cfg, [2])
+        np.testing.assert_array_equal(theta, [1.5, -2.0])
 
     def test_decay_is_decoupled(self):
         # Zero gradient isolates the decay term: p <- p - lr * wd * p.
         cfg = _tiny_cfg(weight_decay=0.1)
-        p = np.array([2.0])
-        state = OptState.for_params({"p": p})
-        adamw_step(state, {"p": np.zeros(1)}, 1, cfg, lr=0.5)
-        np.testing.assert_allclose(state.params["p"], [2.0 * (1.0 - 0.05)], rtol=1e-15)
+        theta = np.array([2.0])
+        adamw_step(theta, np.zeros(1), np.zeros((2, 1)), 1, cfg, [1], lr=0.5)
+        np.testing.assert_allclose(theta, [2.0 * (1.0 - 0.05)], rtol=1e-15)
 
     def test_no_decay_names_skip_decay(self):
+        # The entries past the last bound are the gamma logits (gamma_hat):
+        # weight decay never touches them, only the encoder entries before.
         cfg = _tiny_cfg(weight_decay=0.1)
-        state = OptState.for_params({"gamma_hat": np.array([2.0])})
-        adamw_step(
-            state, {"gamma_hat": np.zeros(1)}, 1, cfg, lr=0.5, no_decay=frozenset({"gamma_hat"})
-        )
-        np.testing.assert_array_equal(state.params["gamma_hat"], [2.0])
+        theta = np.array([2.0, 2.0, -3.0])
+        adamw_step(theta, np.zeros(3), np.zeros((2, 3)), 1, cfg, [1], lr=0.5)
+        np.testing.assert_allclose(theta[0], 2.0 * (1.0 - 0.05), rtol=1e-15)
+        np.testing.assert_array_equal(theta[1:], [2.0, -3.0])
 
-    def test_lr_overrides_apply_per_name(self):
+    def test_lr_applies_per_entry(self):
         cfg = _tiny_cfg(weight_decay=0.0)
-        state = OptState.for_params({"a": np.zeros(1), "b": np.zeros(1)})
-        g = {"a": np.array([1.0 / math.sqrt(2)]), "b": np.array([1.0 / math.sqrt(2)])}
-        adamw_step(state, g, 1, cfg, lr=0.1, lr_overrides={"b": 0.2})
-        assert state.params["b"][0] == pytest.approx(2.0 * state.params["a"][0], rel=1e-12)
+        theta = np.zeros(2)
+        g = np.full(2, 1.0 / math.sqrt(2))
+        adamw_step(theta, g, np.zeros((2, 2)), 1, cfg, [1], lr=np.array([0.1, 0.2]))
+        assert theta[1] == pytest.approx(2.0 * theta[0], rel=1e-12)
 
     def test_rejects_zero_based_step(self):
         cfg = _tiny_cfg()
-        state = OptState.for_params({"p": np.zeros(1)})
         with pytest.raises(ValueError):
-            adamw_step(state, {"p": np.zeros(1)}, 0, cfg)
+            adamw_step(np.zeros(1), np.zeros(1), np.zeros((2, 1)), 0, cfg, [1])
 
     def test_cosine_schedule_endpoints(self):
         assert lr_at(0, 100, 0.3) == 0.3
@@ -211,41 +226,20 @@ class TestBackward:
         Xd = rng.standard_normal((B, m))
         cfg = LossConfig(kind=kind, tau=0.9, alpha=5.0)
 
-        names = [name for name, _ in enc.param_items()]
-        shapes = {name: p.shape for name, p in enc.param_items()}
         learn = kind.tag == "learnable"
-
-        def pack():
-            parts = [p.ravel() for _, p in enc.param_items()]
-            if learn:
-                parts.append(np.array([gamma.gamma_hat_q, gamma.gamma_hat_d]))
-            return np.concatenate(parts)
-
-        def unpack(flat):
-            i = 0
-            live = dict(enc.param_items())
-            for name in names:
-                size = int(np.prod(shapes[name]))
-                live[name][...] = flat[i : i + size].reshape(shapes[name])
-                i += size
-            if learn:
-                gamma.gamma_hat_q = float(flat[i])
-                gamma.gamma_hat_d = float(flat[i + 1])
+        k = enc.theta.size
 
         def f(flat):
-            unpack(flat)
+            enc.theta[...] = flat[:k]
+            if learn:
+                gamma.gamma_hat_q, gamma.gamma_hat_d = float(flat[k]), float(flat[k + 1])
             loss, _ = loss_and_grads(enc, gamma, Xq, Xd, cfg)
             return loss
 
-        x0 = pack()
-        unpack(x0)
-        _, grads = loss_and_grads(enc, gamma, Xq, Xd, cfg)
-        parts = [grads[name].ravel() for name in names]
-        if learn:
-            parts.append(grads["gamma_hat"])
-        analytic = np.concatenate(parts)
+        x0 = np.append(enc.theta, [gamma.gamma_hat_q, gamma.gamma_hat_d] if learn else [])
+        _, analytic = loss_and_grads(enc, gamma, Xq, Xd, cfg)
         numeric = finite_difference(f, x0.copy())
-        unpack(x0)
+        f(x0)
         assert rel_error(analytic, numeric) <= 1e-6
 
 
@@ -256,8 +250,8 @@ class TestTraining:
         rb = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
         assert ra.log == rb.log
         for sa, sb in zip(ra.snapshots, rb.snapshots):
-            for name in sa.params:
-                assert np.array_equal(sa.params[name], sb.params[name])
+            assert np.array_equal(sa.params, sb.params)
+        assert np.array_equal(ra.encoder.theta, rb.encoder.theta)
 
     def test_learns_the_tiny_task(self):
         task = gen_asymmetric(TINY)
@@ -288,7 +282,7 @@ class TestTraining:
         assert result.log[0].gamma_q == 0.5 and result.log[0].gamma_d == 0.5
         for row in result.log:
             assert 0.0 < row.gamma_q < 1.0 and 0.0 < row.gamma_d < 1.0
-        moved = [s.params["gamma_hat"] for s in result.snapshots]
+        moved = [s.params[-2:] for s in result.snapshots]
         assert not np.array_equal(moved[0], moved[-1])
 
     def test_fixed_kind_logs_corner_gammas(self):
@@ -348,8 +342,7 @@ class TestSelectionAndSnapshots:
     def _fake(self, steps_vals):
         snaps, log = [], []
         for step, val in steps_vals:
-            snaps.append(Snapshot(step=step, params={"p": np.array([float(step)])},
-                                  gamma=GammaParams(), val_ndcg10=val))
+            snaps.append(Snapshot(step=step, params=np.array([float(step)]), val_ndcg10=val))
             log.append(type("Row", (), {"step": step, "val_ndcg10": val})())
         return log, snaps
 
@@ -365,13 +358,18 @@ class TestSelectionAndSnapshots:
         with pytest.raises(ValueError):
             select_checkpoint([], [])
 
-    def test_restore_rewinds_parameters(self):
+    @pytest.mark.parametrize("kind", [DOT, learnable(0.5, 0.5)], ids=["dot", "learnable"])
+    def test_restore_rewinds_parameters(self, kind):
         task = gen_asymmetric(TINY)
-        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=2))
+        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
         best = select_checkpoint(result.log, result.snapshots)
-        gamma = restore_snapshot(result.encoder, best)
-        val = validation_ndcg(result.encoder, gamma, task, DOT)
-        assert val == pytest.approx(best.val_ndcg10, abs=1e-12)
+        # The best snapshot here is the last one, so step 5 is the one that
+        # actually rewinds the trained parameters.
+        for snap in (result.snapshots[1], best):
+            gamma = restore_snapshot(result.encoder, snap)
+            assert np.array_equal(result.encoder.theta, snap.params[: result.encoder.theta.size])
+            val = validation_ndcg(result.encoder, gamma, task, kind)
+            assert val == pytest.approx(snap.val_ndcg10, abs=1e-12)
 
 
 class TestSerialization:
@@ -395,8 +393,7 @@ class TestSerialization:
         save_checkpoint(path, enc, gamma, step=42, config_echo={"kind": "dot", "seed": 7})
         enc2, gamma2, step, echo = load_checkpoint(path)
         assert (enc2.m, enc2.h, enc2.n, enc2.shared) == (6, 8, 4, False)
-        for (_, pa), (_, pb) in zip(enc.param_items(), enc2.param_items()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(enc.theta, enc2.theta)
         assert (gamma2.gamma_hat_q, gamma2.gamma_hat_d) == (0.25, -1.5)
         assert step == 42
         assert echo == {"kind": "dot", "seed": 7}
@@ -417,6 +414,19 @@ class TestSerialization:
         payload["weights"]["q.w1"] = [1.0, 2.0]
         path.write_text(json.dumps(payload))
         with pytest.raises(DimensionMismatch):
+            load_checkpoint(path)
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("step", "3"), ("m", 3.0), ("shared", 1), ("n", 0), ("config", []), ("gamma_hat", [0.5]),
+         ("weights", None), ("weights", {"q.w1": [0.0] * 6}), ("weights", {"q.w1": "abcdef", "q.b1": [0, 0]})],
+    )
+    def test_ill_typed_key_is_corrupt_artifact(self, tmp_path, key, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_encoder(3, 0, 2, shared=True, seed=0), GammaParams(), 0, {})
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(CorruptArtifact, match=re.escape(str(path))):
             load_checkpoint(path)
 
 
