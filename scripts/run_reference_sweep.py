@@ -21,8 +21,7 @@ import numpy as np
 
 from magnorm.cli import load_config, run_training
 from magnorm.datagen import gen_asymmetric
-from magnorm.diagnostics import cohens_d
-from magnorm.metrics import pearson
+from magnorm.diagnostics import relevance_counter
 from magnorm.model import forward, restore_snapshot, select_checkpoint
 
 
@@ -35,13 +34,7 @@ def run_one(cfg, task, kind_name, seed):
     restore_snapshot(encoder, best)
 
     mags = np.linalg.norm(forward(encoder, task.doc_features, "doc"), axis=1)
-    counts = [task.relevance_count[d] for d in task.doc_ids]
-    r = pearson(mags.tolist(), counts)
-    hubs = set(task.hub_ids)
-    d_hub = cohens_d(
-        [float(mags[i]) for i, d in enumerate(task.doc_ids) if d in hubs],
-        [float(mags[i]) for i, d in enumerate(task.doc_ids) if d not in hubs],
-    )
+    r, d_hub = relevance_counter(mags, task)
     return {
         "kind": kind_name,
         "step": best.step,

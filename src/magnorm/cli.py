@@ -1,9 +1,9 @@
-"""Experiment harness: generation, training sweeps, evaluation, diagnostics.
+"""Experiment harness: generation, training sweeps, evaluation, diagnostics, verify.
 
 Every command is deterministic given its config and seeds, and refuses to
 overwrite existing outputs unless --force is passed.  load_config(None) is
 the reference spec; train, sweep, --resume and the scripts all train
-through run_training.  Exit codes:
+through run_training; verify runs diagnostics.SUITES.  Exit codes:
 
     0  success
     1  property failure (verify)
@@ -20,13 +20,12 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import diagnostics, grad, simcore
+from . import diagnostics, simcore
 from .datagen import TASK_FILES, TaskSpec, export_task, gen_asymmetric, load_task
 from .errors import (
     ConfigError,
@@ -51,7 +50,7 @@ from .model import (
     train,
     write_trainlog_csv,
 )
-from .objective import ContrastiveBatch, LossConfig
+from .objective import LossConfig
 
 DEFAULT_OUT = "magnorm_out"
 OUT_ENV_VAR = "MAGNORM_OUT"
@@ -451,170 +450,24 @@ def _cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rand_vec(rng, dim: int):
-    v = rng.standard_normal(dim)
-    n = np.linalg.norm(v)
-    if n < 1e-3:
-        v = v + 0.5
-    return v * float(rng.lognormal(0.0, 0.7))
-
-
-def _suite_ranking(trials: int, seed: int):
-    verdict = diagnostics.verify_ranking_equivalence(dim=8, n_docs=16, trials=trials, seed=seed)
-    err = 0.0 if verdict.all_ok else 1.0
-    return err, "exact", verdict.all_ok, verdict.counterexample
-
-
-def _suite_corners(trials: int, seed: int):
-    rng = np.random.default_rng([seed, 1])
-    discrete = {
-        "cosine": simcore.COSINE,
-        "dot": simcore.DOT,
-        "qnorm": simcore.QNORM,
-        "dnorm": simcore.DNORM,
-    }
-    worst = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 17))
-        q = _rand_vec(rng, dim)
-        d = _rand_vec(rng, dim)
-        for tag, kind in discrete.items():
-            gq, gd = simcore.effective_gammas(kind)
-            a = simcore.similarity(simcore.learnable(gq, gd), q, d)
-            b = simcore.similarity(kind, q, d)
-            worst = max(worst, abs(a - b))
-    return worst, "1e-12", worst <= 1e-12, None
-
-
-def _suite_symmetry(trials: int, seed: int):
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 17))
-        a = _rand_vec(rng, dim)
-        b = _rand_vec(rng, dim)
-        worst = max(worst, abs(simcore.similarity(simcore.COSINE, a, b) - simcore.similarity(simcore.COSINE, b, a)))
-        worst = max(worst, abs(simcore.similarity(simcore.DOT, a, b) - simcore.similarity(simcore.DOT, b, a)))
-        na, nb, cos = simcore.decompose(a, b)
-        asym = simcore.similarity(simcore.QNORM, a, b) - simcore.similarity(simcore.QNORM, b, a)
-        worst = max(worst, abs(asym - (nb - na) * cos))
-    return worst, "1e-12", worst <= 1e-12, None
-
-
-def _suite_jacobian(trials: int, seed: int):
-    rng = np.random.default_rng([seed, 3])
-    worst = 0.0
-    ok = True
-    for n in (2, 8, 64):
-        for _ in range(trials):
-            v = _rand_vec(rng, n)
-            P = grad.tangent_projector(v)
-            vhat = v / np.linalg.norm(v)
-            r_idem = float(np.abs(P @ P - P).max())
-            r_null = float(np.linalg.norm(P @ vhat))
-            r_trace = abs(float(np.trace(P)) - (n - 1))
-            worst = max(worst, r_idem, r_null, r_trace)
-            ok = ok and r_idem <= 1e-12 and r_null <= 1e-12 and r_trace <= 1e-9
-    return worst, "1e-12/1e-9", ok, None
-
-
-def _suite_radial(trials: int, seed: int):
-    rng = np.random.default_rng([seed, 4])
-    cfg = LossConfig(kind=simcore.COSINE, tau=1.0, alpha=20.0)
-    worst = 0.0
-    for _ in range(trials):
-        B, dim = 8, 8
-        Q = np.vstack([_rand_vec(rng, dim) for _ in range(B)])
-        D = np.vstack([_rand_vec(rng, dim) for _ in range(B)])
-        g = grad.infonce_grad(ContrastiveBatch(Q, D), cfg)
-        for i in range(B):
-            gn = float(np.linalg.norm(g.d_queries[i]))
-            qn = float(np.linalg.norm(Q[i]))
-            if gn == 0.0:
-                continue
-            worst = max(worst, abs(float(g.d_queries[i] @ Q[i])) / (gn * qn))
-    return worst, "1e-10", worst <= 1e-10, None
-
-
-def _suite_gamma_grad(trials: int, seed: int):
-    rng = np.random.default_rng([seed, 5])
-    worst_rel = 0.0
-    ok = True
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        q = _rand_vec(rng, dim)
-        d = _rand_vec(rng, dim)
-        gq = float(rng.uniform(0.05, 0.95))
-        gd = float(rng.uniform(0.05, 0.95))
-        kind = simcore.learnable(gq, gd)
-        g = grad.sim_grad(kind, q, d)
-        s = simcore.similarity(kind, q, d)
-        nq, nd, _ = simcore.decompose(q, d)
-        ok = ok and abs(g.d_gamma_q + math.log(nq) * s) <= 1e-12
-        ok = ok and abs(g.d_gamma_d + math.log(nd) * s) <= 1e-12
-
-        def f(gm):
-            return simcore.similarity(simcore.learnable(float(gm[0]), float(gm[1])), q, d)
-
-        fd = grad.finite_difference(f, np.array([gq, gd]))
-        worst_rel = max(
-            worst_rel,
-            grad.rel_error(np.array([g.d_gamma_q, g.d_gamma_d]), fd),
-        )
-    ok = ok and worst_rel <= 1e-6
-    return worst_rel, "1e-6", ok, None
-
-
-def _suite_gradcheck(trials: int, seed: int):
-    rng = np.random.default_rng([seed, 6])
-    kinds = [
-        simcore.COSINE,
-        simcore.DOT,
-        simcore.QNORM,
-        simcore.DNORM,
-        simcore.learnable(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))),
-    ]
-    worst = 0.0
-    ok = True
-    note = None
-    for i, kind in enumerate(kinds):
-        report = grad.gradcheck(kind, trials=trials, seed=seed + 1000 * (i + 1))
-        worst = max(worst, report.max_rel_err)
-        if not report.passed:
-            ok = False
-            note = note or f"{simcore.kind_name(kind)} max rel err {report.max_rel_err:.3e}"
-    return worst, "1e-6", ok, note
-
-
-SUITES = (
-    ("ranking-equivalence", _suite_ranking),
-    ("corner-degeneracy", _suite_corners),
-    ("symmetry", _suite_symmetry),
-    ("jacobian-spectral", _suite_jacobian),
-    ("radial-gradient", _suite_radial),
-    ("gamma-gradient", _suite_gamma_grad),
-    ("gradcheck", _suite_gradcheck),
-)
-
-
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be a positive integer")
-    seed = 0 if args.seed is None else args.seed
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     failures = []
     print(f"{'suite':<22}{'max_err':>12}  {'tol':<12}{'status'}")
-    for name, fn in SUITES:
-        err, tol, ok, note = fn(args.trials, seed)
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:<22}{err:>12.3e}  {tol:<12}{status}")
-        if note and not ok:
-            print(f"  {note}")
-        if not ok:
+    for i, (name, suite) in enumerate(diagnostics.SUITES):
+        r = suite(np.random.default_rng([args.seed, i]), args.trials, args.seed)
+        print(f"{name:<22}{r.err:>12.3e}  {r.tol:<12}{'PASS' if r.ok else 'FAIL'}")
+        if not r.ok:
             failures.append(name)
+            if r.note:
+                print(f"  {r.note}")
     if failures:
         print(f"FAILED: {', '.join(failures)}")
         return 1
-    print(f"all {len(SUITES)} suites passed ({args.trials} trials, seed {seed})")
+    print(f"all {len(diagnostics.SUITES)} suites passed ({args.trials} trials, seed {args.seed})")
     return 0
 
 

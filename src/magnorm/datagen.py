@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleSpec
+from .errors import CorruptArtifact, InfeasibleSpec
 from .metrics import Qrels, ranked_list, write_qrels
 
 Array = np.ndarray
@@ -348,30 +348,47 @@ def _read_jsonl(path) -> tuple:
             if not line.strip():
                 continue
             rec = json.loads(line)
+            if not isinstance(rec["id"], str):
+                raise TypeError(f"id {rec['id']!r} is not a string")
             ids.append(rec["id"])
             rows.append(rec["features"])
     return ids, np.asarray(rows, dtype=np.float64)
+
+
+def _read_splits(path) -> dict:
+    with open(path) as fh:
+        splits = json.load(fh)
+    if not isinstance(splits, dict):
+        raise ValueError("not a JSON object")
+    for name, qs in splits.items():
+        if not isinstance(qs, list) or not all(isinstance(q, str) for q in qs):
+            raise TypeError(f"split {name!r} is not a list of query ids")
+    return {q: name for name, qs in splits.items() for q in qs}
 
 
 def load_task(outdir: str) -> SyntheticTask:
     """Rebuild a task from its four exported files.
 
     Generation metadata (clusters, hub list, spec) is not persisted and
-    comes back as None.
+    comes back as None.  A file that does not parse, or a line that lacks
+    a field or has one of the wrong type, raises CorruptArtifact naming it.
     """
     from .metrics import read_qrels
 
-    doc_ids, doc_features = _read_jsonl(os.path.join(outdir, "corpus.jsonl"))
-    query_ids, query_features = _read_jsonl(os.path.join(outdir, "queries.jsonl"))
-    qrels = read_qrels(os.path.join(outdir, "qrels.txt"))
-    with open(os.path.join(outdir, "splits.json")) as fh:
-        splits = json.load(fh)
-    split_of = {q: name for name, qs in splits.items() for q in qs}
+    def read(name, reader):
+        path = os.path.join(outdir, name)
+        try:
+            return reader(path)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CorruptArtifact(f"{path} is malformed ({type(e).__name__}: {e})") from None
+
+    doc_ids, doc_features = read("corpus.jsonl", _read_jsonl)
+    query_ids, query_features = read("queries.jsonl", _read_jsonl)
     return SyntheticTask(
         doc_ids=doc_ids,
         query_ids=query_ids,
         doc_features=doc_features,
         query_features=query_features,
-        qrels=qrels,
-        split_of=split_of,
+        qrels=read("qrels.txt", read_qrels),
+        split_of=read("splits.json", _read_splits),
     )

@@ -1,10 +1,12 @@
-"""Magnitude diagnostics and ranking-equivalence verification.
+"""Magnitude diagnostics and the paper's claims as executable property suites.
 
 The statistics here read raw embedding norms, before any normalization a
 similarity variant might apply, because the question under study is what
 the encoder itself learned to encode in magnitude.  Relevance splits the
 document set in two: a document is "relevant" if at least one query of
-the chosen split lists it with grade >= 1.
+the chosen split lists it with grade >= 1.  SUITES are the property checks
+`magnorm verify` runs; the acceptance tests call them with their own
+generators and trial counts.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import simcore
+from . import grad, simcore
 from .datagen import SyntheticTask
 from .errors import DegenerateInput, DegenerateVariance, EmptyInput, TooFewSamples
+from .metrics import pearson, ranked_list
 from .model import TwoTowerEncoder, embed_split
+from .objective import ContrastiveBatch, LossConfig
 
 Array = np.ndarray
 
@@ -69,15 +74,11 @@ def cv(values) -> float:
 
 def rank_documents(kind, q, docs) -> list:
     """Doc ids ordered by descending similarity; ties break lexicographically."""
-    scored = []
-    for doc_id, d in docs:
-        scored.append((doc_id, simcore.similarity(kind, q, d)))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return [doc_id for doc_id, _ in scored]
+    return ranked_list("", [(doc_id, simcore.similarity(kind, q, d)) for doc_id, d in docs]).doc_ids()
 
 
 # ---------------------------------------------------------------------------
-# Ranking-equivalence verification
+# Property suites: ranking equivalence first, then the closed-form identities
 # ---------------------------------------------------------------------------
 
 
@@ -161,9 +162,169 @@ def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) ->
     )
 
 
+class SuiteResult(NamedTuple):
+    """One verify row; parts names the residuals err is the maximum of, if several."""
+
+    err: float
+    tol: str
+    ok: bool
+    note: str | None = None
+    parts: dict | None = None
+
+
+def _rand_vec(rng, dim: int):
+    v = rng.standard_normal(dim)
+    if np.linalg.norm(v) < 1e-3:
+        v = v + 0.5
+    return v * float(rng.lognormal(0.0, 0.7))
+
+
+def suite_ranking(rng, trials: int, seed: int) -> SuiteResult:
+    verdict = verify_ranking_equivalence(dim=8, n_docs=16, trials=trials, seed=seed)
+    return SuiteResult(0.0 if verdict.all_ok else 1.0, "exact", verdict.all_ok, verdict.counterexample)
+
+
+def suite_corners(rng, trials: int, _seed=None) -> SuiteResult:
+    """Each discrete kind equals learnable at its corner gammas."""
+    discrete = (simcore.COSINE, simcore.DOT, simcore.QNORM, simcore.DNORM)
+    worst = 0.0
+    for _ in range(trials):
+        dim = int(rng.integers(2, 17))
+        q = _rand_vec(rng, dim)
+        d = _rand_vec(rng, dim)
+        for kind in discrete:
+            gq, gd = simcore.effective_gammas(kind)
+            a = simcore.similarity(simcore.learnable(gq, gd), q, d)
+            b = simcore.similarity(kind, q, d)
+            worst = max(worst, abs(a - b))
+    return SuiteResult(worst, "1e-12", worst <= 1e-12)
+
+
+def suite_symmetry(rng, trials: int, _seed=None) -> SuiteResult:
+    """Cosine and dot are exactly symmetric; qnorm's asymmetry is (|b| - |a|) cos."""
+    exact = identity = 0.0
+    for _ in range(trials):
+        dim = int(rng.integers(2, 17))
+        a = _rand_vec(rng, dim)
+        b = _rand_vec(rng, dim)
+        for kind in (simcore.COSINE, simcore.DOT):
+            x, y = simcore.similarity(kind, a, b), simcore.similarity(kind, b, a)
+            if x != y:  # a NaN compares unequal, but max() would pass it over
+                exact = max(exact, math.inf if math.isnan(x - y) else abs(x - y))
+        na, nb, cos = simcore.decompose(a, b)
+        asym = simcore.similarity(simcore.QNORM, a, b) - simcore.similarity(simcore.QNORM, b, a)
+        identity = max(identity, abs(asym - (nb - na) * cos))
+    note = None if exact == 0.0 else f"cosine/dot asymmetry {exact:.3e} (must be exactly 0)"
+    ok = exact == 0.0 and identity <= 1e-12
+    return SuiteResult(max(exact, identity), "1e-12", ok, note, {"cosine/dot": exact, "qnorm": identity})
+
+
+def suite_jacobian(rng, trials: int, _seed=None) -> SuiteResult:
+    """The tangent projector is idempotent, kills v, and has trace n - 1."""
+    tight = trace = 0.0
+    ok = True
+    for n in (2, 8, 64):
+        for _ in range(trials):
+            v = _rand_vec(rng, n)
+            P = grad.tangent_projector(v)
+            vhat = v / np.linalg.norm(v)
+            r_idem = float(np.abs(P @ P - P).max())
+            r_null = float(np.linalg.norm(P @ vhat))
+            r_trace = abs(float(np.trace(P)) - (n - 1))
+            tight = max(tight, r_idem, r_null)
+            trace = max(trace, r_trace)
+            ok = ok and r_idem <= 1e-12 and r_null <= 1e-12 and r_trace <= 1e-9
+    return SuiteResult(max(tight, trace), "1e-12/1e-9", ok, None, {"idempotency/null": tight, "trace": trace})
+
+
+def suite_radial(rng, trials: int, _seed=None) -> SuiteResult:
+    """Cosine InfoNCE query gradients are orthogonal to the queries."""
+    cfg = LossConfig(kind=simcore.COSINE, tau=1.0, alpha=20.0)
+    worst = 0.0
+    for _ in range(trials):
+        B, dim = 8, 8
+        Q = np.vstack([_rand_vec(rng, dim) for _ in range(B)])
+        D = np.vstack([_rand_vec(rng, dim) for _ in range(B)])
+        g = grad.infonce_grad(ContrastiveBatch(Q, D), cfg)
+        for i in range(B):
+            gn = float(np.linalg.norm(g.d_queries[i]))
+            qn = float(np.linalg.norm(Q[i]))
+            if gn > 0.0:
+                worst = max(worst, abs(float(g.d_queries[i] @ Q[i])) / (gn * qn))
+    return SuiteResult(worst, "1e-10", worst <= 1e-10)
+
+
+def suite_gamma_grad(rng, trials: int, _seed=None) -> SuiteResult:
+    worst_rel = 0.0
+    ok = True
+    for _ in range(trials):
+        dim = int(rng.integers(2, 9))
+        q = _rand_vec(rng, dim)
+        d = _rand_vec(rng, dim)
+        gq = float(rng.uniform(0.05, 0.95))
+        gd = float(rng.uniform(0.05, 0.95))
+        kind = simcore.learnable(gq, gd)
+        g = grad.sim_grad(kind, q, d)
+        s = simcore.similarity(kind, q, d)
+        nq, nd, _ = simcore.decompose(q, d)
+        ok = ok and abs(g.d_gamma_q + math.log(nq) * s) <= 1e-12
+        ok = ok and abs(g.d_gamma_d + math.log(nd) * s) <= 1e-12
+
+        def f(gm):
+            return simcore.similarity(simcore.learnable(float(gm[0]), float(gm[1])), q, d)
+
+        fd = grad.finite_difference(f, np.array([gq, gd]))
+        worst_rel = max(
+            worst_rel,
+            grad.rel_error(np.array([g.d_gamma_q, g.d_gamma_d]), fd),
+        )
+    ok = ok and worst_rel <= 1e-6
+    return SuiteResult(worst_rel, "1e-6", ok)
+
+
+def suite_gradcheck(rng, trials: int, seed: int) -> SuiteResult:
+    kinds = [
+        simcore.COSINE,
+        simcore.DOT,
+        simcore.QNORM,
+        simcore.DNORM,
+        simcore.learnable(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))),
+    ]
+    worst = 0.0
+    ok = True
+    note = None
+    for i, kind in enumerate(kinds):
+        report = grad.gradcheck(kind, trials=trials, seed=seed + 1000 * (i + 1))
+        worst = max(worst, report.max_rel_err)
+        if not report.passed:
+            ok = False
+            note = note or f"{simcore.kind_name(kind)} max rel err {report.max_rel_err:.3e}"
+    return SuiteResult(worst, "1e-6", ok, note)
+
+
+# `magnorm verify --seed S` calls suite i as suite(default_rng([S, i]), trials, S).
+# Only the ranking and gradcheck suites read S, to seed their own checks.
+SUITES = (
+    ("ranking-equivalence", suite_ranking),
+    ("corner-degeneracy", suite_corners),
+    ("symmetry", suite_symmetry),
+    ("jacobian-spectral", suite_jacobian),
+    ("radial-gradient", suite_radial),
+    ("gamma-gradient", suite_gamma_grad),
+    ("gradcheck", suite_gradcheck),
+)
+
+
 # ---------------------------------------------------------------------------
 # Magnitude reports over a task
 # ---------------------------------------------------------------------------
+
+
+def relevance_counter(mags: Array, task: SyntheticTask) -> tuple:
+    """(Pearson r of doc norms with relevance_count, hubs' Cohen's d); mags in doc_ids order."""
+    r = pearson(mags.tolist(), [task.relevance_count[d] for d in task.doc_ids])
+    hubs = np.isin(task.doc_ids, task.hub_ids)
+    return r, cohens_d(mags[hubs].tolist(), mags[~hubs].tolist())
 
 
 @dataclass(frozen=True)

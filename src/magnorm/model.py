@@ -534,9 +534,9 @@ _CHECKPOINT_KEYS = {"m": int, "h": int, "n": int, "shared": bool, "weights": dic
 def load_checkpoint(path) -> tuple:
     """Rebuild (encoder, gamma, step, config_echo) from a checkpoint file.
 
-    Raises CorruptArtifact, naming the file, when it does not parse or a
-    key is missing or of the wrong type, and DimensionMismatch when a
-    weight has the wrong number of entries.
+    Raises CorruptArtifact, naming the file, when it does not parse, a
+    key is missing or of the wrong type, or a weight has the wrong number
+    of entries.
     """
     with open(path) as fh:
         try:
@@ -557,6 +557,6 @@ def load_checkpoint(path) -> tuple:
         raise CorruptArtifact(f"{path}: dimensions, weights or gamma_hat out of range or not numeric") from None
     for (name, p), flat in zip(enc.params().items(), weights):
         if flat.size != p.size:
-            raise DimensionMismatch(f"checkpoint weight {name} has {flat.size} entries, expected {p.size}")
+            raise CorruptArtifact(f"{path}: weight {name} has {flat.size} entries, expected {p.size}")
         p[...] = flat.reshape(p.shape)
     return enc, GammaParams(gq, gd), payload["step"], payload["config"]

@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from magnorm import simcore
+from magnorm import diagnostics, simcore
 from magnorm.cli import load_config, run_training
 from magnorm.datagen import TaskSpec, gen_asymmetric, gen_symmetric
-from magnorm.diagnostics import cohens_d, verify_ranking_equivalence
-from magnorm.grad import finite_difference, gradcheck, infonce_grad, rel_error, tangent_projector
-from magnorm.metrics import RankedList, mrr_at_k, ndcg_at_k, pearson, recall_at_k
+from magnorm.grad import finite_difference, gradcheck, rel_error
+from magnorm.metrics import RankedList, mrr_at_k, ndcg_at_k, recall_at_k
 from magnorm.model import GammaParams, forward, init_encoder, loss_and_grads, select_checkpoint
 from magnorm.objective import ContrastiveBatch, LossConfig, infonce_loss, softmax_probs
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable
@@ -42,16 +41,8 @@ def reference_runs():
 @pytest.fixture(scope="module")
 def equivalence_verdict():
     t0 = time.perf_counter()
-    verdict = verify_ranking_equivalence(dim=8, n_docs=16, trials=1000, seed=0)
+    verdict = diagnostics.verify_ranking_equivalence(dim=8, n_docs=16, trials=1000, seed=0)
     return verdict, time.perf_counter() - t0
-
-
-def _pairs(rng, count, max_dim=16):
-    for _ in range(count):
-        dim = int(rng.integers(2, max_dim + 1))
-        a = rng.standard_normal(dim) * float(rng.lognormal(0.0, 0.7))
-        b = rng.standard_normal(dim) * float(rng.lognormal(0.0, 0.7))
-        yield a, b
 
 
 def test_01_ranking_equivalence(equivalence_verdict):
@@ -75,20 +66,7 @@ def test_02_gamma_q_invariance(equivalence_verdict):
 
 
 def test_03_corner_degeneracy():
-    rng = np.random.default_rng(3)
-    corners = {
-        COSINE: (1.0, 1.0),
-        DOT: (0.0, 0.0),
-        QNORM: (1.0, 0.0),
-        DNORM: (0.0, 1.0),
-    }
-    worst = 0.0
-    for a, b in _pairs(rng, 10_000):
-        for kind, (gq, gd) in corners.items():
-            diff = abs(
-                simcore.similarity(learnable(gq, gd), a, b) - simcore.similarity(kind, a, b)
-            )
-            worst = max(worst, diff)
+    worst = diagnostics.suite_corners(np.random.default_rng(3), 10_000).err
     assert worst <= 1e-12
     print(f"ACCEPTANCE 3: PASS  corner max |diff| {worst:.3e} <= 1e-12 on 10000 pairs")
 
@@ -127,18 +105,8 @@ def test_04_gradient_correctness():
 
 
 def test_05_jacobian_spectral():
-    rng = np.random.default_rng(5)
-    worst_tight, worst_trace = 0.0, 0.0
-    for n in (2, 8, 64):
-        for _ in range(100):
-            v = rng.standard_normal(n) * float(rng.lognormal(0.0, 0.7))
-            while np.linalg.norm(v) < 1e-6:
-                v = rng.standard_normal(n)
-            P = tangent_projector(v)
-            vhat = v / np.linalg.norm(v)
-            worst_tight = max(worst_tight, float(np.abs(P @ P - P).max()))
-            worst_tight = max(worst_tight, float(np.linalg.norm(P @ vhat)))
-            worst_trace = max(worst_trace, abs(float(np.trace(P)) - (n - 1)))
+    parts = diagnostics.suite_jacobian(np.random.default_rng(5), 100).parts
+    worst_tight, worst_trace = parts["idempotency/null"], parts["trace"]
     assert worst_tight <= 1e-12 and worst_trace <= 1e-9
     print(
         f"ACCEPTANCE 5: PASS  idempotency/null {worst_tight:.3e} <= 1e-12, "
@@ -147,18 +115,7 @@ def test_05_jacobian_spectral():
 
 
 def test_06_radial_elimination():
-    rng = np.random.default_rng(6)
-    cfg = LossConfig(kind=COSINE, tau=1.0, alpha=20.0)
-    worst = 0.0
-    for _ in range(100):
-        Q = rng.standard_normal((8, 8)) * rng.lognormal(0.0, 0.7, size=(8, 1))
-        D = rng.standard_normal((8, 8)) * rng.lognormal(0.0, 0.7, size=(8, 1))
-        g = infonce_grad(ContrastiveBatch(Q, D), cfg)
-        for i in range(8):
-            gn = float(np.linalg.norm(g.d_queries[i]))
-            qn = float(np.linalg.norm(Q[i]))
-            if gn > 0:
-                worst = max(worst, abs(float(g.d_queries[i] @ Q[i])) / (gn * qn))
+    worst = diagnostics.suite_radial(np.random.default_rng(6), 100).err
     assert worst <= 1e-10
     print(f"ACCEPTANCE 6: PASS  radial ratio {worst:.3e} <= 1e-10 on 100 batches")
 
@@ -184,14 +141,9 @@ def test_07_effective_temperature():
 
 
 def test_08_symmetry():
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for a, b in _pairs(rng, 10_000):
-        assert simcore.similarity(COSINE, a, b) == simcore.similarity(COSINE, b, a)
-        assert simcore.similarity(DOT, a, b) == simcore.similarity(DOT, b, a)
-        na, nb, cos = simcore.decompose(a, b)
-        asym = simcore.similarity(QNORM, a, b) - simcore.similarity(QNORM, b, a)
-        worst = max(worst, abs(asym - (nb - na) * cos))
+    parts = diagnostics.suite_symmetry(np.random.default_rng(8), 10_000).parts
+    worst = parts["qnorm"]
+    assert parts["cosine/dot"] == 0.0
     assert worst <= 1e-12
     print(
         f"ACCEPTANCE 8: PASS  cosine/dot exactly symmetric; qnorm asymmetry "
@@ -248,12 +200,7 @@ def test_09_metric_oracles():
 def test_10_relevance_counter_effect(reference_runs):
     task, results, times, gen_time = reference_runs
     mags = np.linalg.norm(forward(results["dot"].encoder, task.doc_features, "doc"), axis=1)
-    counts = [task.relevance_count[d] for d in task.doc_ids]
-    r = pearson(mags.tolist(), counts)
-    hubs = set(task.hub_ids)
-    hub_mags = [float(mags[i]) for i, d in enumerate(task.doc_ids) if d in hubs]
-    rest_mags = [float(mags[i]) for i, d in enumerate(task.doc_ids) if d not in hubs]
-    d_effect = cohens_d(hub_mags, rest_mags)
+    r, d_effect = diagnostics.relevance_counter(mags, task)
     elapsed = gen_time + times["dot"]
     assert r >= 0.3, f"pearson {r:.4f}"
     assert d_effect >= 0.5, f"cohens_d {d_effect:.4f}"

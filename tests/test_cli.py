@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from magnorm import diagnostics
 from magnorm.cli import load_config, main
 from magnorm.datagen import TASK_FILES
 from magnorm.model import TRAINLOG_HEADER, load_checkpoint
@@ -239,9 +240,17 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(out / "nope.json"), "--out", str(out)]) == 3
 
 
+def _short_w1(b):
+    payload = json.loads(b)
+    payload["weights"]["q.w1"] = payload["weights"]["q.w1"][:2]
+    return json.dumps(payload).encode()
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize(
-        "corrupt", [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"')], ids=["cut", "no-step"]
+        "corrupt",
+        [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1],
+        ids=["cut", "no-step", "short-w1"],
     )
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_exits_three_naming_the_file(self, workdir, capsys, command, corrupt):
@@ -257,6 +266,43 @@ class TestCorruptCheckpoint:
             assert main(["train", "--config", cfg, "--resume", str(ckpt)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("magnorm: corrupt artifact: " + str(ckpt))
+
+
+def _first_line(edit):
+    def corrupt(text):
+        first, rest = text.split("\n", 1)
+        return edit(first) + "\n" + rest
+    return corrupt
+
+
+class TestCorruptTask:
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("qrels.txt", _first_line(lambda line: " ".join(line.split()[:3]))),
+            ("qrels.txt", _first_line(lambda line: line.rsplit(" ", 1)[0] + " high")),
+            ("splits.json", lambda text: text[:200]),
+            ("splits.json", lambda text: json.dumps(list(json.loads(text).values()))),
+            ("corpus.jsonl", _first_line(lambda line: line[:40])),
+            ("corpus.jsonl", _first_line(lambda line: line.replace('"features"', '"feats"'))),
+            ("queries.jsonl", _first_line(lambda line: line.replace('"id"', '"qid"'))),
+            ("corpus.jsonl", _first_line(lambda line: json.dumps({**json.loads(line), "id": 7}))),
+            ("splits.json", lambda text: json.dumps({**json.loads(text), "test": "q1"})),
+        ],
+        ids=["qrels-3-columns", "qrels-grade", "splits-cut", "splits-list",
+             "corpus-cut-line", "corpus-no-features", "queries-no-id",
+             "corpus-numeric-id", "splits-string-value"],
+    )
+    def test_eval_exits_three_naming_the_file(self, workdir, capsys, name, corrupt):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        path = out / name
+        path.write_text(corrupt(path.read_text()))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint_dot_0.json"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {path} ")
 
 
 class TestDiagnose:
@@ -316,9 +362,26 @@ class TestVerify:
             assert any(line.startswith(name) and "PASS" in line for line in lines)
         assert lines[-1].startswith("all 7 suites passed")
 
+    def test_failing_suite_exits_one(self, monkeypatch, capsys):
+        def planted(rng, trials, seed):
+            return diagnostics.SuiteResult(0.5, "1e-12", False, "planted residual")
+
+        suites = (("corner-degeneracy", diagnostics.suite_corners), ("planted", planted))
+        monkeypatch.setattr(diagnostics, "SUITES", suites)
+        assert main(["verify", "--trials", "3"]) == 1
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "planted                  5.000e-01  1e-12       FAIL",
+            "  planted residual",
+            "FAILED: planted",
+        ]
+
     def test_zero_trials_is_config_error(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert "config error: --seed" in capsys.readouterr().err
 
 
 class TestSweep:

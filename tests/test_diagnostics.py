@@ -16,10 +16,12 @@ from magnorm.diagnostics import (
     magnitude_report,
     rank_documents,
     relevant_doc_ids,
+    suite_symmetry,
     verify_ranking_equivalence,
     with_delta_cv,
     write_report_csv,
 )
+from magnorm import simcore
 from magnorm.errors import (
     DegenerateInput,
     DegenerateVariance,
@@ -145,6 +147,34 @@ class TestVerifyRankingEquivalence:
             docs = [(f"d{j}", rng.standard_normal(6)) for j in range(5)]
             assert rank_documents(kind, q, docs) == rank_documents(kind, 7.0 * q, docs)
 
+
+
+class TestSymmetrySuite:
+    def test_passes_with_exact_cosine_and_dot_symmetry(self):
+        r = suite_symmetry(np.random.default_rng(0), 50)
+        assert r.ok and r.parts["cosine/dot"] == 0.0 and r.note is None
+
+    def test_nan_cosine_score_fails(self, monkeypatch):
+        real = simcore.similarity
+
+        def nan_cosine(kind, q, d):
+            return math.nan if kind == COSINE else real(kind, q, d)
+
+        monkeypatch.setattr(simcore, "similarity", nan_cosine)
+        r = suite_symmetry(np.random.default_rng(0), 5)
+        assert not r.ok and r.parts["cosine/dot"] == math.inf
+        assert r.note == "cosine/dot asymmetry inf (must be exactly 0)"
+
+    def test_asymmetric_dot_fails_with_its_residual(self, monkeypatch):
+        real = simcore.similarity
+
+        def skewed_dot(kind, q, d):
+            return real(kind, q, d) + (1e-15 * q[0] if kind == DOT else 0.0)
+
+        monkeypatch.setattr(simcore, "similarity", skewed_dot)
+        r = suite_symmetry(np.random.default_rng(0), 5)
+        assert not r.ok and 0.0 < r.parts["cosine/dot"] < 1e-12
+        assert r.note.endswith("(must be exactly 0)")
 
 TASK = TaskSpec(
     n_docs=32,

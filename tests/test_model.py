@@ -413,7 +413,7 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         payload["weights"]["q.w1"] = [1.0, 2.0]
         path.write_text(json.dumps(payload))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CorruptArtifact):
             load_checkpoint(path)
 
 
