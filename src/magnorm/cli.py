@@ -10,7 +10,7 @@ through run_training; verify runs diagnostics.SUITES.  Exit codes:
     2  config error
     3  I/O error or corrupt artifact
     4  overwrite refusal
-    5  numeric divergence
+    5  numeric divergence or a zero-norm embedding under a normalizing kind
     6  degenerate statistics
 """
 
@@ -32,8 +32,10 @@ from .errors import (
     CorruptArtifact,
     DegenerateVariance,
     MagnormError,
+    NonFiniteEvaluation,
     NonFiniteLoss,
     TooFewSamples,
+    ZeroMagnitude,
 )
 from .metrics import evaluate_runs, write_metrics_csv, write_run_file
 from .model import (
@@ -42,6 +44,7 @@ from .model import (
     TrainResult,
     _current_kind,
     init_encoder,
+    initial_gamma,
     load_checkpoint,
     rank_split,
     restore_snapshot,
@@ -249,8 +252,10 @@ def _cmd_gen(args) -> int:
 def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int) -> TrainResult:
     """Train one (kind, seed) of the config from a freshly seeded encoder.
 
-    A diverging loss re-raises NonFiniteLoss with the kind and seed in its
-    message, which is what the CLI prints before exiting 5.
+    A diverging loss (NonFiniteLoss), a non-finite validation score
+    (NonFiniteEvaluation) or a zero-norm embedding under a normalizing kind
+    (ZeroMagnitude) is re-raised with the kind and seed in its message,
+    which is what the CLI prints before exiting 5.
     """
     m = task.doc_features.shape[1]
     encoder = init_encoder(m, cfg.enc_hidden, cfg.enc_dim, cfg.enc_shared, seed)
@@ -260,13 +265,23 @@ def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int) -> Trai
     except NonFiniteLoss as e:
         e.args = (f"kind {kind_name} seed {seed} at step {e.step} (loss {e.value})",)
         raise
+    except (ZeroMagnitude, NonFiniteEvaluation) as e:
+        e.args = (f"kind {kind_name} seed {seed}: {e}",)
+        raise
 
 
 def _plan(args, cfg: ExperimentConfig) -> list:
     """(kind name, seed, artifact stem) per training of train or sweep, in run order."""
     kinds = _parse_kinds(args.kinds) if args.kinds else cfg.kinds
     seeds = [args.seed] if args.seed is not None else cfg.seeds
-    return [(k, s, f"{simcore.kind_from_name(k).tag}_{s}") for k in kinds for s in seeds]
+    plan = [(k, s, f"{simcore.kind_from_name(k).tag}_{s}") for k in kinds for s in seeds]
+    stems = [stem for _, _, stem in plan]
+    clash = next((stem for i, stem in enumerate(stems) if stem in stems[:i]), None)
+    if clash is not None:
+        raise ConfigError(
+            f"two trainings would both write the {clash} artifacts; list each kind tag and seed once"
+        )
+    return plan
 
 
 def _train_paths(out: str, stem: str) -> tuple:
@@ -331,9 +346,10 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
 
 
 def _check_kinds(names) -> None:
+    """Every name parses to a kind that training can start from."""
     for name in names:
         try:
-            simcore.kind_from_name(str(name))
+            initial_gamma(simcore.kind_from_name(str(name)))
         except (ValueError, MagnormError) as e:
             raise ConfigError(f"bad similarity kind {name!r}: {e}") from None
 
@@ -602,8 +618,11 @@ def main(argv=None) -> int:
     except FileExistsError as e:
         _err(f"overwrite refusal: {e}")
         return 4
-    except NonFiniteLoss as e:
+    except (NonFiniteLoss, NonFiniteEvaluation) as e:
         _err(f"numeric divergence: {e}")
+        return 5
+    except ZeroMagnitude as e:
+        _err(f"zero magnitude: {e}")
         return 5
     except (DegenerateVariance, TooFewSamples) as e:
         _err(f"degenerate statistics: {e}")

@@ -371,7 +371,9 @@ def load_task(outdir: str) -> SyntheticTask:
 
     Generation metadata (clusters, hub list, spec) is not persisted and
     comes back as None.  A file that does not parse, or a line that lacks
-    a field or has one of the wrong type, raises CorruptArtifact naming it.
+    a field or has one of the wrong type, raises CorruptArtifact naming it,
+    and so do a qrels doc id absent from the corpus and a query without a
+    split.
     """
     from .metrics import read_qrels
 
@@ -384,11 +386,21 @@ def load_task(outdir: str) -> SyntheticTask:
 
     doc_ids, doc_features = read("corpus.jsonl", _read_jsonl)
     query_ids, query_features = read("queries.jsonl", _read_jsonl)
+    qrels = read("qrels.txt", read_qrels)
+    split_of = read("splits.json", _read_splits)
+    unknown = sorted({d for grades in qrels.values() for d in grades} - set(doc_ids))
+    if unknown:
+        path = os.path.join(outdir, "qrels.txt")
+        raise CorruptArtifact(f"{path} names doc {unknown[0]!r}, which corpus.jsonl lacks")
+    unsplit = [q for q in query_ids if q not in split_of]
+    if unsplit:
+        path = os.path.join(outdir, "splits.json")
+        raise CorruptArtifact(f"{path} assigns no split to query {unsplit[0]!r}")
     return SyntheticTask(
         doc_ids=doc_ids,
         query_ids=query_ids,
         doc_features=doc_features,
         query_features=query_features,
-        qrels=read("qrels.txt", read_qrels),
-        split_of=read("splits.json", _read_splits),
+        qrels=qrels,
+        split_of=split_of,
     )

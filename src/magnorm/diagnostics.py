@@ -74,7 +74,10 @@ def cv(values) -> float:
 
 def rank_documents(kind, q, docs) -> list:
     """Doc ids ordered by descending similarity; ties break lexicographically."""
-    return ranked_list("", [(doc_id, simcore.similarity(kind, q, d)) for doc_id, d in docs]).doc_ids()
+    ids = [doc_id for doc_id, _ in docs]
+    D = np.stack([simcore.as_embedding(d) for _, d in docs])
+    scores = simcore.similarity_matrix(kind, simcore.as_embedding(q)[None, :], D)[0]
+    return ranked_list("", zip(ids, scores.tolist())).doc_ids()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ class DegenerateBatch(MagnormError):
 
 
 class NonFiniteEvaluation(MagnormError):
-    """A probed function returned NaN or Inf during finite differencing."""
+    """A value that must be finite is NaN or Inf: a finite-difference
+    probe, or a score in a ranking."""
 
 
 class NonFiniteLoss(MagnormError):

@@ -86,29 +86,36 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
     """
     q = simcore.as_embedding(q)
     d = simcore.as_embedding(d)
-    simcore._check_dims(q, d)
-    gq, gd = effective_gammas(kind)
-    nq = float(np.linalg.norm(q))
-    nd = float(np.linalg.norm(d))
     # The learnable gamma gradients carry ln of both norms, so that
     # variant needs both sides nonzero even at gamma = 0.
-    if (gq > 0.0 or kind.tag == "learnable") and nq == 0.0:
-        raise ZeroMagnitude("query vector has zero norm")
-    if (gd > 0.0 or kind.tag == "learnable") and nd == 0.0:
-        raise ZeroMagnitude("document vector has zero norm")
-    denom = nq**gq * nd**gd
-    s = float(np.dot(q, d)) / denom
-    d_q = d / denom
+    if kind.tag == "learnable" and 0.0 in (np.linalg.norm(q), np.linalg.norm(d)):
+        raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
+    s = simcore.similarity(kind, q, d)
+    dQ, dC, dgq, dgd = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, None, :])
+    return SimGradient(d_q=dQ[0], d_d=dC[0, 0], d_gamma_q=dgq, d_gamma_d=dgd)
+
+
+def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array) -> tuple:
+    """Gradients of sum_bk G[b, k] * s(Q[b], C[b, k]) over candidate stacks.
+
+    Q is (B, n), C is (B, K, n), and S holds the scores s(Q[b], C[b, k]).
+    Returns (dQ, dC, d_gamma_q, d_gamma_d); the gamma entries are None
+    unless the kind is learnable.  sim_grad is the case B = K = 1, G = 1.
+    """
+    gq, gd = effective_gammas(kind)
+    nq = np.linalg.norm(Q, axis=1)
+    nd = np.linalg.norm(C, axis=2)
+    coeff = simcore.divide_by_norms(kind, G, nq[:, None], nd)
+    GS = G * S
+    dQ = np.einsum("bk,bkn->bn", coeff, C)
     if gq > 0.0:
-        d_q = d_q - gq * s * q / nq**2
-    d_d = q / denom
+        dQ -= gq * (GS.sum(axis=1) / nq**2)[:, None] * Q
+    dC = coeff[:, :, None] * Q[:, None, :]
     if gd > 0.0:
-        d_d = d_d - gd * s * d / nd**2
+        dC -= gd * (GS / nd**2)[:, :, None] * C
     if kind.tag != "learnable":
-        return SimGradient(d_q=d_q, d_d=d_d)
-    return SimGradient(
-        d_q=d_q, d_d=d_d, d_gamma_q=-np.log(nq) * s, d_gamma_d=-np.log(nd) * s
-    )
+        return dQ, dC, None, None
+    return dQ, dC, float(-(GS.sum(axis=1) * np.log(nq)).sum()), float(-(GS * np.log(nd)).sum())
 
 
 def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
@@ -132,49 +139,34 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     G[np.arange(B), pos_idx] -= 1.0
     G *= cfg.alpha / cfg.tau / B
 
-    gq, gd = effective_gammas(cfg.kind)
-    learn = cfg.kind.tag == "learnable"
     Q = batch.queries
-    nq = np.linalg.norm(Q, axis=1)
     S = logits * cfg.tau / cfg.alpha
+    if not batch.in_batch:
+        dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, Q, batch.candidates)
+        return InfoNCEGradients(loss, dQ, dC[:, 0], dC[:, 1:], dgq, dgd)
 
-    if batch.in_batch:
-        D = batch.positives
-        nd = np.linalg.norm(D, axis=1)
-        scale_q = nq**gq
-        scale_d = nd**gd
-        Gn = G / scale_d[None, :]
-        dQ = (Gn @ D) / scale_q[:, None]
-        dD = (G / scale_q[:, None]).T @ Q / scale_d[:, None]
-        if gq > 0.0:
-            gs_row = (G * S).sum(axis=1)
-            dQ -= gq * (gs_row / nq**2)[:, None] * Q
-        if gd > 0.0:
-            gs_col = (G * S).sum(axis=0)
-            dD -= gd * (gs_col / nd**2)[:, None] * D
-        d_neg = None
-    else:
-        C = batch.candidates
-        nd = np.linalg.norm(C, axis=2)
-        coeff = G / ((nq**gq)[:, None] * nd**gd)
-        dQ = np.einsum("bk,bkn->bn", coeff, C)
-        if gq > 0.0:
-            dQ -= gq * ((G * S).sum(axis=1) / nq**2)[:, None] * Q
-        dC = coeff[:, :, None] * Q[:, None, :]
-        if gd > 0.0:
-            dC -= gd * ((G * S) / nd**2)[:, :, None] * C
-        dD = dC[:, 0]
-        d_neg = dC[:, 1:]
-
-    if not learn:
-        return InfoNCEGradients(loss, dQ, dD, d_neg)
-
+    gq, gd = effective_gammas(cfg.kind)
+    D = batch.positives
+    nq = np.linalg.norm(Q, axis=1)
+    nd = np.linalg.norm(D, axis=1)
+    scale_q = nq**gq
+    scale_d = nd**gd
+    Gn = G / scale_d[None, :]
+    dQ = (Gn @ D) / scale_q[:, None]
+    dD = (G / scale_q[:, None]).T @ Q / scale_d[:, None]
+    if gq > 0.0:
+        gs_row = (G * S).sum(axis=1)
+        dQ -= gq * (gs_row / nq**2)[:, None] * Q
+    if gd > 0.0:
+        gs_col = (G * S).sum(axis=0)
+        dD -= gd * (gs_col / nd**2)[:, None] * D
+    if cfg.kind.tag != "learnable":
+        return InfoNCEGradients(loss, dQ, dD, None)
+    # Each positive is a candidate for every query, so its gamma_d
+    # signal is a column sum.
     dgq = float(-((G * S).sum(axis=1) * np.log(nq)).sum())
-    # In-batch, each positive is a candidate for every query, so its
-    # gamma_d signal is a column sum; explicit candidates are all distinct.
-    per_doc = (G * S).sum(axis=0) if batch.in_batch else G * S
-    dgd = float(-(per_doc * np.log(nd)).sum())
-    return InfoNCEGradients(loss, dQ, dD, d_neg, dgq, dgd)
+    dgd = float(-((G * S).sum(axis=0) * np.log(nd)).sum())
+    return InfoNCEGradients(loss, dQ, dD, None, dgq, dgd)
 
 
 def finite_difference(f, x, h: float = 1e-5) -> Array:

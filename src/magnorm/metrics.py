@@ -16,14 +16,14 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, DimensionMismatch, UnknownQuery
+from .errors import DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
 
 Qrels = dict[str, dict[str, int]]
 
 
 @dataclass(frozen=True)
 class RankedList:
-    """One query's ranking: (doc_id, score) pairs with non-increasing scores."""
+    """One query's ranking: (doc_id, score) pairs with finite, non-increasing scores."""
 
     query_id: str
     entries: tuple
@@ -33,6 +33,9 @@ class RankedList:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate doc ids in ranking for {self.query_id}")
         scores = [s for _, s in self.entries]
+        # A NaN compares false both ways, so the order check alone passes it.
+        if not all(map(math.isfinite, scores)):
+            raise NonFiniteEvaluation(f"non-finite score in ranking for {self.query_id}")
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError(f"scores not non-increasing for {self.query_id}")
 

@@ -105,6 +105,20 @@ class GammaParams:
         return float(sigmoid(self.gamma_hat_q)), float(sigmoid(self.gamma_hat_d))
 
 
+def initial_gamma(kind) -> GammaParams:
+    """Logits training starts from: logit(gamma) of a learnable kind's gammas, else 0.
+
+    logit(0.5) is exactly 0, so plain learnable starts at gamma_hat = 0.
+    Raises ValueError for a learnable gamma outside the open (0, 1).
+    """
+    if kind.tag != "learnable":
+        return GammaParams()
+    gammas = simcore.effective_gammas(kind)
+    if not all(0.0 < g < 1.0 for g in gammas):
+        raise ValueError(f"training needs learnable gammas strictly inside (0, 1), got {gammas}")
+    return GammaParams(*(math.log(g / (1.0 - g)) for g in gammas))
+
+
 def init_encoder(m: int, h: int, n: int, shared: bool, seed: int) -> TwoTowerEncoder:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     if min(m, n) < 1 or h < 0:
@@ -390,8 +404,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     parameter snapshot is kept at each evaluation.
 
     The optimizer updates one vector: theta, then the two gamma logits
-    under learnable.  encoder.theta becomes a view of its head, so the
-    returned encoder holds the trained parameters.
+    under learnable, which start at the logits of the kind's gammas.
+    encoder.theta becomes a view of its head, so the returned encoder
+    holds the trained parameters.
     """
     train_qids = task.split_queries("train")
     if cfg.batch_size > len(train_qids):
@@ -399,8 +414,8 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             f"batch_size {cfg.batch_size} exceeds train split of {len(train_qids)}"
         )
     rng = np.random.default_rng(cfg.seed)
-    gamma = GammaParams()
     learn = cfg.loss.kind.tag == "learnable"
+    gamma = initial_gamma(cfg.loss.kind)
     k = encoder.theta.size
     params = np.concatenate([encoder.theta, [gamma.gamma_hat_q, gamma.gamma_hat_d] if learn else []])
     encoder.theta = params[:k]
@@ -536,7 +551,7 @@ def load_checkpoint(path) -> tuple:
 
     Raises CorruptArtifact, naming the file, when it does not parse, a
     key is missing or of the wrong type, or a weight has the wrong number
-    of entries.
+    of entries or a non-finite one, as does a non-finite gamma_hat.
     """
     with open(path) as fh:
         try:
@@ -558,5 +573,9 @@ def load_checkpoint(path) -> tuple:
     for (name, p), flat in zip(enc.params().items(), weights):
         if flat.size != p.size:
             raise CorruptArtifact(f"{path}: weight {name} has {flat.size} entries, expected {p.size}")
+        if not np.isfinite(flat).all():
+            raise CorruptArtifact(f"{path}: weight {name} has a non-finite entry")
         p[...] = flat.reshape(p.shape)
+    if not (math.isfinite(gq) and math.isfinite(gd)):
+        raise CorruptArtifact(f"{path}: gamma_hat has a non-finite entry")
     return enc, GammaParams(gq, gd), payload["step"], payload["config"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
-from .errors import DegenerateBatch, DimensionMismatch, EmptyInput, ZeroMagnitude
+from .errors import DegenerateBatch, DimensionMismatch, EmptyInput
 from .simcore import SimilarityKind
 
 Array = np.ndarray
@@ -114,24 +114,11 @@ def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig) -> tuple[Array, A
         S = simcore.similarity_matrix(cfg.kind, batch.queries, batch.positives)
         pos_idx = np.arange(batch.size)
     else:
-        S = _stack_similarity(cfg.kind, batch.queries, batch.candidates)
+        Q, C = batch.queries, batch.candidates
+        nq, nd = np.linalg.norm(Q, axis=1), np.linalg.norm(C, axis=2)
+        S = simcore.divide_by_norms(cfg.kind, np.einsum("bn,bkn->bk", Q, C), nq[:, None], nd)
         pos_idx = np.zeros(batch.size, dtype=int)
     return cfg.alpha * S / cfg.tau, pos_idx
-
-
-def _stack_similarity(kind: SimilarityKind, Q: Array, C: Array) -> Array:
-    """Scores (B, K+1) of each query row against its own candidate stack.
-
-    Same zero-norm errors as similarity_matrix; dividing by |v|**0 = 1 is exact.
-    """
-    gq, gd = simcore.effective_gammas(kind)
-    nq = np.linalg.norm(Q, axis=1)
-    nd = np.linalg.norm(C, axis=2)
-    if gq > 0.0 and np.any(nq == 0.0):
-        raise ZeroMagnitude("zero-norm query in batch")
-    if gd > 0.0 and np.any(nd == 0.0):
-        raise ZeroMagnitude("zero-norm document in batch")
-    return np.einsum("bn,bkn->bk", Q, C) / (nq**gq)[:, None] / nd**gd
 
 
 def infonce_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:

@@ -11,7 +11,8 @@ how much of each side's Euclidean norm they divide away:
 
 The learnable variant equals |q|^(1-gq) * |d|^(1-gd) * cos(theta) and
 reduces exactly to the four discrete variants at the corners of the
-(gq, gd) unit square.
+(gq, gd) unit square.  divide_by_norms applies that division and its
+zero-norm rule for the scalar, matrix and candidate-stack scores alike.
 """
 
 from __future__ import annotations
@@ -132,37 +133,35 @@ def decompose(q, d) -> tuple[float, float, float]:
     return nq, nd, cos_theta
 
 
+def divide_by_norms(kind: SimilarityKind, t, nq, nd):
+    """The family's one rule: raw scores t over |q|^gq * |d|^gd, divided once.
+
+    t, nq and nd are floats or broadcastable arrays.  Raises ZeroMagnitude
+    when a side with a positive gamma has a zero norm; silent zeros would
+    mask generator bugs upstream.  A side with gamma 0 contributes no
+    factor, which is exact since |v|**0 is 1.  Dividing by the product,
+    not by one side and then the other, keeps cosine and dot exactly
+    symmetric in q and d.
+    """
+    den = 1.0
+    for side, n, g in zip(("query", "document"), (nq, nd), effective_gammas(kind)):
+        if g > 0.0:
+            # count_nonzero, not any(): it takes a Python bool about as fast as an array.
+            if np.count_nonzero(n == 0.0):
+                raise ZeroMagnitude(f"zero-norm {side}")
+            den = den * n**g
+    return t / den
+
+
 def similarity(kind: SimilarityKind, q, d) -> float:
     """Score one (query, document) pair under the given variant.
 
-    Raises ZeroMagnitude when a side the variant normalizes (or raises to
-    a positive gamma power) has zero norm; silent zeros would mask
-    generator bugs upstream.
+    Raises ZeroMagnitude as divide_by_norms does.
     """
     q = as_embedding(q)
     d = as_embedding(d)
     _check_dims(q, d)
-    t = float(np.dot(q, d))
-    if kind.tag == "dot":
-        return t
-    nq = float(np.linalg.norm(q))
-    nd = float(np.linalg.norm(d))
-    if kind.tag == "cosine":
-        _require_positive(nq, "query")
-        _require_positive(nd, "document")
-        return t / (nq * nd)
-    if kind.tag == "qnorm":
-        _require_positive(nq, "query")
-        return t / nq
-    if kind.tag == "dnorm":
-        _require_positive(nd, "document")
-        return t / nd
-    gq, gd = kind.gammas.gamma_q, kind.gammas.gamma_d
-    if gq > 0.0:
-        _require_positive(nq, "query")
-    if gd > 0.0:
-        _require_positive(nd, "document")
-    return t / (nq**gq * nd**gd)
+    return divide_by_norms(kind, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d)))
 
 
 def scaled_logit(kind: SimilarityKind, q, d, alpha: float) -> float:
@@ -186,26 +185,12 @@ def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array) -> Array:
     D = np.asarray(D, dtype=np.float64)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
         raise DimensionMismatch(f"expected (B, n) and (C, n), got {Q.shape} and {D.shape}")
-    T = Q @ D.T
-    gq, gd = effective_gammas(kind)
     nq = np.linalg.norm(Q, axis=1)
     nd = np.linalg.norm(D, axis=1)
-    if gq > 0.0 and np.any(nq == 0.0):
-        raise ZeroMagnitude("zero-norm query in batch")
-    if gd > 0.0 and np.any(nd == 0.0):
-        raise ZeroMagnitude("zero-norm document in batch")
-    if gq > 0.0:
-        T = T / (nq**gq)[:, None]
-    if gd > 0.0:
-        T = T / (nd**gd)[None, :]
-    return T
+    return divide_by_norms(kind, Q @ D.T, nq[:, None], nd[None, :])
 
 
 def _check_dims(q: Array, d: Array) -> None:
     if q.shape != d.shape:
         raise DimensionMismatch(f"dimension mismatch: {q.shape} vs {d.shape}")
 
-
-def _require_positive(n: float, side: str) -> None:
-    if n == 0.0:
-        raise ZeroMagnitude(f"{side} vector has zero norm")

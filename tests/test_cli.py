@@ -151,6 +151,13 @@ class TestTrain:
         assert main(["gen", "--config", cfg]) == 0
         assert main(["train", "--config", cfg, "--kinds", "euclidean"]) == 2
 
+    @pytest.mark.parametrize("kinds", ["learnable:1,1", "dot,dot", "learnable,learnable:0.3,0.8"])
+    def test_untrainable_or_clashing_kinds_exit_two(self, workdir, kinds):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", kinds]) == 2
+        assert not list(out.glob("checkpoint_*"))
+
     def test_refuses_overwrite(self, workdir):
         out, cfg = workdir
         assert main(["gen", "--config", cfg]) == 0
@@ -192,6 +199,29 @@ class TestDivergence:
         assert main(["gen", "--config", cfg]) == 0
         assert main([command, "--config", cfg, "--kinds", kind]) == 5
         assert f"numeric divergence: kind {kind} seed 0 at step 0 " in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_scores_exit_five(self, workdir, tmp_path, capsys):
+        # The first step leaves finite weights near 1e300 whose dot scores overflow.
+        out, _ = workdir
+        cfg = _write_config(tmp_path / "big.json", out, kinds=("dot",),
+                            **{"encoder.hidden": 0, "train.lr": 1e300, "train.eval_every": 1})
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 5
+        assert "numeric divergence: kind dot seed 0: non-finite score" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_zero_norm_doc_exits_five(self, workdir, tmp_path, capsys, command):
+        # Without a hidden layer an all-zero doc embeds to the zero bias at step 0.
+        out, _ = workdir
+        cfg = _write_config(tmp_path / "zero.json", out, kinds=("cosine",), **{"encoder.hidden": 0})
+        assert main(["gen", "--config", cfg]) == 0
+        corpus = out / "corpus.jsonl"
+        first, rest = corpus.read_text().split("\n", 1)
+        doc = json.loads(first)
+        corpus.write_text(json.dumps({**doc, "features": [0.0] * len(doc["features"])}) + "\n" + rest)
+        assert main([command, "--config", cfg]) == 5
+        assert "zero magnitude: kind cosine seed 0: zero-norm document" in capsys.readouterr().err
 
 
 class TestEval:
@@ -246,11 +276,17 @@ def _short_w1(b):
     return json.dumps(payload).encode()
 
 
+def _nan_w1(b):
+    payload = json.loads(b)
+    payload["weights"]["q.w1"][0] = float("nan")
+    return json.dumps(payload).encode()
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1],
-        ids=["cut", "no-step", "short-w1"],
+        [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1, _nan_w1],
+        ids=["cut", "no-step", "short-w1", "nan-weight"],
     )
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_exits_three_naming_the_file(self, workdir, capsys, command, corrupt):
@@ -288,10 +324,13 @@ class TestCorruptTask:
             ("queries.jsonl", _first_line(lambda line: line.replace('"id"', '"qid"'))),
             ("corpus.jsonl", _first_line(lambda line: json.dumps({**json.loads(line), "id": 7}))),
             ("splits.json", lambda text: json.dumps({**json.loads(text), "test": "q1"})),
+            ("qrels.txt", _first_line(lambda line: line.replace(line.split()[2], "dZZ"))),
+            ("splits.json", lambda text: json.dumps({k: v[1:] for k, v in json.loads(text).items()})),
         ],
         ids=["qrels-3-columns", "qrels-grade", "splits-cut", "splits-list",
              "corpus-cut-line", "corpus-no-features", "queries-no-id",
-             "corpus-numeric-id", "splits-string-value"],
+             "corpus-numeric-id", "splits-string-value", "qrels-unknown-doc",
+             "splits-missing-query"],
     )
     def test_eval_exits_three_naming_the_file(self, workdir, capsys, name, corrupt):
         out, cfg = workdir

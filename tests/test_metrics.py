@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from magnorm.errors import DegenerateInput, DimensionMismatch, UnknownQuery
+from magnorm.errors import DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
 from magnorm.metrics import (
     RankedList,
     average_ranks,
@@ -122,6 +122,12 @@ class TestRankedListConstruction:
     def test_increasing_scores_rejected(self):
         with pytest.raises(ValueError):
             RankedList("q", (("a", 1.0), ("b", 2.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # An all-NaN list passes the order check, since NaN compares false both ways.
+        with pytest.raises(NonFiniteEvaluation):
+            RankedList("q", (("a", bad), ("b", bad)))
 
 
 class TestCorrelations:

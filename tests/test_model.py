@@ -285,6 +285,13 @@ class TestTraining:
         moved = [s.params[-2:] for s in result.snapshots]
         assert not np.array_equal(moved[0], moved[-1])
 
+    def test_spelled_learnable_gammas_are_the_start(self):
+        task = gen_asymmetric(TINY)
+        cfg = _tiny_cfg(kind=learnable(0.3, 0.8), epochs=1)
+        result = train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
+        assert abs(result.log[0].gamma_q - 0.3) <= 1e-12
+        assert abs(result.log[0].gamma_d - 0.8) <= 1e-12
+
     def test_fixed_kind_logs_corner_gammas(self):
         task = gen_asymmetric(TINY)
         result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=1))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from magnorm import simcore
 from magnorm.errors import DimensionMismatch, ZeroMagnitude
+from magnorm.objective import ContrastiveBatch, LossConfig, candidate_logits
 from magnorm.simcore import (
     COSINE,
     DNORM,
@@ -168,6 +169,39 @@ class TestZeroMagnitudePolicy:
         with pytest.raises(ZeroMagnitude):
             similarity(DNORM, [1.0, 0.0], [0.0, 0.0])
         assert similarity(DNORM, [0.0, 0.0], [1.0, 2.0]) == 0.0
+
+
+@pytest.mark.parametrize("kind", [COSINE, DOT, QNORM, DNORM, learnable(0.25, 0.75)], ids=kind_name)
+def test_scalar_matrix_and_stack_share_one_core(kind):
+    """The three entry points agree on random pairs and reject the same zero norms."""
+    cfg = LossConfig(kind=kind, tau=1.0, alpha=1.0)
+
+    def entry_points(q, d):
+        batch = ContrastiveBatch(q[None, :], d[None, :], d[None, None, :])
+        return (
+            lambda: similarity(kind, q, d),
+            lambda: similarity_matrix(kind, q[None, :], d[None, :])[0, 0],
+            lambda: candidate_logits(batch, cfg)[0][0, 0],
+        )
+
+    gq, gd = simcore.effective_gammas(kind)
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        dim = int(rng.integers(2, 17))
+        q = rng.standard_normal(dim) * rng.lognormal(0.0, 1.0)
+        d = rng.standard_normal(dim) * rng.lognormal(0.0, 1.0)
+        s, s_matrix, s_stack = (score() for score in entry_points(q, d))
+        bound = 1e-13 * np.linalg.norm(q) ** (1.0 - gq) * np.linalg.norm(d) ** (1.0 - gd)
+        assert abs(s_matrix - s) <= bound and abs(s_stack - s) <= bound
+
+    q, d, zero = rng.standard_normal(4), rng.standard_normal(4), np.zeros(4)
+    for side, pair, gamma in (("query", (zero, d), gq), ("document", (q, zero), gd)):
+        for score in entry_points(*pair):
+            if gamma == 0.0:
+                assert score() == 0.0
+            else:
+                with pytest.raises(ZeroMagnitude, match=f"zero-norm {side}"):
+                    score()
 
 
 class TestKindNames:
