@@ -37,7 +37,7 @@ from .errors import (
     TooFewSamples,
     ZeroMagnitude,
 )
-from .metrics import evaluate_runs, write_metrics_csv, write_run_file
+from .metrics import write_metrics_csv, write_run_file
 from .model import (
     GammaParams,
     TrainConfig,
@@ -393,12 +393,12 @@ def _eval_checkpoint(ckpt_path: str, out: str, split: str, k_text: str, force: b
     task = load_task(out)
     kind = _kind_for_checkpoint(echo, gamma)
     metric_ks = _parse_ks(k_text, len(task.doc_ids))
-    runs = rank_split(encoder, gamma, task, kind, split)
-    rows = evaluate_runs(runs, task.qrels, metric_ks)
+    ranking = rank_split(encoder, gamma, task, kind, split)
+    rows = ranking.metric_rows(metric_ks)
     stem = f"{kind.tag}_{echo.get('seed', 0)}"
     run_path, met_path = _eval_paths(out, stem, split)
     _guard([run_path, met_path], force)
-    write_run_file(run_path, runs, tag=stem)
+    write_run_file(run_path, ranking, tag=stem)
     write_metrics_csv(met_path, rows)
     return rows, run_path, met_path
 

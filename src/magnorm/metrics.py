@@ -6,6 +6,11 @@ before any metric is computed, so results are bit-reproducible across
 runs and platforms.  Queries with no relevant documents score 0 and stay
 in macro-averages.
 
+Two implementations share these rules.  RankedList with ndcg_at_k,
+recall_at_k and mrr_at_k scores one query at a time and reads run files
+back; GradeTable and Ranking rank a whole (queries x docs) score matrix
+and grade it with array operations, bit for bit equal to the first.
+
 Run files use the 6-column layout "query_id Q0 doc_id rank score tag";
 relevance judgments use the 4-column layout "query_id 0 doc_id grade".
 """
@@ -16,8 +21,11 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
 
+Array = np.ndarray
 Qrels = dict[str, dict[str, int]]
 
 
@@ -59,24 +67,29 @@ def _grades_for(run: RankedList, qrels: Qrels) -> dict:
     return qrels[run.query_id]
 
 
+def _dcg(grades) -> float:
+    """Sum of (2^g - 1) / log2(rank + 1) over the positive grades, in rank order."""
+    dcg = 0.0
+    for rank, g in enumerate(grades, start=1):
+        if g > 0:
+            dcg += (2.0**g - 1.0) / math.log2(rank + 1)
+    return dcg
+
+
+def _ideal_grades(grades: dict) -> list:
+    return sorted((g for g in grades.values() if g > 0), reverse=True)
+
+
 def ndcg_at_k(run: RankedList, qrels: Qrels, k: int) -> float:
     """DCG@k over 2^grade - 1 gains, normalized by the ideal DCG@k.
 
     Returns 0.0 for queries with no relevant documents.
     """
     grades = _grades_for(run, qrels)
-    dcg = 0.0
-    for rank, doc_id in enumerate(run.doc_ids()[:k], start=1):
-        g = grades.get(doc_id, 0)
-        if g > 0:
-            dcg += (2.0**g - 1.0) / math.log2(rank + 1)
-    ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
+    ideal = _ideal_grades(grades)
     if not ideal:
         return 0.0
-    idcg = 0.0
-    for rank, g in enumerate(ideal[:k], start=1):
-        idcg += (2.0**g - 1.0) / math.log2(rank + 1)
-    return dcg / idcg
+    return _dcg(grades.get(doc_id, 0) for doc_id in run.doc_ids()[:k]) / _dcg(ideal[:k])
 
 
 def recall_at_k(run: RankedList, qrels: Qrels, k: int) -> float:
@@ -96,6 +109,131 @@ def mrr_at_k(run: RankedList, qrels: Qrels, k: int) -> float:
         if grades.get(doc_id, 0) >= 1:
             return 1.0 / rank
     return 0.0
+
+
+class GradeTable:
+    """One split's judgments as a dense (queries x docs) matrix, for ranking score matrices.
+
+    Columns follow doc_ids, the column order of the score matrices it
+    ranks.  A cell holds its grade's level: 0 for a grade below 1 or no
+    judgment, else the 1-based index of the grade among the distinct
+    positive grades, so gains[level] is 2^grade - 1 and the matrix stays
+    small-int.  Build it once per split and rank many matrices with it.
+    Raises UnknownQuery for a query absent from qrels.
+    """
+
+    def __init__(self, query_ids, doc_ids, qrels: Qrels):
+        self.query_ids = list(query_ids)
+        self.doc_ids = list(doc_ids)
+        judged = []
+        for qid in self.query_ids:
+            if qid not in qrels:
+                raise UnknownQuery(f"query {qid!r} absent from qrels")
+            judged.append(qrels[qid])
+        positive = sorted({g for grades in judged for g in grades.values() if g > 0})
+        level = {g: i for i, g in enumerate(positive, start=1)}
+        self.gains = np.array([0.0] + [2.0**g - 1.0 for g in positive])
+        column = {d: j for j, d in enumerate(self.doc_ids)}
+        self.levels = np.zeros((len(judged), len(self.doc_ids)), dtype=np.min_scalar_type(len(positive)))
+        for i, grades in enumerate(judged):
+            for d, g in grades.items():
+                if g > 0 and d in column:
+                    self.levels[i, column[d]] = level[g]
+        self.n_relevant = np.array([sum(g >= 1 for g in grades.values()) for grades in judged], dtype=np.int64)
+        # Ideal DCGs come from qrels, not the columns, as ndcg_at_k's do.
+        self._ideal = [_ideal_grades(grades) for grades in judged]
+        self._ideal_dcg = {}
+        by_id = sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__)
+        self._by_id = None if by_id == list(range(len(by_id))) else np.array(by_id, dtype=np.intp)
+
+    def ideal_dcg(self, k: int) -> Array:
+        """Per-query ideal DCG@k, computed once per k."""
+        if k not in self._ideal_dcg:
+            self._ideal_dcg[k] = np.array([_dcg(ideal[:k]) for ideal in self._ideal])
+        return self._ideal_dcg[k]
+
+    def rank(self, scores) -> "Ranking":
+        """Order each row of a (queries x docs) score matrix by descending score.
+
+        Ties go to the lexicographically smaller doc id, as in ranked_list:
+        an ascending stable sort over the columns in descending doc-id
+        order, read backwards, sorts by (-score, doc id).  When doc_ids
+        are sorted, that column order is a reversed view, not a copy.
+        Raises NonFiniteEvaluation for a NaN or infinite score.
+        """
+        S = np.asarray(scores, dtype=np.float64)
+        if S.shape != self.levels.shape:
+            raise DimensionMismatch(f"score matrix {S.shape} does not match grade table {self.levels.shape}")
+        if not np.isfinite(S).all():
+            bad = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
+            raise NonFiniteEvaluation(f"non-finite score in ranking for {self.query_ids[bad]}")
+        if self._by_id is None:
+            order = np.argsort(S[:, ::-1], axis=1, kind="stable")
+            np.subtract(S.shape[1] - 1, order, out=order)
+        else:
+            desc = self._by_id[::-1]
+            order = desc[np.argsort(S[:, desc], axis=1, kind="stable")]
+        return Ranking(self, S, order[:, ::-1])
+
+
+# A plain class: a dataclass definition would add about a millisecond to
+# every import of the package.
+class Ranking:
+    """A GradeTable's score matrix with each row's columns in ranked order.
+
+    Iterating yields one RankedList per query, in the table's query order,
+    built from that order without a second sort.
+    """
+
+    def __init__(self, table: GradeTable, scores: Array, order: Array):
+        self.table = table
+        self.scores = scores
+        self.order = order
+
+    def _top_levels(self, k: int) -> Array:
+        return np.take_along_axis(self.table.levels, self.order[:, :k], axis=1)
+
+    def ndcg(self, k: int) -> Array:
+        """Per-query NDCG@k, equal bit for bit to ndcg_at_k."""
+        top = self._top_levels(k)
+        dcg = np.zeros(len(top))
+        # One column per rank keeps each query's additions in rank order.
+        # A level-0 cell adds 0.0, which leaves the sum's bits unchanged.
+        for r in range(top.shape[1]):
+            dcg += self.table.gains[top[:, r]] / math.log2(r + 2)
+        idcg = self.table.ideal_dcg(k)
+        return np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg > 0.0)
+
+    def recall(self, k: int) -> Array:
+        """Per-query Recall@k, equal bit for bit to recall_at_k."""
+        hits = np.count_nonzero(self._top_levels(k), axis=1)
+        n = self.table.n_relevant
+        return np.divide(hits, n, out=np.zeros(len(n)), where=n > 0)
+
+    def mrr(self, k: int) -> Array:
+        """Per-query MRR@k, equal bit for bit to mrr_at_k."""
+        hit = self._top_levels(k) > 0
+        if hit.shape[1] == 0:
+            return np.zeros(len(hit))
+        return np.where(hit.any(axis=1), 1.0 / (hit.argmax(axis=1) + 1), 0.0)
+
+    def __iter__(self):
+        ids = self.table.doc_ids
+        for qid, row, cols in zip(self.table.query_ids, self.scores, self.order):
+            row = row.tolist()
+            yield RankedList(qid, tuple((ids[j], row[j]) for j in cols.tolist()))
+
+    def metric_rows(self, metric_ks) -> list:
+        """evaluate_runs' rows, with the same values, for this ranking."""
+        rows = []
+        for name, k in metric_ks:
+            values = _RANKING_METRICS[name](self, k).tolist()
+            rows += [(qid, name, k, v) for qid, v in zip(self.table.query_ids, values)]
+            rows.append(("ALL", name, k, sum(values) / len(values) if values else 0.0))
+        return rows
+
+
+_RANKING_METRICS = {"ndcg": Ranking.ndcg, "recall": Ranking.recall, "mrr": Ranking.mrr}
 
 
 def pearson(xs, ys) -> float:

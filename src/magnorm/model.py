@@ -32,7 +32,7 @@ from . import simcore
 from .datagen import SyntheticTask
 from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from .grad import infonce_grad
-from .metrics import ndcg_at_k, ranked_list
+from .metrics import GradeTable, Ranking
 from .objective import ContrastiveBatch, LossConfig
 
 Array = np.ndarray
@@ -336,35 +336,34 @@ def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, split: str) -> tu
     return qids, Q, D
 
 
-def _ranked_lists(encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str):
-    """Yield one RankedList per split query, scoring the full corpus.
-
-    A generator, so validation holds one list at a time, not all of them.
-    """
-    qids, Q, D = embed_split(encoder, task, split)
-    S = simcore.similarity_matrix(_current_kind(kind, gamma), Q, D)
-    for i, qid in enumerate(qids):
-        yield ranked_list(qid, zip(task.doc_ids, S[i].tolist()))
+def _mean_ndcg(ranking: Ranking, k: int) -> float:
+    """Macro-averaged NDCG@k of a ranking."""
+    # An explicit loop, not sum(): Python 3.12's sum() compensates float
+    # rounding, which would change the logged values between versions.
+    total, count = 0.0, 0
+    for value in ranking.ndcg(k).tolist():
+        total += value
+        count += 1
+    return total / count if count else 0.0
 
 
 def validation_ndcg(
     encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str = "val", k: int = 10
 ) -> float:
     """Macro-averaged NDCG@k of the current parameters on one split."""
-    # An explicit loop, not sum(): Python 3.12's sum() compensates float
-    # rounding, which would change the logged values between versions.
-    total, count = 0.0, 0
-    for run in _ranked_lists(encoder, gamma, task, kind, split):
-        total += ndcg_at_k(run, task.qrels, k)
-        count += 1
-    return total / count if count else 0.0
+    return _mean_ndcg(rank_split(encoder, gamma, task, kind, split), k)
 
 
 def rank_split(
     encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str
-) -> list:
-    """RankedList per split query, scoring the full corpus with the variant."""
-    return list(_ranked_lists(encoder, gamma, task, kind, split))
+) -> Ranking:
+    """The split queries' rankings of the full corpus under the variant, with their grades.
+
+    Iterate it for one RankedList per split query.
+    """
+    qids, Q, D = embed_split(encoder, task, split)
+    table = GradeTable(qids, task.doc_ids, task.qrels)
+    return table.rank(simcore.similarity_matrix(_current_kind(kind, gamma), Q, D))
 
 
 def loss_and_grads(
@@ -424,6 +423,11 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
 
     sizes = _batch_layout(len(train_qids), cfg.batch_size)
     total_steps = cfg.epochs * len(sizes)
+    # Built once per training: each train query's feature row and the rows
+    # of its relevant docs (relevant_of's order), and the val grade table.
+    query_rows = np.array([task.query_row(q) for q in train_qids], dtype=np.intp)
+    positive_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in train_qids]
+    val_table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)
 
     def sync_gamma():
         if learn:
@@ -435,8 +439,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
 
     def record(step: int, loss: float):
         sync_gamma()
-        val = validation_ndcg(encoder, gamma, task, cfg.loss.kind)
         _, Q, D = embed_split(encoder, task, "val")
+        S = simcore.similarity_matrix(_current_kind(cfg.loss.kind, gamma), Q, D)
+        val = _mean_ndcg(val_table.rank(S), 10)
         gq, gd = (
             gamma.gammas() if learn else simcore.effective_gammas(cfg.loss.kind)
         )
@@ -451,14 +456,14 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         order = rng.permutation(len(train_qids))
         offset = 0
         for size in sizes:
-            chunk = [train_qids[i] for i in order[offset : offset + size]]
+            chunk = order[offset : offset + size]
             offset += size
-            positives = []
-            for qid in chunk:
-                rel = task.relevant_of(qid)
-                positives.append(rel[int(rng.integers(len(rel)))])
-            Xq = task.query_features[[task.query_row(q) for q in chunk]]
-            Xd = task.doc_features[[task.doc_row(d) for d in positives]]
+            doc_rows = []
+            for i in chunk:
+                rows = positive_rows[i]
+                doc_rows.append(rows[int(rng.integers(len(rows)))])
+            Xq = task.query_features[query_rows[chunk]]
+            Xd = task.doc_features[doc_rows]
             sync_gamma()
             loss, grad = loss_and_grads(encoder, gamma, Xq, Xd, cfg.loss)
             if not math.isfinite(loss):

@@ -139,17 +139,24 @@ def divide_by_norms(kind: SimilarityKind, t, nq, nd):
     t, nq and nd are floats or broadcastable arrays.  Raises ZeroMagnitude
     when a side with a positive gamma has a zero norm; silent zeros would
     mask generator bugs upstream.  A side with gamma 0 contributes no
-    factor, which is exact since |v|**0 is 1.  Dividing by the product,
+    factor, which is exact since |v|**0 is 1, and when neither side has
+    one (dot) t itself comes back, undivided.  Dividing by the product,
     not by one side and then the other, keeps cosine and dot exactly
     symmetric in q and d.
     """
-    den = 1.0
+    den = None
     for side, n, g in zip(("query", "document"), (nq, nd), effective_gammas(kind)):
         if g > 0.0:
             # count_nonzero, not any(): it takes a Python bool about as fast as an array.
             if np.count_nonzero(n == 0.0):
                 raise ZeroMagnitude(f"zero-norm {side}")
-            den = den * n**g
+            den = n**g if den is None else den * n**g
+    if den is None:
+        return t
+    if isinstance(den, np.ndarray) and den.shape == np.shape(t):
+        # den is a fresh product of the result's shape: the quotient
+        # overwrites it rather than taking a third matrix.
+        return np.divide(t, den, out=den)
     return t / den
 
 

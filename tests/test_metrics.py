@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from magnorm.errors import DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
 from magnorm.metrics import (
+    GradeTable,
     RankedList,
     average_ranks,
     evaluate_runs,
@@ -227,3 +230,66 @@ class TestEvaluateRuns:
             ("q1", "mrr"),
             ("ALL", "mrr"),
         ]
+
+
+# Score values drawn so that ties are common, -0.0 ties 0.0, and signs mix.
+TIE_SCORES = [-1.5, -0.0, 0.0, 0.25, 1.0, 1.0e300]
+
+
+def _random_split(seed, n_queries, n_docs, shuffled):
+    """Scores, unpadded doc ids ("d10" sorts before "d9"), and qrels.
+
+    The ids are in id order or, when shuffled, in random order.  Grades
+    are 0-2; some queries judge nothing relevant, and some judge a doc
+    that is not among the columns.
+    """
+    rng = np.random.default_rng(seed)
+    doc_ids = [f"d{j}" for j in rng.permutation(n_docs)] if shuffled else sorted(f"d{j}" for j in range(n_docs))
+    query_ids = [f"q{i}" for i in range(n_queries)]
+    scores = rng.choice(TIE_SCORES, size=(n_queries, n_docs))
+    qrels = {}
+    for qid in query_ids:
+        judged = rng.choice(n_docs, size=int(rng.integers(0, n_docs + 1)), replace=False)
+        qrels[qid] = {doc_ids[j]: int(rng.integers(0, 3)) for j in judged}
+        if rng.random() < 0.2:
+            qrels[qid]["d_absent"] = int(rng.integers(1, 3))
+    return query_ids, doc_ids, scores, qrels
+
+
+class TestGradeTableMatchesOracle:
+    """The matrix evaluator against ranked_list and the per-query metrics, with exact ==."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 14), st.integers(1, 17), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_order_and_metrics_equal_the_oracle(self, seed, n_queries, n_docs, k, shuffled):
+        query_ids, doc_ids, scores, qrels = _random_split(seed, n_queries, n_docs, shuffled)
+        ranking = GradeTable(query_ids, doc_ids, qrels).rank(scores)
+        runs = [ranked_list(q, zip(doc_ids, row.tolist())) for q, row in zip(query_ids, scores)]
+        assert [r.entries for r in ranking] == [r.entries for r in runs]
+        for name, fn in (("ndcg", ndcg_at_k), ("recall", recall_at_k), ("mrr", mrr_at_k)):
+            got = getattr(ranking, name)(k).tolist()
+            assert got == [fn(run, qrels, k) for run in runs], name
+        metric_ks = [("ndcg", k), ("recall", k), ("mrr", k)]
+        assert ranking.metric_rows(metric_ks) == evaluate_runs(runs, qrels, metric_ks)
+
+    def test_sorted_ids_take_the_unpermuted_path(self):
+        # d0..d3 are in id order, so ties fall back to column order.
+        table = GradeTable(["q"], ["d0", "d1", "d2", "d3"], {"q": {"d2": 2, "d3": 1}})
+        ranking = table.rank([[1.0, 2.0, 1.0, 2.0]])
+        assert [run.doc_ids() for run in ranking] == [["d1", "d3", "d0", "d2"]]
+        assert ranking.mrr(4).tolist() == [0.5]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_raises(self, bad):
+        table = GradeTable(["q0", "q1"], ["d0", "d1"], {"q0": {"d0": 1}, "q1": {"d1": 1}})
+        with pytest.raises(NonFiniteEvaluation, match="q1"):
+            table.rank([[1.0, 0.5], [bad, 0.5]])
+
+    def test_query_absent_from_qrels_raises(self):
+        with pytest.raises(UnknownQuery, match="q1"):
+            GradeTable(["q0", "q1"], ["d0"], {"q0": {"d0": 1}})
+
+    def test_shape_mismatch_raises(self):
+        table = GradeTable(["q0"], ["d0", "d1"], {"q0": {"d0": 1}})
+        with pytest.raises(DimensionMismatch):
+            table.rank([[1.0, 0.5, 0.0]])

@@ -10,6 +10,7 @@ import pytest
 from magnorm.datagen import TaskSpec, gen_asymmetric
 from magnorm.errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from magnorm.grad import finite_difference, rel_error
+from magnorm.metrics import ndcg_at_k, ranked_list
 from magnorm.model import (
     TRAINLOG_HEADER,
     GammaParams,
@@ -33,7 +34,7 @@ from magnorm.model import (
     write_trainlog_csv,
 )
 from magnorm.objective import LossConfig
-from magnorm.simcore import COSINE, DOT, learnable
+from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable, similarity_matrix
 
 TINY = TaskSpec(
     n_docs=32,
@@ -444,6 +445,28 @@ class TestRankSplit:
         runs = rank_split(enc, GammaParams(), task, COSINE, "test")
         assert [r.query_id for r in runs] == task.split_queries("test")
         assert all(sorted(r.doc_ids()) == sorted(task.doc_ids) for r in runs)
+
+    @pytest.mark.parametrize(
+        "kind", [COSINE, DOT, QNORM, DNORM, learnable(0.5, 0.5)], ids=lambda k: k.tag
+    )
+    def test_validation_ndcg_equals_the_per_query_oracle(self, kind):
+        # Every snapshot of a short training, through the oracle path the
+        # matrix evaluator replaced: ranked_list per query, ndcg_at_k, and a
+        # sum in query order.  Exact ==, since select_checkpoint compares them.
+        task = gen_asymmetric(TINY)
+        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2, eval_every=2))
+        qids = task.split_queries("val")
+        for snap in result.snapshots:
+            gamma = restore_snapshot(result.encoder, snap)
+            D = forward(result.encoder, task.doc_features, "doc")
+            Q = forward(result.encoder, task.query_features[[task.query_row(q) for q in qids]], "query")
+            step_kind = learnable(*gamma.gammas()) if kind.tag == "learnable" else kind
+            S = similarity_matrix(step_kind, Q, D)
+            total = 0.0
+            for qid, row in zip(qids, S):
+                total += ndcg_at_k(ranked_list(qid, zip(task.doc_ids, row.tolist())), task.qrels, 10)
+            assert validation_ndcg(result.encoder, gamma, task, kind) == total / len(qids)
+            assert snap.val_ndcg10 == total / len(qids)
 
     def test_sigmoid_is_stable_at_extremes(self):
         assert sigmoid(800.0) == 1.0

@@ -240,6 +240,31 @@ class TestSimilarityMatrix:
                 for j in range(7):
                     assert S[i, j] == pytest.approx(similarity(kind, Q[i], D[j]), rel=1e-12, abs=1e-14)
 
+    def test_dot_is_the_raw_product(self):
+        # No gamma is positive, so nothing divides the scores, not even 1.0.
+        rng = np.random.default_rng(12)
+        Q = rng.standard_normal((6, 4))
+        D = rng.standard_normal((9, 4))
+        S = similarity_matrix(DOT, Q, D)
+        assert S.tobytes() == (Q @ D.T).tobytes()
+        assert similarity_matrix(learnable(0.0, 0.0), Q, D).tobytes() == S.tobytes()
+        t = Q @ D.T
+        assert simcore.divide_by_norms(DOT, t, np.ones((6, 1)), np.ones((1, 9))) is t
+
+    def test_divide_by_norms_leaves_its_inputs_alone(self):
+        # The quotient may reuse the denominator's buffer, never the caller's
+        # arrays, also when one norm array has the result's shape.
+        rng = np.random.default_rng(13)
+        t = rng.standard_normal((6, 9))
+        nq = rng.uniform(0.5, 2.0, (6, 1))
+        for nd in (rng.uniform(0.5, 2.0, (1, 9)), rng.uniform(0.5, 2.0, (6, 9))):
+            before = [a.tobytes() for a in (t, nq, nd)]
+            for kind in (COSINE, QNORM, DNORM, learnable(0.25, 0.75)):
+                gq, gd = simcore.effective_gammas(kind)
+                S = simcore.divide_by_norms(kind, t, nq, nd)
+                assert [a.tobytes() for a in (t, nq, nd)] == before
+                assert S.tobytes() == (t / (nq**gq * nd**gd)).tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             similarity(DOT, [1.0, 2.0], [1.0, 2.0, 3.0])
