@@ -252,7 +252,7 @@ def _cmd_gen(args) -> int:
 def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int) -> TrainResult:
     """Train one (kind, seed) of the config from a freshly seeded encoder.
 
-    A diverging loss (NonFiniteLoss), a non-finite validation score
+    A diverging loss or gradient (NonFiniteLoss), a non-finite validation score
     (NonFiniteEvaluation) or a zero-norm embedding under a normalizing kind
     (ZeroMagnitude) is re-raised with the kind and seed in its message,
     which is what the CLI prints before exiting 5.
@@ -263,7 +263,7 @@ def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int) -> Trai
     try:
         return train(task, encoder, TrainConfig(seed=seed, loss=loss, **cfg.train_params))
     except NonFiniteLoss as e:
-        e.args = (f"kind {kind_name} seed {seed} at step {e.step} (loss {e.value})",)
+        e.args = (f"kind {kind_name} seed {seed} at step {e.step} ({e.what} {e.value})",)
         raise
     except (ZeroMagnitude, NonFiniteEvaluation) as e:
         e.args = (f"kind {kind_name} seed {seed}: {e}",)
@@ -388,9 +388,9 @@ def _eval_paths(out: str, stem: str, split: str) -> tuple:
     return os.path.join(out, f"run_{stem}_{split}.txt"), os.path.join(out, f"metrics_{stem}_{split}.csv")
 
 
-def _eval_checkpoint(ckpt_path: str, out: str, split: str, k_text: str, force: bool):
+def _eval_checkpoint(ckpt_path: str, task, out: str, split: str, k_text: str, force: bool):
+    """Rank one split of task with a checkpoint; write its run file and metrics CSV to out."""
     encoder, gamma, _, echo = load_checkpoint(ckpt_path)
-    task = load_task(out)
     kind = _kind_for_checkpoint(echo, gamma)
     metric_ks = _parse_ks(k_text, len(task.doc_ids))
     ranking = rank_split(encoder, gamma, task, kind, split)
@@ -411,7 +411,7 @@ def _cmd_eval(args) -> int:
     cfg = load_config(args.config) if args.config else None
     out = resolve_out(args.out, cfg.out if cfg else None)
     rows, run_path, met_path = _eval_checkpoint(
-        args.checkpoint, out, args.split, args.k, args.force
+        args.checkpoint, load_task(out), out, args.split, args.k, args.force
     )
     for name, k, v in _macro_rows(rows):
         print(f"{name}@{k} {v:.4f}")
@@ -515,7 +515,7 @@ def _cmd_sweep(args) -> int:
     summary = []
     for kname, seed, stem in plan:
         result, best, ckpt = _train_and_save(cfg, task, out, kname, seed, stem)
-        rows, _, _ = _eval_checkpoint(ckpt, out, "test", "10,100,10", force=True)
+        rows, _, _ = _eval_checkpoint(ckpt, task, out, "test", "10,100,10", force=True)
         macro = {f"{name}@{k}": v for name, k, v in _macro_rows(rows)}
         summary.append(
             {

@@ -31,12 +31,14 @@ class NonFiniteEvaluation(MagnormError):
 
 
 class NonFiniteLoss(MagnormError):
-    """Training produced a NaN/Inf loss; carries the offending step."""
+    """Training produced a NaN/Inf loss or gradient norm; carries the
+    offending step, the value, and which of the two it was."""
 
-    def __init__(self, step: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at step {step}")
+    def __init__(self, step: int, value: float, what: str = "loss"):
+        super().__init__(f"non-finite {what} {value!r} at step {step}")
         self.step = step
         self.value = value
+        self.what = what
 
 
 class InfeasibleSpec(MagnormError):

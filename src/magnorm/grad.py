@@ -131,11 +131,11 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     B = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
-    P = e / e.sum(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(e.sum(axis=1))
+    e_sum = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(e_sum[:, 0])
     loss = float((lse - logits[np.arange(B), pos_idx]).mean())
 
-    G = P.copy()
+    G = e / e_sum
     G[np.arange(B), pos_idx] -= 1.0
     G *= cfg.alpha / cfg.tau / B
 
@@ -154,18 +154,17 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     Gn = G / scale_d[None, :]
     dQ = (Gn @ D) / scale_q[:, None]
     dD = (G / scale_q[:, None]).T @ Q / scale_d[:, None]
+    GS = G * S
     if gq > 0.0:
-        gs_row = (G * S).sum(axis=1)
-        dQ -= gq * (gs_row / nq**2)[:, None] * Q
+        dQ -= gq * (GS.sum(axis=1) / nq**2)[:, None] * Q
     if gd > 0.0:
-        gs_col = (G * S).sum(axis=0)
-        dD -= gd * (gs_col / nd**2)[:, None] * D
+        dD -= gd * (GS.sum(axis=0) / nd**2)[:, None] * D
     if cfg.kind.tag != "learnable":
         return InfoNCEGradients(loss, dQ, dD, None)
     # Each positive is a candidate for every query, so its gamma_d
     # signal is a column sum.
-    dgq = float(-((G * S).sum(axis=1) * np.log(nq)).sum())
-    dgd = float(-((G * S).sum(axis=0) * np.log(nd)).sum())
+    dgq = float(-(GS.sum(axis=1) * np.log(nq)).sum())
+    dgd = float(-(GS.sum(axis=0) * np.log(nd)).sum())
     return InfoNCEGradients(loss, dQ, dD, None, dgq, dgd)
 
 

@@ -307,8 +307,16 @@ def read_run_file(path) -> list:
     return runs
 
 
+# The largest grade whose gain 2^grade - 1 float64 holds exactly.
+MAX_GRADE = 53
+
+
 def read_qrels(path) -> Qrels:
-    """Read 4-column judgments "query_id 0 doc_id grade"."""
+    """Read 4-column judgments "query_id 0 doc_id grade".
+
+    Raises ValueError for a line without 4 columns or a grade that is not
+    an integer in [0, MAX_GRADE].
+    """
     qrels: Qrels = {}
     with open(path) as fh:
         for line in fh:
@@ -318,7 +326,10 @@ def read_qrels(path) -> Qrels:
             if len(parts) != 4:
                 raise ValueError(f"expected 4 columns, got {len(parts)}: {line!r}")
             qid, _, did, grade = parts
-            qrels.setdefault(qid, {})[did] = int(grade)
+            g = int(grade)
+            if not 0 <= g <= MAX_GRADE:
+                raise ValueError(f"grade {g} outside [0, {MAX_GRADE}]: {line!r}")
+            qrels.setdefault(qid, {})[did] = g
     return qrels
 
 

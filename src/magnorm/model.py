@@ -21,7 +21,8 @@ step-matched by construction.
 from __future__ import annotations
 
 import csv
-import itertools
+import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -76,22 +77,29 @@ class TwoTowerEncoder:
     shared: bool
     theta: Array
 
+    @functools.cached_property
+    def spans(self) -> tuple:
+        """(name, start, end, shape) of every parameter's block of theta, in layout order."""
+        out, start = [], 0
+        for name, shape in param_layout(self.m, self.h, self.n, self.shared):
+            end = start + math.prod(shape)
+            out.append((name, start, end, shape))
+            start = end
+        return tuple(out)
+
     @property
     def layout(self) -> list:
-        return param_layout(self.m, self.h, self.n, self.shared)
+        return [(name, shape) for name, _, _, shape in self.spans]
 
     @property
     def bounds(self) -> list:
         """End offset of each parameter's block of theta, in layout order."""
-        return list(itertools.accumulate(math.prod(shape) for _, shape in self.layout))
+        return [end for _, _, end, _ in self.spans]
 
     def params(self, vec: Array | None = None) -> dict:
         """Name -> view into vec (default theta); entries past the layout are left out."""
         vec = self.theta if vec is None else vec
-        return {
-            name: part.reshape(shape)
-            for (name, shape), part in zip(self.layout, np.split(vec, self.bounds))
-        }
+        return {name: vec[a:b].reshape(shape) for name, a, b, shape in self.spans}
 
 
 @dataclass
@@ -196,18 +204,25 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, eval_every must be positive")
 
 
-def clip_by_global_norm(grad: Array, clip_norm: float, bounds: list) -> Array:
+def clip_by_global_norm(grad: Array, clip_norm: float, bounds: list, step: int | None = None) -> Array:
     """Scale grad by clip_norm/total_norm when the total exceeds it, else return grad.
 
     The squared norm is one sum per block (ending at bounds, then the gamma
     logits past the last bound), so it rounds as a per-parameter sum would.
+    A total that is not finite raises NonFiniteLoss carrying step, since
+    scaling by clip_norm/inf would write NaN into whatever the result updates.
     """
     # An explicit loop, not sum(): Python 3.12's sum() compensates float
     # rounding, which would change the clip scale between versions.
+    sq = grad * grad
     squares = 0.0
-    for g in np.split(grad, bounds):
-        squares += float((g * g).sum())
+    start = 0
+    for end in (*bounds, grad.size):
+        squares += float(sq[start:end].sum())
+        start = end
     total = math.sqrt(squares)
+    if not math.isfinite(total):
+        raise NonFiniteLoss(step, total, "gradient norm")
     if total <= clip_norm or total == 0.0:
         return grad
     return grad * (clip_norm / total)
@@ -218,26 +233,45 @@ def adamw_step(
 ) -> None:
     """One decoupled-weight-decay Adam update of theta and its moments (two rows), in place.
 
-    grad is clipped by global norm before touching the moments.  step_index
-    is 1-based for bias correction.  lr is one rate or one per entry
-    (default cfg.lr); weight decay multiplies it and skips the gamma logits
-    past the last bound.
+    grad is clipped by global norm before touching the moments; a
+    non-finite norm raises NonFiniteLoss at step step_index - 1 and leaves
+    theta and the moments as they were.  step_index is 1-based for bias
+    correction.  lr is one rate or one per entry (default cfg.lr); weight
+    decay multiplies it and skips the gamma logits past the last bound.
     """
     if step_index < 1:
         raise ValueError("step_index is 1-based")
     step_lr = cfg.lr if lr is None else lr
-    g = clip_by_global_norm(grad, cfg.clip_norm, bounds)
+    g = clip_by_global_norm(grad, cfg.clip_norm, bounds, step_index - 1)
     bc1 = 1.0 - cfg.beta1**step_index
     bc2 = 1.0 - cfg.beta2**step_index
     m, v = moments
-    m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-    v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-    mhat = m / bc1
-    vhat = v / bc2
-    theta -= step_lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    # Written in place through two scratch vectors, each operation in the
+    # order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # theta -= lr*mhat / (sqrt(vhat) + eps), so the result has their bits.
+    a, b = np.empty_like(theta), np.empty_like(theta)
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=a)
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=a)
+    a *= g
+    v += a
+    np.divide(m, bc1, out=a)
+    a *= step_lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.eps
+    a /= b
+    theta -= a
     if cfg.weight_decay > 0.0:
         end = bounds[-1]
-        theta[:end] -= np.broadcast_to(step_lr, theta.shape)[:end] * cfg.weight_decay * theta[:end]
+        decay = a[:end]
+        if np.ndim(step_lr) == 0:
+            np.multiply(theta[:end], step_lr * cfg.weight_decay, out=decay)
+        else:
+            np.multiply(step_lr[:end], cfg.weight_decay, out=decay)
+            decay *= theta[:end]
+        theta[:end] -= decay
 
 
 def lr_at(step: int, total_steps: int, base_lr: float) -> float:
@@ -376,19 +410,20 @@ def loss_and_grads(
     for the normalization logits, which under learnable follow the
     encoder block as two more entries.
     """
-    kind = _current_kind(loss_cfg.kind, gamma)
-    step_cfg = LossConfig(kind=kind, tau=loss_cfg.tau, alpha=loss_cfg.alpha, lam=loss_cfg.lam)
+    learn = loss_cfg.kind.tag == "learnable"
+    step_cfg = loss_cfg
+    if learn:
+        gq, gd = gamma.gammas()
+        step_cfg = dataclasses.replace(loss_cfg, kind=simcore.learnable(gq, gd))
     p, td = encoder.params(), "q" if encoder.shared else "d"
     Q, Hq = _forward_cached(p, "q", Xq)
     D, Hd = _forward_cached(p, td, Xd)
     g = infonce_grad(ContrastiveBatch(Q, D), step_cfg)
-    learn = loss_cfg.kind.tag == "learnable"
     grad = np.zeros(encoder.theta.size + (2 if learn else 0))
     views = encoder.params(grad)
     _backward_tower(p, "q", Xq, Hq, g.d_queries, views)
     _backward_tower(p, td, Xd, Hd, g.d_positives, views)
     if learn:
-        gq, gd = gamma.gammas()
         grad[-2:] = g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)
     return g.loss, grad
 
@@ -423,10 +458,14 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
 
     sizes = _batch_layout(len(train_qids), cfg.batch_size)
     total_steps = cfg.epochs * len(sizes)
-    # Built once per training: each train query's feature row and the rows
-    # of its relevant docs (relevant_of's order), and the val grade table.
+    # Built once per training: each train query's feature row; the rows of
+    # its relevant docs (relevant_of's order), laid end to end in flat_pos
+    # from first_pos, n_pos of them; and the val grade table.
     query_rows = np.array([task.query_row(q) for q in train_qids], dtype=np.intp)
     positive_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in train_qids]
+    n_pos = np.array([len(rows) for rows in positive_rows], dtype=np.int64)
+    first_pos = np.cumsum(n_pos) - n_pos
+    flat_pos = np.array([r for rows in positive_rows for r in rows], dtype=np.intp)
     val_table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)
 
     def sync_gamma():
@@ -458,10 +497,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         for size in sizes:
             chunk = order[offset : offset + size]
             offset += size
-            doc_rows = []
-            for i in chunk:
-                rows = positive_rows[i]
-                doc_rows.append(rows[int(rng.integers(len(rows)))])
+            # One draw per batch takes the same numbers from rng, and leaves
+            # it in the same state, as one scalar draw per query in order.
+            doc_rows = flat_pos[first_pos[chunk] + rng.integers(n_pos[chunk])]
             Xq = task.query_features[query_rows[chunk]]
             Xd = task.doc_features[doc_rows]
             sync_gamma()

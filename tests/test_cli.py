@@ -4,9 +4,10 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from magnorm import diagnostics
+from magnorm import diagnostics, model
 from magnorm.cli import load_config, main
 from magnorm.datagen import TASK_FILES
 from magnorm.model import TRAINLOG_HEADER, load_checkpoint
@@ -210,6 +211,24 @@ class TestDivergence:
         assert main(["train", "--config", cfg]) == 5
         assert "numeric divergence: kind dot seed 0: non-finite score" in capsys.readouterr().err
 
+    def test_non_finite_gradient_exits_five(self, workdir, capsys, monkeypatch):
+        out, cfg = workdir
+        real = model.loss_and_grads
+        calls = []
+
+        def inf_at_step_3(*args):
+            loss, grad = real(*args)
+            calls.append(None)
+            if len(calls) == 4:
+                grad[0] = np.inf
+            return loss, grad
+
+        monkeypatch.setattr(model, "loss_and_grads", inf_at_step_3)
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 5
+        assert "kind dot seed 0 at step 3 (gradient norm inf)" in capsys.readouterr().err
+        assert not (out / "checkpoint_dot_0.json").exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_zero_norm_doc_exits_five(self, workdir, tmp_path, capsys, command):
         # Without a hidden layer an all-zero doc embeds to the zero bias at step 0.
@@ -326,11 +345,13 @@ class TestCorruptTask:
             ("splits.json", lambda text: json.dumps({**json.loads(text), "test": "q1"})),
             ("qrels.txt", _first_line(lambda line: line.replace(line.split()[2], "dZZ"))),
             ("splits.json", lambda text: json.dumps({k: v[1:] for k, v in json.loads(text).items()})),
+            ("qrels.txt", _first_line(lambda line: line.rsplit(" ", 1)[0] + " -1")),
+            ("qrels.txt", _first_line(lambda line: line.rsplit(" ", 1)[0] + " 1024")),
         ],
         ids=["qrels-3-columns", "qrels-grade", "splits-cut", "splits-list",
              "corpus-cut-line", "corpus-no-features", "queries-no-id",
              "corpus-numeric-id", "splits-string-value", "qrels-unknown-doc",
-             "splits-missing-query"],
+             "splits-missing-query", "qrels-negative-grade", "qrels-grade-1024"],
     )
     def test_eval_exits_three_naming_the_file(self, workdir, capsys, name, corrupt):
         out, cfg = workdir

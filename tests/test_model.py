@@ -1,12 +1,16 @@
 """Encoders, the optimizer, and the training loop."""
 
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from magnorm import model
 from magnorm.datagen import TaskSpec, gen_asymmetric
 from magnorm.errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from magnorm.grad import finite_difference, rel_error
@@ -94,6 +98,28 @@ class TestEncoderInit:
             init_encoder(4, -1, 2, shared=False, seed=0)
 
 
+class TestParameterViews:
+    @pytest.mark.parametrize("shared", [False, True], ids=["towers", "shared"])
+    @pytest.mark.parametrize("h", [0, 64])
+    def test_views_alias_and_equal_the_split_views(self, shared, h):
+        # params() gives, in order and byte for byte, the views np.split
+        # gave at the running sums of the layout's sizes, and they alias vec.
+        enc = init_encoder(6, h, 4, shared=shared, seed=3)
+        layout = param_layout(6, h, 4, shared)
+        bounds = list(itertools.accumulate(math.prod(shape) for _, shape in layout))
+        assert enc.layout == layout and enc.bounds == bounds
+        grad = np.random.default_rng(0).standard_normal(enc.theta.size + 2)
+        for vec, views in ((enc.theta, enc.params()), (grad, enc.params(grad))):
+            split = {name: part.reshape(shape) for (name, shape), part in zip(layout, np.split(vec, bounds))}
+            assert list(views) == list(split)
+            for name, view in views.items():
+                assert view.shape == split[name].shape
+                assert view.tobytes() == split[name].tobytes()
+                assert np.shares_memory(view, vec)
+                view += 1.0
+                assert np.array_equal(view, split[name])
+
+
 class TestForward:
     def test_matches_matrix_oracle(self):
         enc = init_encoder(5, 7, 3, shared=False, seed=3)
@@ -159,6 +185,40 @@ class TestOptimizer:
         assert np.array_equal(clipped, grad * (1.0 / per_block))
         assert not np.array_equal(clipped, grad * (1.0 / whole))
 
+    @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["no-decay", "decay"])
+    @pytest.mark.parametrize("per_entry", [False, True], ids=["scalar-lr", "per-entry-lr"])
+    def test_equals_the_expression_form(self, decay, per_entry):
+        # Eight steps of random gradients, some clipped and some not, each
+        # step from the same state on both sides: exact == on the bytes.
+        # A large lr and a weight decay that is not a power of two keep the
+        # decay term's last bit visible in theta.
+        cfg = _tiny_cfg(lr=0.5, weight_decay=decay)
+        rng = np.random.default_rng(4)
+        bounds = [30, 70]
+        theta = rng.standard_normal(72)
+        moments = np.zeros((2, 72))
+        for step in range(1, 9):
+            grad = rng.standard_normal(72) * rng.uniform(0.01, 0.3)
+            lr = lr_at(step - 1, 8, cfg.lr)
+            if per_entry:
+                lr = np.full(72, lr)
+                lr[70:] = 0.05
+            want_theta, want_moments = theta.copy(), moments.copy()
+            _adamw_expression_form(want_theta, grad, want_moments, step, cfg, bounds, lr)
+            adamw_step(theta, grad, moments, step, cfg, bounds, lr=lr)
+            assert theta.tobytes() == want_theta.tobytes()
+            assert moments.tobytes() == want_moments.tobytes()
+
+    def test_non_finite_gradient_raises_before_the_update(self):
+        cfg = _tiny_cfg()
+        theta, moments = np.ones(4), np.full((2, 4), 0.5)
+        for bad in (np.inf, np.nan):
+            grad = np.array([0.1, bad, 0.2, 0.3])
+            with pytest.raises(NonFiniteLoss) as info:
+                adamw_step(theta, grad, moments, 7, cfg, [4])
+            assert info.value.step == 6 and info.value.what == "gradient norm"
+            assert np.array_equal(theta, np.ones(4)) and np.array_equal(moments, np.full((2, 4), 0.5))
+
     def test_zero_grad_zero_decay_is_identity(self):
         cfg = _tiny_cfg(weight_decay=0.0)
         theta = np.array([1.5, -2.0])
@@ -207,6 +267,22 @@ class TestOptimizer:
             _tiny_cfg(epochs=0)
         with pytest.raises(ValueError):
             _tiny_cfg(beta1=1.0)
+
+
+def _adamw_expression_form(theta, grad, moments, step_index, cfg, bounds, lr):
+    """adamw_step as one expression per line: the arithmetic the in-place update must keep."""
+    g = clip_by_global_norm(grad, cfg.clip_norm, bounds)
+    bc1 = 1.0 - cfg.beta1**step_index
+    bc2 = 1.0 - cfg.beta2**step_index
+    m, v = moments
+    m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+    mhat = m / bc1
+    vhat = v / bc2
+    theta -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    if cfg.weight_decay > 0.0:
+        end = bounds[-1]
+        theta[:end] -= np.broadcast_to(lr, theta.shape)[:end] * cfg.weight_decay * theta[:end]
 
 
 class TestBackward:
@@ -334,6 +410,79 @@ class TestTraining:
         cfg = _tiny_cfg(lr=1e200, epochs=2)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
             train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
+
+    def test_non_finite_gradient_raises_at_its_step(self, monkeypatch):
+        # An inf gradient entry at step 3 raises there, before the update:
+        # theta is what step 3's loss_and_grads saw.
+        task = gen_asymmetric(TINY)
+        real = model.loss_and_grads
+        seen = []
+
+        def inf_at_step_3(encoder, *args):
+            loss, grad = real(encoder, *args)
+            seen.append(encoder.theta.copy())
+            if len(seen) == 4:
+                grad[3] = np.inf
+            return loss, grad
+
+        monkeypatch.setattr(model, "loss_and_grads", inf_at_step_3)
+        enc = init_encoder(8, 16, 8, False, seed=7)
+        with pytest.raises(NonFiniteLoss) as info:
+            train(task, enc, _tiny_cfg())
+        assert info.value.step == 3 and info.value.what == "gradient norm"
+        assert len(seen) == 4
+        assert enc.theta.tobytes() == seen[3].tobytes()
+        assert not np.array_equal(seen[3], seen[2])
+
+    def test_positives_are_the_per_query_scalar_draws(self, monkeypatch):
+        # The batches train feeds loss_and_grads, against the loop it
+        # replaced: one permutation per epoch, then one scalar draw per
+        # query of the chunk over relevant_of's sorted list.
+        task = gen_asymmetric(TINY)
+        cfg = _tiny_cfg(epochs=2)
+        real = model.loss_and_grads
+        seen = []
+
+        def record(encoder, gamma, Xq, Xd, loss_cfg):
+            seen.append((Xq.copy(), Xd.copy()))
+            return real(encoder, gamma, Xq, Xd, loss_cfg)
+
+        monkeypatch.setattr(model, "loss_and_grads", record)
+        train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
+        qids = task.split_queries("train")
+        assert max(len(task.relevant_of(q)) for q in qids) > 1
+        rng = np.random.default_rng(cfg.seed)
+        expect = []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(qids))
+            offset = 0
+            for size in model._batch_layout(len(qids), cfg.batch_size):
+                chunk = order[offset : offset + size]
+                offset += size
+                docs = []
+                for i in chunk:
+                    rel = task.relevant_of(qids[i])
+                    docs.append(rel[int(rng.integers(len(rel)))])
+                expect.append(([task.query_row(qids[i]) for i in chunk], [task.doc_row(d) for d in docs]))
+        assert len(seen) == len(expect)
+        for (Xq, Xd), (q_rows, d_rows) in zip(seen, expect):
+            assert np.array_equal(Xq, task.query_features[q_rows])
+            assert np.array_equal(Xd, task.doc_features[d_rows])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lengths=st.lists(st.integers(1, 40) | st.just(1), min_size=1, max_size=80),
+    )
+    def test_one_positive_draw_per_batch_is_the_per_query_draws(self, seed, lengths):
+        # train draws every batch's positives with one rng.integers over the
+        # chunk's list lengths; that must be the scalar draw per query, in
+        # order, and leave the generator where those leave it.
+        scalar = np.random.default_rng(seed)
+        expect = [int(scalar.integers(n)) for n in lengths]
+        batched = np.random.default_rng(seed)
+        assert batched.integers(np.array(lengths, dtype=np.int64)).tolist() == expect
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
     def test_gamma_lr_override_changes_gamma_path_only(self):
         task = gen_asymmetric(TINY)
