@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,13 +190,10 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
 
     n_hubs = int(round(spec.hub_fraction * spec.n_docs))
     hub_rows = sorted(rng.choice(spec.n_docs, size=n_hubs, replace=False)) if n_hubs else []
+    query_cluster = cluster[gen_doc]
     for hub in hub_rows:
-        eligible = [
-            qi
-            for qi in range(spec.n_queries)
-            if cluster[gen_doc[qi]] != cluster[hub]
-            and doc_ids[hub] not in qrels[query_ids[qi]]
-        ]
+        other = np.flatnonzero(query_cluster != cluster[hub]).tolist()
+        eligible = [qi for qi in other if doc_ids[hub] not in qrels[query_ids[qi]]]
         if len(eligible) < spec.hub_multiplicity:
             raise InfeasibleSpec(
                 f"hub doc {doc_ids[hub]} has {len(eligible)} eligible queries, "
@@ -352,6 +350,9 @@ def _read_jsonl(path) -> tuple:
                 raise TypeError(f"id {rec['id']!r} is not a string")
             ids.append(rec["id"])
             rows.append(rec["features"])
+    repeated = [ident for ident, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise ValueError(f"id {repeated[0]!r} appears more than once")
     return ids, np.asarray(rows, dtype=np.float64)
 
 
@@ -372,8 +373,8 @@ def load_task(outdir: str) -> SyntheticTask:
     Generation metadata (clusters, hub list, spec) is not persisted and
     comes back as None.  A file that does not parse, or a line that lacks
     a field or has one of the wrong type, raises CorruptArtifact naming it,
-    and so do a qrels doc id absent from the corpus and a query without a
-    split.
+    and so do a doc or query id listed twice, a qrels doc id absent from
+    the corpus and a query without a split.
     """
     from .metrics import read_qrels
 

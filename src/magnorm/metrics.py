@@ -9,7 +9,8 @@ in macro-averages.
 Two implementations share these rules.  RankedList with ndcg_at_k,
 recall_at_k and mrr_at_k scores one query at a time and reads run files
 back; GradeTable and Ranking rank a whole (queries x docs) score matrix
-and grade it with array operations, bit for bit equal to the first.
+and grade it with array operations, bit for bit equal to the first, and
+write_run_file writes a Ranking.
 
 Run files use the 6-column layout "query_id Q0 doc_id rank score tag";
 relevance judgments use the 4-column layout "query_id 0 doc_id grade".
@@ -17,8 +18,10 @@ relevance judgments use the 4-column layout "query_id 0 doc_id grade".
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,11 +182,7 @@ class GradeTable:
 # A plain class: a dataclass definition would add about a millisecond to
 # every import of the package.
 class Ranking:
-    """A GradeTable's score matrix with each row's columns in ranked order.
-
-    Iterating yields one RankedList per query, in the table's query order,
-    built from that order without a second sort.
-    """
+    """A GradeTable's score matrix with each row's columns in ranked order."""
 
     def __init__(self, table: GradeTable, scores: Array, order: Array):
         self.table = table
@@ -216,12 +215,6 @@ class Ranking:
         if hit.shape[1] == 0:
             return np.zeros(len(hit))
         return np.where(hit.any(axis=1), 1.0 / (hit.argmax(axis=1) + 1), 0.0)
-
-    def __iter__(self):
-        ids = self.table.doc_ids
-        for qid, row, cols in zip(self.table.query_ids, self.scores, self.order):
-            row = row.tolist()
-            yield RankedList(qid, tuple((ids[j], row[j]) for j in cols.tolist()))
 
     def metric_rows(self, metric_ks) -> list:
         """evaluate_runs' rows, with the same values, for this ranking."""
@@ -280,12 +273,46 @@ def spearman(xs, ys) -> float:
     return pearson(average_ranks(xs), average_ranks(ys))
 
 
-def write_run_file(path, runs, tag: str = "magnorm") -> None:
-    """Write rankings in the 6-column run layout, rank starting at 1."""
-    with open(path, "w") as fh:
-        for run in runs:
-            for rank, (doc_id, score) in enumerate(run.entries, start=1):
-                fh.write(f"{run.query_id} Q0 {doc_id} {rank} {score:.10g} {tag}\n")
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Open a text file for writing that replaces path only once the block completes.
+
+    The text goes to a temp file beside path, and os.replace moves it over
+    path at the end, so path never holds a partial file; a crash can leave
+    only the temp file behind.  When the block raises, the temp file is
+    removed and path is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_run_file(path, ranking: Ranking, tag: str = "magnorm") -> None:
+    """Write a Ranking in the 6-column run layout, rank starting at 1.
+
+    The ranks and the tag are baked into one %-template per file, so each
+    query's block is one % over its (query_id, doc_id, score) triples and
+    one write.  '%.10g' % score is f"{score:.10g}".  The scores need no
+    checks here: GradeTable.rank rejects non-finite ones and sorts them,
+    and load_task rejects repeated doc ids.
+    """
+    ids = ranking.table.doc_ids
+    n = len(ids)
+    tag = tag.replace("%", "%%")
+    template = "".join(f"%s Q0 %s {rank} %.10g {tag}\n" for rank in range(1, n + 1))
+    fields = [None] * (3 * n)
+    with atomic_write(path) as fh:
+        for qid, row, cols in zip(ranking.table.query_ids, ranking.scores, ranking.order):
+            fields[0::3] = [qid] * n
+            fields[1::3] = [ids[j] for j in cols.tolist()]
+            fields[2::3] = row[cols].tolist()
+            fh.write(template % tuple(fields))
 
 
 def read_run_file(path) -> list:
@@ -363,7 +390,7 @@ def evaluate_runs(runs, qrels: Qrels, metric_ks) -> list:
 
 
 def write_metrics_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["query_id", "metric", "k", "value"])
         for qid, name, k, v in rows:

@@ -391,10 +391,7 @@ def validation_ndcg(
 def rank_split(
     encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str
 ) -> Ranking:
-    """The split queries' rankings of the full corpus under the variant, with their grades.
-
-    Iterate it for one RankedList per split query.
-    """
+    """The split queries' rankings of the full corpus under the variant, with their grades."""
     qids, Q, D = embed_split(encoder, task, split)
     table = GradeTable(qids, task.doc_ids, task.qrels)
     return table.rank(simcore.similarity_matrix(_current_kind(kind, gamma), Q, D))

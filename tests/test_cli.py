@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from magnorm import diagnostics, model
+from magnorm import cli, diagnostics, model
 from magnorm.cli import load_config, main
 from magnorm.datagen import TASK_FILES
 from magnorm.model import TRAINLOG_HEADER, load_checkpoint
@@ -271,6 +271,27 @@ class TestEval:
         assert main(["eval", "--checkpoint", ckpt, "--out", str(out), "--force"]) == 0
         assert (out / "metrics_dot_0_test.csv").read_bytes() == first
 
+    def test_failed_forced_rewrite_keeps_the_old_files(self, workdir, monkeypatch):
+        out, cfg, ckpt = self._trained(workdir)
+        argv = ["eval", "--checkpoint", ckpt, "--out", str(out)]
+        assert main(argv) == 0
+        written = {p: (out / p).read_bytes() for p in os.listdir(out)}
+        real_rank_split = cli.rank_split
+
+        def rank_split_unprintable_second_query(*args):
+            ranking = real_rank_split(*args)
+            ranking.table.query_ids[1] = _Unprintable()
+            return ranking
+
+        monkeypatch.setattr(cli, "rank_split", rank_split_unprintable_second_query)
+        with pytest.raises(RuntimeError):
+            main([*argv, "--force"])
+        assert {p: (out / p).read_bytes() for p in os.listdir(out)} == written
+        monkeypatch.undo()
+        assert main(argv) == 4
+        assert main([*argv, "--force"]) == 0
+        assert {p: (out / p).read_bytes() for p in os.listdir(out)} == written
+
     def test_split_and_k_flags(self, workdir):
         out, cfg, ckpt = self._trained(workdir)
         assert main(
@@ -287,6 +308,13 @@ class TestEval:
     def test_missing_checkpoint_is_io_error(self, workdir):
         out, cfg = workdir
         assert main(["eval", "--checkpoint", str(out / "nope.json"), "--out", str(out)]) == 3
+
+
+class _Unprintable:
+    """A query id whose formatting raises, to fail the run-file writer partway through."""
+
+    def __str__(self):
+        raise RuntimeError("cannot format")
 
 
 def _short_w1(b):
@@ -363,6 +391,33 @@ class TestCorruptTask:
         assert main(["eval", "--checkpoint", str(out / "checkpoint_dot_0.json"), "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {path} ")
+
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "queries.jsonl"])
+    @pytest.mark.parametrize("command", ["train", "eval", "diagnose", "sweep"])
+    def test_repeated_id_exits_three_writing_nothing(self, workdir, capsys, command, name):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        ckpt = str(out / "checkpoint_dot_0.json")
+        if command in ("eval", "diagnose"):
+            assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        path = out / name
+        text = path.read_text()
+        first = text.split("\n", 1)[0]
+        path.write_text(text + first + "\n")
+        before = sorted(os.listdir(out))
+        capsys.readouterr()
+        argv = {
+            "train": ["train", "--config", cfg, "--force"],
+            "eval": ["eval", "--checkpoint", ckpt, "--out", str(out)],
+            "diagnose": ["diagnose", "--checkpoint", ckpt, "--out", str(out)],
+            "sweep": ["sweep", "--config", cfg, "--force"],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        repeated = json.loads(first)["id"]
+        assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {path} ")
+        assert repr(repeated) in err[0]
+        assert sorted(os.listdir(out)) == before
 
 
 class TestDiagnose:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -172,16 +173,18 @@ class TestCorrelations:
         assert average_ranks([3, 1, 2]) == [3.0, 1.0, 2.0]
 
 
+def _unjudged_ranking(query_ids, doc_ids, scores):
+    """GradeTable.rank over queries that judge nothing: a Ranking for write_run_file."""
+    return GradeTable(query_ids, doc_ids, {q: {} for q in query_ids}).rank(scores)
+
+
 class TestFileFormats:
     def test_run_file_round_trip(self, tmp_path):
-        runs = [
-            ranked_list("q1", [("d2", 0.75), ("d1", 0.5)]),
-            ranked_list("q2", [("d1", 1.25)]),
-        ]
+        ranking = _unjudged_ranking(["q1", "q2"], ["d1", "d2"], [[0.5, 0.75], [1.25, 0.0]])
         path = tmp_path / "run.txt"
-        write_run_file(path, runs, tag="testtag")
+        write_run_file(path, ranking, tag="testtag")
         back = read_run_file(path)
-        assert {r.query_id: r.doc_ids() for r in back} == {"q1": ["d2", "d1"], "q2": ["d1"]}
+        assert {r.query_id: r.doc_ids() for r in back} == {"q1": ["d2", "d1"], "q2": ["d1", "d2"]}
         line = path.read_text().splitlines()[0]
         assert line.split() == ["q1", "Q0", "d2", "1", "0.75", "testtag"]
 
@@ -204,6 +207,85 @@ class TestFileFormats:
         lines = path.read_text().splitlines()
         assert lines[0] == "query_id,metric,k,value"
         assert lines[1] == "q1,ndcg,10,0.5"
+
+
+class _Unprintable:
+    """A value whose formatting raises, to fail a writer partway through its file."""
+
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+    def __format__(self, spec):
+        raise RuntimeError("cannot format")
+
+
+def _write_run_failing_at_second_query(path):
+    write_run_file(path, _unjudged_ranking(["q0", _Unprintable()], ["d0", "d1"], [[1.0, 0.0], [0.0, 1.0]]))
+
+
+def _write_metrics_failing_at_second_row(path):
+    write_metrics_csv(path, [("q0", "ndcg", 10, 0.5), ("q1", "ndcg", 10, _Unprintable())])
+
+
+class TestAtomicWrites:
+    """A writer that raises partway leaves neither a partial target nor its temp file."""
+
+    @pytest.mark.parametrize(
+        "write", [_write_run_failing_at_second_query, _write_metrics_failing_at_second_row], ids=["run", "metrics"]
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, write):
+        with pytest.raises(RuntimeError):
+            write(tmp_path / "out.txt")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "write", [_write_run_failing_at_second_query, _write_metrics_failing_at_second_row], ids=["run", "metrics"]
+    )
+    def test_failed_overwrite_keeps_the_old_file(self, tmp_path, write):
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+        with pytest.raises(RuntimeError):
+            write(path)
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_text() == "old contents\n"
+
+
+# Scores that tie exactly, -0.0 beside 0.0, subnormals and the float64 extremes.
+WRITER_SCORES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 0.1, 1e300, -1e300, 1.7976931348623157e308]
+
+
+def _per_line_run_file(query_ids, doc_ids, scores, tag):
+    """The run file as the per-line writer formatted it: one f-string per ranked_list entry."""
+    lines = []
+    for qid, row in zip(query_ids, scores):
+        run = ranked_list(qid, zip(doc_ids, row.tolist()))
+        for rank, (doc, score) in enumerate(run.entries, start=1):
+            lines.append(f"{run.query_id} Q0 {doc} {rank} {score:.10g} {tag}\n")
+    return "".join(lines)
+
+
+class TestRunFileBytes:
+    """write_run_file against the per-line formula, byte for byte."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 5),
+        st.integers(0, 12),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+        st.text(alphabet="ab%_{}()sd.", max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_the_per_line_writer(self, tmp_path_factory, seed, n_queries, n_docs, extra, tag):
+        rng = np.random.default_rng(seed)
+        pool = WRITER_SCORES + extra
+        scores = np.array([[pool[i] for i in rng.integers(0, len(pool), size=n_docs)] for _ in range(n_queries)])
+        scores = scores.reshape(n_queries, n_docs)
+        # Unpadded, shuffled ids ("d10" sorts before "d9"), and query ids with % in them.
+        doc_ids = [f"d{j}" for j in rng.permutation(n_docs)]
+        query_ids = [f"q{i}%s%%{i}" for i in range(n_queries)]
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        write_run_file(path, _unjudged_ranking(query_ids, doc_ids, scores), tag=tag)
+        assert path.read_text() == _per_line_run_file(query_ids, doc_ids, scores, tag)
 
 
 class TestEvaluateRuns:
@@ -256,6 +338,15 @@ def _random_split(seed, n_queries, n_docs, shuffled):
     return query_ids, doc_ids, scores, qrels
 
 
+def _entries(ranking):
+    """Each query's (doc_id, score) pairs in the ranking's order, as RankedList.entries holds them."""
+    ids = ranking.table.doc_ids
+    return [
+        tuple((ids[j], row[j]) for j in cols.tolist())
+        for row, cols in zip(ranking.scores.tolist(), ranking.order)
+    ]
+
+
 class TestGradeTableMatchesOracle:
     """The matrix evaluator against ranked_list and the per-query metrics, with exact ==."""
 
@@ -265,7 +356,7 @@ class TestGradeTableMatchesOracle:
         query_ids, doc_ids, scores, qrels = _random_split(seed, n_queries, n_docs, shuffled)
         ranking = GradeTable(query_ids, doc_ids, qrels).rank(scores)
         runs = [ranked_list(q, zip(doc_ids, row.tolist())) for q, row in zip(query_ids, scores)]
-        assert [r.entries for r in ranking] == [r.entries for r in runs]
+        assert _entries(ranking) == [r.entries for r in runs]
         for name, fn in (("ndcg", ndcg_at_k), ("recall", recall_at_k), ("mrr", mrr_at_k)):
             got = getattr(ranking, name)(k).tolist()
             assert got == [fn(run, qrels, k) for run in runs], name
@@ -276,7 +367,7 @@ class TestGradeTableMatchesOracle:
         # d0..d3 are in id order, so ties fall back to column order.
         table = GradeTable(["q"], ["d0", "d1", "d2", "d3"], {"q": {"d2": 2, "d3": 1}})
         ranking = table.rank([[1.0, 2.0, 1.0, 2.0]])
-        assert [run.doc_ids() for run in ranking] == [["d1", "d3", "d0", "d2"]]
+        assert [[doc for doc, _ in entries] for entries in _entries(ranking)] == [["d1", "d3", "d0", "d2"]]
         assert ranking.mrr(4).tolist() == [0.5]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -591,9 +591,11 @@ class TestRankSplit:
     def test_covers_split_queries_and_corpus(self):
         task = gen_asymmetric(TINY)
         enc = init_encoder(8, 16, 8, False, seed=7)
-        runs = rank_split(enc, GammaParams(), task, COSINE, "test")
-        assert [r.query_id for r in runs] == task.split_queries("test")
-        assert all(sorted(r.doc_ids()) == sorted(task.doc_ids) for r in runs)
+        ranking = rank_split(enc, GammaParams(), task, COSINE, "test")
+        assert ranking.table.query_ids == task.split_queries("test")
+        assert ranking.table.doc_ids == task.doc_ids
+        # Each query's row ranks every corpus column once.
+        assert all(sorted(cols) == list(range(len(task.doc_ids))) for cols in ranking.order.tolist())
 
     @pytest.mark.parametrize(
         "kind", [COSINE, DOT, QNORM, DNORM, learnable(0.5, 0.5)], ids=lambda k: k.tag
