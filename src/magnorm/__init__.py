@@ -33,12 +33,11 @@ from .simcore import (
     kind_from_name,
     kind_name,
     learnable,
-    norm,
     similarity,
     similarity_matrix,
 )
 from .objective import ContrastiveBatch, LossConfig, infonce_loss, softmax_probs
-from .grad import gradcheck, infonce_grad, normalization_jacobian, sim_grad, tangent_projector
+from .grad import gradcheck, infonce_grad, sim_grad, tangent_projector
 from .datagen import TaskSpec, SyntheticTask, gen_asymmetric, gen_symmetric
 from .metrics import mrr_at_k, ndcg_at_k, pearson, recall_at_k, spearman
 from .model import TrainConfig, TwoTowerEncoder, init_encoder, train
@@ -55,7 +54,6 @@ __all__ = [
     "learnable",
     "kind_from_name",
     "kind_name",
-    "norm",
     "similarity",
     "similarity_matrix",
     "LossConfig",
@@ -66,7 +64,6 @@ __all__ = [
     "infonce_grad",
     "gradcheck",
     "tangent_projector",
-    "normalization_jacobian",
     "TaskSpec",
     "SyntheticTask",
     "gen_asymmetric",

@@ -37,7 +37,7 @@ from .errors import (
     TooFewSamples,
     ZeroMagnitude,
 )
-from .metrics import write_metrics_csv, write_run_file
+from .metrics import atomic_write, write_metrics_csv, write_run_file
 from .model import (
     GammaParams,
     TrainConfig,
@@ -446,7 +446,7 @@ def _cmd_diagnose(args) -> int:
         if d.get("delta_cv") is None:
             d.pop("delta_cv", None)
         payload.append(d)
-    with open(json_path, "w") as fh:
+    with atomic_write(json_path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
     diagnostics.write_report_csv(csv_path, reports)
@@ -536,7 +536,7 @@ def _cmd_sweep(args) -> int:
             f"(untrained {result.log[0].val_ndcg10:.4f}) test ndcg {summary[-1]['test_ndcg10']:.4f}"
         )
 
-    with open(summary_path, "w", newline="") as fh:
+    with atomic_write(summary_path, newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(summary[0]))
         w.writeheader()
         for row in summary:

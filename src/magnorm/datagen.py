@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptArtifact, InfeasibleSpec
-from .metrics import Qrels, ranked_list, write_qrels
+from .metrics import Qrels, atomic_write, write_qrels
 
 Array = np.ndarray
 
@@ -122,13 +122,6 @@ class SyntheticTask:
     def relevant_of(self, query_id: str) -> list:
         """Doc ids with grade >= 1 for this query, sorted for determinism."""
         return sorted(d for d, g in self.qrels[query_id].items() if g >= 1)
-
-    def positive_of(self, query_id: str) -> str:
-        """The generating document: the unique grade-2 judgment."""
-        for d, g in self.qrels[query_id].items():
-            if g == 2:
-                return d
-        raise KeyError(f"query {query_id!r} has no grade-2 document")
 
 
 def _doc_id(i: int, width: int) -> str:
@@ -290,24 +283,6 @@ def gen_symmetric(spec: TaskSpec) -> list:
     return pairs
 
 
-def oracle_run(task: SyntheticTask, query_ids=None) -> list:
-    """Rankings from the latent geometry the generator drew.
-
-    Scores each document by the cosine between query and document
-    features, the noiseless carrier of cluster identity.  Used to certify
-    that a task is solvable before any training happens.
-    """
-    if query_ids is None:
-        query_ids = task.query_ids
-    qn = task.query_features / np.linalg.norm(task.query_features, axis=1, keepdims=True)
-    dn = task.doc_features / np.linalg.norm(task.doc_features, axis=1, keepdims=True)
-    runs = []
-    for qid in query_ids:
-        scores = qn[task.query_row(qid)] @ dn.T
-        runs.append(ranked_list(qid, zip(task.doc_ids, scores.tolist())))
-    return runs
-
-
 # ---------------------------------------------------------------------------
 # Disk layout: corpus.jsonl, queries.jsonl, qrels.txt, splits.json
 # ---------------------------------------------------------------------------
@@ -327,14 +302,14 @@ def export_task(task: SyntheticTask, outdir: str, force: bool = False) -> list:
     _write_jsonl(paths[1], task.query_ids, task.query_features)
     write_qrels(paths[2], task.qrels)
     splits = {name: task.split_queries(name) for name in SPLIT_NAMES}
-    with open(paths[3], "w") as fh:
+    with atomic_write(paths[3]) as fh:
         json.dump(splits, fh, indent=1)
         fh.write("\n")
     return paths
 
 
 def _write_jsonl(path, ids, features: Array) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for i, ident in enumerate(ids):
             fh.write(json.dumps({"id": ident, "features": features[i].tolist()}) + "\n")
 

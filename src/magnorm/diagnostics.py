@@ -12,9 +12,8 @@ generators and trial counts.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,23 +21,11 @@ import numpy as np
 from . import grad, simcore
 from .datagen import SyntheticTask
 from .errors import DegenerateInput, DegenerateVariance, EmptyInput, TooFewSamples
-from .metrics import pearson, ranked_list
+from .metrics import atomic_write, pearson, ranked_list
 from .model import TwoTowerEncoder, embed_split
 from .objective import ContrastiveBatch, LossConfig
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class MagnitudeSample:
-    """Embedding norms for one population of items."""
-
-    label: str
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise EmptyInput(f"magnitude sample {self.label!r} is empty")
 
 
 def cohens_d(group_a, group_b) -> float:
@@ -341,10 +328,6 @@ class DiagnosticsReport:
     doc_cv: float
     delta_cv: float | None = None
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, indent=1) + "\n"
-
 
 REPORT_COLUMNS = ("split", "kind", "cohens_d", "n_rel", "n_irrel", "query_cv", "doc_cv")
 
@@ -402,7 +385,7 @@ def with_delta_cv(report: DiagnosticsReport, dot_query_cv: float) -> Diagnostics
 
 
 def write_report_csv(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(REPORT_COLUMNS)
         for r in reports:

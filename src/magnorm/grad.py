@@ -1,10 +1,12 @@
 """Closed-form gradients of the similarity family and of InfoNCE.
 
-Everything here is hand-derived; there is no autodiff engine.  The
-normalization Jacobian d(v/|v|)/dv = (I - vv^T/|v|^2)/|v| factors as the
-tangent-space projector P_v = I - vhat vhat^T divided by the norm.  P_v
-is symmetric, idempotent, annihilates the radial direction, and has
-trace n - 1 (one degree of freedom lost to the norm constraint).
+Everything here is hand-derived; there is no autodiff engine.  One
+formula, _stack_grad, serves the whole family for candidates pooled
+across queries (in-batch InfoNCE, sim_grad) or stacked per query
+(explicit negatives).  The normalization Jacobian d(v/|v|)/dv =
+(I - vv^T/|v|^2)/|v| factors as the tangent-space projector
+P_v = I - vhat vhat^T divided by the norm.  P_v is symmetric,
+idempotent, annihilates the radial direction, and has trace n - 1.
 
 A central finite-difference oracle and a seeded gradcheck harness verify
 every analytic formula against numerics.
@@ -12,7 +14,6 @@ every analytic formula against numerics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,9 @@ class SimGradient:
 class InfoNCEGradients:
     """Gradients of the batch-mean InfoNCE loss.
 
-    d_negatives is None in in-batch mode, where every positive already
-    receives its accumulated candidate-side gradient in d_positives.
+    In in-batch mode the positives are a pool every query scores, so
+    d_positives sums over queries and d_negatives is None.  In explicit
+    mode d_positives and d_negatives split each query's candidate stack.
     """
 
     loss: float
@@ -66,15 +68,6 @@ def tangent_projector(v) -> Array:
     return np.eye(v.size) - np.outer(vhat, vhat)
 
 
-def normalization_jacobian(v) -> Array:
-    """J = d(v/|v|)/dv = P_v / |v|."""
-    v = simcore.as_embedding(v)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ZeroMagnitude("normalization Jacobian undefined at the origin")
-    return tangent_projector(v) / n
-
-
 def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
     """Analytic gradient of similarity(kind, q, d) in q, d, and gammas.
 
@@ -91,31 +84,44 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
     if kind.tag == "learnable" and 0.0 in (np.linalg.norm(q), np.linalg.norm(d)):
         raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
     s = simcore.similarity(kind, q, d)
-    dQ, dC, dgq, dgd = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, None, :])
-    return SimGradient(d_q=dQ[0], d_d=dC[0, 0], d_gamma_q=dgq, d_gamma_d=dgd)
+    dQ, dC, dgq, dgd = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, :])
+    return SimGradient(d_q=dQ[0], d_d=dC[0], d_gamma_q=dgq, d_gamma_d=dgd)
 
 
 def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array) -> tuple:
-    """Gradients of sum_bk G[b, k] * s(Q[b], C[b, k]) over candidate stacks.
+    """Gradients of sum_bk G[b, k] * s(Q[b], c_bk), S holding the scores s.
 
-    Q is (B, n), C is (B, K, n), and S holds the scores s(Q[b], C[b, k]).
-    Returns (dQ, dC, d_gamma_q, d_gamma_d); the gamma entries are None
-    unless the kind is learnable.  sim_grad is the case B = K = 1, G = 1.
+    Q is (B, n); C.ndim picks the candidates' layout:
+      pool   (K, n), c_bk = C[k]: in-batch positives, sim_grad's 1x1 pool;
+      stack  (B, K, n), c_bk = C[b, k]: explicit negatives.
+    dC has C's shape, so a pooled candidate's gradient and d_gamma_d sum
+    over queries.  Returns (dQ, dC, d_gamma_q, d_gamma_d), gammas None
+    unless learnable.  The callers' scores already rejected zero norms.
     """
     gq, gd = effective_gammas(kind)
+    pool = C.ndim == 2
     nq = np.linalg.norm(Q, axis=1)
-    nd = np.linalg.norm(C, axis=2)
-    coeff = simcore.divide_by_norms(kind, G, nq[:, None], nd)
+    nd = np.linalg.norm(C, axis=-1)
+    scale_q = (nq**gq)[:, None]
+    scale_d = nd**gd
+    Gd = G / scale_d
+    Gq = G / scale_q
+    if pool:
+        dQ, dC = Gd @ C, Gq.T @ Q
+    else:
+        dQ, dC = np.einsum("bk,bkn->bn", Gd, C), Gq[:, :, None] * Q[:, None, :]
+    dQ /= scale_q
+    dC /= scale_d[..., None]
     GS = G * S
-    dQ = np.einsum("bk,bkn->bn", coeff, C)
+    GS_q = GS.sum(axis=1)
+    GS_c = GS.sum(axis=0) if pool else GS
     if gq > 0.0:
-        dQ -= gq * (GS.sum(axis=1) / nq**2)[:, None] * Q
-    dC = coeff[:, :, None] * Q[:, None, :]
+        dQ -= gq * (GS_q / nq**2)[:, None] * Q
     if gd > 0.0:
-        dC -= gd * (GS / nd**2)[:, :, None] * C
+        dC -= gd * (GS_c / nd**2)[..., None] * C
     if kind.tag != "learnable":
         return dQ, dC, None, None
-    return dQ, dC, float(-(GS.sum(axis=1) * np.log(nq)).sum()), float(-(GS * np.log(nd)).sum())
+    return dQ, dC, float(-(GS_q * np.log(nq)).sum()), float(-(GS_c * np.log(nd)).sum())
 
 
 def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
@@ -123,9 +129,10 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
 
     With logits z_ij = (alpha/tau) s_ij and softmax rows p_i, the chain
     rule gives dL/ds_ij = (alpha/tau)(p_ij - [j = pos_i]) / B, after
-    which each score's SimGradient formula distributes the signal onto
-    queries, candidates, and gammas.  Explicit negatives are handled as
-    one (B, K+1, n) candidate stack with each positive at index 0.
+    which _stack_grad distributes the signal onto queries, candidates,
+    and gammas.  In-batch mode hands it the positives as one pool;
+    explicit mode hands it the (B, K+1, n) candidate stack, each
+    positive at index 0.
     """
     logits, pos_idx = candidate_logits(batch, cfg)
     B = logits.shape[0]
@@ -139,33 +146,12 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     G[np.arange(B), pos_idx] -= 1.0
     G *= cfg.alpha / cfg.tau / B
 
-    Q = batch.queries
     S = logits * cfg.tau / cfg.alpha
-    if not batch.in_batch:
-        dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, Q, batch.candidates)
-        return InfoNCEGradients(loss, dQ, dC[:, 0], dC[:, 1:], dgq, dgd)
-
-    gq, gd = effective_gammas(cfg.kind)
-    D = batch.positives
-    nq = np.linalg.norm(Q, axis=1)
-    nd = np.linalg.norm(D, axis=1)
-    scale_q = nq**gq
-    scale_d = nd**gd
-    Gn = G / scale_d[None, :]
-    dQ = (Gn @ D) / scale_q[:, None]
-    dD = (G / scale_q[:, None]).T @ Q / scale_d[:, None]
-    GS = G * S
-    if gq > 0.0:
-        dQ -= gq * (GS.sum(axis=1) / nq**2)[:, None] * Q
-    if gd > 0.0:
-        dD -= gd * (GS.sum(axis=0) / nd**2)[:, None] * D
-    if cfg.kind.tag != "learnable":
-        return InfoNCEGradients(loss, dQ, dD, None)
-    # Each positive is a candidate for every query, so its gamma_d
-    # signal is a column sum.
-    dgq = float(-(GS.sum(axis=1) * np.log(nq)).sum())
-    dgd = float(-(GS.sum(axis=0) * np.log(nd)).sum())
-    return InfoNCEGradients(loss, dQ, dD, None, dgq, dgd)
+    C = batch.positives if batch.in_batch else batch.candidates
+    dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, C)
+    if batch.in_batch:
+        return InfoNCEGradients(loss, dQ, dC, None, dgq, dgd)
+    return InfoNCEGradients(loss, dQ, dC[:, 0], dC[:, 1:], dgq, dgd)
 
 
 def finite_difference(f, x, h: float = 1e-5) -> Array:
@@ -206,18 +192,6 @@ class GradcheckReport:
     max_rel_err: float
     passed: bool
     group_errors: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "trials": self.trials,
-                "seed": self.seed,
-                "max_rel_err": self.max_rel_err,
-                "pass": self.passed,
-                "groups": self.group_errors,
-            }
-        )
 
 
 def gradcheck(

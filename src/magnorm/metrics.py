@@ -361,7 +361,7 @@ def read_qrels(path) -> Qrels:
 
 
 def write_qrels(path, qrels: Qrels) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for qid in sorted(qrels):
             for did in sorted(qrels[qid]):
                 fh.write(f"{qid} 0 {did} {qrels[qid][did]}\n")

@@ -33,20 +33,18 @@ from . import simcore
 from .datagen import SyntheticTask
 from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from .grad import infonce_grad
-from .metrics import GradeTable, Ranking
+from .metrics import GradeTable, Ranking, atomic_write
 from .objective import ContrastiveBatch, LossConfig
 
 Array = np.ndarray
 
 
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out if out.ndim else float(out)
+def sigmoid(x: float) -> float:
+    """Logistic of one float; each branch exponentiates a nonpositive number, so neither overflows."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    e = np.exp(x)
+    return float(e / (1.0 + e))
 
 
 def param_layout(m: int, h: int, n: int, shared: bool) -> list:
@@ -88,10 +86,6 @@ class TwoTowerEncoder:
         return tuple(out)
 
     @property
-    def layout(self) -> list:
-        return [(name, shape) for name, _, _, shape in self.spans]
-
-    @property
     def bounds(self) -> list:
         """End offset of each parameter's block of theta, in layout order."""
         return [end for _, _, end, _ in self.spans]
@@ -110,7 +104,7 @@ class GammaParams:
     gamma_hat_d: float = 0.0
 
     def gammas(self) -> tuple:
-        return float(sigmoid(self.gamma_hat_q)), float(sigmoid(self.gamma_hat_d))
+        return sigmoid(self.gamma_hat_q), sigmoid(self.gamma_hat_d)
 
 
 def initial_gamma(kind) -> GammaParams:
@@ -544,7 +538,7 @@ def restore_snapshot(encoder: TwoTowerEncoder, snapshot: Snapshot) -> GammaParam
 
 
 def write_trainlog_csv(path, log) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRAINLOG_HEADER.split(","))
         for r in log:
@@ -576,7 +570,7 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, gamma: GammaParams, step: in
         "step": step,
         "config": config_echo,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 

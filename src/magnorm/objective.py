@@ -148,29 +148,6 @@ def mse_symmetric_loss(pairs, cfg: LossConfig) -> float:
     return float(np.mean(residuals))
 
 
-def effective_temperature(
-    kind: SimilarityKind, tau: float, carrier_norm: float, carrier_gamma: float | None = None
-) -> float:
-    """Per-example softmax temperature induced by an unnormalized side.
-
-    The carrier is the side whose magnitude survives into the logits:
-    the query under dnorm, the document under qnorm, either side under
-    dot (pass the norm of the side being analyzed).  Cosine keeps no
-    magnitude, so tau is returned unchanged.  For the learnable variant
-    the surviving power is 1 - gamma, so pass the carrier side's gamma
-    and the result is tau / carrier_norm**(1 - gamma).
-    """
-    if tau <= 0.0 or carrier_norm <= 0.0:
-        raise ValueError("tau and carrier_norm must be positive")
-    if kind.tag == "cosine":
-        return tau
-    if kind.tag in ("dot", "qnorm", "dnorm"):
-        return tau / carrier_norm
-    if carrier_gamma is None:
-        raise ValueError("learnable kind needs the carrier side's gamma")
-    return tau / carrier_norm ** (1.0 - carrier_gamma)
-
-
 def _stable_softmax(z: Array) -> Array:
     e = np.exp(z - z.max())
     return e / e.sum()

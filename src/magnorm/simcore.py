@@ -110,11 +110,6 @@ def effective_gammas(kind: SimilarityKind) -> tuple[float, float]:
     return _CORNERS[kind.tag]
 
 
-def norm(v) -> float:
-    """Euclidean length; zero exactly for the zero vector."""
-    return float(np.linalg.norm(as_embedding(v)))
-
-
 def decompose(q, d) -> tuple[float, float, float]:
     """Split a pair into (|q|, |d|, cos theta) with the cosine clamped to [-1, 1].
 
@@ -169,17 +164,6 @@ def similarity(kind: SimilarityKind, q, d) -> float:
     d = as_embedding(d)
     _check_dims(q, d)
     return divide_by_norms(kind, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d)))
-
-
-def scaled_logit(kind: SimilarityKind, q, d, alpha: float) -> float:
-    """alpha * similarity(kind, q, d); alpha must be positive.
-
-    The scale cannot change any ranking (it is a positive constant), so
-    it matters only inside softmax-based objectives.
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return alpha * similarity(kind, q, d)
 
 
 def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array) -> Array:

@@ -1,6 +1,8 @@
 """End-to-end command coverage: exit codes, file contracts, determinism."""
 
+import builtins
 import csv
+import errno
 import json
 import os
 
@@ -527,6 +529,74 @@ class TestSweep:
         out, cfg = workdir
         assert main(["sweep", "--config", cfg, "--kinds", "dot"]) == 0
         assert main(["sweep", "--config", cfg, "--kinds", "dot"]) == 4
+
+
+class _DiskFillsUp:
+    """A text file with room for `room` characters: the write that overflows
+    it stores what fits, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, text):
+        if len(text) > self._room:
+            self._fh.write(text[: self._room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(text)
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestAtomicArtifacts:
+    """Every artifact writer replaces its file whole or not at all."""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("gen", "corpus.jsonl"),
+            ("gen", "queries.jsonl"),
+            ("gen", "qrels.txt"),
+            ("gen", "splits.json"),
+            ("train", "checkpoint_dot_0.json"),
+            ("train", "trainlog_dot_0.csv"),
+            ("diagnose", "diagnostics.json"),
+            ("diagnose", "diagnostics.csv"),
+            ("sweep", "sweep_summary.csv"),
+        ],
+    )
+    def test_a_full_disk_partway_keeps_the_old_file(self, workdir, monkeypatch, command, name):
+        out, cfg = workdir
+        argv = {
+            "gen": ["gen", "--config", cfg],
+            "train": ["train", "--config", cfg, "--kinds", "dot"],
+            "diagnose": ["diagnose", "--checkpoint", str(out / "checkpoint_dot_0.json"), "--out", str(out)],
+            "sweep": ["sweep", "--config", cfg, "--kinds", "dot"],
+        }
+        for step in {"train": ["gen"], "diagnose": ["gen", "train"]}.get(command, []) + [command]:
+            assert main(argv[step]) == 0
+        (out / name).write_text("previous\n")
+        written = {p: (out / p).read_bytes() for p in os.listdir(out)}
+        real_open = builtins.open
+
+        def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and os.path.basename(os.fspath(file)).startswith(name):
+                return _DiskFillsUp(fh, room=16)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+        assert main([*argv[command], "--force"]) == 3
+        monkeypatch.undo()
+        # The old file is intact, and no temp file is left behind.
+        assert {p: (out / p).read_bytes() for p in os.listdir(out)} == written
 
 
 class TestOutResolution:

@@ -69,7 +69,7 @@ class TestEncoderInit:
     def test_deterministic(self):
         a = init_encoder(6, 8, 4, shared=False, seed=5)
         b = init_encoder(6, 8, 4, shared=False, seed=5)
-        assert a.layout == b.layout
+        assert a.spans == b.spans
         assert np.array_equal(a.theta, b.theta)
 
     def test_fan_in_bounds_and_zero_biases(self):
@@ -84,7 +84,7 @@ class TestEncoderInit:
 
     def test_shared_has_one_tower(self):
         enc = init_encoder(4, 0, 3, shared=True, seed=0)
-        assert [n for n, _ in enc.layout] == ["q.w1", "q.b1"]
+        assert list(enc.params()) == ["q.w1", "q.b1"]
         assert [n for n, _ in param_layout(6, 8, 4, False)] == [
             "q.w1", "q.b1", "q.w2", "q.b2", "d.w1", "d.b1", "d.w2", "d.b2"
         ]
@@ -107,7 +107,7 @@ class TestParameterViews:
         enc = init_encoder(6, h, 4, shared=shared, seed=3)
         layout = param_layout(6, h, 4, shared)
         bounds = list(itertools.accumulate(math.prod(shape) for _, shape in layout))
-        assert enc.layout == layout and enc.bounds == bounds
+        assert [(name, shape) for name, _, _, shape in enc.spans] == layout and enc.bounds == bounds
         grad = np.random.default_rng(0).standard_normal(enc.theta.size + 2)
         for vec, views in ((enc.theta, enc.params()), (grad, enc.params(grad))):
             split = {name: part.reshape(shape) for (name, shape), part in zip(layout, np.split(vec, bounds))}
@@ -623,3 +623,20 @@ class TestRankSplit:
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == 0.0
         assert sigmoid(0.0) == 0.5
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        st.floats(allow_nan=False)
+        | st.sampled_from([800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324])
+    )
+    def test_sigmoid_is_bitwise_the_array_formula(self, x):
+        # The masked array formula the scalar sigmoid replaced, kept as its oracle.
+        arr = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(arr)
+        pos = arr >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+        e = np.exp(arr[~pos])
+        out[~pos] = e / (1.0 + e)
+        got = sigmoid(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == out.tobytes()

@@ -11,7 +11,6 @@ from magnorm.objective import (
     ContrastiveBatch,
     LossConfig,
     candidate_logits,
-    effective_temperature,
     infonce_loss,
     mse_symmetric_loss,
     softmax_probs,
@@ -151,22 +150,16 @@ class TestMseSymmetric:
 
 
 class TestEffectiveTemperature:
-    def test_dnorm_carrier_is_query(self):
-        assert effective_temperature(DNORM, 0.05, carrier_norm=2.0) == pytest.approx(0.025)
-
-    def test_qnorm_carrier_is_doc(self):
-        assert effective_temperature(QNORM, 0.05, carrier_norm=4.0) == pytest.approx(0.0125)
-
-    def test_cosine_unmodified(self):
-        assert effective_temperature(COSINE, 0.05, carrier_norm=9.0) == 0.05
-
     def test_learnable_interpolates(self):
-        got = effective_temperature(learnable(0.5, 0.5), 1.0, carrier_norm=4.0, carrier_gamma=0.5)
-        assert got == pytest.approx(0.5)  # 1 / 4**0.5
-
-    def test_learnable_requires_gamma(self):
-        with pytest.raises(ValueError):
-            effective_temperature(learnable(0.5, 0.5), 1.0, carrier_norm=4.0)
+        """With gamma_d = 1 the query keeps |q|^(1 - gamma_q): cosine at tau / |q|^(1 - gamma_q)."""
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            q = rng.standard_normal(5) * rng.lognormal(0.0, 0.7)
+            docs = [rng.standard_normal(5) * rng.lognormal(0.0, 0.7) for _ in range(8)]
+            carrier = np.linalg.norm(q) ** 0.5
+            p_learn = softmax_probs(q, docs, LossConfig(kind=learnable(0.5, 1.0), tau=0.5, alpha=1.0))
+            p_cos = softmax_probs(q, docs, LossConfig(kind=COSINE, tau=0.5 / carrier, alpha=1.0))
+            np.testing.assert_allclose(p_learn, p_cos, atol=1e-12, rtol=0.0)
 
     def test_dnorm_softmax_equals_cosine_at_scaled_tau(self):
         """Per-query softmax under dnorm at tau matches cosine at tau/|q|."""

@@ -20,8 +20,6 @@ from magnorm.simcore import (
     kind_from_name,
     kind_name,
     learnable,
-    norm,
-    scaled_logit,
     similarity,
     similarity_matrix,
 )
@@ -30,12 +28,6 @@ RNG = np.random.default_rng(42)
 
 
 class TestNormAndDecompose:
-    def test_three_four_five(self):
-        assert norm([3.0, 4.0]) == 5.0
-
-    def test_zero_vector(self):
-        assert norm([0.0, 0.0, 0.0]) == 0.0
-
     def test_decompose_unit_pair(self):
         nq, nd, cos = decompose([1.0, 0.0], [1.0, 1.0])
         assert nq == 1.0
@@ -71,13 +63,6 @@ class TestFrozenSimilarities:
         # sqrt(4) * sqrt(9) * cos(0) = 6
         kind = learnable(0.5, 0.5)
         assert similarity(kind, [4.0, 0.0], [9.0, 0.0]) == 6.0
-
-    def test_scaled_logit(self):
-        assert scaled_logit(DOT, [1.0, 0.0], [3.0, 0.0], alpha=2.0) == 6.0
-
-    def test_scaled_logit_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            scaled_logit(DOT, [1.0, 0.0], [1.0, 0.0], alpha=0.0)
 
 
 class TestCornerDegeneracy:
