@@ -20,8 +20,8 @@ import numpy as np
 
 from . import grad, simcore
 from .datagen import SyntheticTask
-from .errors import DegenerateInput, DegenerateVariance, EmptyInput, TooFewSamples
-from .metrics import atomic_write, pearson, ranked_list
+from .errors import DegenerateInput, DegenerateVariance, DimensionMismatch, EmptyInput, TooFewSamples
+from .metrics import atomic_write, pearson
 from .model import TwoTowerEncoder, embed_split
 from .objective import ContrastiveBatch, LossConfig
 
@@ -59,12 +59,27 @@ def cv(values) -> float:
     return math.sqrt(var) / mean
 
 
-def rank_documents(kind, q, docs) -> list:
-    """Doc ids ordered by descending similarity; ties break lexicographically."""
-    ids = [doc_id for doc_id, _ in docs]
-    D = np.stack([simcore.as_embedding(d) for _, d in docs])
-    scores = simcore.similarity_matrix(kind, simcore.as_embedding(q)[None, :], D)[0]
-    return ranked_list("", zip(ids, scores.tolist())).doc_ids()
+def rank_documents(kinds, q, D, ids) -> Array:
+    """Rank the rows of D for one query q under each kind: one row of row indices per kind.
+
+    D is (n_docs, dim) and ids names its rows.  The bilinear scores and
+    both norms are taken once, by the operations similarity_matrix
+    performs, so every kind's scores keep similarity_matrix's bits; each
+    kind then costs one divide_by_norms (and its zero-norm rule).  One
+    stable sort of the negated scores, over columns put in doc-id string
+    order, gives ranked_list's (-score, doc id) order: ties go to the
+    lexicographically smaller id, so d10 ranks before d2.
+    """
+    Q = simcore.as_embedding(q)[None, :]
+    D = np.asarray(D, dtype=np.float64)
+    if D.shape != (len(ids), Q.shape[1]) or not np.isfinite(D).all():
+        raise DimensionMismatch(f"expected a finite ({len(ids)}, {Q.shape[1]}) document matrix, got {D.shape}")
+    t = Q @ D.T
+    nq = np.linalg.norm(Q, axis=1)[:, None]
+    nd = np.linalg.norm(D, axis=1)[None, :]
+    S = np.vstack([simcore.divide_by_norms(kind, t, nq, nd) for kind in kinds])
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(-S[:, by_id], axis=1, kind="stable")]
 
 
 # ---------------------------------------------------------------------------
@@ -96,51 +111,56 @@ class EquivalenceVerdict:
         return self.cosine_dnorm_ok and self.qnorm_dot_ok and self.gamma_q_invariant_ok
 
 
-def _order(kind, q, docs) -> tuple:
-    return tuple(rank_documents(kind, q, [(f"d{j}", d) for j, d in enumerate(docs)]))
-
-
 def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) -> EquivalenceVerdict:
     """Randomized check of which variants induce identical rankings.
 
-    Each trial draws one query and n_docs documents, ranks them under
-    every variant, and compares the resulting orders
-    exactly (no tolerance: ranking is discrete).  Never raises on a
-    mismatch; the verdict carries the first counterexample instead.
+    Each trial draws one query and n_docs documents d0, d1, ... and ranks
+    them under every variant with one rank_documents call: one score
+    matrix, one sort, ties to the lexicographically smaller doc id.  The
+    orders are compared exactly (no tolerance: ranking is discrete).
+    Never raises on a mismatch; the verdict carries the first
+    counterexample instead.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
+    ids = [f"d{j}" for j in range(n_docs)]
     cos_dnorm = True
     qnorm_dot = True
     gamma_q_inv = True
     counterexample = None
 
+    def order(row) -> tuple:
+        return tuple(ids[j] for j in row.tolist())
+
     for t in range(trials):
         q = rng.standard_normal(dim)
-        docs = [rng.standard_normal(dim) for _ in range(n_docs)]
+        D = rng.standard_normal((n_docs, dim))
         # Rescale by lognormal factors so magnitudes actually vary.
         q = q * float(rng.lognormal(0.0, 0.7))
-        docs = [d * float(rng.lognormal(0.0, 0.7)) for d in docs]
-        o_cos = _order(simcore.COSINE, q, docs)
-        o_dnorm = _order(simcore.DNORM, q, docs)
-        o_qnorm = _order(simcore.QNORM, q, docs)
-        o_dot = _order(simcore.DOT, q, docs)
-        if o_cos != o_dnorm and cos_dnorm:
-            cos_dnorm = False
-            counterexample = counterexample or f"trial {t}: cosine {o_cos} vs dnorm {o_dnorm}"
-        if o_qnorm != o_dot and qnorm_dot:
-            qnorm_dot = False
-            counterexample = counterexample or f"trial {t}: qnorm {o_qnorm} vs dot {o_dot}"
+        D = D * rng.lognormal(0.0, 0.7, n_docs)[:, None]
         gd = float(rng.uniform(0.0, 1.0))
         ga, gb = sorted(float(rng.uniform(0.0, 1.0)) for _ in range(2))
-        o_a = _order(simcore.learnable(ga, gd), q, docs)
-        o_b = _order(simcore.learnable(gb, gd), q, docs)
-        if o_a != o_b and gamma_q_inv:
+        kinds = (
+            simcore.COSINE,
+            simcore.DNORM,
+            simcore.QNORM,
+            simcore.DOT,
+            simcore.learnable(ga, gd),
+            simcore.learnable(gb, gd),
+        )
+        o_cos, o_dnorm, o_qnorm, o_dot, o_a, o_b = rank_documents(kinds, q, D, ids)
+        if cos_dnorm and not np.array_equal(o_cos, o_dnorm):
+            cos_dnorm = False
+            counterexample = counterexample or f"trial {t}: cosine {order(o_cos)} vs dnorm {order(o_dnorm)}"
+        if qnorm_dot and not np.array_equal(o_qnorm, o_dot):
+            qnorm_dot = False
+            counterexample = counterexample or f"trial {t}: qnorm {order(o_qnorm)} vs dot {order(o_dot)}"
+        if gamma_q_inv and not np.array_equal(o_a, o_b):
             gamma_q_inv = False
             counterexample = (
                 counterexample
-                or f"trial {t}: gamma_q {ga:.3f} vs {gb:.3f} at gamma_d {gd:.3f}: {o_a} vs {o_b}"
+                or f"trial {t}: gamma_q {ga:.3f} vs {gb:.3f} at gamma_d {gd:.3f}: {order(o_a)} vs {order(o_b)}"
             )
     return EquivalenceVerdict(
         trials=trials,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
+from .errors import CorruptArtifact, DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
 
 Array = np.ndarray
 Qrels = dict[str, dict[str, int]]
@@ -316,22 +316,65 @@ def write_run_file(path, ranking: Ranking, tag: str = "magnorm") -> None:
 
 
 def read_run_file(path) -> list:
-    """Read a 6-column run file back into RankedLists (one per query)."""
+    """Read a 6-column run file back into RankedLists (one per query).
+
+    Raises CorruptArtifact naming the file and line for a row without 6
+    columns, a rank that is not an integer, a score that does not parse
+    or is not finite, a doc id repeated within a query, a query whose
+    ranks are not 1..n, and a score above the one ranked before it.
+    """
     per_query: dict[str, list] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 6:
-                raise ValueError(f"expected 6 columns, got {len(parts)}: {line!r}")
+                raise CorruptArtifact(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
             qid, _, did, rank, score, _ = parts
-            per_query.setdefault(qid, []).append((int(rank), did, float(score)))
+            try:
+                r = int(rank)
+            except ValueError:
+                raise CorruptArtifact(f"{path}:{lineno}: rank {rank!r} is not an integer") from None
+            try:
+                s = float(score)
+            except ValueError:
+                s = math.nan
+            if not math.isfinite(s):
+                raise CorruptArtifact(f"{path}:{lineno}: score {score!r} is not a finite number")
+            per_query.setdefault(qid, []).append((r, did, s))
     runs = []
     for qid, rows in per_query.items():
+        # Rows hold no line numbers, which would cost memory on every valid
+        # file; a failed check finds its line by reading the file again.
+        ids = set()
+        for _, did, _ in rows:
+            if did in ids:
+                line = _line_of(path, qid, did, nth=2)
+                raise CorruptArtifact(f"{path}:{line}: doc {did!r} ranked twice for query {qid!r}")
+            ids.add(did)
         rows.sort()
-        runs.append(RankedList(qid, tuple((did, score) for _, did, score in rows)))
+        for expect, (r, did, s) in enumerate(rows, start=1):
+            if r != expect:
+                line = _line_of(path, qid, did)
+                raise CorruptArtifact(f"{path}:{line}: query {qid!r} has rank {r} where rank {expect} belongs")
+            if expect > 1 and s > rows[expect - 2][2]:
+                line = _line_of(path, qid, did)
+                raise CorruptArtifact(f"{path}:{line}: query {qid!r} scores rank {r} above rank {r - 1}")
+        runs.append(RankedList(qid, tuple((did, s) for _, did, s in rows)))
     return runs
+
+
+def _line_of(path, qid, did, nth: int = 1) -> int:
+    """Number of the nth line of a run file that ranks did for qid."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if len(parts) == 6 and parts[0] == qid and parts[2] == did:
+                nth -= 1
+                if nth == 0:
+                    return lineno
+    raise CorruptArtifact(f"{path} changed while it was read")
 
 
 # The largest grade whose gain 2^grade - 1 float64 holds exactly.

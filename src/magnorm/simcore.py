@@ -17,6 +17,7 @@ zero-norm rule for the scalar, matrix and candidate-stack scores alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ def as_embedding(values) -> Array:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"embedding must be 1-d with dim >= 1, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DimensionMismatch("embedding entries must be finite")
     return v
 
@@ -119,8 +120,8 @@ def decompose(q, d) -> tuple[float, float, float]:
     q = as_embedding(q)
     d = as_embedding(d)
     _check_dims(q, d)
-    nq = float(np.linalg.norm(q))
-    nd = float(np.linalg.norm(d))
+    nq = _norm(q)
+    nd = _norm(d)
     if nq == 0.0 or nd == 0.0:
         raise ZeroMagnitude("angular decomposition undefined for a zero vector")
     cos_theta = float(np.dot(q, d)) / (nq * nd)
@@ -163,7 +164,7 @@ def similarity(kind: SimilarityKind, q, d) -> float:
     q = as_embedding(q)
     d = as_embedding(d)
     _check_dims(q, d)
-    return divide_by_norms(kind, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d)))
+    return divide_by_norms(kind, float(np.dot(q, d)), _norm(q), _norm(d))
 
 
 def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array) -> Array:
@@ -179,6 +180,11 @@ def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array) -> Array:
     nq = np.linalg.norm(Q, axis=1)
     nd = np.linalg.norm(D, axis=1)
     return divide_by_norms(kind, Q @ D.T, nq[:, None], nd[None, :])
+
+
+def _norm(v: Array) -> float:
+    """|v| of a 1-d float64 vector: np.linalg.norm's own formula, sqrt(v.v), bit for bit."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def _check_dims(q: Array, d: Array) -> None:

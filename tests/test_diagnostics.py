@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnorm.datagen import TaskSpec, gen_asymmetric
 from magnorm.diagnostics import (
@@ -23,11 +25,14 @@ from magnorm import simcore
 from magnorm.errors import (
     DegenerateInput,
     DegenerateVariance,
+    DimensionMismatch,
     EmptyInput,
     TooFewSamples,
+    ZeroMagnitude,
 )
 from magnorm.model import forward, init_encoder
-from magnorm.simcore import COSINE, DNORM, DOT, QNORM
+from magnorm.metrics import ranked_list
+from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable, similarity
 
 
 class TestCohensD:
@@ -77,14 +82,48 @@ class TestCV:
             cv([-1.0, 1.0])
 
 
+def _ranked_ids(kind, q, docs) -> list:
+    """rank_documents' one row for kind over (doc_id, vector) pairs, as doc ids."""
+    ids = [did for did, _ in docs]
+    (row,) = rank_documents([kind], q, np.array([d for _, d in docs]), ids)
+    return [ids[j] for j in row.tolist()]
+
+
+def _oracle_ids(kind, q, docs) -> list:
+    """The per-document ranking: one scalar similarity per doc, sorted by ranked_list."""
+    return ranked_list("", [(did, similarity(kind, q, d)) for did, d in docs]).doc_ids()
+
+
+# Vector entries whose products and sums are exact, so the scalar and matrix
+# scores agree bit for bit and every tie is a true tie; -0.0 included.
+_ENTRY_POOL = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0)
+
+
+@st.composite
+def _ranking_case(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    vec = st.lists(st.sampled_from(_ENTRY_POOL), min_size=dim, max_size=dim)
+    q = np.array(draw(vec))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.booleans()):
+            # A collinear scaling of an earlier doc: cosine and dnorm tie it.
+            rows.append(draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))) * rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            rows.append(np.array(draw(vec)))
+    ids = draw(st.permutations([f"d{j}" for j in range(12)]))[:n]
+    g = st.floats(0.0, 1.0)
+    kinds = (COSINE, DOT, QNORM, DNORM, learnable(draw(g), draw(g)))
+    return q, np.array(rows), ids, kinds
+
+
 class TestRankDocuments:
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
         for kind in (COSINE, DOT, QNORM, DNORM):
             q = rng.standard_normal(4)
             docs = [(f"d{j}", rng.standard_normal(4)) for j in range(6)]
-            from magnorm.simcore import similarity
-
             expect = [
                 did
                 for did, _ in sorted(
@@ -92,15 +131,43 @@ class TestRankDocuments:
                     key=lambda t: (-t[1], t[0]),
                 )
             ]
-            assert rank_documents(kind, q, docs) == expect
+            assert _ranked_ids(kind, q, docs) == expect
 
     def test_collinear_docs_tie_lexicographically(self):
         # Cosine cannot separate a doc from its positive scalings.
         q = np.array([1.0, 0.0])
         d = np.array([0.6, 0.8])
         docs = [("z", 3.0 * d), ("a", d), ("m", 0.5 * d)]
-        assert rank_documents(COSINE, q, docs) == ["a", "m", "z"]
-        assert rank_documents(DOT, q, docs) == ["z", "a", "m"]
+        assert _ranked_ids(COSINE, q, docs) == ["a", "m", "z"]
+        assert _ranked_ids(DOT, q, docs) == ["z", "a", "m"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ranking_case())
+    def test_every_row_is_the_per_document_ranking(self, case):
+        q, D, ids, kinds = case
+        docs = list(zip(ids, D))
+        rows = []
+        for kind in kinds:
+            try:
+                expect = _oracle_ids(kind, q, docs)
+            except ZeroMagnitude:
+                with pytest.raises(ZeroMagnitude):
+                    rank_documents([kind], q, D, ids)
+                continue
+            (row,) = rank_documents([kind], q, D, ids)
+            assert [ids[j] for j in row.tolist()] == expect
+            rows.append(row)
+        if len(rows) == len(kinds):
+            assert np.array_equal(rank_documents(kinds, q, D, ids), np.array(rows))
+
+    @pytest.mark.parametrize(
+        "D",
+        [np.ones((3, 2)), np.ones((2, 3)), np.ones(2), np.array([[1.0, np.nan], [1.0, 1.0]])],
+        ids=["more-rows-than-ids", "wrong-dim", "1-d", "nan"],
+    )
+    def test_rejects_a_malformed_document_matrix(self, D):
+        with pytest.raises(DimensionMismatch):
+            rank_documents([DOT], np.ones(2), D, ["d0", "d1"])
 
 
 class TestVerifyRankingEquivalence:
@@ -128,9 +195,9 @@ class TestVerifyRankingEquivalence:
             q = rng.standard_normal(6)
             docs = [(f"d{j}", rng.standard_normal(6)) for j in range(5)]
             boosted = [(did, 100.0 * d if did == "d3" else d) for did, d in docs]
-            assert rank_documents(COSINE, q, docs) == rank_documents(COSINE, q, boosted)
-            assert rank_documents(DNORM, q, docs) == rank_documents(DNORM, q, boosted)
-            if rank_documents(DOT, q, docs) != rank_documents(DOT, q, boosted):
+            assert _ranked_ids(COSINE, q, docs) == _ranked_ids(COSINE, q, boosted)
+            assert _ranked_ids(DNORM, q, docs) == _ranked_ids(DNORM, q, boosted)
+            if _ranked_ids(DOT, q, docs) != _ranked_ids(DOT, q, boosted):
                 flipped_dot = True
         assert flipped_dot
 
@@ -139,7 +206,26 @@ class TestVerifyRankingEquivalence:
         for kind in (COSINE, DOT, QNORM, DNORM):
             q = rng.standard_normal(6)
             docs = [(f"d{j}", rng.standard_normal(6)) for j in range(5)]
-            assert rank_documents(kind, q, docs) == rank_documents(kind, 7.0 * q, docs)
+            assert _ranked_ids(kind, q, docs) == _ranked_ids(kind, 7.0 * q, docs)
+
+    # Recorded from the per-document ranker this one replaced: same draws,
+    # same verdicts, same counterexample strings.
+    FROZEN = {
+        (1, 3, 50, 0): "EquivalenceVerdict(trials=50, seed=0, cosine_dnorm_ok=False, qnorm_dot_ok=True, "
+        "gamma_q_invariant_ok=True, counterexample=\"trial 4: cosine ('d1', 'd2', 'd0') vs dnorm ('d2', 'd1', 'd0')\")",
+        (1, 3, 50, 1): "EquivalenceVerdict(trials=50, seed=1, cosine_dnorm_ok=False, qnorm_dot_ok=True, "
+        "gamma_q_invariant_ok=True, counterexample=\"trial 0: cosine ('d0', 'd1', 'd2') vs dnorm ('d1', 'd0', 'd2')\")",
+        (1, 3, 50, 2): "EquivalenceVerdict(trials=50, seed=2, cosine_dnorm_ok=False, qnorm_dot_ok=True, "
+        "gamma_q_invariant_ok=True, counterexample=\"trial 14: cosine ('d2', 'd0', 'd1') vs dnorm ('d2', 'd1', 'd0')\")",
+        (1, 3, 50, 3): "EquivalenceVerdict(trials=50, seed=3, cosine_dnorm_ok=False, qnorm_dot_ok=True, "
+        "gamma_q_invariant_ok=True, counterexample=\"trial 15: cosine ('d0', 'd2', 'd1') vs dnorm ('d2', 'd0', 'd1')\")",
+        (8, 16, 1000, 0): "EquivalenceVerdict(trials=1000, seed=0, cosine_dnorm_ok=True, qnorm_dot_ok=True, "
+        "gamma_q_invariant_ok=True, counterexample=None)",
+    }
+
+    @pytest.mark.parametrize("args", list(FROZEN), ids=lambda a: "-".join(map(str, a)))
+    def test_frozen_verdicts(self, args):
+        assert repr(verify_ranking_equivalence(*args)) == self.FROZEN[args]
 
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from magnorm.errors import DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
+from magnorm.errors import CorruptArtifact, DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
 from magnorm.metrics import (
     GradeTable,
     RankedList,
@@ -197,8 +197,56 @@ class TestFileFormats:
     def test_malformed_run_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("q1 Q0 d1 1 0.5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptArtifact):
             read_run_file(path)
+
+    # Each case replaces line 3 of a valid two-query file; its error names line 3.
+    RUN_LINES = ["q1 Q0 d2 1 0.75 t", "q1 Q0 d1 2 0.5 t", "q1 Q0 d3 3 0.25 t", "q2 Q0 d1 1 1.25 t"]
+
+    @pytest.mark.parametrize(
+        "line3, message",
+        [
+            ("q1 Q0 d3 3 0.25", "expected 6 columns, got 5"),
+            ("q1 Q0 d3 3 0.25 t extra", "expected 6 columns, got 7"),
+            ("q1 Q0 d3 3.0 0.25 t", "rank '3.0' is not an integer"),
+            ("q1 Q0 d3 three 0.25 t", "rank 'three' is not an integer"),
+            ("q1 Q0 d3 3 zero t", "score 'zero' is not a finite number"),
+            ("q1 Q0 d3 3 nan t", "score 'nan' is not a finite number"),
+            ("q1 Q0 d3 3 -inf t", "score '-inf' is not a finite number"),
+            ("q1 Q0 d2 3 0.25 t", "doc 'd2' ranked twice for query 'q1'"),
+            ("q1 Q0 d3 4 0.25 t", "query 'q1' has rank 4 where rank 3 belongs"),
+            ("q1 Q0 d3 2 0.25 t", "query 'q1' has rank 2 where rank 3 belongs"),
+            ("q1 Q0 d3 3 0.875 t", "query 'q1' scores rank 3 above rank 2"),
+        ],
+        ids=[
+            "5-columns",
+            "7-columns",
+            "rank-3.0",
+            "rank-word",
+            "score-word",
+            "score-nan",
+            "score-inf",
+            "repeated-doc",
+            "rank-gap",
+            "rank-twice",
+            "score-rises",
+        ],
+    )
+    def test_corrupt_run_file_names_the_line(self, tmp_path, line3, message):
+        path = tmp_path / "run.txt"
+        lines = list(self.RUN_LINES)
+        lines[2] = line3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptArtifact) as e:
+            read_run_file(path)
+        assert str(e.value) == f"{path}:3: {message}"
+
+    def test_valid_run_file_reads_back_unchanged(self, tmp_path):
+        path = tmp_path / "run.txt"
+        # Rows out of rank order, a blank line, and a tie keep their meaning.
+        path.write_text("q1 Q0 d1 2 0.5 t\n\nq1 Q0 d2 1 0.5 t\nq2 Q0 d1 1 -0.0 t\n")
+        back = read_run_file(path)
+        assert back == [RankedList("q1", (("d2", 0.5), ("d1", 0.5))), RankedList("q2", (("d1", -0.0),))]
 
     def test_metrics_csv_layout(self, tmp_path):
         rows = [("q1", "ndcg", 10, 0.5), ("ALL", "ndcg", 10, 0.5)]

@@ -257,3 +257,57 @@ class TestSimilarityMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(DimensionMismatch):
             simcore.as_embedding([1.0, float("nan")])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[bad if i == pos else 1.0 for i in range(4)] for bad in (math.nan, math.inf, -math.inf) for pos in range(4)]
+    + [[], [[1.0, 2.0]], [[1.0], [2.0]]],
+    ids=[f"{bad}-at-{pos}" for bad in ("nan", "inf", "-inf") for pos in range(4)] + ["empty", "1x2", "2x1"],
+)
+def test_as_embedding_rejects(values):
+    with pytest.raises(DimensionMismatch):
+        simcore.as_embedding(values)
+
+
+def _outcome(f, *args):
+    """The call's floats as bytes, or the type of the error it raised."""
+    try:
+        return np.array(f(*args), dtype=np.float64).tobytes()
+    except ZeroMagnitude as e:
+        return type(e)
+
+
+def _similarity_via_linalg_norm(kind, q, d):
+    """similarity() as it took its norms before: float(np.linalg.norm(v))."""
+    q, d = simcore.as_embedding(q), simcore.as_embedding(d)
+    return simcore.divide_by_norms(kind, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d)))
+
+
+def _decompose_via_linalg_norm(q, d):
+    """decompose() as it took its norms before: float(np.linalg.norm(v))."""
+    q, d = simcore.as_embedding(q), simcore.as_embedding(d)
+    nq, nd = float(np.linalg.norm(q)), float(np.linalg.norm(d))
+    if nq == 0.0 or nd == 0.0:
+        raise ZeroMagnitude("angular decomposition undefined for a zero vector")
+    return nq, nd, min(1.0, max(-1.0, float(np.dot(q, d)) / (nq * nd)))
+
+
+@st.composite
+def _scaled_pair(draw):
+    """Two vectors of one dim in 1..16, each scaled by a magnitude from subnormal to 1e200."""
+    dim = draw(st.integers(1, 16))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    scale = st.floats(5e-324, 1e200)
+    return np.array(draw(unit)) * draw(scale), np.array(draw(unit)) * draw(scale)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_scaled_pair(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_scalar_norms_are_bitwise_np_linalg_norm(pair, gq, gd):
+    # At 1e200, v.v overflows to inf; below about 1e-162 it underflows.
+    q, d = pair
+    with np.errstate(all="ignore"):
+        for kind in (COSINE, DOT, QNORM, DNORM, learnable(gq, gd)):
+            assert _outcome(similarity, kind, q, d) == _outcome(_similarity_via_linalg_norm, kind, q, d)
+        assert _outcome(decompose, q, d) == _outcome(_decompose_via_linalg_norm, q, d)
