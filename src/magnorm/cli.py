@@ -2,8 +2,8 @@
 
 Every command is deterministic given its config and seeds, and refuses to
 overwrite existing outputs unless --force is passed.  load_config(None) is
-the reference spec; train, sweep, --resume and the scripts all train
-through run_training; verify runs diagnostics.SUITES.  Exit codes:
+the reference spec; train, sweep and --resume all train through
+run_training; verify runs diagnostics.SUITES.  Exit codes:
 
     0  success
     1  property failure (verify)
@@ -30,7 +30,9 @@ from .datagen import TASK_FILES, TaskSpec, export_task, gen_asymmetric, load_tas
 from .errors import (
     ConfigError,
     CorruptArtifact,
+    DegenerateInput,
     DegenerateVariance,
+    EmptyInput,
     MagnormError,
     NonFiniteEvaluation,
     NonFiniteLoss,
@@ -43,6 +45,7 @@ from .model import (
     TrainConfig,
     TrainResult,
     _current_kind,
+    forward,
     init_encoder,
     initial_gamma,
     load_checkpoint,
@@ -333,7 +336,7 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
     tag = simcore.kind_from_name(kname).tag
     tlog = os.path.join(out, f"trainlog_{tag}_{seed}_resumed.csv")
     _guard([tlog], force)
-    result = run_training(cfg, task, kname, int(seed))
+    result = run_training(cfg, task, kname, seed)
     replayed = next((s for s in result.snapshots if s.step == rstep), None)
     if replayed is None:
         raise ConfigError(f"checkpoint step {rstep} is not an evaluation step of this config")
@@ -517,6 +520,8 @@ def _cmd_sweep(args) -> int:
         result, best, ckpt = _train_and_save(cfg, task, out, kname, seed, stem)
         rows, _, _ = _eval_checkpoint(ckpt, task, out, "test", "10,100,10", force=True)
         macro = {f"{name}@{k}": v for name, k, v in _macro_rows(rows)}
+        mags = np.linalg.norm(forward(result.encoder, task.doc_features, "doc"), axis=1)
+        pearson, hub_d = diagnostics.relevance_counter(mags, task)
         summary.append(
             {
                 "kind": kname,
@@ -529,6 +534,8 @@ def _cmd_sweep(args) -> int:
                     (v for key, v in macro.items() if key.startswith("recall@")), 0.0
                 ),
                 "test_mrr10": macro.get("mrr@10", 0.0),
+                "pearson": pearson,
+                "hub_d": hub_d,
             }
         )
         print(
@@ -624,7 +631,7 @@ def main(argv=None) -> int:
     except ZeroMagnitude as e:
         _err(f"zero magnitude: {e}")
         return 5
-    except (DegenerateVariance, TooFewSamples) as e:
+    except (DegenerateInput, DegenerateVariance, EmptyInput, TooFewSamples) as e:
         _err(f"degenerate statistics: {e}")
         return 6
     except OSError as e:

@@ -77,10 +77,10 @@ class TaskSpec:
 class SyntheticTask:
     """Generated corpus, queries, graded judgments, and bookkeeping.
 
-    doc_cluster, hub_ids, and spec are generation-side metadata; they are
-    not exported and are absent (None) on tasks loaded from disk.
-    relevance_count is derived from qrels: per document, the number of
-    queries that judge it grade >= 1.
+    doc_cluster and spec are generation-side metadata; they are not
+    exported and are absent (None) on tasks loaded from disk.  hub_ids is
+    exported as hubs.json.  relevance_count is derived from qrels: per
+    document, the number of queries that judge it grade >= 1.
     """
 
     doc_ids: list
@@ -284,14 +284,17 @@ def gen_symmetric(spec: TaskSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Disk layout: corpus.jsonl, queries.jsonl, qrels.txt, splits.json
+# Disk layout: corpus.jsonl, queries.jsonl, qrels.txt, splits.json, hubs.json
 # ---------------------------------------------------------------------------
 
-TASK_FILES = ("corpus.jsonl", "queries.jsonl", "qrels.txt", "splits.json")
+TASK_FILES = ("corpus.jsonl", "queries.jsonl", "qrels.txt", "splits.json", "hubs.json")
 
 
 def export_task(task: SyntheticTask, outdir: str, force: bool = False) -> list:
-    """Write the four task files; refuses to overwrite unless forced."""
+    """Write the five task files; refuses to overwrite unless forced.
+
+    hubs.json is a JSON list of the hub doc ids in corpus order.
+    """
     os.makedirs(outdir, exist_ok=True)
     paths = [os.path.join(outdir, name) for name in TASK_FILES]
     if not force:
@@ -302,9 +305,10 @@ def export_task(task: SyntheticTask, outdir: str, force: bool = False) -> list:
     _write_jsonl(paths[1], task.query_ids, task.query_features)
     write_qrels(paths[2], task.qrels)
     splits = {name: task.split_queries(name) for name in SPLIT_NAMES}
-    with atomic_write(paths[3]) as fh:
-        json.dump(splits, fh, indent=1)
-        fh.write("\n")
+    for path, obj in ((paths[3], splits), (paths[4], task.hub_ids)):
+        with atomic_write(path) as fh:
+            json.dump(obj, fh, indent=1)
+            fh.write("\n")
     return paths
 
 
@@ -325,10 +329,14 @@ def _read_jsonl(path) -> tuple:
                 raise TypeError(f"id {rec['id']!r} is not a string")
             ids.append(rec["id"])
             rows.append(rec["features"])
+    _reject_repeats(ids)
+    return ids, np.asarray(rows, dtype=np.float64)
+
+
+def _reject_repeats(ids: list) -> None:
     repeated = [ident for ident, count in Counter(ids).items() if count > 1]
     if repeated:
         raise ValueError(f"id {repeated[0]!r} appears more than once")
-    return ids, np.asarray(rows, dtype=np.float64)
 
 
 def _read_splits(path) -> dict:
@@ -342,13 +350,22 @@ def _read_splits(path) -> dict:
     return {q: name for name, qs in splits.items() for q in qs}
 
 
-def load_task(outdir: str) -> SyntheticTask:
-    """Rebuild a task from its four exported files.
+def _read_hubs(path) -> list:
+    with open(path) as fh:
+        hubs = json.load(fh)
+    if not isinstance(hubs, list) or not all(isinstance(d, str) for d in hubs):
+        raise TypeError("not a list of doc ids")
+    _reject_repeats(hubs)
+    return hubs
 
-    Generation metadata (clusters, hub list, spec) is not persisted and
-    comes back as None.  A file that does not parse, or a line that lacks
-    a field or has one of the wrong type, raises CorruptArtifact naming it,
-    and so do a doc or query id listed twice, a qrels doc id absent from
+
+def load_task(outdir: str) -> SyntheticTask:
+    """Rebuild a task from its five exported files.
+
+    Generation metadata (clusters, spec) is not persisted and comes back
+    as None.  A file that does not parse, or a line that lacks a field or
+    has one of the wrong type, raises CorruptArtifact naming it, and so do
+    a doc, query or hub id listed twice, a qrels or hub doc id absent from
     the corpus and a query without a split.
     """
     from .metrics import read_qrels
@@ -364,10 +381,13 @@ def load_task(outdir: str) -> SyntheticTask:
     query_ids, query_features = read("queries.jsonl", _read_jsonl)
     qrels = read("qrels.txt", read_qrels)
     split_of = read("splits.json", _read_splits)
-    unknown = sorted({d for grades in qrels.values() for d in grades} - set(doc_ids))
-    if unknown:
-        path = os.path.join(outdir, "qrels.txt")
-        raise CorruptArtifact(f"{path} names doc {unknown[0]!r}, which corpus.jsonl lacks")
+    hub_ids = read("hubs.json", _read_hubs)
+    judged = {d for grades in qrels.values() for d in grades}
+    for name, named in (("qrels.txt", judged), ("hubs.json", hub_ids)):
+        unknown = sorted(set(named) - set(doc_ids))
+        if unknown:
+            path = os.path.join(outdir, name)
+            raise CorruptArtifact(f"{path} names doc {unknown[0]!r}, which corpus.jsonl lacks")
     unsplit = [q for q in query_ids if q not in split_of]
     if unsplit:
         path = os.path.join(outdir, "splits.json")
@@ -379,4 +399,5 @@ def load_task(outdir: str) -> SyntheticTask:
         query_features=query_features,
         qrels=qrels,
         split_of=split_of,
+        hub_ids=hub_ids,
     )

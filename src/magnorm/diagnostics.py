@@ -330,11 +330,22 @@ SUITES = (
 # ---------------------------------------------------------------------------
 
 
+def _or_nan(statistic, a, b) -> float:
+    try:
+        return statistic(a, b)
+    except (DegenerateInput, DegenerateVariance, TooFewSamples):
+        return math.nan
+
+
 def relevance_counter(mags: Array, task: SyntheticTask) -> tuple:
-    """(Pearson r of doc norms with relevance_count, hubs' Cohen's d); mags in doc_ids order."""
-    r = pearson(mags.tolist(), [task.relevance_count[d] for d in task.doc_ids])
+    """(Pearson r of doc norms with relevance_count, hubs' Cohen's d); mags in doc_ids order.
+
+    A statistic the input leaves undefined is nan: constant norms or
+    counts, fewer than two hubs or non-hubs, or zero pooled variance.
+    """
+    r = _or_nan(pearson, mags.tolist(), [task.relevance_count[d] for d in task.doc_ids])
     hubs = np.isin(task.doc_ids, task.hub_ids)
-    return r, cohens_d(mags[hubs].tolist(), mags[~hubs].tolist())
+    return r, _or_nan(cohens_d, mags[hubs].tolist(), mags[~hubs].tolist())
 
 
 @dataclass(frozen=True)

@@ -585,7 +585,9 @@ def load_checkpoint(path) -> tuple:
 
     Raises CorruptArtifact, naming the file, when it does not parse, a
     key is missing or of the wrong type, or a weight has the wrong number
-    of entries or a non-finite one, as does a non-finite gamma_hat.
+    of entries or a non-finite one, as does a non-finite gamma_hat, an
+    echoed config kind that is not a similarity kind name, or an echoed
+    config seed that is not an integer.
     """
     with open(path) as fh:
         try:
@@ -612,4 +614,13 @@ def load_checkpoint(path) -> tuple:
         p[...] = flat.reshape(p.shape)
     if not (math.isfinite(gq) and math.isfinite(gd)):
         raise CorruptArtifact(f"{path}: gamma_hat has a non-finite entry")
+    kind, seed = payload["config"].get("kind", "cosine"), payload["config"].get("seed", 0)
+    try:
+        if type(kind) is not str:
+            raise TypeError
+        simcore.kind_from_name(kind)
+    except (TypeError, ValueError):
+        raise CorruptArtifact(f"{path}: config kind {kind!r} is not a similarity kind name") from None
+    if type(seed) is not int:
+        raise CorruptArtifact(f"{path}: config seed {seed!r} is not an integer")
     return enc, GammaParams(gq, gd), payload["step"], payload["config"]

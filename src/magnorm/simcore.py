@@ -146,7 +146,8 @@ def divide_by_norms(kind: SimilarityKind, t, nq, nd):
             # count_nonzero, not any(): it takes a Python bool about as fast as an array.
             if np.count_nonzero(n == 0.0):
                 raise ZeroMagnitude(f"zero-norm {side}")
-            den = n**g if den is None else den * n**g
+            p = _power(n, g)
+            den = p if den is None else den * p
     if den is None:
         return t
     if isinstance(den, np.ndarray) and den.shape == np.shape(t):
@@ -154,6 +155,20 @@ def divide_by_norms(kind: SimilarityKind, t, nq, nd):
         # overwrites it rather than taking a third matrix.
         return np.divide(t, den, out=den)
     return t / den
+
+
+def _power(n, g):
+    """n**g by numpy's array power, for a float norm as for an array of norms.
+
+    Python's float pow and numpy's vectorized pow can round a fractional
+    power an ulp apart, so a float goes through a 0-d array: similarity()
+    then gets the bits similarity_matrix() gets for the same pair, and
+    ties break alike in both.  |v|**1 is exact either way, so the corner
+    variants skip the round trip.
+    """
+    if g == 1.0 or isinstance(n, np.ndarray):
+        return n**g
+    return float(np.asarray(n) ** g)
 
 
 def similarity(kind: SimilarityKind, q, d) -> float:

@@ -11,8 +11,8 @@ import pytest
 
 from magnorm import cli, diagnostics, model
 from magnorm.cli import load_config, main
-from magnorm.datagen import TASK_FILES
-from magnorm.model import TRAINLOG_HEADER, load_checkpoint
+from magnorm.datagen import TASK_FILES, load_task
+from magnorm.model import TRAINLOG_HEADER, forward, load_checkpoint
 
 
 def _write_config(path, out, kinds=("dot", "cosine"), epochs=3, **over):
@@ -331,11 +331,21 @@ def _nan_w1(b):
     return json.dumps(payload).encode()
 
 
+def _echo(key, value):
+    def corrupt(b):
+        payload = json.loads(b)
+        payload["config"][key] = value
+        return json.dumps(payload).encode()
+    return corrupt
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1, _nan_w1],
-        ids=["cut", "no-step", "short-w1", "nan-weight"],
+        [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1, _nan_w1,
+         _echo("kind", "bogus"), _echo("kind", 7), _echo("kind", "learnable:2,2"), _echo("seed", "x")],
+        ids=["cut", "no-step", "short-w1", "nan-weight",
+             "kind-bogus", "kind-number", "kind-gamma-2", "seed-string"],
     )
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_exits_three_naming_the_file(self, workdir, capsys, command, corrupt):
@@ -377,11 +387,18 @@ class TestCorruptTask:
             ("splits.json", lambda text: json.dumps({k: v[1:] for k, v in json.loads(text).items()})),
             ("qrels.txt", _first_line(lambda line: line.rsplit(" ", 1)[0] + " -1")),
             ("qrels.txt", _first_line(lambda line: line.rsplit(" ", 1)[0] + " 1024")),
+            ("hubs.json", lambda text: text[:10]),
+            ("hubs.json", lambda text: json.dumps({"hubs": json.loads(text)})),
+            ("hubs.json", lambda text: json.dumps([7, *json.loads(text)[1:]])),
+            ("hubs.json", lambda text: json.dumps(json.loads(text) + json.loads(text)[:1])),
+            ("hubs.json", lambda text: json.dumps(json.loads(text) + ["dZZ"])),
         ],
         ids=["qrels-3-columns", "qrels-grade", "splits-cut", "splits-list",
              "corpus-cut-line", "corpus-no-features", "queries-no-id",
              "corpus-numeric-id", "splits-string-value", "qrels-unknown-doc",
-             "splits-missing-query", "qrels-negative-grade", "qrels-grade-1024"],
+             "splits-missing-query", "qrels-negative-grade", "qrels-grade-1024",
+             "hubs-cut", "hubs-not-list", "hubs-numeric-id", "hubs-repeated-id",
+             "hubs-unknown-doc"],
     )
     def test_eval_exits_three_naming_the_file(self, workdir, capsys, name, corrupt):
         out, cfg = workdir
@@ -466,6 +483,28 @@ class TestDiagnose:
         assert main(["diagnose", "--checkpoint", ckpt, "--out", str(out)]) == 0
         assert main(["diagnose", "--checkpoint", ckpt, "--out", str(out)]) == 4
 
+    def test_constant_dot_query_tower_exits_six(self, tmp_path, monkeypatch, capsys):
+        # Every query embeds to e0, so the dot baseline's query CV is 0 and delta_cv is undefined.
+        monkeypatch.delenv("MAGNORM_OUT", raising=False)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path / "cfg.json", out, kinds=("dot", "dnorm"))
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        dot = out / "checkpoint_dot_0.json"
+        payload = json.loads(dot.read_text())
+        for name, flat in payload["weights"].items():
+            if name.startswith("q."):
+                payload["weights"][name] = [0.0] * len(flat)
+        payload["weights"]["q.b2"][0] = 1.0
+        dot.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["diagnose", "--checkpoint", str(dot), "--checkpoint", str(out / "checkpoint_dnorm_0.json")]
+        assert main([*argv, "--out", str(out)]) == 6
+        assert capsys.readouterr().err == (
+            "magnorm: degenerate statistics: baseline query dispersion must be positive\n"
+        )
+        assert not (out / "diagnostics.json").exists()
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -501,6 +540,16 @@ class TestVerify:
         assert "config error: --seed" in capsys.readouterr().err
 
 
+def _assert_relevance_columns(out, rows):
+    """pearson and hub_d are relevance_counter over each saved checkpoint's doc norms."""
+    task = load_task(str(out))
+    for row in rows:
+        encoder = load_checkpoint(out / f"checkpoint_{row['kind']}_{row['seed']}.json")[0]
+        mags = np.linalg.norm(forward(encoder, task.doc_features, "doc"), axis=1)
+        r, d = diagnostics.relevance_counter(mags, task)
+        assert (row["pearson"], row["hub_d"]) == (f"{r:.10g}", f"{d:.10g}")
+
+
 class TestSweep:
     def test_full_pipeline_and_step_matching(self, workdir, capsys):
         out, cfg = workdir
@@ -510,6 +559,8 @@ class TestSweep:
         with (out / "sweep_summary.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["kind"] for r in rows] == ["dot", "cosine"]
+        assert list(rows[0])[-2:] == ["pearson", "hub_d"]
+        _assert_relevance_columns(out, rows)
         for row in rows:
             assert float(row["val_ndcg10"]) > float(row["untrained_val_ndcg10"])
             assert 0.0 <= float(row["test_ndcg10"]) <= 1.0
@@ -524,6 +575,18 @@ class TestSweep:
         assert main(["gen", "--config", cfg]) == 0
         assert main(["sweep", "--config", cfg, "--kinds", "dot"]) == 0
         assert "reusing task files" in capsys.readouterr().out
+        with (out / "sweep_summary.csv").open() as fh:
+            _assert_relevance_columns(out, list(csv.DictReader(fh)))
+
+    def test_no_hubs_writes_nan_hub_d(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MAGNORM_OUT", raising=False)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path / "cfg.json", out, kinds=("dot",), **{"task.hub_fraction": 0.0})
+        assert main(["sweep", "--config", cfg]) == 0
+        with (out / "sweep_summary.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["hub_d"] == "nan"
+        assert np.isfinite(float(row["pearson"]))
 
     def test_refuses_overwrite(self, workdir):
         out, cfg = workdir
@@ -565,6 +628,7 @@ class TestAtomicArtifacts:
             ("gen", "queries.jsonl"),
             ("gen", "qrels.txt"),
             ("gen", "splits.json"),
+            ("gen", "hubs.json"),
             ("train", "checkpoint_dot_0.json"),
             ("train", "trainlog_dot_0.csv"),
             ("diagnose", "diagnostics.json"),

@@ -183,7 +183,8 @@ class TestDiskLayout:
         assert back.qrels == task.qrels
         assert back.split_of == task.split_of
         assert back.relevance_count == task.relevance_count
-        assert back.spec is None and back.hub_ids is None
+        assert back.hub_ids == task.hub_ids
+        assert back.spec is None
 
     def test_refuses_overwrite(self, tmp_path):
         task = gen_asymmetric(SMALL)

@@ -15,6 +15,7 @@ from magnorm.diagnostics import (
     cv,
     magnitude_report,
     rank_documents,
+    relevance_counter,
     relevant_doc_ids,
     suite_symmetry,
     verify_ranking_equivalence,
@@ -295,6 +296,15 @@ class TestMagnitudeReport:
         enc = init_encoder(8, 0, 8, shared=False, seed=1)
         with pytest.raises(EmptyInput):
             magnitude_report(enc, task, DOT, split="test")
+
+
+class TestRelevanceCounter:
+    def test_undefined_statistics_are_nan(self):
+        task = gen_asymmetric(TASK)
+        assert all(math.isnan(v) for v in relevance_counter(np.ones(len(task.doc_ids)), task))
+        no_hubs = gen_asymmetric(TaskSpec(**{**TASK.__dict__, "hub_fraction": 0.0}))
+        r, d = relevance_counter(np.arange(1.0, len(no_hubs.doc_ids) + 1.0), no_hubs)
+        assert math.isfinite(r) and math.isnan(d)
 
 
 class TestDeltaCV:

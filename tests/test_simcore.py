@@ -225,6 +225,22 @@ class TestSimilarityMatrix:
                 for j in range(7):
                     assert S[i, j] == pytest.approx(similarity(kind, Q[i], D[j]), rel=1e-12, abs=1e-14)
 
+    def test_fractional_gammas_keep_the_matrix_bits(self):
+        # Python's float pow and numpy's array pow can round a fractional
+        # power of a norm an ulp apart; the scalar score must take the
+        # matrix's bits, or a tie under one path is no tie under the other.
+        q = np.array([0.5, 1.0])
+        D = np.array([[0.0, 1.5], [0.0, 0.5]])
+        kind = learnable(0.6544376375126068, 1.0)
+        assert [similarity(kind, q, d) for d in D] == similarity_matrix(kind, q[None, :], D)[0].tolist()
+        # One nonzero entry per vector: every product and norm is one
+        # rounding, the same in both paths, so only the powers could differ.
+        rng = np.random.default_rng(14)
+        for a, b, gq, gd in zip(*rng.uniform(0.05, 4.0, (2, 300)), *rng.uniform(0.05, 0.95, (2, 300))):
+            kind = learnable(gq, gd)
+            q, d = np.array([a, 0.0]), np.array([b, 0.0])
+            assert similarity(kind, q, d) == similarity_matrix(kind, q[None, :], d[None, :])[0, 0]
+
     def test_dot_is_the_raw_product(self):
         # No gamma is positive, so nothing divides the scores, not even 1.0.
         rng = np.random.default_rng(12)
