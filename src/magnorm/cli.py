@@ -107,12 +107,35 @@ class ExperimentConfig:
     sections: dict
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a config value may be, by the type of its default.
+_JSON_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", _is_number),
+    type(None): ("null or a number", lambda v: v is None or _is_number(v)),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
 def _merge_section(raw: dict, defaults: dict, where: str) -> dict:
+    """defaults overridden by raw, each value of its default's JSON type."""
     if not isinstance(raw, dict):
         raise ConfigError(f"section {where!r} must be a JSON object")
     unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key, value in raw.items():
+        what, ok = _JSON_TYPES[type(defaults[key])]
+        if not ok(value):
+            raise ConfigError(f"{where}.{key} must be {what}, got {json.dumps(value)}")
     return {**defaults, **raw}
 
 
@@ -143,26 +166,15 @@ def load_config(path) -> ExperimentConfig:
     seeds = raw.get("seeds", list(DEFAULT_SEEDS))
     if not isinstance(kinds, list) or not kinds:
         raise ConfigError("kinds must be a nonempty list of similarity names")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a nonempty list of integers")
-    try:
-        seeds = [int(s) for s in seeds]
-    except (TypeError, ValueError):
-        raise ConfigError("seeds must be integers") from None
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
+        raise ConfigError(f"seeds must be a nonempty list of non-negative integers, got {json.dumps(seeds)}")
+    if task_sec["seed"] < 0:
+        raise ConfigError(f"task.seed must be a non-negative integer, got {task_sec['seed']}")
     _check_kinds(kinds)
 
     try:
-        spec = TaskSpec(
-            n_docs=int(task_sec["n_docs"]),
-            n_queries=int(task_sec["n_queries"]),
-            feature_dim=int(task_sec["feature_dim"]),
-            n_clusters=int(task_sec["n_clusters"]),
-            hub_fraction=float(task_sec["hub_fraction"]),
-            hub_multiplicity=int(task_sec["hub_multiplicity"]),
-            noise_sigma=float(task_sec["noise_sigma"]),
-            seed=int(task_sec["seed"]),
-            splits=tuple(float(f) for f in task_sec["splits"]),
-        )
+        floats = {k: float(task_sec[k]) for k in ("hub_fraction", "noise_sigma")}
+        spec = TaskSpec(**{**task_sec, **floats})
         loss_params = {
             "tau": float(loss_sec["tau"]),
             "alpha": float(loss_sec["alpha"]),
@@ -170,9 +182,9 @@ def load_config(path) -> ExperimentConfig:
         }
         train_params = {
             "lr": float(train_sec["lr"]),
-            "epochs": int(train_sec["epochs"]),
-            "batch_size": int(train_sec["batch_size"]),
-            "eval_every": int(train_sec["eval_every"]),
+            "epochs": train_sec["epochs"],
+            "batch_size": train_sec["batch_size"],
+            "eval_every": train_sec["eval_every"],
             "beta1": float(train_sec["beta1"]),
             "beta2": float(train_sec["beta2"]),
             "eps": float(train_sec["eps"]),
@@ -183,9 +195,9 @@ def load_config(path) -> ExperimentConfig:
         # Probe constructions so invalid numbers fail here, not mid-sweep.
         probe_loss = LossConfig(kind=simcore.COSINE, **loss_params)
         TrainConfig(seed=0, loss=probe_loss, **train_params)
-        enc_hidden = int(enc_sec["hidden"])
-        enc_dim = int(enc_sec["embed_dim"])
-        enc_shared = bool(enc_sec["shared"])
+        enc_hidden = enc_sec["hidden"]
+        enc_dim = enc_sec["embed_dim"]
+        enc_shared = enc_sec["shared"]
         if enc_hidden < 0 or enc_dim < 1:
             raise ValueError("encoder hidden must be >= 0 and embed_dim >= 1")
     except (ValueError, MagnormError) as e:
@@ -472,8 +484,6 @@ def _cmd_diagnose(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be a positive integer")
-    if args.seed < 0:
-        raise ConfigError("--seed must be a non-negative integer")
     failures = []
     print(f"{'suite':<22}{'max_err':>12}  {'tol':<12}{'status'}")
     for i, (name, suite) in enumerate(diagnostics.SUITES):
@@ -501,12 +511,13 @@ def _cmd_sweep(args) -> int:
     os.makedirs(out, exist_ok=True)
     plan = _plan(args, cfg)
 
-    if all(os.path.exists(os.path.join(out, f)) for f in TASK_FILES):
+    # A partial task directory is loaded, so the missing file exits 3 by name.
+    if any(os.path.exists(os.path.join(out, f)) for f in TASK_FILES):
         task = load_task(out)
         print(f"reusing task files in {out}")
     else:
         task = gen_asymmetric(cfg.task)
-        export_task(task, out, force=args.force)
+        export_task(task, out)
         print(f"generated task files in {out}")
 
     summary_path = os.path.join(out, "sweep_summary.csv")
@@ -618,6 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # gen, train, sweep and verify take --seed; numpy seeds must be >= 0.
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError("--seed must be a non-negative integer")
         return args.func(args)
     except ConfigError as e:
         _err(f"config error: {e}")

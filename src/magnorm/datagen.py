@@ -300,7 +300,7 @@ def export_task(task: SyntheticTask, outdir: str, force: bool = False) -> list:
     if not force:
         for p in paths:
             if os.path.exists(p):
-                raise FileExistsError(f"{p} exists; pass force to overwrite")
+                raise FileExistsError(f"{p} exists (use --force to overwrite)")
     _write_jsonl(paths[0], task.doc_ids, task.doc_features)
     _write_jsonl(paths[1], task.query_ids, task.query_features)
     write_qrels(paths[2], task.qrels)

@@ -21,8 +21,8 @@ class DimensionMismatch(MagnormError):
 
 
 class DegenerateBatch(MagnormError):
-    """A contrastive batch cannot supply a positive and at least the
-    required candidates for some query."""
+    """An in-batch contrastive batch has fewer than two queries, so its
+    pool of positives holds no negative for some query."""
 
 
 class NonFiniteEvaluation(MagnormError):

@@ -1,9 +1,9 @@
 """Closed-form gradients of the similarity family and of InfoNCE.
 
 Everything here is hand-derived; there is no autodiff engine.  One
-formula, _stack_grad, serves the whole family for candidates pooled
-across queries (in-batch InfoNCE, sim_grad) or stacked per query
-(explicit negatives).  The normalization Jacobian d(v/|v|)/dv =
+formula, _stack_grad, serves the whole family for a pool of candidates
+shared by every query: in-batch InfoNCE's positives, and sim_grad's
+single document.  The normalization Jacobian d(v/|v|)/dv =
 (I - vv^T/|v|^2)/|v| factors as the tangent-space projector
 P_v = I - vhat vhat^T divided by the norm.  P_v is symmetric,
 idempotent, annihilates the radial direction, and has trace n - 1.
@@ -45,15 +45,13 @@ class SimGradient:
 class InfoNCEGradients:
     """Gradients of the batch-mean InfoNCE loss.
 
-    In in-batch mode the positives are a pool every query scores, so
-    d_positives sums over queries and d_negatives is None.  In explicit
-    mode d_positives and d_negatives split each query's candidate stack.
+    The positives are a pool every query scores, so d_positives sums
+    over queries.
     """
 
     loss: float
     d_queries: Array
     d_positives: Array
-    d_negatives: Array | None
     d_gamma_q: float | None = None
     d_gamma_d: float | None = None
 
@@ -89,36 +87,30 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
 
 
 def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array) -> tuple:
-    """Gradients of sum_bk G[b, k] * s(Q[b], c_bk), S holding the scores s.
+    """Gradients of sum_bk G[b, k] * s(Q[b], C[k]), S holding the scores s.
 
-    Q is (B, n); C.ndim picks the candidates' layout:
-      pool   (K, n), c_bk = C[k]: in-batch positives, sim_grad's 1x1 pool;
-      stack  (B, K, n), c_bk = C[b, k]: explicit negatives.
-    dC has C's shape, so a pooled candidate's gradient and d_gamma_d sum
-    over queries.  Returns (dQ, dC, d_gamma_q, d_gamma_d), gammas None
-    unless learnable.  The callers' scores already rejected zero norms.
+    Q is (B, n) and C a (K, n) pool every query scores: in-batch
+    positives, or sim_grad's 1x1 pool.  A candidate's gradient and
+    d_gamma_d sum over queries.  Returns (dQ, dC, d_gamma_q, d_gamma_d),
+    gammas None unless learnable.  The callers' scores already rejected
+    zero norms.
     """
     gq, gd = effective_gammas(kind)
-    pool = C.ndim == 2
     nq = np.linalg.norm(Q, axis=1)
-    nd = np.linalg.norm(C, axis=-1)
+    nd = np.linalg.norm(C, axis=1)
     scale_q = (nq**gq)[:, None]
     scale_d = nd**gd
-    Gd = G / scale_d
-    Gq = G / scale_q
-    if pool:
-        dQ, dC = Gd @ C, Gq.T @ Q
-    else:
-        dQ, dC = np.einsum("bk,bkn->bn", Gd, C), Gq[:, :, None] * Q[:, None, :]
+    dQ = (G / scale_d) @ C
+    dC = (G / scale_q).T @ Q
     dQ /= scale_q
-    dC /= scale_d[..., None]
+    dC /= scale_d[:, None]
     GS = G * S
     GS_q = GS.sum(axis=1)
-    GS_c = GS.sum(axis=0) if pool else GS
+    GS_c = GS.sum(axis=0)
     if gq > 0.0:
         dQ -= gq * (GS_q / nq**2)[:, None] * Q
     if gd > 0.0:
-        dC -= gd * (GS_c / nd**2)[..., None] * C
+        dC -= gd * (GS_c / nd**2)[:, None] * C
     if kind.tag != "learnable":
         return dQ, dC, None, None
     return dQ, dC, float(-(GS_q * np.log(nq)).sum()), float(-(GS_c * np.log(nd)).sum())
@@ -128,30 +120,25 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     """Loss and gradients of infonce_loss for every embedding and gamma.
 
     With logits z_ij = (alpha/tau) s_ij and softmax rows p_i, the chain
-    rule gives dL/ds_ij = (alpha/tau)(p_ij - [j = pos_i]) / B, after
-    which _stack_grad distributes the signal onto queries, candidates,
-    and gammas.  In-batch mode hands it the positives as one pool;
-    explicit mode hands it the (B, K+1, n) candidate stack, each
-    positive at index 0.
+    rule gives dL/ds_ij = (alpha/tau)(p_ij - [j = i]) / B, after which
+    _stack_grad distributes the signal onto queries, the pool of
+    positives, and gammas.
     """
-    logits, pos_idx = candidate_logits(batch, cfg)
+    logits = candidate_logits(batch, cfg)
     B = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     e_sum = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(e_sum[:, 0])
-    loss = float((lse - logits[np.arange(B), pos_idx]).mean())
+    loss = float((lse - np.diagonal(logits)).mean())
 
     G = e / e_sum
-    G[np.arange(B), pos_idx] -= 1.0
+    G[np.diag_indices(B)] -= 1.0
     G *= cfg.alpha / cfg.tau / B
 
     S = logits * cfg.tau / cfg.alpha
-    C = batch.positives if batch.in_batch else batch.candidates
-    dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, C)
-    if batch.in_batch:
-        return InfoNCEGradients(loss, dQ, dC, None, dgq, dgd)
-    return InfoNCEGradients(loss, dQ, dC[:, 0], dC[:, 1:], dgq, dgd)
+    dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, batch.positives)
+    return InfoNCEGradients(loss, dQ, dC, dgq, dgd)
 
 
 def finite_difference(f, x, h: float = 1e-5) -> Array:

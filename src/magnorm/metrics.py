@@ -32,6 +32,20 @@ Array = np.ndarray
 Qrels = dict[str, dict[str, int]]
 
 
+def macro_mean(values) -> float:
+    """Mean of a sequence of floats, added left to right; 0.0 when empty.
+
+    An explicit loop, not sum(): Python 3.12's sum() compensates float
+    rounding, which would change the ALL rows and the logged NDCG between
+    Python versions.
+    """
+    total, count = 0.0, 0
+    for value in values:
+        total += value
+        count += 1
+    return total / count if count else 0.0
+
+
 @dataclass(frozen=True)
 class RankedList:
     """One query's ranking: (doc_id, score) pairs with finite, non-increasing scores."""
@@ -222,7 +236,7 @@ class Ranking:
         for name, k in metric_ks:
             values = _RANKING_METRICS[name](self, k).tolist()
             rows += [(qid, name, k, v) for qid, v in zip(self.table.query_ids, values)]
-            rows.append(("ALL", name, k, sum(values) / len(values) if values else 0.0))
+            rows.append(("ALL", name, k, macro_mean(values)))
         return rows
 
 
@@ -427,8 +441,7 @@ def evaluate_runs(runs, qrels: Qrels, metric_ks) -> list:
             v = fn(run, qrels, k)
             rows.append((run.query_id, name, k, v))
             values.append(v)
-        macro = sum(values) / len(values) if values else 0.0
-        rows.append(("ALL", name, k, macro))
+        rows.append(("ALL", name, k, macro_mean(values)))
     return rows
 
 

@@ -33,7 +33,7 @@ from . import simcore
 from .datagen import SyntheticTask
 from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from .grad import infonce_grad
-from .metrics import GradeTable, Ranking, atomic_write
+from .metrics import GradeTable, Ranking, atomic_write, macro_mean
 from .objective import ContrastiveBatch, LossConfig
 
 Array = np.ndarray
@@ -364,22 +364,11 @@ def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, split: str) -> tu
     return qids, Q, D
 
 
-def _mean_ndcg(ranking: Ranking, k: int) -> float:
-    """Macro-averaged NDCG@k of a ranking."""
-    # An explicit loop, not sum(): Python 3.12's sum() compensates float
-    # rounding, which would change the logged values between versions.
-    total, count = 0.0, 0
-    for value in ranking.ndcg(k).tolist():
-        total += value
-        count += 1
-    return total / count if count else 0.0
-
-
 def validation_ndcg(
     encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str = "val", k: int = 10
 ) -> float:
     """Macro-averaged NDCG@k of the current parameters on one split."""
-    return _mean_ndcg(rank_split(encoder, gamma, task, kind, split), k)
+    return macro_mean(rank_split(encoder, gamma, task, kind, split).ndcg(k).tolist())
 
 
 def rank_split(
@@ -471,7 +460,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         sync_gamma()
         _, Q, D = embed_split(encoder, task, "val")
         S = simcore.similarity_matrix(_current_kind(cfg.loss.kind, gamma), Q, D)
-        val = _mean_ndcg(val_table.rank(S), 10)
+        val = macro_mean(val_table.rank(S).ndcg(10).tolist())
         gq, gd = (
             gamma.gammas() if learn else simcore.effective_gammas(cfg.loss.kind)
         )

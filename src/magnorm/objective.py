@@ -1,10 +1,10 @@
 """Contrastive and regression objectives built on the similarity family.
 
 The InfoNCE loss softmax-normalizes a positive pair's scaled score
-against negatives at temperature tau.  The scale alpha multiplies every
-logit before the division by tau, so the effective inverse temperature
-is alpha/tau.  Defaults follow the training harness convention tau = 1,
-alpha = 20.
+against the batch's other positives (in-batch negatives) at temperature
+tau.  The scale alpha multiplies every logit before the division by
+tau, so the effective inverse temperature is alpha/tau.  Defaults follow
+the training harness convention tau = 1, alpha = 20.
 """
 
 from __future__ import annotations
@@ -45,16 +45,15 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class ContrastiveBatch:
-    """Aligned queries and positives, negatives either in-batch or explicit.
+    """Aligned queries and positives, scored in-batch.
 
-    queries and positives have shape (B, n).  negatives is None for
-    in-batch mode (query i scores against all positives, its own at index
-    i) or an explicit (B, K, n) array of per-query negatives.
+    queries and positives have shape (B, n), B >= 2.  Every query scores
+    against the whole pool of positives, its own at index i, so the
+    other B - 1 positives are its negatives.
     """
 
     queries: Array
     positives: Array
-    negatives: Array | None = None
 
     def __post_init__(self):
         q = np.asarray(self.queries, dtype=np.float64)
@@ -65,28 +64,8 @@ class ContrastiveBatch:
             raise DimensionMismatch(
                 f"queries and positives must share shape (B, n), got {q.shape} and {p.shape}"
             )
-        if self.negatives is not None:
-            neg = np.asarray(self.negatives, dtype=np.float64)
-            object.__setattr__(self, "negatives", neg)
-            if neg.ndim != 3 or neg.shape[0] != q.shape[0] or neg.shape[2] != q.shape[1]:
-                raise DimensionMismatch(
-                    f"negatives must have shape (B, K, n), got {neg.shape}"
-                )
-        elif q.shape[0] < 2:
+        if q.shape[0] < 2:
             raise DegenerateBatch("in-batch negatives need at least 2 queries")
-
-    @property
-    def size(self) -> int:
-        return self.queries.shape[0]
-
-    @property
-    def in_batch(self) -> bool:
-        return self.negatives is None
-
-    @property
-    def candidates(self) -> Array:
-        """Explicit mode's (B, K+1, n) candidate stack, each positive at index 0."""
-        return np.concatenate([self.positives[:, None, :], self.negatives], axis=1)
 
 
 def softmax_probs(q, docs, cfg: LossConfig) -> Array:
@@ -104,35 +83,25 @@ def softmax_probs(q, docs, cfg: LossConfig) -> Array:
     return _stable_softmax(cfg.alpha * scores / cfg.tau)
 
 
-def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig) -> tuple[Array, Array]:
-    """Logit matrix (B, C) and positive column index per query.
+def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig) -> Array:
+    """Logit matrix (B, B) of every query against the pool of positives.
 
-    In-batch mode shares one candidate pool (the positives); explicit
-    mode places each query's positive at column 0 ahead of its negatives.
+    Query i's positive is column i.
     """
-    if batch.in_batch:
-        S = simcore.similarity_matrix(cfg.kind, batch.queries, batch.positives)
-        pos_idx = np.arange(batch.size)
-    else:
-        Q, C = batch.queries, batch.candidates
-        nq, nd = np.linalg.norm(Q, axis=1), np.linalg.norm(C, axis=2)
-        S = simcore.divide_by_norms(cfg.kind, np.einsum("bn,bkn->bk", Q, C), nq[:, None], nd)
-        pos_idx = np.zeros(batch.size, dtype=int)
-    return cfg.alpha * S / cfg.tau, pos_idx
+    S = simcore.similarity_matrix(cfg.kind, batch.queries, batch.positives)
+    return cfg.alpha * S / cfg.tau
 
 
 def infonce_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
     """Mean over queries of -log softmax(positive); always >= 0.
 
-    Equals ln(k+1) exactly when all k+1 candidate logits tie, and falls
-    toward 0 as the positive's score dominates.
+    Equals ln B exactly when all B candidate logits of every query tie,
+    and falls toward 0 as the positive's score dominates.
     """
-    logits, pos_idx = candidate_logits(batch, cfg)
-    if logits.shape[1] == 0:
-        raise DegenerateBatch("a query has zero candidates")
+    logits = candidate_logits(batch, cfg)
     m = logits.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    per_query = lse - logits[np.arange(batch.size), pos_idx]
+    per_query = lse - np.diagonal(logits)
     return float(per_query.mean())
 
 

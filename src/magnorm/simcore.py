@@ -12,7 +12,8 @@ how much of each side's Euclidean norm they divide away:
 The learnable variant equals |q|^(1-gq) * |d|^(1-gd) * cos(theta) and
 reduces exactly to the four discrete variants at the corners of the
 (gq, gd) unit square.  divide_by_norms applies that division and its
-zero-norm rule for the scalar, matrix and candidate-stack scores alike.
+zero-norm rule for the scalar and the all-pairs matrix scores alike; the
+InfoNCE objective scores its in-batch pool through the matrix.
 """
 
 from __future__ import annotations

@@ -112,6 +112,36 @@ class TestConfigErrors:
         bad.write_text('{"loss": {"tau": -1.0}}')
         assert main(["gen", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ('{"encoder": {"shared": "false"}}', "encoder.shared"),
+            ('{"encoder": {"shared": 0}}', "encoder.shared"),
+            ('{"task": {"n_docs": 512.9}}', "task.n_docs"),
+            ('{"task": {"hub_multiplicity": true}}', "task.hub_multiplicity"),
+            ('{"train": {"epochs": "3"}}', "train.epochs"),
+            ('{"train": {"lr": "0.01"}}', "train.lr"),
+            ('{"loss": {"tau": true}}', "loss.tau"),
+            ('{"train": {"gamma_lr": false}}', "train.gamma_lr"),
+            ('{"task": {"splits": [0.8, 0.1, "0.1"]}}', "task.splits"),
+            ('{"task": {"splits": 1.0}}', "task.splits"),
+            ('{"seeds": [1.7]}', "seeds"),
+            ('{"seeds": [true]}', "seeds"),
+        ],
+    )
+    def test_ill_typed_value_exits_two_naming_it(self, tmp_path, capsys, body, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {named} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_numbers_and_null_where_floats_go(self, tmp_path):
+        ok = tmp_path / "ok.json"
+        ok.write_text('{"train": {"lr": 1, "gamma_lr": 0}, "task": {"splits": [1, 0, 0]}}')
+        cfg = load_config(str(ok))
+        assert cfg.train_params["lr"] == 1.0 and cfg.task.splits == (1.0, 0.0, 0.0)
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 3
 
@@ -539,6 +569,25 @@ class TestVerify:
         assert main(["verify", "--seed", "-1"]) == 2
         assert "config error: --seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen", "train", "sweep"])
+    def test_negative_seed_flag_is_config_error(self, workdir, capsys, command):
+        out, cfg = workdir
+        if command == "train":
+            assert main(["gen", "--config", cfg]) == 0
+        before = sorted(out.glob("*"))
+        assert main([command, "--config", cfg, "--seed", "-1"]) == 2
+        assert "config error: --seed" in capsys.readouterr().err
+        assert sorted(out.glob("*")) == before
+
+    @pytest.mark.parametrize(
+        "body, named", [('{"seeds": [0, -3]}', "seeds"), ('{"task": {"seed": -3}}', "task.seed")]
+    )
+    def test_negative_config_seed_is_config_error(self, tmp_path, capsys, body, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {named} must be" in capsys.readouterr().err
+
 
 def _assert_relevance_columns(out, rows):
     """pearson and hub_d are relevance_counter over each saved checkpoint's doc norms."""
@@ -577,6 +626,20 @@ class TestSweep:
         assert "reusing task files" in capsys.readouterr().out
         with (out / "sweep_summary.csv").open() as fh:
             _assert_relevance_columns(out, list(csv.DictReader(fh)))
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_partial_task_dir_exits_three_naming_the_missing_file(self, workdir, capsys, force):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg, "--seed", "9"]) == 0
+        corpus = (out / "corpus.jsonl").read_bytes()
+        (out / "hubs.json").unlink()
+        capsys.readouterr()
+        argv = ["sweep", "--config", cfg, "--kinds", "dot"] + ["--force"] * force
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "hubs.json" in captured.err and "generated" not in captured.out
+        assert (out / "corpus.jsonl").read_bytes() == corpus
+        assert not (out / "hubs.json").exists()
 
     def test_no_hubs_writes_nan_hub_d(self, tmp_path, monkeypatch):
         monkeypatch.delenv("MAGNORM_OUT", raising=False)

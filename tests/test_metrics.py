@@ -16,6 +16,7 @@ from magnorm.metrics import (
     RankedList,
     average_ranks,
     evaluate_runs,
+    macro_mean,
     mrr_at_k,
     ndcg_at_k,
     pearson,
@@ -360,6 +361,11 @@ class TestEvaluateRuns:
             ("q1", "mrr"),
             ("ALL", "mrr"),
         ]
+
+    def test_macro_mean_adds_left_to_right(self):
+        # A compensated sum (math.fsum, Python 3.12's sum) gives 1/3 here.
+        assert macro_mean([1e16, 1.0, -1e16]) == 0.0
+        assert macro_mean([]) == 0.0
 
 
 # Score values drawn so that ties are common, -0.0 ties 0.0, and signs mix.

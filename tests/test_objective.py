@@ -55,19 +55,18 @@ class TestSoftmaxProbs:
 
 class TestInfoNCELoss:
     def test_uniform_logits_give_log_k_plus_one(self):
-        # One positive plus three identical negatives: ln 4.
-        q = np.array([[1.0, 0.0]])
-        pos = np.array([[0.0, 1.0]])
-        negs = np.array([[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]])
-        loss = infonce_loss(ContrastiveBatch(q, pos, negs), plain_cfg())
+        # Four queries orthogonal to four identical positives: every logit
+        # ties, so each positive competes with three equal negatives: ln 4.
+        q = np.tile([1.0, 0.0], (4, 1))
+        pos = np.tile([0.0, 1.0], (4, 1))
+        loss = infonce_loss(ContrastiveBatch(q, pos), plain_cfg())
         assert loss == pytest.approx(math.log(4.0), rel=1e-14)
 
     def test_worked_two_negative_example(self):
-        # s+ = 1 and two negatives at 0: ln(1 + 2 e^-1) ~ 0.55144.
-        q = np.array([[1.0, 0.0]])
-        pos = np.array([[1.0, 0.0]])
-        negs = np.array([[[0.0, 1.0], [0.0, 1.0]]])
-        loss = infonce_loss(ContrastiveBatch(q, pos, negs), plain_cfg())
+        # Q = P = I_3: s+ = 1 and the two other positives at 0 for every
+        # query, so ln(1 + 2 e^-1) ~ 0.55144.
+        eye = np.eye(3)
+        loss = infonce_loss(ContrastiveBatch(eye, eye), plain_cfg())
         assert loss == pytest.approx(math.log(1.0 + 2.0 * math.exp(-1.0)), rel=1e-12)
         assert loss == pytest.approx(0.55144, abs=5e-6)
 
@@ -113,20 +112,9 @@ class TestCandidateLogits:
     def test_in_batch_pool_is_positives(self):
         rng = np.random.default_rng(2)
         Q, D = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-        logits, pos = candidate_logits(ContrastiveBatch(Q, D), plain_cfg(alpha=2.0))
+        logits = candidate_logits(ContrastiveBatch(Q, D), plain_cfg(alpha=2.0))
         assert logits.shape == (3, 3)
-        assert list(pos) == [0, 1, 2]
         assert logits[1, 2] == pytest.approx(2.0 * simcore.similarity(DOT, Q[1], D[2]), rel=1e-14)
-
-    def test_explicit_positive_in_column_zero(self):
-        rng = np.random.default_rng(3)
-        Q = rng.standard_normal((2, 4))
-        P = rng.standard_normal((2, 4))
-        N = rng.standard_normal((2, 5, 4))
-        logits, pos = candidate_logits(ContrastiveBatch(Q, P, N), plain_cfg())
-        assert logits.shape == (2, 6)
-        assert list(pos) == [0, 0]
-        assert logits[0, 0] == pytest.approx(simcore.similarity(DOT, Q[0], P[0]), rel=1e-14)
 
 
 class TestMseSymmetric:
