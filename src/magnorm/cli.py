@@ -17,7 +17,6 @@ run_training; verify runs diagnostics.SUITES.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -39,12 +38,10 @@ from .errors import (
     TooFewSamples,
     ZeroMagnitude,
 )
-from .metrics import atomic_write, write_metrics_csv, write_run_file
+from .metrics import atomic_write, write_csv, write_metrics_csv, write_run_file
 from .model import (
-    GammaParams,
     TrainConfig,
     TrainResult,
-    _current_kind,
     forward,
     init_encoder,
     initial_gamma,
@@ -54,6 +51,7 @@ from .model import (
     save_checkpoint,
     select_checkpoint,
     train,
+    trained_kind,
     write_trainlog_csv,
 )
 from .objective import LossConfig
@@ -306,22 +304,25 @@ def _train_paths(out: str, stem: str) -> tuple:
 def _train_and_save(cfg: ExperimentConfig, task, out: str, kind_name: str, seed: int, stem: str):
     """Train, restore the best validation snapshot, write its trainlog and checkpoint."""
     result = run_training(cfg, task, kind_name, seed)
-    best = select_checkpoint(result.log, result.snapshots)
-    gamma = restore_snapshot(result.encoder, best)
+    best = select_checkpoint(result.snapshots)
+    gamma_hat = restore_snapshot(result.encoder, best)
     ckpt, tlog = _train_paths(out, stem)
     write_trainlog_csv(tlog, result.log)
     echo = {"kind": kind_name, "seed": seed, **cfg.sections}
-    save_checkpoint(ckpt, result.encoder, gamma, best.step, echo)
+    save_checkpoint(ckpt, result.encoder, gamma_hat, best.step, echo)
     return result, best, ckpt
 
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     out = resolve_out(args.out, cfg.out)
+    if args.resume:
+        given = [flag for flag, v in (("--kinds", args.kinds), ("--seed", args.seed)) if v is not None]
+        if given:
+            raise ConfigError(f"--resume replays the checkpoint's own kind and seed; drop {' and '.join(given)}")
+        return _resume_training(cfg, load_task(out), args.resume, out, args.force)
     task = load_task(out)
     plan = _plan(args, cfg)
-    if args.resume:
-        return _resume_training(cfg, task, args.resume, out, args.force)
 
     _guard([p for _, _, stem in plan for p in _train_paths(out, stem)], args.force)
     for kname, seed, stem in plan:
@@ -338,21 +339,24 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
 
     Checkpoints carry no optimizer state, so resumption re-runs the seeded
     training (bit-identical by construction) and verifies the replayed
-    parameters at the checkpoint step before trusting the continuation.
+    weights and trained kind at the checkpoint step before trusting the
+    continuation.
     """
-    enc_saved, _, rstep, echo = load_checkpoint(resume_path)
+    enc_saved, kind_saved, rstep, echo = load_checkpoint(resume_path)
     kname = echo.get("kind")
     seed = echo.get("seed")
     if kname is None or seed is None:
         raise ConfigError(f"{resume_path} lacks the kind/seed echo needed to resume")
-    tag = simcore.kind_from_name(kname).tag
-    tlog = os.path.join(out, f"trainlog_{tag}_{seed}_resumed.csv")
+    kind = simcore.kind_from_name(kname)
+    tlog = os.path.join(out, f"trainlog_{kind.tag}_{seed}_resumed.csv")
     _guard([tlog], force)
     result = run_training(cfg, task, kname, seed)
     replayed = next((s for s in result.snapshots if s.step == rstep), None)
     if replayed is None:
         raise ConfigError(f"checkpoint step {rstep} is not an evaluation step of this config")
-    if not np.array_equal(replayed.params[: enc_saved.theta.size], enc_saved.theta):
+    k = enc_saved.theta.size
+    same_kind = trained_kind(kind, replayed.params[k:]) == kind_saved
+    if not (same_kind and np.array_equal(replayed.params[:k], enc_saved.theta)):
         raise ConfigError(f"checkpoint {resume_path} does not match this config/seed at step {rstep}")
     remaining = [r for r in result.log if r.step >= rstep]
     write_trainlog_csv(tlog, remaining)
@@ -395,20 +399,15 @@ def _parse_ks(text: str, n_docs: int) -> list:
     return [("ndcg", ks[0]), ("recall", min(ks[1], n_docs)), ("mrr", ks[2])]
 
 
-def _kind_for_checkpoint(echo: dict, gamma: GammaParams):
-    return _current_kind(simcore.kind_from_name(echo.get("kind", "cosine")), gamma)
-
-
 def _eval_paths(out: str, stem: str, split: str) -> tuple:
     return os.path.join(out, f"run_{stem}_{split}.txt"), os.path.join(out, f"metrics_{stem}_{split}.csv")
 
 
 def _eval_checkpoint(ckpt_path: str, task, out: str, split: str, k_text: str, force: bool):
     """Rank one split of task with a checkpoint; write its run file and metrics CSV to out."""
-    encoder, gamma, _, echo = load_checkpoint(ckpt_path)
-    kind = _kind_for_checkpoint(echo, gamma)
+    encoder, kind, _, echo = load_checkpoint(ckpt_path)
     metric_ks = _parse_ks(k_text, len(task.doc_ids))
-    ranking = rank_split(encoder, gamma, task, kind, split)
+    ranking = rank_split(encoder, task, kind, split)
     rows = ranking.metric_rows(metric_ks)
     stem = f"{kind.tag}_{echo.get('seed', 0)}"
     run_path, met_path = _eval_paths(out, stem, split)
@@ -445,8 +444,7 @@ def _cmd_diagnose(args) -> int:
     task = load_task(out)
     reports = []
     for path in args.checkpoint:
-        encoder, gamma, _, echo = load_checkpoint(path)
-        kind = _kind_for_checkpoint(echo, gamma)
+        encoder, kind, _, _ = load_checkpoint(path)
         reports.append(diagnostics.magnitude_report(encoder, task, kind, split=args.split))
     by_tag = {r.kind.split(":")[0]: i for i, r in enumerate(reports)}
     if "dot" in by_tag and "dnorm" in by_tag:
@@ -554,16 +552,7 @@ def _cmd_sweep(args) -> int:
             f"(untrained {result.log[0].val_ndcg10:.4f}) test ndcg {summary[-1]['test_ndcg10']:.4f}"
         )
 
-    with atomic_write(summary_path, newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(summary[0]))
-        w.writeheader()
-        for row in summary:
-            w.writerow(
-                {
-                    k: (f"{v:.10g}" if isinstance(v, float) else v)
-                    for k, v in row.items()
-                }
-            )
+    write_csv(summary_path, list(summary[0]), [row.values() for row in summary])
     print(f"wrote {summary_path}")
     return 0
 

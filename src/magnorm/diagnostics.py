@@ -11,7 +11,6 @@ generators and trial counts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -21,7 +20,7 @@ import numpy as np
 from . import grad, simcore
 from .datagen import SyntheticTask
 from .errors import DegenerateInput, DegenerateVariance, DimensionMismatch, EmptyInput, TooFewSamples
-from .metrics import atomic_write, pearson
+from .metrics import pearson, write_csv
 from .model import TwoTowerEncoder, embed_split
 from .objective import ContrastiveBatch, LossConfig
 
@@ -416,18 +415,5 @@ def with_delta_cv(report: DiagnosticsReport, dot_query_cv: float) -> Diagnostics
 
 
 def write_report_csv(path, reports) -> None:
-    with atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for r in reports:
-            w.writerow(
-                [
-                    r.split,
-                    r.kind,
-                    f"{r.cohens_d:.10g}",
-                    r.n_rel,
-                    r.n_irrel,
-                    f"{r.query_cv:.10g}",
-                    f"{r.doc_cv:.10g}",
-                ]
-            )
+    rows = [(r.split, r.kind, r.cohens_d, r.n_rel, r.n_irrel, r.query_cv, r.doc_cv) for r in reports]
+    write_csv(path, REPORT_COLUMNS, rows)

@@ -14,6 +14,7 @@ write_run_file writes a Ranking.
 
 Run files use the 6-column layout "query_id Q0 doc_id rank score tag";
 relevance judgments use the 4-column layout "query_id 0 doc_id grade".
+write_csv writes every CSV artifact, floats as %.10g.
 """
 
 from __future__ import annotations
@@ -445,9 +446,14 @@ def evaluate_runs(runs, qrels: Qrels, metric_ks) -> list:
     return rows
 
 
-def write_metrics_csv(path, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV, atomically, each float formatted as %.10g."""
     with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["query_id", "metric", "k", "value"])
-        for qid, name, k, v in rows:
-            w.writerow([qid, name, k, f"{v:.10g}"])
+        w.writerow(header)
+        for row in rows:
+            w.writerow(["%.10g" % v if isinstance(v, float) else v for v in row])
+
+
+def write_metrics_csv(path, rows) -> None:
+    write_csv(path, ["query_id", "metric", "k", "value"], rows)

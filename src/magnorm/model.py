@@ -11,6 +11,9 @@ An encoder's parameters are one float64 vector theta laid out by
 param_layout; towers, gradients, snapshots and checkpoint weights are
 named views of a vector with that layout.  Under learnable the trainer
 appends the two gamma_hat logits and AdamW updates the whole vector.
+That tail is the only store of the trained gammas: trained_kind turns a
+tail into the kind that scores with it, and snapshots and checkpoints
+keep the tail itself.
 
 Training is single-threaded and bit-deterministic: all shuffling and
 positive sampling flows from the seed in TrainConfig, and the data order
@@ -20,7 +23,6 @@ step-matched by construction.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -33,7 +35,7 @@ from . import simcore
 from .datagen import SyntheticTask
 from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from .grad import infonce_grad
-from .metrics import GradeTable, Ranking, atomic_write, macro_mean
+from .metrics import GradeTable, Ranking, atomic_write, macro_mean, write_csv
 from .objective import ContrastiveBatch, LossConfig
 
 Array = np.ndarray
@@ -96,29 +98,26 @@ class TwoTowerEncoder:
         return {name: vec[a:b].reshape(shape) for name, a, b, shape in self.spans}
 
 
-@dataclass
-class GammaParams:
-    """Unconstrained normalization logits; gamma = sigmoid(gamma_hat)."""
-
-    gamma_hat_q: float = 0.0
-    gamma_hat_d: float = 0.0
-
-    def gammas(self) -> tuple:
-        return sigmoid(self.gamma_hat_q), sigmoid(self.gamma_hat_d)
-
-
-def initial_gamma(kind) -> GammaParams:
-    """Logits training starts from: logit(gamma) of a learnable kind's gammas, else 0.
+def initial_gamma(kind) -> tuple:
+    """Logits training starts from: logit(gamma) of a learnable kind's gammas, else none.
 
     logit(0.5) is exactly 0, so plain learnable starts at gamma_hat = 0.
     Raises ValueError for a learnable gamma outside the open (0, 1).
     """
     if kind.tag != "learnable":
-        return GammaParams()
+        return ()
     gammas = simcore.effective_gammas(kind)
     if not all(0.0 < g < 1.0 for g in gammas):
         raise ValueError(f"training needs learnable gammas strictly inside (0, 1), got {gammas}")
-    return GammaParams(*(math.log(g / (1.0 - g)) for g in gammas))
+    return tuple(math.log(g / (1.0 - g)) for g in gammas)
+
+
+def trained_kind(kind, gamma_hat):
+    """The kind that scores with logits gamma_hat: learnable(sigmoid(l_q), sigmoid(l_d))
+    under learnable, else kind itself, whose gammas are fixed."""
+    if kind.tag != "learnable":
+        return kind
+    return simcore.learnable(*(sigmoid(float(x)) for x in gamma_hat))
 
 
 def init_encoder(m: int, h: int, n: int, shared: bool, seed: int) -> TwoTowerEncoder:
@@ -310,7 +309,6 @@ class Snapshot:
 @dataclass
 class TrainResult:
     encoder: TwoTowerEncoder
-    gamma: GammaParams
     log: list
     snapshots: list
 
@@ -343,13 +341,6 @@ def _batch_layout(n_train: int, batch_size: int) -> list:
     return sizes
 
 
-def _current_kind(base_kind, gamma: GammaParams):
-    if base_kind.tag != "learnable":
-        return base_kind
-    gq, gd = gamma.gammas()
-    return simcore.learnable(gq, gd)
-
-
 def _mag_stats(mags: Array) -> tuple:
     mean = float(mags.mean())
     sd = float(mags.std())
@@ -364,46 +355,38 @@ def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, split: str) -> tu
     return qids, Q, D
 
 
-def validation_ndcg(
-    encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str = "val", k: int = 10
-) -> float:
+def validation_ndcg(encoder: TwoTowerEncoder, task: SyntheticTask, kind, split: str = "val", k: int = 10) -> float:
     """Macro-averaged NDCG@k of the current parameters on one split."""
-    return macro_mean(rank_split(encoder, gamma, task, kind, split).ndcg(k).tolist())
+    return macro_mean(rank_split(encoder, task, kind, split).ndcg(k).tolist())
 
 
-def rank_split(
-    encoder: TwoTowerEncoder, gamma: GammaParams, task: SyntheticTask, kind, split: str
-) -> Ranking:
-    """The split queries' rankings of the full corpus under the variant, with their grades."""
+def rank_split(encoder: TwoTowerEncoder, task: SyntheticTask, kind, split: str) -> Ranking:
+    """The split queries' rankings of the full corpus under a trained kind, with their grades."""
     qids, Q, D = embed_split(encoder, task, split)
     table = GradeTable(qids, task.doc_ids, task.qrels)
-    return table.rank(simcore.similarity_matrix(_current_kind(kind, gamma), Q, D))
+    return table.rank(simcore.similarity_matrix(kind, Q, D))
 
 
-def loss_and_grads(
-    encoder: TwoTowerEncoder, gamma: GammaParams, Xq: Array, Xd: Array, loss_cfg: LossConfig
-) -> tuple:
+def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: LossConfig) -> tuple:
     """Batch loss plus its gradient as one vector laid out like theta.
 
-    Runs the closed-form backward pass: similarity-level gradients from
-    the objective, then the tower chain rule, then sigmoid'(gamma_hat)
-    for the normalization logits, which under learnable follow the
-    encoder block as two more entries.
+    loss_cfg.kind is the trained kind (see trained_kind).  Runs the
+    closed-form backward pass: similarity-level gradients from the
+    objective, then the tower chain rule, then sigmoid'(gamma_hat) for
+    the normalization logits, which under learnable follow the encoder
+    block as two more entries.
     """
     learn = loss_cfg.kind.tag == "learnable"
-    step_cfg = loss_cfg
-    if learn:
-        gq, gd = gamma.gammas()
-        step_cfg = dataclasses.replace(loss_cfg, kind=simcore.learnable(gq, gd))
     p, td = encoder.params(), "q" if encoder.shared else "d"
     Q, Hq = _forward_cached(p, "q", Xq)
     D, Hd = _forward_cached(p, td, Xd)
-    g = infonce_grad(ContrastiveBatch(Q, D), step_cfg)
+    g = infonce_grad(ContrastiveBatch(Q, D), loss_cfg)
     grad = np.zeros(encoder.theta.size + (2 if learn else 0))
     views = encoder.params(grad)
     _backward_tower(p, "q", Xq, Hq, g.d_queries, views)
     _backward_tower(p, td, Xd, Hd, g.d_positives, views)
     if learn:
+        gq, gd = simcore.effective_gammas(loss_cfg.kind)
         grad[-2:] = g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)
     return g.loss, grad
 
@@ -429,9 +412,8 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         )
     rng = np.random.default_rng(cfg.seed)
     learn = cfg.loss.kind.tag == "learnable"
-    gamma = initial_gamma(cfg.loss.kind)
     k = encoder.theta.size
-    params = np.concatenate([encoder.theta, [gamma.gamma_hat_q, gamma.gamma_hat_d] if learn else []])
+    params = np.concatenate([encoder.theta, initial_gamma(cfg.loss.kind)])
     encoder.theta = params[:k]
     moments = np.zeros((2, params.size))
     bounds = encoder.bounds
@@ -448,29 +430,23 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     flat_pos = np.array([r for rows in positive_rows for r in rows], dtype=np.intp)
     val_table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)
 
-    def sync_gamma():
-        if learn:
-            gamma.gamma_hat_q = float(params[k])
-            gamma.gamma_hat_d = float(params[k + 1])
+    def kind_now():
+        return trained_kind(cfg.loss.kind, params[k:])
 
     log: list = []
     snapshots: list = []
 
     def record(step: int, loss: float):
-        sync_gamma()
+        kind = kind_now()
         _, Q, D = embed_split(encoder, task, "val")
-        S = simcore.similarity_matrix(_current_kind(cfg.loss.kind, gamma), Q, D)
-        val = macro_mean(val_table.rank(S).ndcg(10).tolist())
-        gq, gd = (
-            gamma.gammas() if learn else simcore.effective_gammas(cfg.loss.kind)
-        )
+        val = macro_mean(val_table.rank(simcore.similarity_matrix(kind, Q, D)).ndcg(10).tolist())
+        gq, gd = simcore.effective_gammas(kind)
         qm, qcv = _mag_stats(np.linalg.norm(Q, axis=1)) if len(Q) else (0.0, 0.0)
         dm, dcv = _mag_stats(np.linalg.norm(D, axis=1))
         log.append(TrainLogRow(step, loss, val, gq, gd, qm, qcv, dm, dcv))
         snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
 
     step = 0
-    pending_eval_loss = None
     for _ in range(cfg.epochs):
         order = rng.permutation(len(train_qids))
         offset = 0
@@ -482,8 +458,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             doc_rows = flat_pos[first_pos[chunk] + rng.integers(n_pos[chunk])]
             Xq = task.query_features[query_rows[chunk]]
             Xd = task.doc_features[doc_rows]
-            sync_gamma()
-            loss, grad = loss_and_grads(encoder, gamma, Xq, Xd, cfg.loss)
+            loss, grad = loss_and_grads(encoder, Xq, Xd, dataclasses.replace(cfg.loss, kind=kind_now()))
             if not math.isfinite(loss):
                 raise NonFiniteLoss(step, loss)
             if step == 0:
@@ -496,29 +471,21 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             adamw_step(params, grad, moments, step + 1, cfg, bounds, lr=lr)
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:
-                pending_eval_loss = None
                 record(step, loss)
-            else:
-                pending_eval_loss = loss
-    if pending_eval_loss is not None:
-        record(step, pending_eval_loss)
-    sync_gamma()
-    return TrainResult(encoder=encoder, gamma=gamma, log=log, snapshots=snapshots)
+    return TrainResult(encoder=encoder, log=log, snapshots=snapshots)
 
 
-def select_checkpoint(log: list, snapshots: list) -> Snapshot:
+def select_checkpoint(snapshots: list) -> Snapshot:
     """Snapshot with maximal validation NDCG@10; ties go to the earliest step."""
     if not snapshots:
         raise ValueError("no snapshots to select from")
-    by_step = {row.step: row.val_ndcg10 for row in log}
-    best = max(snapshots, key=lambda s: (by_step.get(s.step, s.val_ndcg10), -s.step))
-    return best
+    return max(snapshots, key=lambda s: (s.val_ndcg10, -s.step))
 
 
-def restore_snapshot(encoder: TwoTowerEncoder, snapshot: Snapshot) -> GammaParams:
-    """Copy a snapshot's parameters back into the encoder; returns its gammas."""
+def restore_snapshot(encoder: TwoTowerEncoder, snapshot: Snapshot) -> Array:
+    """Copy a snapshot's parameters back into the encoder; returns its tail of gamma logits."""
     encoder.theta[...] = snapshot.params[: encoder.theta.size]
-    return GammaParams(*map(float, snapshot.params[encoder.theta.size :]))
+    return snapshot.params[encoder.theta.size :]
 
 
 # ---------------------------------------------------------------------------
@@ -527,27 +494,15 @@ def restore_snapshot(encoder: TwoTowerEncoder, snapshot: Snapshot) -> GammaParam
 
 
 def write_trainlog_csv(path, log) -> None:
-    with atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRAINLOG_HEADER.split(","))
-        for r in log:
-            w.writerow(
-                [
-                    r.step,
-                    f"{r.loss:.10g}",
-                    f"{r.val_ndcg10:.10g}",
-                    f"{r.gamma_q:.10g}",
-                    f"{r.gamma_d:.10g}",
-                    f"{r.q_mag_mean:.10g}",
-                    f"{r.q_mag_cv:.10g}",
-                    f"{r.d_mag_mean:.10g}",
-                    f"{r.d_mag_cv:.10g}",
-                ]
-            )
+    write_csv(path, TRAINLOG_HEADER.split(","), map(dataclasses.astuple, log))
 
 
-def save_checkpoint(path, encoder: TwoTowerEncoder, gamma: GammaParams, step: int, config_echo: dict) -> None:
-    """JSON checkpoint: dims, flat row-major weights, gamma logits, step, config."""
+def save_checkpoint(path, encoder: TwoTowerEncoder, gamma_hat, step: int, config_echo: dict) -> None:
+    """JSON checkpoint: dims, flat row-major weights, gamma logits, step, config.
+
+    gamma_hat is the parameter tail restore_snapshot returns; a fixed
+    kind's empty tail is written as [0.0, 0.0].
+    """
     weights = {name: p.ravel(order="C").tolist() for name, p in encoder.params().items()}
     payload = {
         "m": encoder.m,
@@ -555,7 +510,7 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, gamma: GammaParams, step: in
         "n": encoder.n,
         "shared": encoder.shared,
         "weights": weights,
-        "gamma_hat": [gamma.gamma_hat_q, gamma.gamma_hat_d],
+        "gamma_hat": [float(x) for x in gamma_hat] or [0.0, 0.0],
         "step": step,
         "config": config_echo,
     }
@@ -570,7 +525,10 @@ _CHECKPOINT_KEYS = {"m": int, "h": int, "n": int, "shared": bool, "weights": dic
 
 
 def load_checkpoint(path) -> tuple:
-    """Rebuild (encoder, gamma, step, config_echo) from a checkpoint file.
+    """Rebuild (encoder, trained kind, step, config_echo) from a checkpoint file.
+
+    The trained kind is trained_kind of the echoed config kind (default
+    cosine) and gamma_hat.
 
     Raises CorruptArtifact, naming the file, when it does not parse, a
     key is missing or of the wrong type, or a weight has the wrong number
@@ -607,9 +565,9 @@ def load_checkpoint(path) -> tuple:
     try:
         if type(kind) is not str:
             raise TypeError
-        simcore.kind_from_name(kind)
+        base = simcore.kind_from_name(kind)
     except (TypeError, ValueError):
         raise CorruptArtifact(f"{path}: config kind {kind!r} is not a similarity kind name") from None
     if type(seed) is not int:
         raise CorruptArtifact(f"{path}: config seed {seed!r} is not an integer")
-    return enc, GammaParams(gq, gd), payload["step"], payload["config"]
+    return enc, trained_kind(base, (gq, gd)), payload["step"], payload["config"]

@@ -5,6 +5,7 @@ criterion fails its test.  The two training-based criteria share one
 module-scoped bundle of reference runs so the suite stays under a minute.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -17,7 +18,7 @@ from magnorm.cli import load_config, run_training
 from magnorm.datagen import TaskSpec, gen_asymmetric, gen_symmetric
 from magnorm.grad import finite_difference, gradcheck, rel_error
 from magnorm.metrics import RankedList, mrr_at_k, ndcg_at_k, recall_at_k
-from magnorm.model import GammaParams, forward, init_encoder, loss_and_grads, select_checkpoint
+from magnorm.model import forward, init_encoder, loss_and_grads, select_checkpoint, trained_kind
 from magnorm.objective import ContrastiveBatch, LossConfig, infonce_loss, softmax_probs
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable
 
@@ -82,19 +83,20 @@ def test_04_gradient_correctness():
     # Full encoder chain, normalization logits included via the sigmoid.
     rng = np.random.default_rng(44)
     enc = init_encoder(3, 5, 4, shared=False, seed=4)
-    gamma = GammaParams(0.3, -0.2)
     Xq, Xd = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
     cfg = LossConfig(kind=learnable(0.5, 0.5), tau=0.9, alpha=5.0)
     k = enc.theta.size
 
+    def at(flat):
+        return dataclasses.replace(cfg, kind=trained_kind(cfg.kind, flat[k:]))
+
     def f(flat):
         enc.theta[...] = flat[:k]
-        gamma.gamma_hat_q, gamma.gamma_hat_d = float(flat[k]), float(flat[k + 1])
-        loss, _ = loss_and_grads(enc, gamma, Xq, Xd, cfg)
+        loss, _ = loss_and_grads(enc, Xq, Xd, at(flat))
         return loss
 
-    x0 = np.append(enc.theta, [gamma.gamma_hat_q, gamma.gamma_hat_d])
-    _, analytic = loss_and_grads(enc, gamma, Xq, Xd, cfg)
+    x0 = np.append(enc.theta, [0.3, -0.2])
+    _, analytic = loss_and_grads(enc, Xq, Xd, at(x0))
     err = rel_error(analytic, finite_difference(f, x0.copy()))
     worst = max(worst, err)
     assert err <= 1e-6
@@ -219,7 +221,7 @@ def test_11_step_matched_sweep(reference_runs):
     margins = []
     for name in REFERENCE.kinds:
         result = results[name]
-        best = select_checkpoint(result.log, result.snapshots)
+        best = select_checkpoint(result.snapshots)
         untrained = result.log[0].val_ndcg10
         assert best.val_ndcg10 > untrained, f"{name}: {best.val_ndcg10} vs {untrained}"
         margins.append(f"{name} {best.val_ndcg10:.3f}>{untrained:.3f}")

@@ -222,6 +222,33 @@ class TestTrain:
                    str(out / "checkpoint_dot_0.json"), "--force"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--kinds", "cosine"], ["--seed", "5"], ["--kinds", "cosine", "--seed", "5"]]
+    )
+    def test_resume_refuses_kind_and_seed_flags(self, workdir, capsys, flags):
+        # The checkpoint names the kind and seed it replays; a flag that
+        # asks for another one is refused, not silently ignored.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", str(out / "checkpoint_dot_0.json"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert not list(out.glob("*_resumed.csv"))
+
+    def test_resume_rejects_edited_gamma_hat(self, workdir, capsys):
+        # The weights match the replay, but the trained gammas do not.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "learnable"]) == 0
+        ckpt = out / "checkpoint_learnable_0.json"
+        assert main(["train", "--config", cfg, "--resume", str(ckpt)]) == 0
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "gamma_hat": [3, -3]}))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", str(ckpt), "--force"]) == 2
+        assert "does not match" in capsys.readouterr().err
+
 
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

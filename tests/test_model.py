@@ -1,5 +1,6 @@
 """Encoders, the optimizer, and the training loop."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,7 +18,6 @@ from magnorm.grad import finite_difference, rel_error
 from magnorm.metrics import ndcg_at_k, ranked_list
 from magnorm.model import (
     TRAINLOG_HEADER,
-    GammaParams,
     Snapshot,
     TrainConfig,
     adamw_step,
@@ -34,6 +34,7 @@ from magnorm.model import (
     select_checkpoint,
     sigmoid,
     train,
+    trained_kind,
     validation_ndcg,
     write_trainlog_csv,
 )
@@ -285,6 +286,11 @@ def _adamw_expression_form(theta, grad, moments, step_index, cfg, bounds, lr):
         theta[:end] -= np.broadcast_to(lr, theta.shape)[:end] * cfg.weight_decay * theta[:end]
 
 
+def _at(cfg, gamma_hat):
+    """cfg scoring with the trained kind of the parameter tail gamma_hat."""
+    return dataclasses.replace(cfg, kind=trained_kind(cfg.kind, gamma_hat))
+
+
 class TestBackward:
     """All closed-form parameter gradients against finite differences."""
 
@@ -298,23 +304,18 @@ class TestBackward:
         rng = np.random.default_rng(21)
         m, n, B = 3, 4, 4
         enc = init_encoder(m, h, n, shared=shared, seed=9)
-        gamma = GammaParams(0.2, -0.3)
         Xq = rng.standard_normal((B, m))
         Xd = rng.standard_normal((B, m))
         cfg = LossConfig(kind=kind, tau=0.9, alpha=5.0)
-
-        learn = kind.tag == "learnable"
         k = enc.theta.size
 
         def f(flat):
             enc.theta[...] = flat[:k]
-            if learn:
-                gamma.gamma_hat_q, gamma.gamma_hat_d = float(flat[k]), float(flat[k + 1])
-            loss, _ = loss_and_grads(enc, gamma, Xq, Xd, cfg)
+            loss, _ = loss_and_grads(enc, Xq, Xd, _at(cfg, flat[k:]))
             return loss
 
-        x0 = np.append(enc.theta, [gamma.gamma_hat_q, gamma.gamma_hat_d] if learn else [])
-        _, analytic = loss_and_grads(enc, gamma, Xq, Xd, cfg)
+        x0 = np.append(enc.theta, [0.2, -0.3] if kind.tag == "learnable" else [])
+        _, analytic = loss_and_grads(enc, Xq, Xd, _at(cfg, x0[k:]))
         numeric = finite_difference(f, x0.copy())
         f(x0)
         assert rel_error(analytic, numeric) <= 1e-6
@@ -443,9 +444,9 @@ class TestTraining:
         real = model.loss_and_grads
         seen = []
 
-        def record(encoder, gamma, Xq, Xd, loss_cfg):
+        def record(encoder, Xq, Xd, loss_cfg):
             seen.append((Xq.copy(), Xd.copy()))
-            return real(encoder, gamma, Xq, Xd, loss_cfg)
+            return real(encoder, Xq, Xd, loss_cfg)
 
         monkeypatch.setattr(model, "loss_and_grads", record)
         train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
@@ -490,42 +491,47 @@ class TestTraining:
         slow = _tiny_cfg(kind=learnable(0.5, 0.5), epochs=1, gamma_lr=1e-6)
         rb = train(task, init_encoder(8, 16, 8, False, seed=7), base)
         rs = train(task, init_encoder(8, 16, 8, False, seed=7), slow)
-        db = abs(rb.gamma.gamma_hat_q) + abs(rb.gamma.gamma_hat_d)
-        ds = abs(rs.gamma.gamma_hat_q) + abs(rs.gamma.gamma_hat_d)
+        # The last snapshot is the final step's parameters; its tail is the two logits.
+        k = rb.encoder.theta.size
+        db = np.abs(rb.snapshots[-1].params[k:]).sum()
+        ds = np.abs(rs.snapshots[-1].params[k:]).sum()
         assert ds < db
 
 
 class TestSelectionAndSnapshots:
     def _fake(self, steps_vals):
-        snaps, log = [], []
-        for step, val in steps_vals:
-            snaps.append(Snapshot(step=step, params=np.array([float(step)]), val_ndcg10=val))
-            log.append(type("Row", (), {"step": step, "val_ndcg10": val})())
-        return log, snaps
+        return [Snapshot(step=step, params=np.array([float(step)]), val_ndcg10=val) for step, val in steps_vals]
 
     def test_max_val_wins(self):
-        log, snaps = self._fake([(0, 0.2), (10, 0.9), (20, 0.5)])
-        assert select_checkpoint(log, snaps).step == 10
+        assert select_checkpoint(self._fake([(0, 0.2), (10, 0.9), (20, 0.5)])).step == 10
 
     def test_tie_goes_to_earliest(self):
-        log, snaps = self._fake([(0, 0.2), (10, 0.8), (20, 0.8)])
-        assert select_checkpoint(log, snaps).step == 10
+        assert select_checkpoint(self._fake([(0, 0.2), (10, 0.8), (20, 0.8)])).step == 10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_checkpoint([], [])
+            select_checkpoint([])
+
+    def test_snapshot_val_is_its_log_row(self):
+        # select_checkpoint reads each snapshot's own score, so it must be
+        # the float record wrote to the log row of the same step.
+        task = gen_asymmetric(TINY)
+        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=2, eval_every=2))
+        assert [(s.step, s.val_ndcg10) for s in result.snapshots] == [(r.step, r.val_ndcg10) for r in result.log]
 
     @pytest.mark.parametrize("kind", [DOT, learnable(0.5, 0.5)], ids=["dot", "learnable"])
     def test_restore_rewinds_parameters(self, kind):
         task = gen_asymmetric(TINY)
         result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
-        best = select_checkpoint(result.log, result.snapshots)
+        best = select_checkpoint(result.snapshots)
         # The best snapshot here is the last one, so step 5 is the one that
         # actually rewinds the trained parameters.
+        k = result.encoder.theta.size
         for snap in (result.snapshots[1], best):
-            gamma = restore_snapshot(result.encoder, snap)
-            assert np.array_equal(result.encoder.theta, snap.params[: result.encoder.theta.size])
-            val = validation_ndcg(result.encoder, gamma, task, kind)
+            gamma_hat = restore_snapshot(result.encoder, snap)
+            assert np.array_equal(result.encoder.theta, snap.params[:k])
+            assert np.array_equal(gamma_hat, snap.params[k:])
+            val = validation_ndcg(result.encoder, task, trained_kind(kind, gamma_hat))
             assert val == pytest.approx(snap.val_ndcg10, abs=1e-12)
 
 
@@ -545,20 +551,49 @@ class TestSerialization:
 
     def test_checkpoint_round_trip(self, tmp_path):
         enc = init_encoder(6, 8, 4, shared=False, seed=11)
-        gamma = GammaParams(0.25, -1.5)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, gamma, step=42, config_echo={"kind": "dot", "seed": 7})
-        enc2, gamma2, step, echo = load_checkpoint(path)
+        save_checkpoint(path, enc, np.array([0.25, -1.5]), step=42, config_echo={"kind": "dot", "seed": 7})
+        enc2, kind, step, echo = load_checkpoint(path)
         assert (enc2.m, enc2.h, enc2.n, enc2.shared) == (6, 8, 4, False)
         assert np.array_equal(enc.theta, enc2.theta)
-        assert (gamma2.gamma_hat_q, gamma2.gamma_hat_d) == (0.25, -1.5)
+        assert json.loads(path.read_text())["gamma_hat"] == [0.25, -1.5]
+        assert kind == DOT
         assert step == 42
         assert echo == {"kind": "dot", "seed": 7}
+
+    @pytest.mark.parametrize(
+        "echo, kind",
+        [({}, COSINE), ({"kind": "learnable:0.3,0.8"}, learnable(sigmoid(0.25), sigmoid(-1.5)))],
+        ids=["no-echo", "learnable"],
+    )
+    def test_load_returns_the_trained_kind(self, tmp_path, echo, kind):
+        # The echoed kind (cosine when absent), and under learnable the
+        # sigmoids of the saved gamma_hat, not the echoed starting gammas.
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_encoder(3, 0, 2, shared=True, seed=0), [0.25, -1.5], 0, echo)
+        assert load_checkpoint(path)[1] == kind
+
+    @pytest.mark.parametrize("kind", [DOT, learnable(0.3, 0.8)], ids=["dot", "learnable"])
+    def test_checkpoint_gamma_hat_is_the_restored_tail(self, tmp_path, kind):
+        # A fixed kind has no tail and writes [0.0, 0.0]; a learnable kind
+        # writes the two logits of the snapshot it restored, here one
+        # before the last.
+        task = gen_asymmetric(TINY)
+        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
+        k = result.encoder.theta.size
+        snap = result.snapshots[1]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, result.encoder, restore_snapshot(result.encoder, snap), snap.step, {})
+        written = json.loads(path.read_text())["gamma_hat"]
+        if kind.tag == "learnable":
+            assert written == snap.params[k:].tolist() != result.snapshots[-1].params[k:].tolist()
+        else:
+            assert snap.params.size == k and written == [0.0, 0.0]
 
     def test_checkpoint_is_plain_json(self, tmp_path):
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, GammaParams(), step=0, config_echo={})
+        save_checkpoint(path, enc, (), step=0, config_echo={})
         payload = json.loads(path.read_text())
         assert set(payload) == {"m", "h", "n", "shared", "weights", "gamma_hat", "step", "config"}
         assert set(payload["weights"]) == {"q.w1", "q.b1"}
@@ -566,7 +601,7 @@ class TestSerialization:
     def test_corrupt_weights_rejected(self, tmp_path):
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, GammaParams(), step=0, config_echo={})
+        save_checkpoint(path, enc, (), step=0, config_echo={})
         payload = json.loads(path.read_text())
         payload["weights"]["q.w1"] = [1.0, 2.0]
         path.write_text(json.dumps(payload))
@@ -581,7 +616,7 @@ class TestSerialization:
     )
     def test_ill_typed_key_is_corrupt_artifact(self, tmp_path, key, value):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_encoder(3, 0, 2, shared=True, seed=0), GammaParams(), 0, {})
+        save_checkpoint(path, init_encoder(3, 0, 2, shared=True, seed=0), (), 0, {})
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         with pytest.raises(CorruptArtifact, match=re.escape(str(path))):
             load_checkpoint(path)
@@ -591,7 +626,7 @@ class TestRankSplit:
     def test_covers_split_queries_and_corpus(self):
         task = gen_asymmetric(TINY)
         enc = init_encoder(8, 16, 8, False, seed=7)
-        ranking = rank_split(enc, GammaParams(), task, COSINE, "test")
+        ranking = rank_split(enc, task, COSINE, "test")
         assert ranking.table.query_ids == task.split_queries("test")
         assert ranking.table.doc_ids == task.doc_ids
         # Each query's row ranks every corpus column once.
@@ -608,15 +643,15 @@ class TestRankSplit:
         result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2, eval_every=2))
         qids = task.split_queries("val")
         for snap in result.snapshots:
-            gamma = restore_snapshot(result.encoder, snap)
+            gamma_hat = restore_snapshot(result.encoder, snap)
             D = forward(result.encoder, task.doc_features, "doc")
             Q = forward(result.encoder, task.query_features[[task.query_row(q) for q in qids]], "query")
-            step_kind = learnable(*gamma.gammas()) if kind.tag == "learnable" else kind
+            step_kind = learnable(*map(sigmoid, gamma_hat)) if kind.tag == "learnable" else kind
             S = similarity_matrix(step_kind, Q, D)
             total = 0.0
             for qid, row in zip(qids, S):
                 total += ndcg_at_k(ranked_list(qid, zip(task.doc_ids, row.tolist())), task.qrels, 10)
-            assert validation_ndcg(result.encoder, gamma, task, kind) == total / len(qids)
+            assert validation_ndcg(result.encoder, task, trained_kind(kind, gamma_hat)) == total / len(qids)
             assert snap.val_ndcg10 == total / len(qids)
 
     def test_sigmoid_is_stable_at_extremes(self):
