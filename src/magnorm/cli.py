@@ -155,6 +155,8 @@ def load_config(path) -> ExperimentConfig:
     unknown = sorted(set(raw) - set(TOP_LEVEL_KEYS))
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
+    if not isinstance(raw.get("out"), (str, type(None))):
+        raise ConfigError(f"out must be a string or null, got {json.dumps(raw['out'])}")
 
     task_sec = _merge_section(raw.get("task", {}), DEFAULT_TASK, "task")
     enc_sec = _merge_section(raw.get("encoder", {}), DEFAULT_ENCODER, "encoder")

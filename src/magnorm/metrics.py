@@ -10,7 +10,10 @@ Two implementations share these rules.  RankedList with ndcg_at_k,
 recall_at_k and mrr_at_k scores one query at a time and reads run files
 back; GradeTable and Ranking rank a whole (queries x docs) score matrix
 and grade it with array operations, bit for bit equal to the first, and
-write_run_file writes a Ranking.
+write_run_file writes a Ranking.  GradeTable.rank orders every rank by
+default; with a depth it orders only the top depth ranks of each row
+(training's NDCG@10 reads ten), and that partial Ranking refuses a
+cutoff past its depth and write_run_file.
 
 Run files use the 6-column layout "query_id Q0 doc_id rank score tag";
 relevance judgments use the 4-column layout "query_id 0 doc_id grade".
@@ -163,6 +166,8 @@ class GradeTable:
         self._ideal_dcg = {}
         by_id = sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__)
         self._by_id = None if by_id == list(range(len(by_id))) else np.array(by_id, dtype=np.intp)
+        # Each column's position in doc-id order, the tie key of a partial rank.
+        self._id_pos = None if self._by_id is None else np.argsort(self._by_id)
 
     def ideal_dcg(self, k: int) -> Array:
         """Per-query ideal DCG@k, computed once per k."""
@@ -170,13 +175,22 @@ class GradeTable:
             self._ideal_dcg[k] = np.array([_dcg(ideal[:k]) for ideal in self._ideal])
         return self._ideal_dcg[k]
 
-    def rank(self, scores) -> "Ranking":
+    def rank(self, scores, depth: int | None = None) -> "Ranking":
         """Order each row of a (queries x docs) score matrix by descending score.
 
         Ties go to the lexicographically smaller doc id, as in ranked_list:
         an ascending stable sort over the columns in descending doc-id
         order, read backwards, sorts by (-score, doc id).  When doc_ids
         are sorted, that column order is a reversed view, not a copy.
+
+        With depth below the number of docs, only each row's first depth
+        ranks are ordered, and they equal the first depth columns of the
+        full order: np.partition finds the row's depth-th largest score,
+        every column scoring at least that much is a candidate (so every
+        tie at that rank is one), and one lexsort orders the candidates by
+        (row, -score, doc-id position).  -0.0 ties 0.0 there as in the
+        stable sort.  The returned Ranking refuses a metric cutoff past
+        depth, and write_run_file refuses it.
         Raises NonFiniteEvaluation for a NaN or infinite score.
         """
         S = np.asarray(scores, dtype=np.float64)
@@ -185,9 +199,19 @@ class GradeTable:
         if not np.isfinite(S).all():
             bad = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
             raise NonFiniteEvaluation(f"non-finite score in ranking for {self.query_ids[bad]}")
+        n = S.shape[1]
+        if depth is not None and depth < n:
+            if depth < 1:
+                raise ValueError(f"ranking depth must be at least 1, got {depth}")
+            kth = np.partition(S, n - depth, axis=1)[:, n - depth]
+            rows, cols = np.nonzero(S >= kth[:, None])
+            pos = cols if self._id_pos is None else self._id_pos[cols]
+            cols = cols[np.lexsort((pos, -S[rows, cols], rows))]
+            counts = np.bincount(rows, minlength=len(S))
+            return Ranking(self, S, cols[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)])
         if self._by_id is None:
             order = np.argsort(S[:, ::-1], axis=1, kind="stable")
-            np.subtract(S.shape[1] - 1, order, out=order)
+            np.subtract(n - 1, order, out=order)
         else:
             desc = self._by_id[::-1]
             order = desc[np.argsort(S[:, desc], axis=1, kind="stable")]
@@ -197,14 +221,24 @@ class GradeTable:
 # A plain class: a dataclass definition would add about a millisecond to
 # every import of the package.
 class Ranking:
-    """A GradeTable's score matrix with each row's columns in ranked order."""
+    """A GradeTable's score matrix with each row's columns in ranked order.
+
+    A partial ranking (GradeTable.rank with a depth) holds only each row's
+    first depth columns; its metrics raise ValueError for a cutoff past
+    that depth, never answering from a truncated list.
+    """
 
     def __init__(self, table: GradeTable, scores: Array, order: Array):
         self.table = table
         self.scores = scores
         self.order = order
 
+    def is_partial(self) -> bool:
+        return self.order.shape[1] < len(self.table.doc_ids)
+
     def _top_levels(self, k: int) -> Array:
+        if k > self.order.shape[1] and self.is_partial():
+            raise ValueError(f"cutoff {k} exceeds this ranking's depth of {self.order.shape[1]}")
         return np.take_along_axis(self.table.levels, self.order[:, :k], axis=1)
 
     def ndcg(self, k: int) -> Array:
@@ -315,8 +349,11 @@ def write_run_file(path, ranking: Ranking, tag: str = "magnorm") -> None:
     query's block is one % over its (query_id, doc_id, score) triples and
     one write.  '%.10g' % score is f"{score:.10g}".  The scores need no
     checks here: GradeTable.rank rejects non-finite ones and sorts them,
-    and load_task rejects repeated doc ids.
+    and load_task rejects repeated doc ids.  Raises ValueError for a
+    partial Ranking, which does not hold every doc.
     """
+    if ranking.is_partial():
+        raise ValueError(f"a run file lists every doc; this ranking holds only the top {ranking.order.shape[1]}")
     ids = ranking.table.doc_ids
     n = len(ids)
     tag = tag.replace("%", "%%")

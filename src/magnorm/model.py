@@ -439,7 +439,8 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     def record(step: int, loss: float):
         kind = kind_now()
         _, Q, D = embed_split(encoder, task, "val")
-        val = macro_mean(val_table.rank(simcore.similarity_matrix(kind, Q, D)).ndcg(10).tolist())
+        # NDCG@10 reads ten ranks, so only those are ordered.
+        val = macro_mean(val_table.rank(simcore.similarity_matrix(kind, Q, D), depth=10).ndcg(10).tolist())
         gq, gd = simcore.effective_gammas(kind)
         qm, qcv = _mag_stats(np.linalg.norm(Q, axis=1)) if len(Q) else (0.0, 0.0)
         dm, dcv = _mag_stats(np.linalg.norm(D, axis=1))
@@ -515,7 +516,8 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, gamma_hat, step: int, config
         "config": config_echo,
     }
     with atomic_write(path) as fh:
-        json.dump(payload, fh)
+        # json.dump always takes the pure-Python encoder; dumps takes the C one.
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 

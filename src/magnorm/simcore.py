@@ -144,8 +144,8 @@ def divide_by_norms(kind: SimilarityKind, t, nq, nd):
     den = None
     for side, n, g in zip(("query", "document"), (nq, nd), effective_gammas(kind)):
         if g > 0.0:
-            # count_nonzero, not any(): it takes a Python bool about as fast as an array.
-            if np.count_nonzero(n == 0.0):
+            # A float takes a plain comparison, which skips count_nonzero's array round trip.
+            if (n == 0.0) if isinstance(n, float) else np.count_nonzero(n == 0.0):
                 raise ZeroMagnitude(f"zero-norm {side}")
             p = _power(n, g)
             den = p if den is None else den * p

@@ -127,6 +127,7 @@ class TestConfigErrors:
             ('{"task": {"splits": 1.0}}', "task.splits"),
             ('{"seeds": [1.7]}', "seeds"),
             ('{"seeds": [true]}', "seeds"),
+            ('{"out": 5}', "out"),
         ],
     )
     def test_ill_typed_value_exits_two_naming_it(self, tmp_path, capsys, body, named):

@@ -408,7 +408,8 @@ class TestGradeTableMatchesOracle:
     @settings(max_examples=300, deadline=None)
     def test_order_and_metrics_equal_the_oracle(self, seed, n_queries, n_docs, k, shuffled):
         query_ids, doc_ids, scores, qrels = _random_split(seed, n_queries, n_docs, shuffled)
-        ranking = GradeTable(query_ids, doc_ids, qrels).rank(scores)
+        table = GradeTable(query_ids, doc_ids, qrels)
+        ranking = table.rank(scores)
         runs = [ranked_list(q, zip(doc_ids, row.tolist())) for q, row in zip(query_ids, scores)]
         assert _entries(ranking) == [r.entries for r in runs]
         for name, fn in (("ndcg", ndcg_at_k), ("recall", recall_at_k), ("mrr", mrr_at_k)):
@@ -416,6 +417,10 @@ class TestGradeTableMatchesOracle:
             assert got == [fn(run, qrels, k) for run in runs], name
         metric_ks = [("ndcg", k), ("recall", k), ("mrr", k)]
         assert ranking.metric_rows(metric_ks) == evaluate_runs(runs, qrels, metric_ks)
+        partial = table.rank(scores, depth=k)
+        assert partial.order.tolist() == ranking.order[:, :k].tolist()
+        for name in ("ndcg", "recall", "mrr"):
+            assert getattr(partial, name)(k).tobytes() == getattr(ranking, name)(k).tobytes(), name
 
     def test_sorted_ids_take_the_unpermuted_path(self):
         # d0..d3 are in id order, so ties fall back to column order.
@@ -423,6 +428,30 @@ class TestGradeTableMatchesOracle:
         ranking = table.rank([[1.0, 2.0, 1.0, 2.0]])
         assert [[doc for doc, _ in entries] for entries in _entries(ranking)] == [["d1", "d3", "d0", "d2"]]
         assert ranking.mrr(4).tolist() == [0.5]
+
+    def test_all_equal_row_ranks_every_candidate_by_doc_id(self):
+        # Every column ties, -0.0 with 0.0, so every column is a candidate;
+        # the unpadded ids are out of id order.
+        doc_ids = ["d9", "d10", "d2", "d1", "d0"]
+        table = GradeTable(["q0", "q1"], doc_ids, {"q0": {"d1": 2}, "q1": {"d2": 1}})
+        scores = [[0.0, -0.0, 0.0, -0.0, 0.0], [0.5, 2.0, -1.0, 2.0, 0.5]]
+        partial = table.rank(scores, depth=3)
+        assert partial.order.tolist() == table.rank(scores).order[:, :3].tolist()
+        assert [doc_ids[j] for j in partial.order[0]] == ["d0", "d1", "d10"]
+        assert partial.ndcg(3).tobytes() == table.rank(scores).ndcg(3).tobytes()
+
+    def test_partial_ranking_refuses_what_it_does_not_hold(self, tmp_path):
+        table = GradeTable(["q"], ["d0", "d1", "d2"], {"q": {"d2": 1}})
+        partial = table.rank([[0.3, 0.2, 0.1]], depth=2)
+        assert partial.mrr(2).tolist() == [0.0]
+        for name in ("ndcg", "recall", "mrr"):
+            with pytest.raises(ValueError, match="depth of 2"):
+                getattr(partial, name)(3)
+        with pytest.raises(ValueError, match="top 2"):
+            write_run_file(tmp_path / "run.txt", partial)
+        assert not (tmp_path / "run.txt").exists()
+        with pytest.raises(ValueError, match="at least 1"):
+            table.rank([[0.3, 0.2, 0.1]], depth=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_score_raises(self, bad):
