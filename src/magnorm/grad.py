@@ -7,6 +7,9 @@ single document.  The normalization Jacobian d(v/|v|)/dv =
 (I - vv^T/|v|^2)/|v| factors as the tangent-space projector
 P_v = I - vhat vhat^T divided by the norm.  P_v is symmetric,
 idempotent, annihilates the radial direction, and has trace n - 1.
+A side's row norms are taken only if its gamma is positive or under
+learnable (whose gamma gradients need ln|v|), by infonce_grad once for
+its scores and gradients; a gamma-0 side skips every division by |v|**0.
 
 A central finite-difference oracle and a seeded gradcheck harness verify
 every analytic formula against numerics.
@@ -86,32 +89,42 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
     return SimGradient(d_q=dQ[0], d_d=dC[0], d_gamma_q=dgq, d_gamma_d=dgd)
 
 
-def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array) -> tuple:
+def _row_norms(kind: SimilarityKind, Q: Array, C: Array) -> tuple:
+    """Row norms of Q and C where _stack_grad reads them (gamma > 0, or learnable), else None."""
+    gq, gd = effective_gammas(kind)
+    learn = kind.tag == "learnable"
+    return tuple(np.linalg.norm(M, axis=1) if g > 0.0 or learn else None for M, g in ((Q, gq), (C, gd)))
+
+
+def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, norms=None) -> tuple:
     """Gradients of sum_bk G[b, k] * s(Q[b], C[k]), S holding the scores s.
 
     Q is (B, n) and C a (K, n) pool every query scores: in-batch
     positives, or sim_grad's 1x1 pool.  A candidate's gradient and
     d_gamma_d sum over queries.  Returns (dQ, dC, d_gamma_q, d_gamma_d),
-    gammas None unless learnable.  The callers' scores already rejected
-    zero norms.
+    gammas None unless learnable.  norms is _row_norms(kind, Q, C), taken
+    here unless given.  A zero norm on a side divided here was already
+    rejected by the scores S came from.
     """
     gq, gd = effective_gammas(kind)
-    nq = np.linalg.norm(Q, axis=1)
-    nd = np.linalg.norm(C, axis=1)
-    scale_q = (nq**gq)[:, None]
-    scale_d = nd**gd
-    dQ = (G / scale_d) @ C
-    dC = (G / scale_q).T @ Q
-    dQ /= scale_q
-    dC /= scale_d[:, None]
-    GS = G * S
-    GS_q = GS.sum(axis=1)
-    GS_c = GS.sum(axis=0)
+    learn = kind.tag == "learnable"
+    nq, nd = _row_norms(kind, Q, C) if norms is None else norms
+    # A side with gamma 0 would divide by |v|**0, all ones, and subtract
+    # nothing; dividing by 1.0 is exact, so skipping the side keeps the bits.
+    scale_q = (nq**gq)[:, None] if gq > 0.0 else None
+    scale_d = nd**gd if gd > 0.0 else None
+    dQ = (G if scale_d is None else G / scale_d) @ C
+    dC = (G if scale_q is None else G / scale_q).T @ Q
+    if gq > 0.0 or gd > 0.0 or learn:
+        GS = G * S
+        GS_q, GS_c = GS.sum(axis=1), GS.sum(axis=0)
     if gq > 0.0:
+        dQ /= scale_q
         dQ -= gq * (GS_q / nq**2)[:, None] * Q
     if gd > 0.0:
+        dC /= scale_d[:, None]
         dC -= gd * (GS_c / nd**2)[:, None] * C
-    if kind.tag != "learnable":
+    if not learn:
         return dQ, dC, None, None
     return dQ, dC, float(-(GS_q * np.log(nq)).sum()), float(-(GS_c * np.log(nd)).sum())
 
@@ -124,7 +137,8 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     _stack_grad distributes the signal onto queries, the pool of
     positives, and gammas.
     """
-    logits = candidate_logits(batch, cfg)
+    norms = _row_norms(cfg.kind, batch.queries, batch.positives)
+    logits = candidate_logits(batch, cfg, norms)
     B = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
@@ -132,12 +146,12 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     lse = m[:, 0] + np.log(e_sum[:, 0])
     loss = float((lse - np.diagonal(logits)).mean())
 
-    G = e / e_sum
-    G[np.diag_indices(B)] -= 1.0
+    G = np.divide(e, e_sum, out=e)
+    G.ravel()[:: B + 1] -= 1.0  # the diagonal, through a view of the contiguous G
     G *= cfg.alpha / cfg.tau / B
 
-    S = logits * cfg.tau / cfg.alpha
-    dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, batch.positives)
+    S = np.divide(np.multiply(logits, cfg.tau, out=logits), cfg.alpha, out=logits)
+    dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, batch.positives, norms)
     return InfoNCEGradients(loss, dQ, dC, dgq, dgd)
 
 

@@ -136,11 +136,14 @@ def init_encoder(m: int, h: int, n: int, shared: bool, seed: int) -> TwoTowerEnc
 
 def _forward_cached(p: dict, t: str, X: Array) -> tuple:
     """Output of tower t ("q" or "d") with parameter views p, and its hidden layer."""
-    Z = X @ p[f"{t}.w1"] + p[f"{t}.b1"]
+    Z = X @ p[f"{t}.w1"]
+    Z += p[f"{t}.b1"]
     if f"{t}.w2" not in p:
         return Z, None
-    H = np.tanh(Z)
-    return H @ p[f"{t}.w2"] + p[f"{t}.b2"], H
+    H = np.tanh(Z, out=Z)
+    Y = H @ p[f"{t}.w2"]
+    Y += p[f"{t}.b2"]
+    return Y, H
 
 
 def forward(encoder: TwoTowerEncoder, features, tower: str = "query") -> Array:
@@ -159,11 +162,13 @@ def forward(encoder: TwoTowerEncoder, features, tower: str = "query") -> Array:
 
 
 def _backward_tower(p: dict, t: str, X: Array, H, dY: Array, grad: dict) -> None:
-    """Accumulate tower t's parameter gradients, given dLoss/dOutput, into grad's views."""
+    """Accumulate tower t's parameter gradients, given dLoss/dOutput, into grad's views; H is overwritten."""
     if H is not None:
         grad[f"{t}.w2"] += H.T @ dY
         grad[f"{t}.b2"] += dY.sum(axis=0)
-        dY = (dY @ p[f"{t}.w2"].T) * (1.0 - H * H)
+        dY = dY @ p[f"{t}.w2"].T
+        np.multiply(H, H, out=H)
+        dY *= np.subtract(1.0, H, out=H)
     grad[f"{t}.w1"] += X.T @ dY
     grad[f"{t}.b1"] += dY.sum(axis=0)
 
@@ -197,32 +202,35 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, eval_every must be positive")
 
 
-def clip_by_global_norm(grad: Array, clip_norm: float, bounds: list, step: int | None = None) -> Array:
+def clip_by_global_norm(grad: Array, clip_norm: float, bounds: list, step: int | None = None, out=None) -> Array:
     """Scale grad by clip_norm/total_norm when the total exceeds it, else return grad.
 
     The squared norm is one sum per block (ending at bounds, then the gamma
     logits past the last bound), so it rounds as a per-parameter sum would.
     A total that is not finite raises NonFiniteLoss carrying step, since
     scaling by clip_norm/inf would write NaN into whatever the result updates.
+    out (default fresh), shaped like grad, holds the squares and then the
+    scaled result, so a clip that fires returns an array that is not grad.
     """
     # An explicit loop, not sum(): Python 3.12's sum() compensates float
     # rounding, which would change the clip scale between versions.
-    sq = grad * grad
+    sq = np.multiply(grad, grad, out=out)
     squares = 0.0
     start = 0
     for end in (*bounds, grad.size):
-        squares += float(sq[start:end].sum())
+        squares += float(np.add.reduce(sq[start:end]))
         start = end
     total = math.sqrt(squares)
     if not math.isfinite(total):
         raise NonFiniteLoss(step, total, "gradient norm")
     if total <= clip_norm or total == 0.0:
         return grad
-    return grad * (clip_norm / total)
+    return np.multiply(grad, clip_norm / total, out=sq)
 
 
 def adamw_step(
-    theta: Array, grad: Array, moments: Array, step_index: int, cfg: TrainConfig, bounds: list, lr=None
+    theta: Array, grad: Array, moments: Array, step_index: int, cfg: TrainConfig, bounds: list, lr=None,
+    scratch=None,
 ) -> None:
     """One decoupled-weight-decay Adam update of theta and its moments (two rows), in place.
 
@@ -231,18 +239,19 @@ def adamw_step(
     theta and the moments as they were.  step_index is 1-based for bias
     correction.  lr is one rate or one per entry (default cfg.lr); weight
     decay multiplies it and skips the gamma logits past the last bound.
+    scratch (default fresh) is three rows like theta: two for the update, one for the clip.
     """
     if step_index < 1:
         raise ValueError("step_index is 1-based")
     step_lr = cfg.lr if lr is None else lr
-    g = clip_by_global_norm(grad, cfg.clip_norm, bounds, step_index - 1)
+    a, b, c = np.empty((3, theta.size)) if scratch is None else scratch
+    g = clip_by_global_norm(grad, cfg.clip_norm, bounds, step_index - 1, out=c)
     bc1 = 1.0 - cfg.beta1**step_index
     bc2 = 1.0 - cfg.beta2**step_index
     m, v = moments
     # Written in place through two scratch vectors, each operation in the
     # order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     # theta -= lr*mhat / (sqrt(vhat) + eps), so the result has their bits.
-    a, b = np.empty_like(theta), np.empty_like(theta)
     m *= cfg.beta1
     m += np.multiply(g, 1.0 - cfg.beta1, out=a)
     v *= cfg.beta2
@@ -367,24 +376,27 @@ def rank_split(encoder: TwoTowerEncoder, task: SyntheticTask, kind, split: str) 
     return table.rank(simcore.similarity_matrix(kind, Q, D))
 
 
-def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: LossConfig) -> tuple:
+def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: LossConfig, views=None, out=None):
     """Batch loss plus its gradient as one vector laid out like theta.
 
     loss_cfg.kind is the trained kind (see trained_kind).  Runs the
     closed-form backward pass: similarity-level gradients from the
     objective, then the tower chain rule, then sigmoid'(gamma_hat) for
     the normalization logits, which under learnable follow the encoder
-    block as two more entries.
+    block as two more entries.  views (encoder.params()) and out, a
+    gradient vector and its params views, are built fresh unless given;
+    the vector is zeroed, so a reused one returns a fresh one's bytes.
     """
     learn = loss_cfg.kind.tag == "learnable"
-    p, td = encoder.params(), "q" if encoder.shared else "d"
+    p, td = encoder.params() if views is None else views, "q" if encoder.shared else "d"
+    grad = np.empty(encoder.theta.size + (2 if learn else 0)) if out is None else out[0]
+    grad_views = encoder.params(grad) if out is None else out[1]
+    grad.fill(0.0)
     Q, Hq = _forward_cached(p, "q", Xq)
     D, Hd = _forward_cached(p, td, Xd)
     g = infonce_grad(ContrastiveBatch(Q, D), loss_cfg)
-    grad = np.zeros(encoder.theta.size + (2 if learn else 0))
-    views = encoder.params(grad)
-    _backward_tower(p, "q", Xq, Hq, g.d_queries, views)
-    _backward_tower(p, td, Xd, Hd, g.d_positives, views)
+    _backward_tower(p, "q", Xq, Hq, g.d_queries, grad_views)
+    _backward_tower(p, td, Xd, Hd, g.d_positives, grad_views)
     if learn:
         gq, gd = simcore.effective_gammas(loss_cfg.kind)
         grad[-2:] = g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)
@@ -417,18 +429,24 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     encoder.theta = params[:k]
     moments = np.zeros((2, params.size))
     bounds = encoder.bounds
+    # Built once: theta's views, a gradient vector with its views, AdamW's
+    # scratch, and the loss config, which under learnable follows the logits.
+    views, scratch, loss_cfg = encoder.params(), np.empty((3, params.size)), cfg.loss
+    grad = np.empty(params.size)
+    out = grad, encoder.params(grad)
 
     sizes = _batch_layout(len(train_qids), cfg.batch_size)
     total_steps = cfg.epochs * len(sizes)
     # Built once per training: each train query's feature row; the rows of
     # its relevant docs (relevant_of's order), laid end to end in flat_pos
-    # from first_pos, n_pos of them; and the val grade table.
+    # from first_pos, n_pos of them; the val grade table and its queries' features.
     query_rows = np.array([task.query_row(q) for q in train_qids], dtype=np.intp)
     positive_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in train_qids]
     n_pos = np.array([len(rows) for rows in positive_rows], dtype=np.int64)
     first_pos = np.cumsum(n_pos) - n_pos
     flat_pos = np.array([r for rows in positive_rows for r in rows], dtype=np.intp)
     val_table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)
+    val_features = task.query_features[[task.query_row(q) for q in val_table.query_ids]]
 
     def kind_now():
         return trained_kind(cfg.loss.kind, params[k:])
@@ -438,12 +456,15 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
 
     def record(step: int, loss: float):
         kind = kind_now()
-        _, Q, D = embed_split(encoder, task, "val")
+        Q, D = forward(encoder, val_features, "query"), forward(encoder, task.doc_features, "doc")
+        # One norm per side serves the scores and the magnitude columns.
+        nq, nd = np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1)
         # NDCG@10 reads ten ranks, so only those are ordered.
-        val = macro_mean(val_table.rank(simcore.similarity_matrix(kind, Q, D), depth=10).ndcg(10).tolist())
+        S = simcore.similarity_matrix(kind, Q, D, (nq, nd))
+        val = macro_mean(val_table.rank(S, depth=10).ndcg(10).tolist())
         gq, gd = simcore.effective_gammas(kind)
-        qm, qcv = _mag_stats(np.linalg.norm(Q, axis=1)) if len(Q) else (0.0, 0.0)
-        dm, dcv = _mag_stats(np.linalg.norm(D, axis=1))
+        qm, qcv = _mag_stats(nq) if len(Q) else (0.0, 0.0)
+        dm, dcv = _mag_stats(nd)
         log.append(TrainLogRow(step, loss, val, gq, gd, qm, qcv, dm, dcv))
         snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
 
@@ -459,7 +480,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             doc_rows = flat_pos[first_pos[chunk] + rng.integers(n_pos[chunk])]
             Xq = task.query_features[query_rows[chunk]]
             Xd = task.doc_features[doc_rows]
-            loss, grad = loss_and_grads(encoder, Xq, Xd, dataclasses.replace(cfg.loss, kind=kind_now()))
+            if learn:
+                loss_cfg = dataclasses.replace(cfg.loss, kind=kind_now())
+            loss, grad = loss_and_grads(encoder, Xq, Xd, loss_cfg, views, out)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(step, loss)
             if step == 0:
@@ -469,7 +492,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             if learn and cfg.gamma_lr is not None:
                 lr = np.full(params.size, sched)
                 lr[k:] = cfg.gamma_lr * (sched / cfg.lr if cfg.lr > 0 else 0.0)
-            adamw_step(params, grad, moments, step + 1, cfg, bounds, lr=lr)
+            adamw_step(params, grad, moments, step + 1, cfg, bounds, lr=lr, scratch=scratch)
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:
                 record(step, loss)

@@ -83,13 +83,13 @@ def softmax_probs(q, docs, cfg: LossConfig) -> Array:
     return _stable_softmax(cfg.alpha * scores / cfg.tau)
 
 
-def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig) -> Array:
+def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig, norms=None) -> Array:
     """Logit matrix (B, B) of every query against the pool of positives.
 
-    Query i's positive is column i.
+    Query i's positive is column i.  norms is similarity_matrix's.
     """
-    S = simcore.similarity_matrix(cfg.kind, batch.queries, batch.positives)
-    return cfg.alpha * S / cfg.tau
+    S = simcore.similarity_matrix(cfg.kind, batch.queries, batch.positives, norms)
+    return np.divide(np.multiply(cfg.alpha, S, out=S), cfg.tau, out=S)  # S is fresh: scaled in place
 
 
 def infonce_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:

@@ -183,19 +183,21 @@ def similarity(kind: SimilarityKind, q, d) -> float:
     return divide_by_norms(kind, float(np.dot(q, d)), _norm(q), _norm(d))
 
 
-def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array) -> Array:
+def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> Array:
     """All-pairs scores: rows are queries, columns are documents.
 
     Vectorized companion of similarity() for batched objectives and
     evaluation; identical semantics including the zero-norm errors.
+    norms is the rows' np.linalg.norm(., axis=1) of (Q, D) if the caller
+    holds them; else a side takes its norms here only if its gamma is positive.
     """
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
         raise DimensionMismatch(f"expected (B, n) and (C, n), got {Q.shape} and {D.shape}")
-    nq = np.linalg.norm(Q, axis=1)
-    nd = np.linalg.norm(D, axis=1)
-    return divide_by_norms(kind, Q @ D.T, nq[:, None], nd[None, :])
+    gq, gd = effective_gammas(kind)
+    nq, nd = norms or [np.linalg.norm(M, axis=1) if g > 0.0 else None for M, g in ((Q, gq), (D, gd))]
+    return divide_by_norms(kind, Q @ D.T, nq[:, None] if gq > 0.0 else None, nd)
 
 
 def _norm(v: Array) -> float:

@@ -8,6 +8,7 @@ import pytest
 from magnorm import simcore
 from magnorm.errors import NonFiniteEvaluation, ZeroMagnitude
 from magnorm.grad import (
+    _row_norms,
     _stack_grad,
     finite_difference,
     gradcheck,
@@ -262,6 +263,87 @@ class TestCandidateLayouts:
             want = _pre_fold_pool_grad(kind, G, S, Q, D)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[2:] == want[2:]
+
+
+def _unskipped_stack_grad(kind, G, S, Q, C):
+    """_stack_grad as it was before a gamma-0 side skipped its norms and its
+    divisions by |v|**0: both norms, both scales and both G*S sums for every
+    kind, the bitwise reference for the skip."""
+    gq, gd = simcore.effective_gammas(kind)
+    nq = np.linalg.norm(Q, axis=1)
+    nd = np.linalg.norm(C, axis=1)
+    scale_q = (nq**gq)[:, None]
+    scale_d = nd**gd
+    dQ = (G / scale_d) @ C
+    dC = (G / scale_q).T @ Q
+    dQ /= scale_q
+    dC /= scale_d[:, None]
+    GS = G * S
+    GS_q = GS.sum(axis=1)
+    GS_c = GS.sum(axis=0)
+    if gq > 0.0:
+        dQ -= gq * (GS_q / nq**2)[:, None] * Q
+    if gd > 0.0:
+        dC -= gd * (GS_c / nd**2)[:, None] * C
+    if kind.tag != "learnable":
+        return dQ, dC, None, None
+    return dQ, dC, float(-(GS_q * np.log(nq)).sum()), float(-(GS_c * np.log(nd)).sum())
+
+
+def _as_bytes(grads):
+    """(dQ, dC, d_gamma_q, d_gamma_d) as bytes, so -0.0 and NaN payloads count."""
+    return [None if x is None else np.asarray(x, dtype=np.float64).tobytes() for x in grads]
+
+
+# The fixed kinds, and learnable with a gamma at 0 on neither, one or both sides.
+SKIP_KINDS = (COSINE, DOT, QNORM, DNORM,
+              learnable(0.0, 0.0), learnable(1.0, 0.0), learnable(0.3, 0.8), learnable(1.0, 1.0))
+
+
+class TestGammaZeroSkip:
+    """Skipping a gamma-0 side's norms and divisions keeps every bit of the formula that took them."""
+
+    @pytest.mark.parametrize("kind", SKIP_KINDS, ids=simcore.kind_name)
+    def test_in_batch_pool_is_the_unskipped_formula_bitwise(self, kind):
+        rng = np.random.default_rng(72)
+        for _ in range(100):
+            B, dim = (int(x) for x in rng.integers(2, 9, size=2))
+            Q = np.vstack([_safe_vec(rng, dim) * rng.lognormal(0.0, 1.0) for _ in range(B)])
+            D = np.vstack([_safe_vec(rng, dim) * rng.lognormal(0.0, 1.0) for _ in range(B)])
+            G, S = rng.standard_normal((B, B)), simcore.similarity_matrix(kind, Q, D)
+            want = _as_bytes(_unskipped_stack_grad(kind, G, S, Q, D))
+            assert _as_bytes(_stack_grad(kind, G, S, Q, D)) == want
+            assert _as_bytes(_stack_grad(kind, G, S, Q, D, _row_norms(kind, Q, D))) == want
+
+    @pytest.mark.parametrize("kind", SKIP_KINDS, ids=simcore.kind_name)
+    def test_infonce_grad_is_the_unskipped_formula_bitwise(self, kind):
+        # infonce_grad's signal G and scores S as written before its
+        # in-place steps, through the unskipped formula.
+        rng = np.random.default_rng(74)
+        cfg = LossConfig(kind=kind, tau=0.7, alpha=3.0)
+        for _ in range(30):
+            B, dim = (int(x) for x in rng.integers(2, 9, size=2))
+            Q = np.vstack([_safe_vec(rng, dim) * rng.lognormal(0.0, 1.0) for _ in range(B)])
+            D = np.vstack([_safe_vec(rng, dim) * rng.lognormal(0.0, 1.0) for _ in range(B)])
+            logits = cfg.alpha * simcore.similarity_matrix(kind, Q, D) / cfg.tau
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            G = e / e.sum(axis=1, keepdims=True)
+            G[np.diag_indices(B)] -= 1.0
+            G *= cfg.alpha / cfg.tau / B
+            want = _unskipped_stack_grad(kind, G, logits * cfg.tau / cfg.alpha, Q, D)
+            g = infonce_grad(ContrastiveBatch(Q, D), cfg)
+            assert _as_bytes((g.d_queries, g.d_positives, g.d_gamma_q, g.d_gamma_d)) == _as_bytes(want)
+
+    @pytest.mark.parametrize("kind", SKIP_KINDS, ids=simcore.kind_name)
+    def test_sim_grad_pool_is_the_unskipped_formula_bitwise(self, kind):
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            dim = int(rng.integers(1, 9))
+            q, d = _safe_vec(rng, dim), _safe_vec(rng, dim)
+            S = np.array([[simcore.similarity(kind, q, d)]])
+            want = _as_bytes(_unskipped_stack_grad(kind, np.ones((1, 1)), S, q[None, :], d[None, :]))
+            g = sim_grad(kind, q, d)
+            assert _as_bytes((g.d_q, g.d_d, g.d_gamma_q, g.d_gamma_d)) == want
 
 
 class TestGradcheck:

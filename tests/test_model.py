@@ -186,6 +186,31 @@ class TestOptimizer:
         assert np.array_equal(clipped, grad * (1.0 / per_block))
         assert not np.array_equal(clipped, grad * (1.0 / whole))
 
+    def test_clip_into_a_buffer_returns_grad_unless_it_fires(self):
+        # bench/spans.py counts a fired clip by the result not being grad,
+        # so a clip into a reused buffer returns grad itself when it does not fire.
+        buf = np.full(4, np.nan)
+        small = np.array([0.3, 0.0, 0.4, 0.0])
+        assert clip_by_global_norm(small, 1.0, [2, 4], out=buf) is small
+        big = np.array([3.0, 0.0, 4.0, 0.0])
+        clipped = clip_by_global_norm(big, 1.0, [2, 4], out=buf)
+        assert clipped is not big and clipped is buf
+        assert clipped.tobytes() == clip_by_global_norm(big, 1.0, [2, 4]).tobytes()
+        assert np.array_equal(big, [3.0, 0.0, 4.0, 0.0])
+
+    def test_scratch_rows_keep_the_bytes(self):
+        # Eight steps, some clipped and some not, through one reused scratch
+        # (NaN at the start, so a row read before it is written shows).
+        cfg = _tiny_cfg(lr=0.5, weight_decay=0.3)
+        rng = np.random.default_rng(5)
+        theta, moments = rng.standard_normal(72), np.zeros((2, 72))
+        theta_r, moments_r, scratch = theta.copy(), moments.copy(), np.full((3, 72), np.nan)
+        for step in range(1, 9):
+            grad = rng.standard_normal(72) * rng.uniform(0.01, 0.3)
+            adamw_step(theta, grad, moments, step, cfg, [30, 70])
+            adamw_step(theta_r, grad, moments_r, step, cfg, [30, 70], scratch=scratch)
+            assert theta_r.tobytes() == theta.tobytes() and moments_r.tobytes() == moments.tobytes()
+
     @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["no-decay", "decay"])
     @pytest.mark.parametrize("per_entry", [False, True], ids=["scalar-lr", "per-entry-lr"])
     def test_equals_the_expression_form(self, decay, per_entry):
@@ -321,7 +346,56 @@ class TestBackward:
         assert rel_error(analytic, numeric) <= 1e-6
 
 
+    @pytest.mark.parametrize("kind", [COSINE, DOT, QNORM, DNORM, learnable(0.3, 0.8)],
+                             ids=["cosine", "dot", "qnorm", "dnorm", "learnable"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["towers", "shared"])
+    @pytest.mark.parametrize("h", [64, 0], ids=["hidden", "affine"])
+    def test_reused_gradient_buffer_returns_the_fresh_bytes(self, kind, shared, h):
+        # The reused vector starts as NaN, so an entry a step leaves
+        # unwritten shows.  It is zeroed and accumulated into, as a fresh
+        # np.zeros is, so every entry keeps the bits of 0.0 + x, -0.0 + 0.0
+        # = +0.0 included, where a first write by out= could leave -0.0.
+        # Theta and the moments therefore get the very gradient bits they
+        # got from a fresh vector; they read it only through g*g and
+        # m + (1 - b1)*g, where a signed zero could only show if m were -0.0.
+        rng = np.random.default_rng(23)
+        enc = init_encoder(6, h, 5, shared=shared, seed=3)
+        cfg = LossConfig(kind=kind, tau=1.0, alpha=20.0)
+        buf = np.full(enc.theta.size + (2 if kind.tag == "learnable" else 0), np.nan)
+        views, out = enc.params(), (buf, enc.params(buf))
+        for _ in range(4):
+            Xq, Xd = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
+            loss, fresh = loss_and_grads(enc, Xq, Xd, cfg)
+            loss_r, reused = loss_and_grads(enc, Xq, Xd, cfg, views, out)
+            assert reused is buf and loss_r == loss
+            assert reused.tobytes() == fresh.tobytes()
+            enc.theta -= 0.1 * fresh[: enc.theta.size]
+
+
 class TestTraining:
+    @pytest.mark.parametrize(
+        "kind,per_step",
+        [(COSINE, 2), (DOT, 0), (QNORM, 1), (DNORM, 1), (learnable(0.5, 0.5), 2)],
+        ids=["cosine", "dot", "qnorm", "dnorm", "learnable"],
+    )
+    def test_norms_per_step(self, kind, per_step, monkeypatch):
+        # A step takes a side's row norms once, and only if that side divides
+        # by them or the kind is learnable; an evaluation takes one per side,
+        # shared by its scores and its magnitude columns.
+        task = gen_asymmetric(TINY)
+        enc = init_encoder(8, 16, 8, False, seed=7)
+        real, calls = np.linalg.norm, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        result = train(task, enc, _tiny_cfg(kind=kind, epochs=2, eval_every=10**9))
+        steps = result.log[-1].step
+        assert [row.step for row in result.log] == [0, steps]
+        assert len(calls) == steps * per_step + 2 * len(result.log)
+
     def test_bit_deterministic(self):
         task = gen_asymmetric(TINY)
         ra = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
@@ -444,9 +518,9 @@ class TestTraining:
         real = model.loss_and_grads
         seen = []
 
-        def record(encoder, Xq, Xd, loss_cfg):
+        def record(encoder, Xq, Xd, *args, **kwargs):
             seen.append((Xq.copy(), Xd.copy()))
-            return real(encoder, Xq, Xd, loss_cfg)
+            return real(encoder, Xq, Xd, *args, **kwargs)
 
         monkeypatch.setattr(model, "loss_and_grads", record)
         train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
