@@ -4,10 +4,12 @@
 Runs, in process and in this order: gen, train, eval of every checkpoint,
 diagnose of all checkpoints, train --resume of the learnable checkpoint
 (else the first kind's), sweep into a second directory, and verify
---trials 50.  Prints each step's exit code with the sha256 of its stdout,
-the output directory masked as <out>, then "relpath sha256" for every
-artifact.  Two runs of one commit print the same lines, and so do a
-commit and its parent when a change keeps every artifact byte-identical.
+--trials 200 at seeds 0, 1 and 2.  Prints each step's exit code with the
+sha256 of its stdout, the output directory masked as <out>, then
+"relpath sha256" for every artifact.  Two runs of one commit print the
+same lines, and so do a commit and its parent when a change keeps every
+artifact and the verify stdout byte-identical.  To compare the two, run
+this script once with PYTHONPATH at each side's src/.
 
     python3 scripts/artifact_digests.py --out digests --epochs 3 --eval-every 7
     python3 scripts/artifact_digests.py --config my_experiment.json --out digests
@@ -42,7 +44,7 @@ def _steps(config: str, run: str, sweep: str, cfg) -> list:
     steps.append(("diagnose", ["diagnose", *[a for c in ckpts for a in ("--checkpoint", c)], "--out", run]))
     steps.append((f"resume {os.path.basename(resume)}", ["train", *common, "--resume", resume]))
     steps.append(("sweep", ["sweep", "--config", config, "--out", sweep]))
-    steps.append(("verify", ["verify", "--trials", "50"]))
+    steps += [(f"verify seed {seed}", ["verify", "--trials", "200", "--seed", str(seed)]) for seed in (0, 1, 2)]
     return steps
 
 

@@ -274,13 +274,14 @@ def suite_gamma_grad(rng, trials: int, _seed=None) -> SuiteResult:
         gd = float(rng.uniform(0.05, 0.95))
         kind = simcore.learnable(gq, gd)
         g = grad.sim_grad(kind, q, d)
-        s = simcore.similarity(kind, q, d)
+        # decompose checks the pair once and takes the norms every probe reuses.
         nq, nd, _ = simcore.decompose(q, d)
+        s = simcore.pair_score(kind, q, d, nq, nd)
         ok = ok and abs(g.d_gamma_q + math.log(nq) * s) <= 1e-12
         ok = ok and abs(g.d_gamma_d + math.log(nd) * s) <= 1e-12
 
         def f(gm):
-            return simcore.similarity(simcore.learnable(float(gm[0]), float(gm[1])), q, d)
+            return simcore.pair_score(simcore.learnable(float(gm[0]), float(gm[1])), q, d, nq, nd)
 
         fd = grad.finite_difference(f, np.array([gq, gd]))
         worst_rel = max(

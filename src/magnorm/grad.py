@@ -12,11 +12,15 @@ learnable (whose gamma gradients need ln|v|), by infonce_grad once for
 its scores and gradients; a gamma-0 side skips every division by |v|**0.
 
 A central finite-difference oracle and a seeded gradcheck harness verify
-every analytic formula against numerics.
+every analytic formula against numerics.  A pair is checked once, by
+sim_grad; the probes then run simcore.pair_score, the arithmetic
+similarity() runs, with the fixed side's norm taken once per pair, so
+they get similarity()'s bits and errors without its re-checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +82,15 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
         ds/dd = q / (|q|^gq |d|^gd) - gd * s * d / |d|^2
         ds/dgq = -ln|q| * s          ds/dgd = -ln|d| * s
     """
-    q = simcore.as_embedding(q)
-    d = simcore.as_embedding(d)
-    # The learnable gamma gradients carry ln of both norms, so that
-    # variant needs both sides nonzero even at gamma = 0.
-    if kind.tag == "learnable" and 0.0 in (np.linalg.norm(q), np.linalg.norm(d)):
-        raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
-    s = simcore.similarity(kind, q, d)
+    q, d = simcore.check_pair(q, d)
+    nq = nd = None
+    if kind.tag == "learnable":
+        # The gamma gradients carry ln of both norms, so that variant needs
+        # both sides nonzero even at gamma = 0; the score reuses the norms.
+        nq, nd = simcore.norm(q), simcore.norm(d)
+        if 0.0 in (nq, nd):
+            raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
+    s = simcore.pair_score(kind, q, d, nq, nd)
     dQ, dC, dgq, dgd = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, :])
     return SimGradient(d_q=dQ[0], d_d=dC[0], d_gamma_q=dgq, d_gamma_d=dgd)
 
@@ -150,7 +156,11 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     G.ravel()[:: B + 1] -= 1.0  # the diagonal, through a view of the contiguous G
     G *= cfg.alpha / cfg.tau / B
 
-    S = np.divide(np.multiply(logits, cfg.tau, out=logits), cfg.alpha, out=logits)
+    # _stack_grad reads the scores where a side divides or under learnable:
+    # under every kind but dot.
+    S = None
+    if cfg.kind.tag != "dot":
+        S = np.divide(np.multiply(logits, cfg.tau, out=logits), cfg.alpha, out=logits)
     dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, batch.positives, norms)
     return InfoNCEGradients(loss, dQ, dC, dgq, dgd)
 
@@ -161,6 +171,7 @@ def finite_difference(f, x, h: float = 1e-5) -> Array:
     out = np.empty_like(x)
     flat = x.ravel()
     out_flat = out.ravel()
+    two_h = 2.0 * h
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
@@ -168,9 +179,9 @@ def finite_difference(f, x, h: float = 1e-5) -> Array:
         flat[i] = orig - h
         lo = f(x)
         flat[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NonFiniteEvaluation(f"non-finite probe at coordinate {i}")
-        out_flat[i] = (hi - lo) / (2.0 * h)
+        out_flat[i] = (hi - lo) / two_h
     return out
 
 
@@ -206,12 +217,17 @@ def gradcheck(
 
     Deterministic given seed (per-trial generators are spawned from one
     seed sequence, so trials could run in any order or in parallel).
-    Fails iff any parameter group's relative error exceeds tol.
+    Fails iff any parameter group's relative error exceeds tol.  Each
+    pair is checked once; every probe runs the same arithmetic as
+    similarity(), so the errors carry its bits, and a gamma probe outside
+    [0, 1] raises ValueError as learnable() does.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    gq, gd = effective_gammas(kind)
+    learn = kind.tag == "learnable"
     groups = {"q": 0.0, "d": 0.0}
-    if kind.tag == "learnable":
+    if learn:
         groups["gamma_q"] = 0.0
         groups["gamma_d"] = 0.0
     children = np.random.SeedSequence(seed).spawn(trials)
@@ -221,15 +237,17 @@ def gradcheck(
         q = _well_conditioned(rng, dim)
         d = _well_conditioned(rng, dim)
         g = sim_grad(kind, q, d)
-        num_q = finite_difference(lambda x: simcore.similarity(kind, x, d), q.copy(), h)
-        num_d = finite_difference(lambda x: simcore.similarity(kind, q, x), d.copy(), h)
+        # sim_grad checked the pair; each probe runs only pair_score, with
+        # the fixed side's norm taken here once, or not at all at gamma 0.
+        nq, nd = (simcore.norm(v) if gamma > 0.0 else None for v, gamma in ((q, gq), (d, gd)))
+        num_q = finite_difference(lambda x: simcore.pair_score(kind, x, d, None, nd), q.copy(), h)
+        num_d = finite_difference(lambda x: simcore.pair_score(kind, q, x, nq, None), d.copy(), h)
         groups["q"] = max(groups["q"], rel_error(g.d_q, num_q))
         groups["d"] = max(groups["d"], rel_error(g.d_d, num_d))
-        if kind.tag == "learnable":
-            gq, gd = kind.gammas.gamma_q, kind.gammas.gamma_d
+        if learn:
 
             def s_of_gammas(gm):
-                return simcore.similarity(simcore.learnable(gm[0], gm[1]), q, d)
+                return simcore.pair_score(simcore.learnable(gm[0], gm[1]), q, d, nq, nd)
 
             num_g = finite_difference(s_of_gammas, np.array([gq, gd]), h)
             groups["gamma_q"] = max(groups["gamma_q"], rel_error(g.d_gamma_q, num_g[0]))

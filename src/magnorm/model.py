@@ -430,8 +430,10 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     moments = np.zeros((2, params.size))
     bounds = encoder.bounds
     # Built once: theta's views, a gradient vector with its views, AdamW's
-    # scratch, and the loss config, which under learnable follows the logits.
+    # scratch, the loss config, which under learnable follows the logits,
+    # and the per-entry rate vector a gamma_lr needs.
     views, scratch, loss_cfg = encoder.params(), np.empty((3, params.size)), cfg.loss
+    rates = np.empty(params.size) if learn and cfg.gamma_lr is not None else None
     grad = np.empty(params.size)
     out = grad, encoder.params(grad)
 
@@ -489,9 +491,10 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
                 record(0, loss)
             sched = lr_at(step, total_steps, cfg.lr)
             lr = sched
-            if learn and cfg.gamma_lr is not None:
-                lr = np.full(params.size, sched)
-                lr[k:] = cfg.gamma_lr * (sched / cfg.lr if cfg.lr > 0 else 0.0)
+            if rates is not None:
+                rates.fill(sched)
+                rates[k:] = cfg.gamma_lr * (sched / cfg.lr if cfg.lr > 0 else 0.0)
+                lr = rates
             adamw_step(params, grad, moments, step + 1, cfg, bounds, lr=lr, scratch=scratch)
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:

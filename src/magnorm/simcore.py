@@ -118,11 +118,9 @@ def decompose(q, d) -> tuple[float, float, float]:
     The clamp absorbs floating-point drift so that downstream angular
     identities always see a valid cosine.
     """
-    q = as_embedding(q)
-    d = as_embedding(d)
-    _check_dims(q, d)
-    nq = _norm(q)
-    nd = _norm(d)
+    q, d = check_pair(q, d)
+    nq = norm(q)
+    nd = norm(d)
     if nq == 0.0 or nd == 0.0:
         raise ZeroMagnitude("angular decomposition undefined for a zero vector")
     cos_theta = float(np.dot(q, d)) / (nq * nd)
@@ -175,12 +173,35 @@ def _power(n, g):
 def similarity(kind: SimilarityKind, q, d) -> float:
     """Score one (query, document) pair under the given variant.
 
-    Raises ZeroMagnitude as divide_by_norms does.
+    The pair is checked once (check_pair), then scored by pair_score, the
+    arithmetic that finite-difference probes call directly.  Raises
+    ZeroMagnitude as divide_by_norms does.
     """
+    q, d = check_pair(q, d)
+    return pair_score(kind, q, d)
+
+
+def check_pair(q, d) -> tuple[Array, Array]:
+    """Both sides as finite 1-d float64 vectors of one dimension, else DimensionMismatch."""
     q = as_embedding(q)
     d = as_embedding(d)
     _check_dims(q, d)
-    return divide_by_norms(kind, float(np.dot(q, d)), _norm(q), _norm(d))
+    return q, d
+
+
+def pair_score(kind: SimilarityKind, q: Array, d: Array, nq=None, nd=None) -> float:
+    """similarity()'s arithmetic on a pair check_pair returned, unchecked.
+
+    nq and nd are the sides' norm() if the caller holds them, as a probe
+    loop does for the side it keeps fixed; else a side takes its norm here
+    only if its gamma is positive, since divide_by_norms reads no other.
+    """
+    gq, gd = effective_gammas(kind)
+    if nq is None and gq > 0.0:
+        nq = norm(q)
+    if nd is None and gd > 0.0:
+        nd = norm(d)
+    return divide_by_norms(kind, float(np.dot(q, d)), nq, nd)
 
 
 def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> Array:
@@ -200,7 +221,7 @@ def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> A
     return divide_by_norms(kind, Q @ D.T, nq[:, None] if gq > 0.0 else None, nd)
 
 
-def _norm(v: Array) -> float:
+def norm(v: Array) -> float:
     """|v| of a 1-d float64 vector: np.linalg.norm's own formula, sqrt(v.v), bit for bit."""
     return math.sqrt(float(v.dot(v)))
 

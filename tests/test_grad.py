@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from magnorm import simcore
+from magnorm import diagnostics, simcore
+from magnorm import grad as grad_module
 from magnorm.errors import NonFiniteEvaluation, ZeroMagnitude
 from magnorm.grad import (
     _row_norms,
     _stack_grad,
+    _well_conditioned,
     finite_difference,
     gradcheck,
     infonce_grad,
@@ -59,6 +61,30 @@ class TestSimGradFrozen:
             sim_grad(COSINE, [0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ZeroMagnitude):
             sim_grad(learnable(0.0, 0.0), [0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "kind,per_call",
+        [(COSINE, 2), (DOT, 0), (QNORM, 1), (DNORM, 1), (learnable(0.3, 0.8), 2), (learnable(0.0, 0.0), 2)],
+        ids=["cosine", "dot", "qnorm", "dnorm", "learnable:0.3,0.8", "learnable:0,0"],
+    )
+    def test_norms_per_call(self, kind, per_call, monkeypatch):
+        # The score takes a side's 1-d norm where it divides by it; under
+        # learnable the zero check takes both and the score reuses them.
+        # _stack_grad takes its own axis-1 norms, which can round apart.
+        calls = {"norm": 0, "linalg": 0}
+        real_norm, real_linalg = simcore.norm, np.linalg.norm
+
+        def counting(key, real):
+            def f(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return f
+
+        monkeypatch.setattr(simcore, "norm", counting("norm", real_norm))
+        monkeypatch.setattr(np.linalg, "norm", counting("linalg", real_linalg))
+        sim_grad(kind, [0.3, -1.2, 0.5], [0.7, 0.1, -0.4])
+        assert calls == {"norm": per_call, "linalg": per_call}
 
 
 class TestSimGradNumeric:
@@ -365,3 +391,184 @@ class TestGradcheck:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             gradcheck(DOT, trials=0, seed=0)
+
+
+def _checked_finite_difference(f, x, h=1e-5):
+    """Reference central differences: np.isfinite on each probe, 2.0 * h per coordinate."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    flat = x.ravel()
+    out_flat = out.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = f(x)
+        flat[i] = orig - h
+        lo = f(x)
+        flat[i] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NonFiniteEvaluation(f"non-finite probe at coordinate {i}")
+        out_flat[i] = (hi - lo) / (2.0 * h)
+    return out
+
+
+def _checked_similarity(kind, q, d):
+    """Reference scalar score: each call checks both sides and takes both norms."""
+    q, d = simcore.as_embedding(q), simcore.as_embedding(d)
+    assert q.shape == d.shape
+    nq, nd = math.sqrt(float(q.dot(q))), math.sqrt(float(d.dot(d)))
+    return simcore.divide_by_norms(kind, float(np.dot(q, d)), nq, nd)
+
+
+def _checked_gradcheck(kind, trials, seed, arrays, h=1e-5):
+    """gradcheck's group errors with every probe a _checked_similarity call, which
+    checks the pair and takes both norms again; each difference lands in arrays."""
+
+    def fd(f, x):
+        arrays.append(_checked_finite_difference(f, x, h))
+        return arrays[-1]
+
+    groups = {"q": 0.0, "d": 0.0}
+    if kind.tag == "learnable":
+        groups["gamma_q"] = 0.0
+        groups["gamma_d"] = 0.0
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        dim = int(rng.integers(2, 9))
+        q = _well_conditioned(rng, dim)
+        d = _well_conditioned(rng, dim)
+        g = sim_grad(kind, q, d)
+        num_q = fd(lambda x: _checked_similarity(kind, x, d), q.copy())
+        num_d = fd(lambda x: _checked_similarity(kind, q, x), d.copy())
+        groups["q"] = max(groups["q"], rel_error(g.d_q, num_q))
+        groups["d"] = max(groups["d"], rel_error(g.d_d, num_d))
+        if kind.tag == "learnable":
+            gq, gd = kind.gammas.gamma_q, kind.gammas.gamma_d
+            num_g = fd(lambda gm: _checked_similarity(learnable(gm[0], gm[1]), q, d), np.array([gq, gd]))
+            groups["gamma_q"] = max(groups["gamma_q"], rel_error(g.d_gamma_q, num_g[0]))
+            groups["gamma_d"] = max(groups["gamma_d"], rel_error(g.d_gamma_d, num_g[1]))
+    return groups
+
+
+def _checked_suite_gamma_grad(rng, trials, arrays):
+    """diagnostics.suite_gamma_grad with every probe a _checked_similarity call."""
+    worst_rel = 0.0
+    ok = True
+    for _ in range(trials):
+        dim = int(rng.integers(2, 9))
+        q = diagnostics._rand_vec(rng, dim)
+        d = diagnostics._rand_vec(rng, dim)
+        gq = float(rng.uniform(0.05, 0.95))
+        gd = float(rng.uniform(0.05, 0.95))
+        kind = learnable(gq, gd)
+        g = sim_grad(kind, q, d)
+        s = _checked_similarity(kind, q, d)
+        nq, nd, _ = simcore.decompose(q, d)
+        ok = ok and abs(g.d_gamma_q + math.log(nq) * s) <= 1e-12
+        ok = ok and abs(g.d_gamma_d + math.log(nd) * s) <= 1e-12
+        arrays.append(_checked_finite_difference(
+            lambda gm: _checked_similarity(learnable(float(gm[0]), float(gm[1])), q, d), np.array([gq, gd])
+        ))
+        worst_rel = max(worst_rel, rel_error(np.array([g.d_gamma_q, g.d_gamma_d]), arrays[-1]))
+    ok = ok and worst_rel <= 1e-6
+    return diagnostics.SuiteResult(worst_rel, "1e-6", ok)
+
+
+def _recording(monkeypatch) -> list:
+    """Every array grad.finite_difference returns from here on, in call order."""
+    arrays, real = [], grad_module.finite_difference
+
+    def recording(f, x, h=1e-5):
+        arrays.append(real(f, x, h))
+        return arrays[-1]
+
+    monkeypatch.setattr(grad_module, "finite_difference", recording)
+    return arrays
+
+
+def _result(f, *args):
+    """The call's value with its floats as hex, or the type and message of the error it raised."""
+    try:
+        value = f(*args)
+    except (ValueError, ZeroMagnitude, NonFiniteEvaluation) as e:
+        return type(e), str(e)
+    return {k: v.hex() for k, v in value.items()} if isinstance(value, dict) else value.tobytes()
+
+
+# The fixed kinds, learnable inside the square, and learnable at two corners,
+# where a gamma probe leaves [0, 1] and both forms raise the same ValueError.
+PROBE_KINDS = (COSINE, DOT, QNORM, DNORM, learnable(0.3, 0.8), learnable(0.0, 0.0), learnable(1.0, 0.0))
+
+
+class TestLeanProbes:
+    """Probes that run only pair_score give every bit, and every error, of
+    probes that re-check the pair and take both norms on every call."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 5))
+    @pytest.mark.parametrize("kind", PROBE_KINDS, ids=simcore.kind_name)
+    def test_gradcheck_is_the_checked_form_bitwise(self, kind, seed, monkeypatch):
+        want_arrays = []
+        want = _result(_checked_gradcheck, kind, 25, seed, want_arrays)
+        got_arrays = _recording(monkeypatch)
+        got = _result(lambda: gradcheck(kind, trials=25, seed=seed).group_errors)
+        assert got == want
+        assert _as_bytes(got_arrays) == _as_bytes(want_arrays)
+        # q and d per trial, and the gammas under learnable; at a corner the
+        # first trial's gamma probe raises.
+        per_trial = 3 if kind.tag == "learnable" else 2
+        assert len(got_arrays) == (2 if isinstance(got, tuple) else 25 * per_trial)
+
+    @pytest.mark.parametrize("seed", (0, 1, 5))
+    def test_suite_gamma_grad_is_the_checked_form_bitwise(self, seed, monkeypatch):
+        want_arrays = []
+        want = _checked_suite_gamma_grad(np.random.default_rng([seed, 5]), 60, want_arrays)
+        got_arrays = _recording(monkeypatch)
+        got = diagnostics.suite_gamma_grad(np.random.default_rng([seed, 5]), 60)
+        assert got == want
+        assert _as_bytes(got_arrays) == _as_bytes(want_arrays)
+        assert len(got_arrays) == 60
+
+    def test_gamma_probe_outside_the_square_raises(self):
+        with pytest.raises(ValueError, match=r"gamma_q must lie in \[0, 1\]"):
+            gradcheck(learnable(1.0, 1.0), trials=1, seed=0)
+        assert _result(_checked_gradcheck, learnable(1.0, 1.0), 1, 0, [])[0] is ValueError
+
+    @pytest.mark.parametrize("kind", (COSINE, QNORM, DNORM, learnable(0.3, 0.8), learnable(1.0, 0.0)),
+                             ids=simcore.kind_name)
+    def test_zero_norm_probe_raises(self, kind):
+        # The -h probe of coordinate 0 lands on the origin, and a fixed side
+        # at the origin holds a zero norm; a side with a positive gamma
+        # raises ZeroMagnitude in both, as a checked call does.
+        edge, other, zero = np.array([1e-5, 0.0]), np.array([0.6, -0.8]), np.zeros(2)
+        lean = (
+            lambda x: simcore.pair_score(kind, x, other, None, simcore.norm(other)),
+            lambda x: simcore.pair_score(kind, other, x, simcore.norm(other), None),
+            lambda x: simcore.pair_score(kind, zero, x, simcore.norm(zero), None),
+            lambda x: simcore.pair_score(kind, x, zero, None, simcore.norm(zero)),
+        )
+        checked = (
+            lambda x: _checked_similarity(kind, x, other),
+            lambda x: _checked_similarity(kind, other, x),
+            lambda x: _checked_similarity(kind, zero, x),
+            lambda x: _checked_similarity(kind, x, zero),
+        )
+        gammas = simcore.effective_gammas(kind)
+        for f, g, x, gamma in zip(lean, checked, (edge, edge, other, other), (*gammas, *gammas)):
+            got = _result(finite_difference, f, x.copy())
+            assert got == _result(_checked_finite_difference, g, x.copy())
+            if gamma > 0.0:
+                assert got[0] is ZeroMagnitude
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS[:5], ids=simcore.kind_name)
+    def test_non_finite_probe_raises(self, kind):
+        # q.d overflows to inf, and under a normalizing kind inf / inf is NaN.
+        q = np.array([1e200, -1e200])
+        d = q.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            nq, nd = simcore.norm(q), simcore.norm(d)
+            with pytest.raises(NonFiniteEvaluation):
+                finite_difference(lambda x: simcore.pair_score(kind, x, d, None, nd), q.copy())
+            with pytest.raises(NonFiniteEvaluation):
+                finite_difference(lambda x: simcore.pair_score(kind, q, x, nq, None), d.copy())
+            with pytest.raises(NonFiniteEvaluation):
+                _checked_finite_difference(lambda x: _checked_similarity(kind, x, d), q.copy())

@@ -396,6 +396,38 @@ class TestTraining:
         assert [row.step for row in result.log] == [0, steps]
         assert len(calls) == steps * per_step + 2 * len(result.log)
 
+    def test_gamma_rates_fill_one_buffer(self, monkeypatch):
+        # A gamma_lr's per-entry rate vector is allocated once per training
+        # and refilled each step.  Each step's rates are the bits of a fresh
+        # np.full, and a training that hands AdamW a private copy of them,
+        # so that nothing can see the reuse, keeps the log and snapshot bytes.
+        task = gen_asymmetric(TINY)
+        cfg = _tiny_cfg(kind=learnable(0.5, 0.5), gamma_lr=0.05, epochs=2)
+        plain = train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
+        real_full, real_step, fulls, rates = np.full, model.adamw_step, [], []
+
+        def counting_full(*args, **kwargs):
+            fulls.append(None)
+            return real_full(*args, **kwargs)
+
+        def copying_step(*args, lr=None, **kwargs):
+            rates.append(np.array(lr, copy=True))
+            return real_step(*args, lr=rates[-1], **kwargs)
+
+        monkeypatch.setattr(np, "full", counting_full)
+        monkeypatch.setattr(model, "adamw_step", copying_step)
+        spied = train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
+        assert fulls == []
+        assert len(rates) == plain.log[-1].step == 8
+        k = plain.encoder.theta.size
+        for step, lr in enumerate(rates):
+            sched = lr_at(step, len(rates), cfg.lr)
+            fresh = real_full(k + 2, sched)
+            fresh[k:] = cfg.gamma_lr * (sched / cfg.lr)
+            assert lr.tobytes() == fresh.tobytes()
+        assert [dataclasses.astuple(r) for r in spied.log] == [dataclasses.astuple(r) for r in plain.log]
+        assert [s.params.tobytes() for s in spied.snapshots] == [s.params.tobytes() for s in plain.snapshots]
+
     def test_bit_deterministic(self):
         task = gen_asymmetric(TINY)
         ra = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
