@@ -58,27 +58,46 @@ def cv(values) -> float:
     return math.sqrt(var) / mean
 
 
-def rank_documents(kinds, q, D, ids) -> Array:
-    """Rank the rows of D for one query q under each kind: one row of row indices per kind.
+def rank_documents(kinds, Q, D, ids) -> Array:
+    """Rank each trial's documents under each of its kinds: (trials, kinds, n_docs) row indices.
 
-    D is (n_docs, dim) and ids names its rows.  The bilinear scores and
-    both norms are taken once, by the operations similarity_matrix
-    performs, so every kind's scores keep similarity_matrix's bits; each
-    kind then costs one divide_by_norms (and its zero-norm rule).  One
-    stable sort of the negated scores, over columns put in doc-id string
-    order, gives ranked_list's (-score, doc id) order: ties go to the
+    A block of T trials: Q is (T, dim), D is (T, n_docs, dim), ids names
+    the rows of every D[i], and kinds[i] is trial i's sequence of kinds,
+    one per variant, alike in length.  One batched Q @ D^T and one norm
+    per side, by the operations similarity_matrix performs, serve every
+    variant, so each score keeps similarity_matrix's bits for its trial;
+    each variant then costs one divide_by_norms (and its zero-norm rule),
+    with per-trial gamma arrays where its kinds' gammas differ.  One stable
+    sort of the negated scores, over columns put in doc-id string order,
+    gives ranked_list's (-score, doc id) order: ties go to the
     lexicographically smaller id, so d10 ranks before d2.
     """
-    Q = simcore.as_embedding(q)[None, :]
+    Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    if D.shape != (len(ids), Q.shape[1]) or not np.isfinite(D).all():
-        raise DimensionMismatch(f"expected a finite ({len(ids)}, {Q.shape[1]}) document matrix, got {D.shape}")
-    t = Q @ D.T
-    nq = np.linalg.norm(Q, axis=1)[:, None]
-    nd = np.linalg.norm(D, axis=1)[None, :]
-    S = np.vstack([simcore.divide_by_norms(kind, t, nq, nd) for kind in kinds])
+    if len({len(k) for k in kinds}) != 1:
+        raise ValueError("need at least one trial, each with the same number of kinds")
+    T = len(kinds)
+    if Q.ndim != 2 or Q.shape[0] != T or Q.shape[1] < 1 or D.shape != (T, len(ids), Q.shape[1]):
+        raise DimensionMismatch(f"expected ({T}, dim) queries and ({T}, {len(ids)}, dim) documents, got {Q.shape} and {D.shape}")
+    if not (np.isfinite(Q).all() and np.isfinite(D).all()):
+        raise DimensionMismatch("query and document entries must be finite")
+    # Columns in doc-id order from here on, so the sort needs no permuted copy of S.
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    return by_id[np.argsort(-S[:, by_id], axis=1, kind="stable")]
+    t = (Q[:, None, :] @ D.transpose(0, 2, 1))[:, 0, by_id]
+    nq = np.linalg.norm(Q, axis=1)[:, None]
+    nd = np.linalg.norm(D, axis=2)[:, by_id]
+    S = np.empty((T, len(kinds[0]), len(ids)))
+    for v, variant in enumerate(zip(*kinds)):
+        np.negative(simcore.divide_by_norms(_trial_gammas(variant), t, nq, nd), out=S[:, v])
+    rows = np.argsort(S, axis=2, kind="stable")
+    del S  # the lookup below need not share the peak with the scores
+    return by_id[rows]
+
+
+def _trial_gammas(variant) -> tuple:
+    """One variant's (gamma_q, gamma_d) over a block's trials: a float where all trials share it, else a (T, 1) column."""
+    G = np.array([simcore.effective_gammas(kind) for kind in variant])
+    return tuple(float(g[0]) if (g == g[0]).all() else g[:, None] for g in G.T)
 
 
 # ---------------------------------------------------------------------------
@@ -110,65 +129,88 @@ class EquivalenceVerdict:
         return self.cosine_dnorm_ok and self.qnorm_dot_ok and self.gamma_q_invariant_ok
 
 
+# Trials per rank_documents call in verify_ranking_equivalence.
+EQUIVALENCE_BLOCK = 128
+
+# The variant pairs verify_ranking_equivalence compares, as positions in a trial's kinds.
+_EQUIVALENT_PAIRS = ((0, 1), (2, 3), (4, 5))
+
+
 def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) -> EquivalenceVerdict:
     """Randomized check of which variants induce identical rankings.
 
     Each trial draws one query and n_docs documents d0, d1, ... and ranks
-    them under every variant with one rank_documents call: one score
-    matrix, one sort, ties to the lexicographically smaller doc id.  The
-    orders are compared exactly (no tolerance: ranking is discrete).
-    Never raises on a mismatch; the verdict carries the first
-    counterexample instead.
+    them under every variant; blocks of EQUIVALENCE_BLOCK trials share one
+    rank_documents call (_equivalence_block): one score tensor, one sort,
+    ties to the lexicographically smaller doc id.  The orders are compared
+    exactly (no tolerance: ranking is discrete).  Never raises on a
+    mismatch; the verdict carries the first counterexample, in trial order
+    and then check order, instead.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     ids = [f"d{j}" for j in range(n_docs)]
-    cos_dnorm = True
-    qnorm_dot = True
-    gamma_q_inv = True
+    ok = [True, True, True]
     counterexample = None
 
     def order(row) -> tuple:
         return tuple(ids[j] for j in row.tolist())
 
-    for t in range(trials):
-        q = rng.standard_normal(dim)
-        D = rng.standard_normal((n_docs, dim))
-        # Rescale by lognormal factors so magnitudes actually vary.
-        q = q * float(rng.lognormal(0.0, 0.7))
-        D = D * rng.lognormal(0.0, 0.7, n_docs)[:, None]
-        gd = float(rng.uniform(0.0, 1.0))
-        ga, gb = sorted(float(rng.uniform(0.0, 1.0)) for _ in range(2))
-        kinds = (
-            simcore.COSINE,
-            simcore.DNORM,
-            simcore.QNORM,
-            simcore.DOT,
-            simcore.learnable(ga, gd),
-            simcore.learnable(gb, gd),
-        )
-        o_cos, o_dnorm, o_qnorm, o_dot, o_a, o_b = rank_documents(kinds, q, D, ids)
-        if cos_dnorm and not np.array_equal(o_cos, o_dnorm):
-            cos_dnorm = False
-            counterexample = counterexample or f"trial {t}: cosine {order(o_cos)} vs dnorm {order(o_dnorm)}"
-        if qnorm_dot and not np.array_equal(o_qnorm, o_dot):
-            qnorm_dot = False
-            counterexample = counterexample or f"trial {t}: qnorm {order(o_qnorm)} vs dot {order(o_dot)}"
-        if gamma_q_inv and not np.array_equal(o_a, o_b):
-            gamma_q_inv = False
-            counterexample = (
-                counterexample
-                or f"trial {t}: gamma_q {ga:.3f} vs {gb:.3f} at gamma_d {gd:.3f}: {order(o_a)} vs {order(o_b)}"
-            )
+    for start in range(0, trials, EQUIVALENCE_BLOCK):
+        O, ga, gb, gd = _equivalence_block(rng, min(EQUIVALENCE_BLOCK, trials - start), dim, ids)
+        agree = np.stack([(O[:, x] == O[:, y]).all(axis=1) for x, y in _EQUIVALENT_PAIRS], axis=1)
+        # nonzero walks the (trial, check) grid row by row: trial order, then check order.
+        for i, c in zip(*np.nonzero(~agree)):
+            if not ok[c]:
+                continue
+            ok[c] = False
+            x, y = (order(O[i, v]) for v in _EQUIVALENT_PAIRS[c])
+            if c == 0:
+                found = f"cosine {x} vs dnorm {y}"
+            elif c == 1:
+                found = f"qnorm {x} vs dot {y}"
+            else:
+                found = f"gamma_q {ga[i]:.3f} vs {gb[i]:.3f} at gamma_d {gd[i]:.3f}: {x} vs {y}"
+            counterexample = counterexample or f"trial {start + i}: {found}"
+        del O  # the next block's draws need not share the peak with this block's orders
     return EquivalenceVerdict(
         trials=trials,
         seed=seed,
-        cosine_dnorm_ok=cos_dnorm,
-        qnorm_dot_ok=qnorm_dot,
-        gamma_q_invariant_ok=gamma_q_inv,
+        cosine_dnorm_ok=ok[0],
+        qnorm_dot_ok=ok[1],
+        gamma_q_invariant_ok=ok[2],
         counterexample=counterexample,
     )
+
+
+def _equivalence_block(rng, T: int, dim: int, ids) -> tuple:
+    """Draw T trials of verify_ranking_equivalence and rank them: (orders, gamma_q a, gamma_q b, gamma_d).
+
+    A trial's draws are one normal vector (query, then documents), one
+    lognormal vector (their scales, so magnitudes actually vary) and three
+    uniforms (gamma_d, then two gamma_q, sorted): the stream of separate
+    draws for each, merged where two of one distribution follow each other.
+    """
+    n_docs = len(ids)
+    X = np.empty((T, dim + n_docs * dim))
+    scales = np.empty((T, n_docs + 1))
+    U = np.empty((T, 3))
+    for i in range(T):
+        rng.standard_normal(out=X[i])
+        scales[i] = rng.lognormal(0.0, 0.7, n_docs + 1)
+        U[i] = rng.uniform(0.0, 1.0, 3)
+    Q = X[:, :dim]
+    Q *= scales[:, :1]
+    D = X[:, dim:].reshape(T, n_docs, dim)
+    D *= scales[:, 1:, None]
+    gd = U[:, 0].tolist()
+    ga, gb = np.sort(U[:, 1:], axis=1).T.tolist()
+    kinds = [
+        (simcore.COSINE, simcore.DNORM, simcore.QNORM, simcore.DOT, simcore.learnable(a, g), simcore.learnable(b, g))
+        for a, b, g in zip(ga, gb, gd)
+    ]
+    return rank_documents(kinds, Q, D, ids), ga, gb, gd
 
 
 class SuiteResult(NamedTuple):
@@ -183,7 +225,7 @@ class SuiteResult(NamedTuple):
 
 def _rand_vec(rng, dim: int):
     v = rng.standard_normal(dim)
-    if np.linalg.norm(v) < 1e-3:
+    if simcore.norm(v) < 1e-3:
         v = v + 0.5
     return v * float(rng.lognormal(0.0, 0.7))
 
@@ -236,9 +278,9 @@ def suite_jacobian(rng, trials: int, _seed=None) -> SuiteResult:
         for _ in range(trials):
             v = _rand_vec(rng, n)
             P = grad.tangent_projector(v)
-            vhat = v / np.linalg.norm(v)
+            vhat = v / simcore.norm(v)
             r_idem = float(np.abs(P @ P - P).max())
-            r_null = float(np.linalg.norm(P @ vhat))
+            r_null = simcore.norm(P @ vhat)
             r_trace = abs(float(np.trace(P)) - (n - 1))
             tight = max(tight, r_idem, r_null)
             trace = max(trace, r_trace)
@@ -256,8 +298,8 @@ def suite_radial(rng, trials: int, _seed=None) -> SuiteResult:
         D = np.vstack([_rand_vec(rng, dim) for _ in range(B)])
         g = grad.infonce_grad(ContrastiveBatch(Q, D), cfg)
         for i in range(B):
-            gn = float(np.linalg.norm(g.d_queries[i]))
-            qn = float(np.linalg.norm(Q[i]))
+            gn = simcore.norm(g.d_queries[i])
+            qn = simcore.norm(Q[i])
             if gn > 0.0:
                 worst = max(worst, abs(float(g.d_queries[i] @ Q[i])) / (gn * qn))
     return SuiteResult(worst, "1e-10", worst <= 1e-10)

@@ -66,7 +66,7 @@ class InfoNCEGradients:
 def tangent_projector(v) -> Array:
     """P_v = I - vhat vhat^T, the projector onto the tangent space at vhat."""
     v = simcore.as_embedding(v)
-    n = float(np.linalg.norm(v))
+    n = simcore.norm(v)
     if n == 0.0:
         raise ZeroMagnitude("tangent space undefined at the origin")
     vhat = v / n
@@ -266,6 +266,6 @@ def gradcheck(
 def _well_conditioned(rng, dim: int, min_norm: float = 0.3) -> Array:
     """Standard normal sample, redrawn until its norm clears min_norm."""
     v = rng.standard_normal(dim)
-    while np.linalg.norm(v) < min_norm:
+    while simcore.norm(v) < min_norm:
         v = rng.standard_normal(dim)
     return v

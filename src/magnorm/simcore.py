@@ -11,9 +11,11 @@ how much of each side's Euclidean norm they divide away:
 
 The learnable variant equals |q|^(1-gq) * |d|^(1-gd) * cos(theta) and
 reduces exactly to the four discrete variants at the corners of the
-(gq, gd) unit square.  divide_by_norms applies that division and its
-zero-norm rule for the scalar and the all-pairs matrix scores alike; the
-InfoNCE objective scores its in-batch pool through the matrix.
+(gq, gd) unit square.  divide_by_norms is the one place that applies that
+division and its zero-norm rule: for the scalar scores, the all-pairs
+matrix, and diagnostics.rank_documents' blocks of trials, whose learnable
+variants pass one gamma per trial as an array.  The InfoNCE objective
+scores its in-batch pool through the matrix.
 """
 
 from __future__ import annotations
@@ -128,25 +130,25 @@ def decompose(q, d) -> tuple[float, float, float]:
     return nq, nd, cos_theta
 
 
-def divide_by_norms(kind: SimilarityKind, t, nq, nd):
+def divide_by_norms(gammas, t, nq, nd):
     """The family's one rule: raw scores t over |q|^gq * |d|^gd, divided once.
 
-    t, nq and nd are floats or broadcastable arrays.  Raises ZeroMagnitude
-    when a side with a positive gamma has a zero norm; silent zeros would
-    mask generator bugs upstream.  A side with gamma 0 contributes no
-    factor, which is exact since |v|**0 is 1, and when neither side has
-    one (dot) t itself comes back, undivided.  Dividing by the product,
-    not by one side and then the other, keeps cosine and dot exactly
-    symmetric in q and d.
+    gammas is the (gq, gd) pair effective_gammas gives, each a float, or
+    an array of per-row exponents that broadcasts against its side's
+    norms (rank_documents' per-trial learnable variants).  t, nq and nd
+    are floats or broadcastable arrays; a side whose gamma is the float
+    0.0 may pass None.  Raises ZeroMagnitude where a side with a positive
+    gamma has a zero norm; silent zeros would mask generator bugs
+    upstream.  A float-gamma side at 0 contributes no factor, which is
+    exact since |v|**0 is 1, and when neither side has one (dot) t itself
+    comes back, undivided.  Dividing by the product, not by one side and
+    then the other, keeps cosine and dot exactly symmetric in q and d.
     """
-    den = None
-    for side, n, g in zip(("query", "document"), (nq, nd), effective_gammas(kind)):
-        if g > 0.0:
-            # A float takes a plain comparison, which skips count_nonzero's array round trip.
-            if (n == 0.0) if isinstance(n, float) else np.count_nonzero(n == 0.0):
-                raise ZeroMagnitude(f"zero-norm {side}")
-            p = _power(n, g)
-            den = p if den is None else den * p
+    gq, gd = gammas
+    den = _norm_power(nq, gq, "query")
+    factor = _norm_power(nd, gd, "document")
+    if factor is not None:
+        den = factor if den is None else den * factor
     if den is None:
         return t
     if isinstance(den, np.ndarray) and den.shape == np.shape(t):
@@ -156,18 +158,32 @@ def divide_by_norms(kind: SimilarityKind, t, nq, nd):
     return t / den
 
 
-def _power(n, g):
-    """n**g by numpy's array power, for a float norm as for an array of norms.
+def _norm_power(n, g, side):
+    """One side's factor |v|**g in divide_by_norms, or None for a float gamma of 0.
 
-    Python's float pow and numpy's vectorized pow can round a fractional
-    power an ulp apart, so a float goes through a 0-d array: similarity()
-    then gets the bits similarity_matrix() gets for the same pair, and
-    ties break alike in both.  |v|**1 is exact either way, so the corner
-    variants skip the round trip.
+    A float norm (np.float64 included) costs one comparison for the
+    zero-norm rule and, for a fractional gamma, numpy's array power
+    through a 0-d array: Python's float pow can round an ulp away from
+    it, and similarity() must get the bits similarity_matrix() gets for
+    the same pair.  |v|**1 is exact, so a corner gamma returns the norm
+    itself.  Array norms take numpy's power; an array of gammas checks for
+    zero norms only where its gamma is positive, since |0|**0 is 1.
     """
-    if g == 1.0 or isinstance(n, np.ndarray):
-        return n**g
-    return float(np.asarray(n) ** g)
+    if isinstance(n, float):
+        if not g > 0.0:
+            return None
+        if n == 0.0:
+            raise ZeroMagnitude(f"zero-norm {side}")
+        return n if g == 1.0 else float(np.asarray(n) ** g)
+    if isinstance(g, np.ndarray):
+        zero = (n == 0.0) & (g > 0.0)
+    elif g > 0.0:
+        zero = n == 0.0
+    else:
+        return None
+    if np.count_nonzero(zero):
+        raise ZeroMagnitude(f"zero-norm {side}")
+    return n**g
 
 
 def similarity(kind: SimilarityKind, q, d) -> float:
@@ -196,12 +212,12 @@ def pair_score(kind: SimilarityKind, q: Array, d: Array, nq=None, nd=None) -> fl
     loop does for the side it keeps fixed; else a side takes its norm here
     only if its gamma is positive, since divide_by_norms reads no other.
     """
-    gq, gd = effective_gammas(kind)
+    gammas = gq, gd = effective_gammas(kind)
     if nq is None and gq > 0.0:
         nq = norm(q)
     if nd is None and gd > 0.0:
         nd = norm(d)
-    return divide_by_norms(kind, float(np.dot(q, d)), nq, nd)
+    return divide_by_norms(gammas, float(np.dot(q, d)), nq, nd)
 
 
 def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> Array:
@@ -216,13 +232,18 @@ def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> A
     D = np.asarray(D, dtype=np.float64)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
         raise DimensionMismatch(f"expected (B, n) and (C, n), got {Q.shape} and {D.shape}")
-    gq, gd = effective_gammas(kind)
+    gammas = gq, gd = effective_gammas(kind)
     nq, nd = norms or [np.linalg.norm(M, axis=1) if g > 0.0 else None for M, g in ((Q, gq), (D, gd))]
-    return divide_by_norms(kind, Q @ D.T, nq[:, None] if gq > 0.0 else None, nd)
+    return divide_by_norms(gammas, Q @ D.T, nq[:, None] if gq > 0.0 else None, nd)
 
 
 def norm(v: Array) -> float:
-    """|v| of a 1-d float64 vector: np.linalg.norm's own formula, sqrt(v.v), bit for bit."""
+    """|v| of a 1-d float64 vector: np.linalg.norm's own formula, sqrt(v.v), bit for bit.
+
+    Like np.linalg.norm it takes the product over a contiguous copy of a
+    strided vector, since a strided dot can sum in another order.
+    """
+    v = v.ravel("K")
     return math.sqrt(float(v.dot(v)))
 
 

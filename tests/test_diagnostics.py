@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnorm.datagen import TaskSpec, gen_asymmetric
+from magnorm import diagnostics
 from magnorm.diagnostics import (
     REPORT_COLUMNS,
     DiagnosticsReport,
+    EquivalenceVerdict,
     cohens_d,
     cv,
     magnitude_report,
@@ -83,10 +85,15 @@ class TestCV:
             cv([-1.0, 1.0])
 
 
+def _rank_alone(kinds, q, D, ids):
+    """rank_documents on a block of one trial: that trial's rows, one per kind."""
+    return rank_documents([kinds], np.asarray(q)[None], np.asarray(D)[None], ids)[0]
+
+
 def _ranked_ids(kind, q, docs) -> list:
     """rank_documents' one row for kind over (doc_id, vector) pairs, as doc ids."""
     ids = [did for did, _ in docs]
-    (row,) = rank_documents([kind], q, np.array([d for _, d in docs]), ids)
+    (row,) = _rank_alone([kind], q, np.array([d for _, d in docs]), ids)
     return [ids[j] for j in row.tolist()]
 
 
@@ -101,9 +108,10 @@ _ENTRY_POOL = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0)
 
 
 @st.composite
-def _ranking_case(draw):
-    dim = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 12))
+def _ranking_case(draw, dim=None, n=None, ids=None):
+    """One trial: a query, its docs (some collinear), their ids and five kinds; dim, n and ids drawn unless given."""
+    dim = draw(st.integers(1, 4)) if dim is None else dim
+    n = draw(st.integers(1, 12)) if n is None else n
     vec = st.lists(st.sampled_from(_ENTRY_POOL), min_size=dim, max_size=dim)
     q = np.array(draw(vec))
     rows = []
@@ -113,10 +121,19 @@ def _ranking_case(draw):
             rows.append(draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))) * rows[draw(st.integers(0, len(rows) - 1))])
         else:
             rows.append(np.array(draw(vec)))
-    ids = draw(st.permutations([f"d{j}" for j in range(12)]))[:n]
+    ids = draw(st.permutations([f"d{j}" for j in range(12)]))[:n] if ids is None else ids
     g = st.floats(0.0, 1.0)
     kinds = (COSINE, DOT, QNORM, DNORM, learnable(draw(g), draw(g)))
     return q, np.array(rows), ids, kinds
+
+
+@st.composite
+def _ranking_block(draw):
+    """One to five _ranking_case trials sharing dim, doc count and ids, each with its own learnable gammas."""
+    first = draw(_ranking_case())
+    q, D, ids, _ = first
+    rest = draw(st.lists(_ranking_case(q.size, len(ids), ids), max_size=4))
+    return [first] + rest
 
 
 class TestRankDocuments:
@@ -153,13 +170,38 @@ class TestRankDocuments:
                 expect = _oracle_ids(kind, q, docs)
             except ZeroMagnitude:
                 with pytest.raises(ZeroMagnitude):
-                    rank_documents([kind], q, D, ids)
+                    _rank_alone([kind], q, D, ids)
                 continue
-            (row,) = rank_documents([kind], q, D, ids)
+            (row,) = _rank_alone([kind], q, D, ids)
             assert [ids[j] for j in row.tolist()] == expect
             rows.append(row)
         if len(rows) == len(kinds):
-            assert np.array_equal(rank_documents(kinds, q, D, ids), np.array(rows))
+            assert np.array_equal(_rank_alone(kinds, q, D, ids), np.array(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ranking_block())
+    def test_a_block_ranks_each_trial_as_alone(self, block):
+        ids = block[0][2]
+        Q = np.array([q for q, _, _, _ in block])
+        Ds = np.array([D for _, D, _, _ in block])
+        kinds = [k for _, _, _, k in block]
+        for v in range(len(kinds[0])):
+            alone = []
+            for q, D, _, trial_kinds in block:
+                try:
+                    expect = _oracle_ids(trial_kinds[v], q, list(zip(ids, D)))
+                except ZeroMagnitude:
+                    alone = None
+                    break
+                (row,) = _rank_alone([trial_kinds[v]], q, D, ids)
+                assert [ids[j] for j in row.tolist()] == expect
+                alone.append(row)
+            if alone is None:
+                # A trial whose side with a positive gamma has a zero norm fails the block.
+                with pytest.raises(ZeroMagnitude):
+                    rank_documents([[k[v]] for k in kinds], Q, Ds, ids)
+                continue
+            assert np.array_equal(rank_documents([[k[v]] for k in kinds], Q, Ds, ids)[:, 0], np.array(alone))
 
     @pytest.mark.parametrize(
         "D",
@@ -168,7 +210,21 @@ class TestRankDocuments:
     )
     def test_rejects_a_malformed_document_matrix(self, D):
         with pytest.raises(DimensionMismatch):
-            rank_documents([DOT], np.ones(2), D, ["d0", "d1"])
+            _rank_alone([DOT], np.ones(2), D, ["d0", "d1"])
+
+    @pytest.mark.parametrize(
+        "Q",
+        [np.ones((2, 2)), np.ones(2), np.ones((1, 3)), np.ones((1, 0)), np.array([[np.inf, 1.0]])],
+        ids=["two-queries-one-trial", "1-d", "wrong-dim", "dim-0", "inf"],
+    )
+    def test_rejects_a_malformed_query_block(self, Q):
+        with pytest.raises(DimensionMismatch):
+            rank_documents([[DOT]], Q, np.ones((1, 2, 2)), ["d0", "d1"])
+
+    def test_rejects_uneven_or_missing_kinds(self):
+        for kinds in ([], [[DOT], [DOT, COSINE]]):
+            with pytest.raises(ValueError):
+                rank_documents(kinds, np.ones((len(kinds), 2)), np.ones((len(kinds), 2, 2)), ["d0", "d1"])
 
 
 class TestVerifyRankingEquivalence:
@@ -227,6 +283,97 @@ class TestVerifyRankingEquivalence:
     @pytest.mark.parametrize("args", list(FROZEN), ids=lambda a: "-".join(map(str, a)))
     def test_frozen_verdicts(self, args):
         assert repr(verify_ranking_equivalence(*args)) == self.FROZEN[args]
+
+    def test_one_rank_documents_call_per_block(self, monkeypatch):
+        calls = []
+        real = diagnostics.rank_documents
+
+        def counting(kinds, Q, D, ids):
+            calls.append(len(kinds))
+            return real(kinds, Q, D, ids)
+
+        monkeypatch.setattr(diagnostics, "rank_documents", counting)
+        assert verify_ranking_equivalence(8, 16, 1000, 0).all_ok
+        assert calls == [128] * 7 + [104]
+
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    def test_blocks_draw_the_per_trial_stream(self, seed, monkeypatch):
+        # The merged draws of a trial keep the generator's stream bit for bit.
+        def recorded(run):
+            seen = []
+            real = diagnostics.rank_documents
+
+            def record(kinds, Q, D, ids):
+                seen.append((np.array(Q), np.array(D), [[simcore.effective_gammas(k) for k in ks] for ks in kinds]))
+                return real(kinds, Q, D, ids)
+
+            with monkeypatch.context() as m:
+                m.setattr(diagnostics, "rank_documents", record)
+                verdict = run(3, 5, 300, seed)
+            Q, D, G = (np.concatenate([r[i] for r in seen]) for i in range(3))
+            return verdict, Q.tobytes(), D.tobytes(), G.tobytes()
+
+        assert recorded(verify_ranking_equivalence) == recorded(_one_trial_at_a_time)
+
+    def test_later_block_counterexample_matches_one_trial_at_a_time(self, monkeypatch):
+        # Reverse one order in trials 150 (gamma_q check) and 200 (cosine
+        # check), found by their queries: the first counterexample lies in
+        # the second block and must name trial 150's gamma check.
+        queries = []
+        real = diagnostics.rank_documents
+
+        def record(kinds, Q, D, ids):
+            queries.extend(q.tobytes() for q in Q)
+            return real(kinds, Q, D, ids)
+
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "rank_documents", record)
+            verify_ranking_equivalence(8, 16, 300, 0)
+        flip = {queries[150]: 5, queries[200]: 0}
+
+        def flipped(kinds, Q, D, ids):
+            O = real(kinds, Q, D, ids)
+            for i, q in enumerate(Q):
+                if q.tobytes() in flip:
+                    O[i, flip[q.tobytes()]] = O[i, flip[q.tobytes()]][::-1].copy()
+            return O
+
+        monkeypatch.setattr(diagnostics, "rank_documents", flipped)
+        verdict = verify_ranking_equivalence(8, 16, 300, 0)
+        assert verdict == _one_trial_at_a_time(8, 16, 300, 0)
+        assert (verdict.cosine_dnorm_ok, verdict.qnorm_dot_ok, verdict.gamma_q_invariant_ok) == (False, True, False)
+        assert verdict.counterexample.startswith("trial 150: gamma_q ")
+
+
+def _one_trial_at_a_time(dim, n_docs, trials, seed) -> EquivalenceVerdict:
+    """verify_ranking_equivalence as a per-trial loop: six separate draws and one single-trial ranking per trial."""
+    rng = np.random.default_rng(seed)
+    ids = [f"d{j}" for j in range(n_docs)]
+    ok = [True, True, True]
+    counterexample = None
+
+    def order(row) -> tuple:
+        return tuple(ids[j] for j in row.tolist())
+
+    for t in range(trials):
+        q = rng.standard_normal(dim)
+        D = rng.standard_normal((n_docs, dim))
+        q = q * float(rng.lognormal(0.0, 0.7))
+        D = D * rng.lognormal(0.0, 0.7, n_docs)[:, None]
+        gd = float(rng.uniform(0.0, 1.0))
+        ga, gb = sorted(float(rng.uniform(0.0, 1.0)) for _ in range(2))
+        kinds = (COSINE, DNORM, QNORM, DOT, learnable(ga, gd), learnable(gb, gd))
+        o = diagnostics.rank_documents([kinds], q[None], D[None], ids)[0]
+        found = (
+            f"trial {t}: cosine {order(o[0])} vs dnorm {order(o[1])}",
+            f"trial {t}: qnorm {order(o[2])} vs dot {order(o[3])}",
+            f"trial {t}: gamma_q {ga:.3f} vs {gb:.3f} at gamma_d {gd:.3f}: {order(o[4])} vs {order(o[5])}",
+        )
+        for c in range(3):
+            if ok[c] and not np.array_equal(o[2 * c], o[2 * c + 1]):
+                ok[c] = False
+                counterexample = counterexample or found[c]
+    return EquivalenceVerdict(trials, seed, *ok, counterexample=counterexample)
 
 
 

@@ -142,6 +142,16 @@ class TestProjectorAndJacobian:
         with pytest.raises(ZeroMagnitude):
             tangent_projector(np.zeros(3))
 
+    def test_strided_vector_gives_the_contiguous_bits(self):
+        # Its norm is np.linalg.norm's, which sums a contiguous copy.
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            M = rng.standard_normal((int(rng.integers(2, 80)), 2)) * rng.lognormal(0.0, 2.0)
+            v = M[:, 1]
+            P = tangent_projector(v)
+            vhat = v / np.linalg.norm(v)
+            assert P.tobytes() == (np.eye(v.size) - np.outer(vhat, vhat)).tobytes()
+
 
 class TestFiniteDifference:
     def test_quadratic_norm_example(self):
@@ -417,7 +427,7 @@ def _checked_similarity(kind, q, d):
     q, d = simcore.as_embedding(q), simcore.as_embedding(d)
     assert q.shape == d.shape
     nq, nd = math.sqrt(float(q.dot(q))), math.sqrt(float(d.dot(d)))
-    return simcore.divide_by_norms(kind, float(np.dot(q, d)), nq, nd)
+    return simcore.divide_by_norms(simcore.effective_gammas(kind), float(np.dot(q, d)), nq, nd)
 
 
 def _checked_gradcheck(kind, trials, seed, arrays, h=1e-5):

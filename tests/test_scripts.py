@@ -1,17 +1,24 @@
-"""In-process run of the digest script on a tiny spec."""
+"""In-process run of the digest script on a tiny spec, and the bench tracer's layer table."""
 
+import functools
+import importlib
 import importlib.util
 import json
 import os
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+
+
+def _load(directory, name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(directory, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _run_script(name, capsys, args) -> list:
-    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.main(args)
+    _load(SCRIPTS, name).main(args)
     return capsys.readouterr().out.splitlines()
 
 
@@ -42,3 +49,14 @@ def test_artifact_digests_repeat(tmp_path, capsys):
     # and 1 resumed trainlog in run/; the same minus diagnostics and resume,
     # plus the summary, in sweep/.
     assert len(runs[0]) - len(steps) == 16 + 14
+
+
+def test_bench_tracer_layers_resolve():
+    # Tracer.install looks every layer up by its attribute path; a renamed or
+    # removed function would fail each traced bench run with an AttributeError.
+    layers = _load(BENCH, "spans").LAYERS
+    assert len({name for name, _, _ in layers}) == len(layers)
+    for _, path, _ in layers:
+        module, *attrs = path.split(".")
+        fn = functools.reduce(getattr, attrs, importlib.import_module(f"magnorm.{module}"))
+        assert callable(fn), path

@@ -246,7 +246,7 @@ class TestSimilarityMatrix:
         assert S.tobytes() == (Q @ D.T).tobytes()
         assert similarity_matrix(learnable(0.0, 0.0), Q, D).tobytes() == S.tobytes()
         t = Q @ D.T
-        assert simcore.divide_by_norms(DOT, t, np.ones((6, 1)), np.ones((1, 9))) is t
+        assert simcore.divide_by_norms(simcore.effective_gammas(DOT), t, np.ones((6, 1)), np.ones((1, 9))) is t
 
     def test_divide_by_norms_leaves_its_inputs_alone(self):
         # The quotient may reuse the denominator's buffer, never the caller's
@@ -258,7 +258,7 @@ class TestSimilarityMatrix:
             before = [a.tobytes() for a in (t, nq, nd)]
             for kind in (COSINE, QNORM, DNORM, learnable(0.25, 0.75)):
                 gq, gd = simcore.effective_gammas(kind)
-                S = simcore.divide_by_norms(kind, t, nq, nd)
+                S = simcore.divide_by_norms((gq, gd), t, nq, nd)
                 assert [a.tobytes() for a in (t, nq, nd)] == before
                 assert S.tobytes() == (t / (nq**gq * nd**gd)).tobytes()
 
@@ -269,6 +269,62 @@ class TestSimilarityMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(DimensionMismatch):
             simcore.as_embedding([1.0, float("nan")])
+
+
+class TestDivideByNorms:
+    # Each way a scalar norm reaches divide_by_norms: pair_score's float, a
+    # numpy scalar, and a 0-d array.
+    NORM_TYPES = (float, np.float64, np.asarray)
+
+    @pytest.mark.parametrize("gq", (0.3, 0.7, 1.0))
+    @pytest.mark.parametrize("gd", (0.3, 0.7, 1.0))
+    def test_scalar_norms_keep_the_matrix_bits(self, gq, gd):
+        rng = np.random.default_rng(15)
+        kind = learnable(gq, gd)
+        for _ in range(200):
+            dim = int(rng.integers(1, 9))
+            q = rng.standard_normal((1, dim)) * rng.lognormal(0.0, 1.0)
+            d = rng.standard_normal((1, dim)) * rng.lognormal(0.0, 1.0)
+            # The inputs similarity_matrix divides: its product and its row norms.
+            t, nq, nd = float((q @ d.T)[0, 0]), np.linalg.norm(q, axis=1)[0], np.linalg.norm(d, axis=1)[0]
+            expect = similarity_matrix(kind, q, d)[0, 0].tobytes()
+            for wrap in self.NORM_TYPES:
+                s = simcore.divide_by_norms((gq, gd), t, wrap(float(nq)), wrap(float(nd)))
+                assert np.float64(s).tobytes() == expect
+
+    @pytest.mark.parametrize("wrap", NORM_TYPES + (lambda n: np.full((2, 3), n),), ids=["float", "float64", "0-d", "array"])
+    def test_zero_norm_raises_only_where_its_gamma_is_positive(self, wrap):
+        zero, one = wrap(0.0), wrap(1.0)
+        for gq, gd in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (1.0, 1.0)):
+            if gq > 0.0:
+                with pytest.raises(ZeroMagnitude, match="^zero-norm query$"):
+                    simcore.divide_by_norms((gq, gd), 2.0, zero, one)
+            else:
+                assert np.all(simcore.divide_by_norms((gq, gd), 2.0, zero, one) == 2.0)
+            if gd > 0.0:
+                with pytest.raises(ZeroMagnitude, match="^zero-norm document$"):
+                    simcore.divide_by_norms((gq, gd), 2.0, one, zero)
+            else:
+                assert np.all(simcore.divide_by_norms((gq, gd), 2.0, one, zero) == 2.0)
+
+    def test_gamma_arrays_check_zero_norms_per_row(self):
+        # Row 0 has a zero document and gamma_d 0 there: |0|**0 is 1, no error.
+        nd = np.array([[0.0, 2.0], [3.0, 4.0]])
+        nq = np.array([[2.0], [0.5]])
+        gq, gd = np.array([[0.5], [0.25]]), np.array([[0.0], [0.75]])
+        t = np.array([[1.0, -2.0], [0.5, 3.0]])
+        S = simcore.divide_by_norms((gq, gd), t, nq, nd)
+        assert S.tobytes() == (t / (nq**gq * nd**gd)).tobytes()
+        assert S[0, 0] == t[0, 0] / nq[0, 0] ** 0.5
+        with pytest.raises(ZeroMagnitude, match="^zero-norm document$"):
+            simcore.divide_by_norms((gq, gd[::-1]), t, nq, nd)
+        with pytest.raises(ZeroMagnitude, match="^zero-norm query$"):
+            simcore.divide_by_norms((gq, gd), t, np.array([[2.0], [0.0]]), nd)
+
+    @pytest.mark.parametrize("t", (1.5, np.float64(-2.0), np.ones((2, 3))), ids=["float", "float64", "array"])
+    def test_dot_returns_t_itself(self, t):
+        assert simcore.divide_by_norms(simcore.effective_gammas(DOT), t, None, None) is t
+        assert simcore.divide_by_norms((0.0, 0.0), t, 0.0, np.zeros((2, 3))) is t
 
 
 @pytest.mark.parametrize(
@@ -293,7 +349,9 @@ def _outcome(f, *args):
 def _similarity_via_linalg_norm(kind, q, d):
     """similarity() as it took its norms before: float(np.linalg.norm(v))."""
     q, d = simcore.as_embedding(q), simcore.as_embedding(d)
-    return simcore.divide_by_norms(kind, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d)))
+    return simcore.divide_by_norms(
+        simcore.effective_gammas(kind), float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d))
+    )
 
 
 def _decompose_via_linalg_norm(q, d):
@@ -323,3 +381,16 @@ def test_scalar_norms_are_bitwise_np_linalg_norm(pair, gq, gd):
         for kind in (COSINE, DOT, QNORM, DNORM, learnable(gq, gd)):
             assert _outcome(similarity, kind, q, d) == _outcome(_similarity_via_linalg_norm, kind, q, d)
         assert _outcome(decompose, q, d) == _outcome(_decompose_via_linalg_norm, q, d)
+
+
+def test_strided_vectors_keep_np_linalg_norm_bits():
+    # A column of a matrix is a strided vector, whose dot can round apart
+    # from a contiguous one's; norm() and the scores built on it must not.
+    rng = np.random.default_rng(16)
+    for _ in range(500):
+        dim = int(rng.integers(2, 80))
+        M = rng.standard_normal((dim, 3)) * rng.lognormal(0.0, 2.0)
+        q, d = M[:, 0], M[:, 2]
+        assert simcore.norm(q) == np.linalg.norm(q)
+        assert similarity(COSINE, q, d) == _similarity_via_linalg_norm(COSINE, q, d)
+        assert decompose(q, d) == _decompose_via_linalg_norm(q, d)
