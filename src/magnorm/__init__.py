@@ -28,7 +28,6 @@ from .simcore import (
     DNORM,
     DOT,
     QNORM,
-    GammaPair,
     SimilarityKind,
     kind_from_name,
     kind_name,
@@ -50,7 +49,6 @@ __all__ = [
     "QNORM",
     "DNORM",
     "SimilarityKind",
-    "GammaPair",
     "learnable",
     "kind_from_name",
     "kind_name",

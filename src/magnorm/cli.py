@@ -142,14 +142,15 @@ def load_config(path) -> ExperimentConfig:
     if path is None:
         raw = {}
     else:
-        with open(path) as fh:
-            text = fh.read()
         try:
-            raw = json.loads(text)
+            with open(path, encoding="utf-8") as fh:
+                raw = json.loads(fh.read())
         except json.JSONDecodeError as e:
             raise ConfigError(
                 f"config parse failure at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not UTF-8 text ({e})") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a single JSON object")
     unknown = sorted(set(raw) - set(TOP_LEVEL_KEYS))

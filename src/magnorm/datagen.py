@@ -330,7 +330,11 @@ def _read_jsonl(path) -> tuple:
             ids.append(rec["id"])
             rows.append(rec["features"])
     _reject_repeats(ids)
-    return ids, np.asarray(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(features)
+    if not finite.all():
+        raise ValueError(f"id {ids[np.argwhere(~finite)[0][0]]!r} has a non-finite feature")
+    return ids, features
 
 
 def _reject_repeats(ids: list) -> None:
@@ -363,10 +367,11 @@ def load_task(outdir: str) -> SyntheticTask:
     """Rebuild a task from its five exported files.
 
     Generation metadata (clusters, spec) is not persisted and comes back
-    as None.  A file that does not parse, or a line that lacks a field or
-    has one of the wrong type, raises CorruptArtifact naming it, and so do
-    a doc, query or hub id listed twice, a qrels or hub doc id absent from
-    the corpus and a query without a split.
+    as None.  A file that does not parse, or a line that lacks a field,
+    has one of the wrong type or a non-finite feature, raises
+    CorruptArtifact naming it, and so do a doc, query or hub id listed
+    twice, a qrels or hub doc id absent from the corpus and a query
+    without a split.
     """
     from .metrics import read_qrels
 

@@ -96,7 +96,7 @@ def rank_documents(kinds, Q, D, ids) -> Array:
 
 def _trial_gammas(variant) -> tuple:
     """One variant's (gamma_q, gamma_d) over a block's trials: a float where all trials share it, else a (T, 1) column."""
-    G = np.array([simcore.effective_gammas(kind) for kind in variant])
+    G = np.array([kind.gammas for kind in variant])
     return tuple(float(g[0]) if (g == g[0]).all() else g[:, None] for g in G.T)
 
 
@@ -244,8 +244,7 @@ def suite_corners(rng, trials: int, _seed=None) -> SuiteResult:
         q = _rand_vec(rng, dim)
         d = _rand_vec(rng, dim)
         for kind in discrete:
-            gq, gd = simcore.effective_gammas(kind)
-            a = simcore.similarity(simcore.learnable(gq, gd), q, d)
+            a = simcore.similarity(simcore.learnable(*kind.gammas), q, d)
             b = simcore.similarity(kind, q, d)
             worst = max(worst, abs(a - b))
     return SuiteResult(worst, "1e-12", worst <= 1e-12)

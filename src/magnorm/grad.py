@@ -28,7 +28,7 @@ import numpy as np
 from . import simcore
 from .errors import NonFiniteEvaluation, ZeroMagnitude
 from .objective import ContrastiveBatch, LossConfig, candidate_logits
-from .simcore import SimilarityKind, effective_gammas
+from .simcore import SimilarityKind
 
 Array = np.ndarray
 
@@ -97,7 +97,7 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
 
 def _row_norms(kind: SimilarityKind, Q: Array, C: Array) -> tuple:
     """Row norms of Q and C where _stack_grad reads them (gamma > 0, or learnable), else None."""
-    gq, gd = effective_gammas(kind)
+    gq, gd = kind.gammas
     learn = kind.tag == "learnable"
     return tuple(np.linalg.norm(M, axis=1) if g > 0.0 or learn else None for M, g in ((Q, gq), (C, gd)))
 
@@ -112,7 +112,7 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
     here unless given.  A zero norm on a side divided here was already
     rejected by the scores S came from.
     """
-    gq, gd = effective_gammas(kind)
+    gq, gd = kind.gammas
     learn = kind.tag == "learnable"
     nq, nd = _row_norms(kind, Q, C) if norms is None else norms
     # A side with gamma 0 would divide by |v|**0, all ones, and subtract
@@ -224,7 +224,7 @@ def gradcheck(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    gq, gd = effective_gammas(kind)
+    gq, gd = kind.gammas
     learn = kind.tag == "learnable"
     groups = {"q": 0.0, "d": 0.0}
     if learn:

@@ -106,10 +106,9 @@ def initial_gamma(kind) -> tuple:
     """
     if kind.tag != "learnable":
         return ()
-    gammas = simcore.effective_gammas(kind)
-    if not all(0.0 < g < 1.0 for g in gammas):
-        raise ValueError(f"training needs learnable gammas strictly inside (0, 1), got {gammas}")
-    return tuple(math.log(g / (1.0 - g)) for g in gammas)
+    if not all(0.0 < g < 1.0 for g in kind.gammas):
+        raise ValueError(f"training needs learnable gammas strictly inside (0, 1), got {kind.gammas}")
+    return tuple(math.log(g / (1.0 - g)) for g in kind.gammas)
 
 
 def trained_kind(kind, gamma_hat):
@@ -398,7 +397,7 @@ def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: Los
     _backward_tower(p, "q", Xq, Hq, g.d_queries, grad_views)
     _backward_tower(p, td, Xd, Hd, g.d_positives, grad_views)
     if learn:
-        gq, gd = simcore.effective_gammas(loss_cfg.kind)
+        gq, gd = loss_cfg.kind.gammas
         grad[-2:] = g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)
     return g.loss, grad
 
@@ -464,10 +463,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         # NDCG@10 reads ten ranks, so only those are ordered.
         S = simcore.similarity_matrix(kind, Q, D, (nq, nd))
         val = macro_mean(val_table.rank(S, depth=10).ndcg(10).tolist())
-        gq, gd = simcore.effective_gammas(kind)
         qm, qcv = _mag_stats(nq) if len(Q) else (0.0, 0.0)
         dm, dcv = _mag_stats(nd)
-        log.append(TrainLogRow(step, loss, val, gq, gd, qm, qcv, dm, dcv))
+        log.append(TrainLogRow(step, loss, val, *kind.gammas, qm, qcv, dm, dcv))
         snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
 
     step = 0

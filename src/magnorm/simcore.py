@@ -11,11 +11,12 @@ how much of each side's Euclidean norm they divide away:
 
 The learnable variant equals |q|^(1-gq) * |d|^(1-gd) * cos(theta) and
 reduces exactly to the four discrete variants at the corners of the
-(gq, gd) unit square.  divide_by_norms is the one place that applies that
-division and its zero-norm rule: for the scalar scores, the all-pairs
-matrix, and diagnostics.rank_documents' blocks of trials, whose learnable
-variants pass one gamma per trial as an array.  The InfoNCE objective
-scores its in-batch pool through the matrix.
+(gq, gd) unit square; every kind carries its pair as kind.gammas.
+divide_by_norms is the one place that applies that division and its
+zero-norm rule: for the scalar scores, the all-pairs matrix, and
+diagnostics.rank_documents' blocks of trials, whose learnable variants
+pass one gamma per trial as an array.  The InfoNCE objective scores its
+in-batch pool through the matrix.
 """
 
 from __future__ import annotations
@@ -40,78 +41,56 @@ def as_embedding(values) -> Array:
     return v
 
 
-@dataclass(frozen=True)
-class GammaPair:
-    """Normalization strengths (gamma_q, gamma_d), each in the closed [0, 1]."""
-
-    gamma_q: float
-    gamma_d: float
-
-    def __post_init__(self):
-        for name, g in (("gamma_q", self.gamma_q), ("gamma_d", self.gamma_d)):
-            if not (0.0 <= g <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {g}")
+# Corner coordinates of each fixed variant on the (gamma_q, gamma_d) square.
+_CORNERS = {"cosine": (1.0, 1.0), "dot": (0.0, 0.0), "qnorm": (1.0, 0.0), "dnorm": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
 class SimilarityKind:
     """Closed enumeration of scoring variants.
 
-    tag is one of cosine/dot/qnorm/dnorm/learnable; gammas is present
-    exactly when tag is learnable.
+    tag is one of cosine/dot/qnorm/dnorm/learnable; gammas is the
+    (gamma_q, gamma_d) pair the variant divides by: a fixed tag's corner
+    of the unit square, or a learnable kind's pair, each in [0, 1].
     """
 
     tag: str
-    gammas: GammaPair | None = None
-
-    _TAGS = ("cosine", "dot", "qnorm", "dnorm", "learnable")
+    gammas: tuple[float, float]
 
     def __post_init__(self):
-        if self.tag not in self._TAGS:
+        if self.tag == "learnable":
+            for name, g in zip(("gamma_q", "gamma_d"), self.gammas, strict=True):
+                if not (0.0 <= g <= 1.0):
+                    raise ValueError(f"{name} must lie in [0, 1], got {g}")
+        elif self.tag not in _CORNERS:
             raise ValueError(f"unknown similarity tag {self.tag!r}")
-        if self.tag == "learnable" and self.gammas is None:
-            raise ValueError("learnable kind requires a GammaPair")
-        if self.tag != "learnable" and self.gammas is not None:
-            raise ValueError(f"{self.tag} kind carries no gammas")
+        elif self.gammas != _CORNERS[self.tag]:
+            raise ValueError(f"{self.tag} kind divides by gammas {_CORNERS[self.tag]}, got {self.gammas}")
 
 
-COSINE = SimilarityKind("cosine")
-DOT = SimilarityKind("dot")
-QNORM = SimilarityKind("qnorm")
-DNORM = SimilarityKind("dnorm")
+COSINE, DOT, QNORM, DNORM = (SimilarityKind(tag, gammas) for tag, gammas in _CORNERS.items())
 
 
 def learnable(gamma_q: float, gamma_d: float) -> SimilarityKind:
-    return SimilarityKind("learnable", GammaPair(float(gamma_q), float(gamma_d)))
+    return SimilarityKind("learnable", (float(gamma_q), float(gamma_d)))
 
 
 def kind_from_name(name: str) -> SimilarityKind:
-    """Parse a variant name like 'dot' or 'learnable:0.3,0.8'."""
+    """Parse a variant name: 'cosine', 'dot', 'qnorm', 'dnorm', 'learnable' or 'learnable:0.3,0.8'."""
     name = name.strip().lower()
-    if name.startswith("learnable"):
-        if ":" in name:
-            body = name.split(":", 1)[1]
-            gq, gd = (float(p) for p in body.split(","))
-            return learnable(gq, gd)
-        return learnable(0.5, 0.5)
-    return SimilarityKind(name)
+    tag, colon, body = name.partition(":")
+    if tag == "learnable":
+        gq, gd = (float(p) for p in body.split(",")) if colon else (0.5, 0.5)
+        return learnable(gq, gd)
+    if colon or tag not in _CORNERS:
+        raise ValueError(f"unknown similarity tag {name!r}")
+    return SimilarityKind(tag, _CORNERS[tag])
 
 
 def kind_name(kind: SimilarityKind) -> str:
     if kind.tag == "learnable":
-        return f"learnable:{kind.gammas.gamma_q:g},{kind.gammas.gamma_d:g}"
+        return "learnable:{:g},{:g}".format(*kind.gammas)
     return kind.tag
-
-
-# Corner coordinates of each discrete variant on the (gamma_q, gamma_d) square.
-_CORNERS = {"cosine": (1.0, 1.0), "dot": (0.0, 0.0), "qnorm": (1.0, 0.0), "dnorm": (0.0, 1.0)}
-
-
-def effective_gammas(kind: SimilarityKind) -> tuple[float, float]:
-    """The (gamma_q, gamma_d) pair the variant divides by."""
-    if kind.tag == "learnable":
-        return kind.gammas.gamma_q, kind.gammas.gamma_d
-    return _CORNERS[kind.tag]
 
 
 def decompose(q, d) -> tuple[float, float, float]:
@@ -133,7 +112,7 @@ def decompose(q, d) -> tuple[float, float, float]:
 def divide_by_norms(gammas, t, nq, nd):
     """The family's one rule: raw scores t over |q|^gq * |d|^gd, divided once.
 
-    gammas is the (gq, gd) pair effective_gammas gives, each a float, or
+    gammas is a kind's (gq, gd) pair, kind.gammas, each a float, or
     an array of per-row exponents that broadcasts against its side's
     norms (rank_documents' per-trial learnable variants).  t, nq and nd
     are floats or broadcastable arrays; a side whose gamma is the float
@@ -212,7 +191,7 @@ def pair_score(kind: SimilarityKind, q: Array, d: Array, nq=None, nd=None) -> fl
     loop does for the side it keeps fixed; else a side takes its norm here
     only if its gamma is positive, since divide_by_norms reads no other.
     """
-    gammas = gq, gd = effective_gammas(kind)
+    gq, gd = gammas = kind.gammas
     if nq is None and gq > 0.0:
         nq = norm(q)
     if nd is None and gd > 0.0:
@@ -232,7 +211,7 @@ def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> A
     D = np.asarray(D, dtype=np.float64)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
         raise DimensionMismatch(f"expected (B, n) and (C, n), got {Q.shape} and {D.shape}")
-    gammas = gq, gd = effective_gammas(kind)
+    gq, gd = gammas = kind.gammas
     nq, nd = norms or [np.linalg.norm(M, axis=1) if g > 0.0 else None for M, g in ((Q, gq), (D, gd))]
     return divide_by_norms(gammas, Q @ D.T, nq[:, None] if gq > 0.0 else None, nd)
 

@@ -146,6 +146,14 @@ class TestConfigErrors:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 3
 
+    def test_non_utf8_config_exits_two_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"magnorm: config error: {bad} is not UTF-8 text")
+        assert not (tmp_path / "o").exists()
+
     def test_reference_file_matches_defaults(self):
         ref = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "reference.json"))
         default = load_config(None)
@@ -185,7 +193,7 @@ class TestTrain:
         assert main(["gen", "--config", cfg]) == 0
         assert main(["train", "--config", cfg, "--kinds", "euclidean"]) == 2
 
-    @pytest.mark.parametrize("kinds", ["learnable:1,1", "dot,dot", "learnable,learnable:0.3,0.8"])
+    @pytest.mark.parametrize("kinds", ["learnable:1,1", "dot,dot", "learnable,learnable:0.3,0.8", "learnablefoo"])
     def test_untrainable_or_clashing_kinds_exit_two(self, workdir, kinds):
         out, cfg = workdir
         assert main(["gen", "--config", cfg]) == 0
@@ -401,9 +409,10 @@ class TestCorruptCheckpoint:
     @pytest.mark.parametrize(
         "corrupt",
         [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1, _nan_w1,
-         _echo("kind", "bogus"), _echo("kind", 7), _echo("kind", "learnable:2,2"), _echo("seed", "x")],
+         _echo("kind", "bogus"), _echo("kind", 7), _echo("kind", "learnable:2,2"), _echo("seed", "x"),
+         _echo("kind", "learnablefoo")],
         ids=["cut", "no-step", "short-w1", "nan-weight",
-             "kind-bogus", "kind-number", "kind-gamma-2", "seed-string"],
+             "kind-bogus", "kind-number", "kind-gamma-2", "seed-string", "kind-learnablefoo"],
     )
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_exits_three_naming_the_file(self, workdir, capsys, command, corrupt):
@@ -428,6 +437,12 @@ def _first_line(edit):
     return corrupt
 
 
+def _nan_feature(line):
+    rec = json.loads(line)
+    rec["features"][-1] = float("nan")
+    return json.dumps(rec)
+
+
 class TestCorruptTask:
     @pytest.mark.parametrize(
         "name, corrupt",
@@ -450,13 +465,15 @@ class TestCorruptTask:
             ("hubs.json", lambda text: json.dumps([7, *json.loads(text)[1:]])),
             ("hubs.json", lambda text: json.dumps(json.loads(text) + json.loads(text)[:1])),
             ("hubs.json", lambda text: json.dumps(json.loads(text) + ["dZZ"])),
+            ("corpus.jsonl", _first_line(_nan_feature)),
+            ("queries.jsonl", _first_line(_nan_feature)),
         ],
         ids=["qrels-3-columns", "qrels-grade", "splits-cut", "splits-list",
              "corpus-cut-line", "corpus-no-features", "queries-no-id",
              "corpus-numeric-id", "splits-string-value", "qrels-unknown-doc",
              "splits-missing-query", "qrels-negative-grade", "qrels-grade-1024",
              "hubs-cut", "hubs-not-list", "hubs-numeric-id", "hubs-repeated-id",
-             "hubs-unknown-doc"],
+             "hubs-unknown-doc", "corpus-nan-feature", "queries-nan-feature"],
     )
     def test_eval_exits_three_naming_the_file(self, workdir, capsys, name, corrupt):
         out, cfg = workdir

@@ -304,7 +304,7 @@ class TestVerifyRankingEquivalence:
             real = diagnostics.rank_documents
 
             def record(kinds, Q, D, ids):
-                seen.append((np.array(Q), np.array(D), [[simcore.effective_gammas(k) for k in ks] for ks in kinds]))
+                seen.append((np.array(Q), np.array(D), [[k.gammas for k in ks] for ks in kinds]))
                 return real(kinds, Q, D, ids)
 
             with monkeypatch.context() as m:

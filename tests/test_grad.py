@@ -259,7 +259,7 @@ class TestInfoNCEGrad:
 
 def _pre_fold_pool_grad(kind, G, S, Q, D):
     """infonce_grad's in-batch formula from before _stack_grad took pools, the bitwise reference."""
-    gq, gd = simcore.effective_gammas(kind)
+    gq, gd = kind.gammas
     nq = np.linalg.norm(Q, axis=1)
     nd = np.linalg.norm(D, axis=1)
     scale_q = nq**gq
@@ -305,7 +305,7 @@ def _unskipped_stack_grad(kind, G, S, Q, C):
     """_stack_grad as it was before a gamma-0 side skipped its norms and its
     divisions by |v|**0: both norms, both scales and both G*S sums for every
     kind, the bitwise reference for the skip."""
-    gq, gd = simcore.effective_gammas(kind)
+    gq, gd = kind.gammas
     nq = np.linalg.norm(Q, axis=1)
     nd = np.linalg.norm(C, axis=1)
     scale_q = (nq**gq)[:, None]
@@ -427,7 +427,7 @@ def _checked_similarity(kind, q, d):
     q, d = simcore.as_embedding(q), simcore.as_embedding(d)
     assert q.shape == d.shape
     nq, nd = math.sqrt(float(q.dot(q))), math.sqrt(float(d.dot(d)))
-    return simcore.divide_by_norms(simcore.effective_gammas(kind), float(np.dot(q, d)), nq, nd)
+    return simcore.divide_by_norms(kind.gammas, float(np.dot(q, d)), nq, nd)
 
 
 def _checked_gradcheck(kind, trials, seed, arrays, h=1e-5):
@@ -453,8 +453,7 @@ def _checked_gradcheck(kind, trials, seed, arrays, h=1e-5):
         groups["q"] = max(groups["q"], rel_error(g.d_q, num_q))
         groups["d"] = max(groups["d"], rel_error(g.d_d, num_d))
         if kind.tag == "learnable":
-            gq, gd = kind.gammas.gamma_q, kind.gammas.gamma_d
-            num_g = fd(lambda gm: _checked_similarity(learnable(gm[0], gm[1]), q, d), np.array([gq, gd]))
+            num_g = fd(lambda gm: _checked_similarity(learnable(gm[0], gm[1]), q, d), np.array(kind.gammas))
             groups["gamma_q"] = max(groups["gamma_q"], rel_error(g.d_gamma_q, num_g[0]))
             groups["gamma_d"] = max(groups["gamma_d"], rel_error(g.d_gamma_d, num_g[1]))
     return groups
@@ -562,7 +561,7 @@ class TestLeanProbes:
             lambda x: _checked_similarity(kind, zero, x),
             lambda x: _checked_similarity(kind, x, zero),
         )
-        gammas = simcore.effective_gammas(kind)
+        gammas = kind.gammas
         for f, g, x, gamma in zip(lean, checked, (edge, edge, other, other), (*gammas, *gammas)):
             got = _result(finite_difference, f, x.copy())
             assert got == _result(_checked_finite_difference, g, x.copy())

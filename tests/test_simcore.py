@@ -14,7 +14,6 @@ from magnorm.simcore import (
     DNORM,
     DOT,
     QNORM,
-    GammaPair,
     decompose,
     kind_from_name,
     kind_name,
@@ -78,12 +77,30 @@ class TestCornerDegeneracy:
             for kind, gq, gd in self.CORNERS:
                 assert similarity(learnable(gq, gd), q, d) == similarity(kind, q, d)
 
-    def test_effective_gammas(self):
-        assert simcore.effective_gammas(COSINE) == (1.0, 1.0)
-        assert simcore.effective_gammas(DOT) == (0.0, 0.0)
-        assert simcore.effective_gammas(QNORM) == (1.0, 0.0)
-        assert simcore.effective_gammas(DNORM) == (0.0, 1.0)
-        assert simcore.effective_gammas(learnable(0.3, 0.8)) == (0.3, 0.8)
+    def test_kind_is_its_gamma_pair(self):
+        # A kind carries the (gamma_q, gamma_d) it divides by: a fixed tag
+        # its corner, learnable its own validated pair.
+        for kind, gq, gd in self.CORNERS:
+            assert kind.gammas == (gq, gd)
+            assert kind_from_name(kind.tag) == kind
+            with pytest.raises(ValueError):
+                simcore.SimilarityKind(kind.tag, (0.5, 0.5))
+        kind = learnable(0.3, 0.8)
+        assert kind.gammas == (0.3, 0.8)
+        assert kind == kind_from_name("learnable:0.3,0.8")
+        assert {kind: "a", COSINE: "b"}[kind_from_name("learnable:0.3,0.8")] == "a"
+        assert {kind: "a", COSINE: "b"}[kind_from_name("cosine")] == "b"
+        assert len({kind, learnable(0.3, 0.8), COSINE, kind_from_name("cosine")}) == 2
+        with pytest.raises(ValueError, match=r"^gamma_q must lie in \[0, 1\], got nan$"):
+            learnable(math.nan, 0.5)
+        with pytest.raises(ValueError, match=r"^gamma_d must lie in \[0, 1\], got nan$"):
+            learnable(0.5, math.nan)
+        with pytest.raises(ValueError, match=r"^gamma_q must lie in \[0, 1\], got -0.1$"):
+            learnable(-0.1, 0.5)
+        with pytest.raises(ValueError, match=r"^gamma_d must lie in \[0, 1\], got 1.1$"):
+            learnable(0.5, 1.1)
+        with pytest.raises(ValueError, match="^unknown similarity tag 'euclidean'$"):
+            simcore.SimilarityKind("euclidean", (1.0, 1.0))
 
 
 class TestScalingLaws:
@@ -165,7 +182,7 @@ def test_scalar_matrix_and_stack_share_one_core(kind):
             lambda: similarity_matrix(kind, q[None, :], d[None, :])[0, 0],
         )
 
-    gq, gd = simcore.effective_gammas(kind)
+    gq, gd = kind.gammas
     rng = np.random.default_rng(13)
     for _ in range(200):
         dim = int(rng.integers(2, 17))
@@ -192,15 +209,20 @@ class TestKindNames:
 
     def test_learnable_parse(self):
         kind = kind_from_name("learnable:0.3,0.8")
-        assert kind.gammas == GammaPair(0.3, 0.8)
+        assert kind.gammas == (0.3, 0.8)
         assert kind_name(kind) == "learnable:0.3,0.8"
 
     def test_bare_learnable_is_midpoint(self):
-        assert kind_from_name("learnable").gammas == GammaPair(0.5, 0.5)
+        assert kind_from_name("learnable").gammas == (0.5, 0.5)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             kind_from_name("euclidean")
+
+    @pytest.mark.parametrize("name", ["learnablefoo", "learnable2", "learnable2:0.3,0.8", "dot:1", "cosine:"])
+    def test_only_learnable_takes_a_suffix(self, name):
+        with pytest.raises(ValueError, match=f"^unknown similarity tag {name!r}$"):
+            kind_from_name(name)
 
     def test_gamma_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -246,7 +268,7 @@ class TestSimilarityMatrix:
         assert S.tobytes() == (Q @ D.T).tobytes()
         assert similarity_matrix(learnable(0.0, 0.0), Q, D).tobytes() == S.tobytes()
         t = Q @ D.T
-        assert simcore.divide_by_norms(simcore.effective_gammas(DOT), t, np.ones((6, 1)), np.ones((1, 9))) is t
+        assert simcore.divide_by_norms(DOT.gammas, t, np.ones((6, 1)), np.ones((1, 9))) is t
 
     def test_divide_by_norms_leaves_its_inputs_alone(self):
         # The quotient may reuse the denominator's buffer, never the caller's
@@ -257,7 +279,7 @@ class TestSimilarityMatrix:
         for nd in (rng.uniform(0.5, 2.0, (1, 9)), rng.uniform(0.5, 2.0, (6, 9))):
             before = [a.tobytes() for a in (t, nq, nd)]
             for kind in (COSINE, QNORM, DNORM, learnable(0.25, 0.75)):
-                gq, gd = simcore.effective_gammas(kind)
+                gq, gd = kind.gammas
                 S = simcore.divide_by_norms((gq, gd), t, nq, nd)
                 assert [a.tobytes() for a in (t, nq, nd)] == before
                 assert S.tobytes() == (t / (nq**gq * nd**gd)).tobytes()
@@ -323,7 +345,7 @@ class TestDivideByNorms:
 
     @pytest.mark.parametrize("t", (1.5, np.float64(-2.0), np.ones((2, 3))), ids=["float", "float64", "array"])
     def test_dot_returns_t_itself(self, t):
-        assert simcore.divide_by_norms(simcore.effective_gammas(DOT), t, None, None) is t
+        assert simcore.divide_by_norms(DOT.gammas, t, None, None) is t
         assert simcore.divide_by_norms((0.0, 0.0), t, 0.0, np.zeros((2, 3))) is t
 
 
@@ -350,7 +372,7 @@ def _similarity_via_linalg_norm(kind, q, d):
     """similarity() as it took its norms before: float(np.linalg.norm(v))."""
     q, d = simcore.as_embedding(q), simcore.as_embedding(d)
     return simcore.divide_by_norms(
-        simcore.effective_gammas(kind), float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d))
+        kind.gammas, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d))
     )
 
 
