@@ -324,8 +324,8 @@ def _cmd_train(args) -> int:
         if given:
             raise ConfigError(f"--resume replays the checkpoint's own kind and seed; drop {' and '.join(given)}")
         return _resume_training(cfg, load_task(out), args.resume, out, args.force)
-    task = load_task(out)
     plan = _plan(args, cfg)
+    task = load_task(out)
 
     _guard([p for _, _, stem in plan for p in _train_paths(out, stem)], args.force)
     for kname, seed, stem in plan:

@@ -39,6 +39,9 @@ EXTRA_POSITIVES = 1
 # Angular decay scale (radians) for hub-to-query assignment weights.
 HUB_ANGLE_SCALE = math.pi / 4
 
+# Most difference entries (block rows x members x dim) one neighbor block holds.
+_DIST_BUDGET = 1 << 13
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -149,7 +152,11 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
     that document's nearest same-cluster neighbors, grade 1 again for hub
     assignments.  Hub documents are wired to hub_multiplicity distinct
     queries from other clusters, sampled with probability decaying in the
-    angular distance between query and hub.
+    angular distance between query and hub.  Every query of another
+    cluster is eligible: no earlier judgment can name the hub (see the
+    comment in the hub loop).  Query rows are normalized once, and each
+    hub still scores its eligible rows with one (E, dim) @ (dim,) product,
+    so every weight, and with it every draw, keeps its bits.
     """
     if spec.hub_fraction > 0.0 and spec.hub_multiplicity > spec.n_queries:
         raise InfeasibleSpec(
@@ -165,6 +172,9 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
     query_features = doc_features[gen_doc] + spec.noise_sigma * rng.standard_normal(
         (spec.n_queries, m)
     )
+    # Hub weights score unit query rows: normalize each row once, before
+    # the judgments exist, so the norm's temporaries never add to them.
+    unit_queries = query_features / np.linalg.norm(query_features, axis=1, keepdims=True)
 
     dw = max(1, len(str(spec.n_docs - 1)))
     qw = max(1, len(str(spec.n_queries - 1)))
@@ -185,14 +195,17 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
     hub_rows = sorted(rng.choice(spec.n_docs, size=n_hubs, replace=False)) if n_hubs else []
     query_cluster = cluster[gen_doc]
     for hub in hub_rows:
-        other = np.flatnonzero(query_cluster != cluster[hub]).tolist()
-        eligible = [qi for qi in other if doc_ids[hub] not in qrels[query_ids[qi]]]
-        if len(eligible) < spec.hub_multiplicity:
+        # Each judgment so far pairs a query with a doc of that query's own
+        # cluster (its generating doc and that doc's neighbors) or with an
+        # earlier, distinct hub, so no query of another cluster judges
+        # this hub yet: all of them are eligible.
+        eligible = np.flatnonzero(query_cluster != cluster[hub])
+        if eligible.size < spec.hub_multiplicity:
             raise InfeasibleSpec(
-                f"hub doc {doc_ids[hub]} has {len(eligible)} eligible queries, "
+                f"hub doc {doc_ids[hub]} has {eligible.size} eligible queries, "
                 f"needs {spec.hub_multiplicity}"
             )
-        weights = _angular_weights(query_features[eligible], doc_features[hub])
+        weights = _angular_weights(unit_queries[eligible], doc_features[hub])
         chosen = rng.choice(eligible, size=spec.hub_multiplicity, replace=False, p=weights)
         for qi in chosen:
             qrels[query_ids[int(qi)]][doc_ids[hub]] = 1
@@ -212,24 +225,35 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
 
 
 def _nearest_same_cluster(doc_features: Array, cluster: Array, k: int) -> list:
-    """Per document, indices of its k nearest same-cluster neighbors."""
-    out = []
-    for i in range(doc_features.shape[0]):
-        mates = np.flatnonzero(cluster == cluster[i])
-        mates = mates[mates != i]
-        if mates.size == 0 or k == 0:
-            out.append([])
+    """Per document, indices of its k nearest same-cluster neighbors.
+
+    Works one cluster at a time: a block of member rows takes its
+    distances to every member at once, its own entry masked with inf, and
+    a stable argsort breaks ties by the lower doc index.  Blocks hold at
+    most _DIST_BUDGET difference entries, so a large cluster never builds
+    its full (M, M, dim) array.
+    """
+    out = [[] for _ in range(doc_features.shape[0])]
+    for c in range(int(cluster.max()) + 1):
+        members = np.flatnonzero(cluster == c)
+        take = min(k, members.size - 1)
+        if take < 1:
             continue
-        dists = np.linalg.norm(doc_features[mates] - doc_features[i], axis=1)
-        order = np.argsort(dists, kind="stable")
-        out.append([int(mates[j]) for j in order[:k]])
+        feats = doc_features[members]
+        step = max(1, _DIST_BUDGET // feats.size)
+        for lo in range(0, members.size, step):
+            block = np.arange(lo, min(lo + step, members.size))
+            dists = np.linalg.norm(feats - feats[block, None], axis=-1)
+            dists[np.arange(block.size), block] = np.inf
+            order = np.argsort(dists, axis=-1, kind="stable")[:, :take]
+            for row, nbrs in zip(members[block].tolist(), members[order].tolist()):
+                out[row] = nbrs
     return out
 
 
-def _angular_weights(queries: Array, hub: Array) -> Array:
-    qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+def _angular_weights(unit_queries: Array, hub: Array) -> Array:
     hn = hub / np.linalg.norm(hub)
-    cos = np.clip(qn @ hn, -1.0, 1.0)
+    cos = np.clip(unit_queries @ hn, -1.0, 1.0)
     theta = np.arccos(cos)
     w = np.exp(-theta / HUB_ANGLE_SCALE)
     return w / w.sum()

@@ -80,7 +80,12 @@ def kind_from_name(name: str) -> SimilarityKind:
     name = name.strip().lower()
     tag, colon, body = name.partition(":")
     if tag == "learnable":
-        gq, gd = (float(p) for p in body.split(",")) if colon else (0.5, 0.5)
+        if not colon:
+            return learnable(0.5, 0.5)
+        try:
+            gq, gd = (float(p) for p in body.split(","))
+        except ValueError:
+            raise ValueError(f"learnable takes two gammas, 'learnable:<gq>,<gd>'; got {name!r}") from None
         return learnable(gq, gd)
     if colon or tag not in _CORNERS:
         raise ValueError(f"unknown similarity tag {name!r}")

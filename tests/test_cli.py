@@ -200,6 +200,16 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--kinds", kinds]) == 2
         assert not list(out.glob("checkpoint_*"))
 
+    def test_bad_kinds_flag_exits_two_before_the_task_loads(self, workdir, tmp_path, capsys):
+        out, cfg = workdir
+        message = "bad similarity kind 'learnable:0.3': learnable takes two gammas"
+        assert main(["train", "--config", cfg, "--kinds", "learnable:0.3"]) == 2
+        assert message in capsys.readouterr().err
+        in_config = _write_config(tmp_path / "kinds.json", out, kinds=["learnable:0.3"])
+        assert main(["train", "--config", in_config]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refuses_overwrite(self, workdir):
         out, cfg = workdir
         assert main(["gen", "--config", cfg]) == 0

@@ -2,10 +2,12 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from magnorm import datagen
 from magnorm.datagen import (
     SPLIT_NAMES,
     TASK_FILES,
@@ -125,6 +127,166 @@ class TestDeterminism:
         other = gen_asymmetric(TaskSpec(**{**SMALL.__dict__, "seed": 4}))
         base = gen_asymmetric(SMALL)
         assert not np.array_equal(other.doc_features, base.doc_features)
+
+
+def _reference_gen(spec):
+    """The generator as it was before it ranked neighbors per cluster.
+
+    One neighbor scan per document, each hub's eligible queries filtered
+    against every judgment made so far, and each hub's eligible rows
+    normalized afresh.  Draws, ids and judgments must match
+    gen_asymmetric bit for bit.
+    """
+    if spec.hub_fraction > 0.0 and spec.hub_multiplicity > spec.n_queries:
+        raise InfeasibleSpec(
+            f"hub_multiplicity {spec.hub_multiplicity} exceeds n_queries {spec.n_queries}"
+        )
+    rng = np.random.default_rng(spec.seed)
+    m = spec.feature_dim
+    centers = datagen._unit_rows(rng, spec.n_clusters, m)
+    cluster = np.arange(spec.n_docs) % spec.n_clusters
+    doc_features = centers[cluster] + spec.noise_sigma * rng.standard_normal((spec.n_docs, m))
+    gen_doc = rng.integers(0, spec.n_docs, size=spec.n_queries)
+    query_features = doc_features[gen_doc] + spec.noise_sigma * rng.standard_normal(
+        (spec.n_queries, m)
+    )
+    dw = max(1, len(str(spec.n_docs - 1)))
+    qw = max(1, len(str(spec.n_queries - 1)))
+    doc_ids = [datagen._doc_id(i, dw) for i in range(spec.n_docs)]
+    query_ids = [datagen._query_id(i, qw) for i in range(spec.n_queries)]
+
+    neighbors = []
+    for i in range(spec.n_docs):
+        mates = np.flatnonzero(cluster == cluster[i])
+        mates = mates[mates != i]
+        if mates.size == 0 or datagen.EXTRA_POSITIVES == 0:
+            neighbors.append([])
+            continue
+        dists = np.linalg.norm(doc_features[mates] - doc_features[i], axis=1)
+        order = np.argsort(dists, kind="stable")
+        neighbors.append([int(mates[j]) for j in order[: datagen.EXTRA_POSITIVES]])
+
+    qrels = {}
+    for qi in range(spec.n_queries):
+        di = int(gen_doc[qi])
+        grades = {doc_ids[di]: 2}
+        for nb in neighbors[di]:
+            grades[doc_ids[nb]] = 1
+        qrels[query_ids[qi]] = grades
+
+    n_hubs = int(round(spec.hub_fraction * spec.n_docs))
+    hub_rows = sorted(rng.choice(spec.n_docs, size=n_hubs, replace=False)) if n_hubs else []
+    query_cluster = cluster[gen_doc]
+    for hub in hub_rows:
+        other = np.flatnonzero(query_cluster != cluster[hub]).tolist()
+        eligible = [qi for qi in other if doc_ids[hub] not in qrels[query_ids[qi]]]
+        if len(eligible) < spec.hub_multiplicity:
+            raise InfeasibleSpec(
+                f"hub doc {doc_ids[hub]} has {len(eligible)} eligible queries, "
+                f"needs {spec.hub_multiplicity}"
+            )
+        queries = query_features[eligible]
+        qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+        hn = doc_features[hub] / np.linalg.norm(doc_features[hub])
+        w = np.exp(-np.arccos(np.clip(qn @ hn, -1.0, 1.0)) / datagen.HUB_ANGLE_SCALE)
+        chosen = rng.choice(eligible, size=spec.hub_multiplicity, replace=False, p=w / w.sum())
+        for qi in chosen:
+            qrels[query_ids[int(qi)]][doc_ids[hub]] = 1
+
+    split_of = datagen._assign_splits(query_ids, spec.splits, rng)
+    return doc_features, query_features, doc_ids, query_ids, qrels, split_of, [doc_ids[h] for h in hub_rows]
+
+
+REFERENCE = dict(
+    n_docs=512,
+    n_queries=2048,
+    feature_dim=32,
+    n_clusters=16,
+    hub_fraction=0.05,
+    hub_multiplicity=32,
+    noise_sigma=0.1,
+)
+
+ORACLE_SPECS = [
+    *[dict(REFERENCE, seed=s) for s in range(10)],
+    dict(REFERENCE, n_clusters=1, hub_fraction=0.0),
+    dict(REFERENCE, n_clusters=512),
+    dict(REFERENCE, noise_sigma=0.0),
+    dict(REFERENCE, n_clusters=1, noise_sigma=0.0, hub_fraction=0.0),
+    dict(REFERENCE, feature_dim=1),
+    dict(REFERENCE, hub_fraction=0.0),
+    dict(REFERENCE, hub_multiplicity=128),
+    dict(REFERENCE, n_clusters=4, hub_multiplicity=128, seed=5),
+    dict(REFERENCE, n_docs=301, feature_dim=50, n_clusters=1, hub_fraction=0.0),
+    dict(SMALL.__dict__),
+    dict(n_docs=2, n_queries=9, feature_dim=3, n_clusters=2, hub_fraction=0.5, hub_multiplicity=2),
+    dict(n_docs=7, n_queries=40, feature_dim=2, n_clusters=3, noise_sigma=0.0, hub_fraction=0.3, hub_multiplicity=5),
+]
+
+
+class TestMatchesPerDocumentReference:
+    """gen_asymmetric keeps the bits of the per-document generator."""
+
+    @staticmethod
+    def _assert_same(spec):
+        doc_f, query_f, doc_ids, query_ids, qrels, split_of, hub_ids = _reference_gen(spec)
+        task = gen_asymmetric(spec)
+        assert task.doc_features.tobytes() == doc_f.tobytes()
+        assert task.query_features.tobytes() == query_f.tobytes()
+        assert (task.doc_ids, task.query_ids) == (doc_ids, query_ids)
+        assert [(q, list(g.items())) for q, g in task.qrels.items()] == [
+            (q, list(g.items())) for q, g in qrels.items()
+        ]
+        assert list(task.split_of.items()) == list(split_of.items())
+        assert task.hub_ids == hub_ids
+
+    @pytest.mark.parametrize("fields", ORACLE_SPECS)
+    def test_same_task(self, fields):
+        self._assert_same(TaskSpec(**fields))
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_same_task_with_other_neighbor_counts(self, monkeypatch, extra):
+        monkeypatch.setattr(datagen, "EXTRA_POSITIVES", extra)
+        self._assert_same(TaskSpec(**dict(REFERENCE, n_clusters=4, noise_sigma=0.0)))
+        self._assert_same(TaskSpec(**SMALL.__dict__))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n_docs=8, n_queries=4, feature_dim=4, n_clusters=2, hub_fraction=0.5, hub_multiplicity=3),
+            dict(n_docs=4, n_queries=50, feature_dim=3, n_clusters=1, hub_fraction=1.0, hub_multiplicity=1),
+            dict(REFERENCE, n_clusters=2, hub_multiplicity=1500),
+        ],
+    )
+    def test_same_infeasible_text(self, fields):
+        spec = TaskSpec(**fields)
+        with pytest.raises(InfeasibleSpec) as ref:
+            _reference_gen(spec)
+        with pytest.raises(InfeasibleSpec) as new:
+            gen_asymmetric(spec)
+        assert str(new.value) == str(ref.value)
+        assert "eligible queries" in str(new.value)
+
+
+def _traced_peak(generate, spec) -> int:
+    tracemalloc.start()
+    try:
+        generate(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNeighborMemory:
+    def test_one_cluster_peak_stays_near_the_per_document_scan(self):
+        # A full (M, M, dim) difference array here is 2048 * 2048 * 2
+        # doubles, 64 MiB, against a per-document peak under 1 MiB.
+        spec = TaskSpec(n_docs=2048, n_queries=256, feature_dim=2, n_clusters=1)
+        warm = TaskSpec(n_docs=16, n_queries=16, feature_dim=2, n_clusters=1)
+        _reference_gen(warm)
+        gen_asymmetric(warm)
+        reference = _traced_peak(_reference_gen, spec)
+        assert _traced_peak(gen_asymmetric, spec) <= 2 * reference
 
 
 class TestSymmetricPairs:

@@ -224,6 +224,26 @@ class TestKindNames:
         with pytest.raises(ValueError, match=f"^unknown similarity tag {name!r}$"):
             kind_from_name(name)
 
+    @pytest.mark.parametrize(
+        "given, shown",
+        [
+            ("learnable:0.3", "learnable:0.3"),
+            ("learnable:0.1,0.2,0.3", "learnable:0.1,0.2,0.3"),
+            ("learnable:0.3,x", "learnable:0.3,x"),
+            ("learnable:", "learnable:"),
+            (" Learnable:0.3 ", "learnable:0.3"),
+        ],
+    )
+    def test_learnable_suffix_needs_two_numbers(self, given, shown):
+        with pytest.raises(ValueError) as err:
+            kind_from_name(given)
+        assert str(err.value) == f"learnable takes two gammas, 'learnable:<gq>,<gd>'; got {shown!r}"
+
+    def test_learnable_suffix_out_of_range_names_the_gamma(self):
+        with pytest.raises(ValueError) as err:
+            kind_from_name("learnable:nan,0.5")
+        assert str(err.value) == "gamma_q must lie in [0, 1], got nan"
+
     def test_gamma_bounds_enforced(self):
         with pytest.raises(ValueError):
             learnable(-0.1, 0.5)
