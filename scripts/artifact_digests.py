@@ -16,6 +16,12 @@ this script once with PYTHONPATH at each side's src/.
 
 Without --config the task, encoder and training settings are the
 reference spec of magnorm.cli.load_config (configs/reference.json).
+That spec trains unshared towers with a hidden layer and no gamma_lr.
+configs/variants.json covers the other step paths: one shared affine
+encoder, gamma_lr 0.05, and the kinds learnable:0.3,0.8, qnorm and dot.
+Whenever the training step changes, compare both runs with the parent's:
+
+    python3 scripts/artifact_digests.py --out digests-variants --config configs/variants.json
 """
 
 import argparse

@@ -395,7 +395,9 @@ def load_task(outdir: str) -> SyntheticTask:
     has one of the wrong type or a non-finite feature, raises
     CorruptArtifact naming it, and so do a doc, query or hub id listed
     twice, a qrels or hub doc id absent from the corpus and a query
-    without a split.
+    without a split.  Both feature matrices must be 2-D with one width
+    of at least 1: corpus.jsonl is named for a width of 0 (or rows that
+    are not lists), queries.jsonl for a width the corpus does not have.
     """
     from .metrics import read_qrels
 
@@ -408,6 +410,15 @@ def load_task(outdir: str) -> SyntheticTask:
 
     doc_ids, doc_features = read("corpus.jsonl", _read_jsonl)
     query_ids, query_features = read("queries.jsonl", _read_jsonl)
+    if doc_features.ndim != 2 or doc_features.shape[1] < 1:
+        path = os.path.join(outdir, "corpus.jsonl")
+        raise CorruptArtifact(f"{path} needs rows of at least one feature, got shape {doc_features.shape}")
+    if query_features.shape[1:] != doc_features.shape[1:]:
+        path = os.path.join(outdir, "queries.jsonl")
+        raise CorruptArtifact(
+            f"{path} has feature rows of shape {query_features.shape}, "
+            f"corpus.jsonl rows have {doc_features.shape[1]} features"
+        )
     qrels = read("qrels.txt", read_qrels)
     split_of = read("splits.json", _read_splits)
     hub_ids = read("hubs.json", _read_hubs)

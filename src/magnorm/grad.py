@@ -123,7 +123,7 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
     dC = (G if scale_q is None else G / scale_q).T @ Q
     if gq > 0.0 or gd > 0.0 or learn:
         GS = G * S
-        GS_q, GS_c = GS.sum(axis=1), GS.sum(axis=0)
+        GS_q, GS_c = np.add.reduce(GS, axis=1), np.add.reduce(GS, axis=0)
     if gq > 0.0:
         dQ /= scale_q
         dQ -= gq * (GS_q / nq**2)[:, None] * Q
@@ -132,7 +132,7 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
         dC -= gd * (GS_c / nd**2)[:, None] * C
     if not learn:
         return dQ, dC, None, None
-    return dQ, dC, float(-(GS_q * np.log(nq)).sum()), float(-(GS_c * np.log(nd)).sum())
+    return dQ, dC, float(-np.add.reduce(GS_q * np.log(nq))), float(-np.add.reduce(GS_c * np.log(nd)))
 
 
 def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
@@ -146,11 +146,13 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     norms = _row_norms(cfg.kind, batch.queries, batch.positives)
     logits = candidate_logits(batch, cfg, norms)
     B = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
+    # The ufunc reductions that .max, .sum and .mean wrap, called directly:
+    # the same bits without the method wrappers.
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(logits - m)
-    e_sum = e.sum(axis=1, keepdims=True)
+    e_sum = np.add.reduce(e, axis=1, keepdims=True)
     lse = m[:, 0] + np.log(e_sum[:, 0])
-    loss = float((lse - np.diagonal(logits)).mean())
+    loss = float(np.add.reduce(lse - np.diagonal(logits)) / B)
 
     G = np.divide(e, e_sum, out=e)
     G.ravel()[:: B + 1] -= 1.0  # the diagonal, through a view of the contiguous G

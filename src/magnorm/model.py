@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -160,16 +161,29 @@ def forward(encoder: TwoTowerEncoder, features, tower: str = "query") -> Array:
     return Y[0] if single else Y
 
 
-def _backward_tower(p: dict, t: str, X: Array, H, dY: Array, grad: dict) -> None:
-    """Accumulate tower t's parameter gradients, given dLoss/dOutput, into grad's views; H is overwritten."""
+def _backward_tower(p: dict, t: str, X: Array, H, dY: Array, grad: dict, add: bool = False) -> None:
+    """Write tower t's parameter gradients, given dLoss/dOutput, into grad's views; H is overwritten.
+
+    Each block is written once with out=, or added into when add (the
+    second tower of a shared encoder).  A written block can hold -0.0
+    where the sum into zeros held +0.0; loss_and_grads clears that.
+    """
     if H is not None:
-        grad[f"{t}.w2"] += H.T @ dY
-        grad[f"{t}.b2"] += dY.sum(axis=0)
+        _layer_grad(grad[f"{t}.w2"], grad[f"{t}.b2"], H, dY, add)
         dY = dY @ p[f"{t}.w2"].T
         np.multiply(H, H, out=H)
         dY *= np.subtract(1.0, H, out=H)
-    grad[f"{t}.w1"] += X.T @ dY
-    grad[f"{t}.b1"] += dY.sum(axis=0)
+    _layer_grad(grad[f"{t}.w1"], grad[f"{t}.b1"], X, dY, add)
+
+
+def _layer_grad(w: Array, b: Array, A: Array, dY: Array, add: bool) -> None:
+    """w = A.T @ dY and b = dY's column sums, written with out=, or added in when add."""
+    if add:
+        w += A.T @ dY
+        b += np.add.reduce(dY, axis=0)
+    else:
+        np.matmul(A.T, dY, out=w)
+        np.add.reduce(dY, axis=0, out=b)
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +397,24 @@ def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: Los
     objective, then the tower chain rule, then sigmoid'(gamma_hat) for
     the normalization logits, which under learnable follow the encoder
     block as two more entries.  views (encoder.params()) and out, a
-    gradient vector and its params views, are built fresh unless given;
-    the vector is zeroed, so a reused one returns a fresh one's bytes.
+    gradient vector and its params views, are built fresh unless given.
+    Every entry is written, never read first, so a reused vector returns
+    a fresh one's bytes.  Adding 0.0 to the encoder block turns a -0.0
+    into +0.0 and keeps every other bit, so the block holds the bits of
+    a sum into np.zeros.
     """
     learn = loss_cfg.kind.tag == "learnable"
+    k = encoder.theta.size
     p, td = encoder.params() if views is None else views, "q" if encoder.shared else "d"
-    grad = np.empty(encoder.theta.size + (2 if learn else 0)) if out is None else out[0]
+    grad = np.empty(k + (2 if learn else 0)) if out is None else out[0]
     grad_views = encoder.params(grad) if out is None else out[1]
-    grad.fill(0.0)
     Q, Hq = _forward_cached(p, "q", Xq)
     D, Hd = _forward_cached(p, td, Xd)
     g = infonce_grad(ContrastiveBatch(Q, D), loss_cfg)
     _backward_tower(p, "q", Xq, Hq, g.d_queries, grad_views)
-    _backward_tower(p, td, Xd, Hd, g.d_positives, grad_views)
+    _backward_tower(p, td, Xd, Hd, g.d_positives, grad_views, add=encoder.shared)
+    head = grad[:k]
+    np.add(head, 0.0, out=head)
     if learn:
         gq, gd = loss_cfg.kind.gammas
         grad[-2:] = g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)
@@ -468,18 +487,19 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         log.append(TrainLogRow(step, loss, val, *kind.gammas, qm, qcv, dm, dcv))
         snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
 
+    batches = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(train_qids))
-        offset = 0
-        for size in sizes:
-            chunk = order[offset : offset + size]
-            offset += size
-            # One draw per batch takes the same numbers from rng, and leaves
-            # it in the same state, as one scalar draw per query in order.
-            doc_rows = flat_pos[first_pos[chunk] + rng.integers(n_pos[chunk])]
-            Xq = task.query_features[query_rows[chunk]]
-            Xd = task.doc_features[doc_rows]
+        # One draw per epoch takes the same numbers from rng, and leaves it
+        # in the same state, as one scalar draw per query in order.  Only
+        # row indices are drawn ahead: each batch gathers its own features,
+        # since gathering a whole epoch's rows at once raises peak memory.
+        q_rows = query_rows[order]
+        d_rows = flat_pos[first_pos[order] + rng.integers(n_pos[order])]
+        for batch in batches:
+            Xq = task.query_features.take(q_rows[batch], axis=0)
+            Xd = task.doc_features.take(d_rows[batch], axis=0)
             if learn:
                 loss_cfg = dataclasses.replace(cfg.loss, kind=kind_now())
             loss, grad = loss_and_grads(encoder, Xq, Xd, loss_cfg, views, out)

@@ -453,6 +453,12 @@ def _nan_feature(line):
     return json.dumps(rec)
 
 
+def _narrow_rows(text):
+    """Every row of a features file with its last feature cut."""
+    rows = [json.loads(line) for line in text.splitlines()]
+    return "".join(json.dumps({**rec, "features": rec["features"][:-1]}) + "\n" for rec in rows)
+
+
 class TestCorruptTask:
     @pytest.mark.parametrize(
         "name, corrupt",
@@ -477,13 +483,15 @@ class TestCorruptTask:
             ("hubs.json", lambda text: json.dumps(json.loads(text) + ["dZZ"])),
             ("corpus.jsonl", _first_line(_nan_feature)),
             ("queries.jsonl", _first_line(_nan_feature)),
+            ("queries.jsonl", _narrow_rows),
         ],
         ids=["qrels-3-columns", "qrels-grade", "splits-cut", "splits-list",
              "corpus-cut-line", "corpus-no-features", "queries-no-id",
              "corpus-numeric-id", "splits-string-value", "qrels-unknown-doc",
              "splits-missing-query", "qrels-negative-grade", "qrels-grade-1024",
              "hubs-cut", "hubs-not-list", "hubs-numeric-id", "hubs-repeated-id",
-             "hubs-unknown-doc", "corpus-nan-feature", "queries-nan-feature"],
+             "hubs-unknown-doc", "corpus-nan-feature", "queries-nan-feature",
+             "queries-narrow-rows"],
     )
     def test_eval_exits_three_naming_the_file(self, workdir, capsys, name, corrupt):
         out, cfg = workdir
@@ -522,6 +530,34 @@ class TestCorruptTask:
         assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {path} ")
         assert repr(repeated) in err[0]
         assert sorted(os.listdir(out)) == before
+
+
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "queries.jsonl"])
+    def test_feature_width_mismatch_exits_three_on_train(self, workdir, capsys, name):
+        # Narrow query rows used to crash train with a numpy traceback;
+        # corpus rows narrower than the queries' crash the same way.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        path = out / name
+        path.write_text(_narrow_rows(path.read_text()))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        queries = out / "queries.jsonl"
+        assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {queries} ")
+        assert not (out / "checkpoint_dot_0.json").exists()
+
+    def test_featureless_corpus_rows_name_the_corpus(self, workdir, capsys):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        for name in ("corpus.jsonl", "queries.jsonl"):
+            path = out / name
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            path.write_text("".join(json.dumps({**rec, "features": []}) + "\n" for rec in rows))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {out / 'corpus.jsonl'} ")
 
 
 class TestDiagnose:

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from magnorm import model
 from magnorm.datagen import TaskSpec, gen_asymmetric
 from magnorm.errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
-from magnorm.grad import finite_difference, rel_error
-from magnorm.metrics import ndcg_at_k, ranked_list
+from magnorm.grad import _row_norms, finite_difference, infonce_grad, rel_error
+from magnorm.metrics import GradeTable, macro_mean, ndcg_at_k, ranked_list
 from magnorm.model import (
     TRAINLOG_HEADER,
     Snapshot,
@@ -38,7 +38,7 @@ from magnorm.model import (
     validation_ndcg,
     write_trainlog_csv,
 )
-from magnorm.objective import LossConfig
+from magnorm.objective import ContrastiveBatch, LossConfig, candidate_logits
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable, similarity_matrix
 
 TINY = TaskSpec(
@@ -352,12 +352,11 @@ class TestBackward:
     @pytest.mark.parametrize("h", [64, 0], ids=["hidden", "affine"])
     def test_reused_gradient_buffer_returns_the_fresh_bytes(self, kind, shared, h):
         # The reused vector starts as NaN, so an entry a step leaves
-        # unwritten shows.  It is zeroed and accumulated into, as a fresh
-        # np.zeros is, so every entry keeps the bits of 0.0 + x, -0.0 + 0.0
-        # = +0.0 included, where a first write by out= could leave -0.0.
-        # Theta and the moments therefore get the very gradient bits they
-        # got from a fresh vector; they read it only through g*g and
-        # m + (1 - b1)*g, where a signed zero could only show if m were -0.0.
+        # unwritten shows.  Every block is written once by out= (a shared
+        # encoder's second tower adds into the first's), never read first,
+        # and the encoder block then gets + 0.0, which turns a -0.0 into
+        # +0.0 as a sum into a fresh np.zeros did; the gamma tail is
+        # written after that.  So a reused vector holds a fresh one's bytes.
         rng = np.random.default_rng(23)
         enc = init_encoder(6, h, 5, shared=shared, seed=3)
         cfg = LossConfig(kind=kind, tau=1.0, alpha=20.0)
@@ -370,6 +369,212 @@ class TestBackward:
             assert reused is buf and loss_r == loss
             assert reused.tobytes() == fresh.tobytes()
             enc.theta -= 0.1 * fresh[: enc.theta.size]
+
+
+def _pre_change_stack_grad(kind, G, S, Q, C, norms):
+    """grad._stack_grad with the method reductions (.sum) the step called before."""
+    gq, gd = kind.gammas
+    learn = kind.tag == "learnable"
+    nq, nd = norms
+    scale_q = (nq**gq)[:, None] if gq > 0.0 else None
+    scale_d = nd**gd if gd > 0.0 else None
+    dQ = (G if scale_d is None else G / scale_d) @ C
+    dC = (G if scale_q is None else G / scale_q).T @ Q
+    if gq > 0.0 or gd > 0.0 or learn:
+        GS = G * S
+        GS_q, GS_c = GS.sum(axis=1), GS.sum(axis=0)
+    if gq > 0.0:
+        dQ /= scale_q
+        dQ -= gq * (GS_q / nq**2)[:, None] * Q
+    if gd > 0.0:
+        dC /= scale_d[:, None]
+        dC -= gd * (GS_c / nd**2)[:, None] * C
+    if not learn:
+        return dQ, dC, None, None
+    return dQ, dC, float(-(GS_q * np.log(nq)).sum()), float(-(GS_c * np.log(nd)).sum())
+
+
+def _pre_change_loss_and_grads(encoder, Xq, Xd, cfg):
+    """loss_and_grads before each block was written once: a zeroed vector
+    that every block adds into, and .max/.sum/.mean in the loss."""
+    learn = cfg.kind.tag == "learnable"
+    grad = np.empty(encoder.theta.size + (2 if learn else 0))
+    grad.fill(0.0)
+    p, views, td = encoder.params(), encoder.params(grad), "q" if encoder.shared else "d"
+    Q, Hq = model._forward_cached(p, "q", Xq)
+    D, Hd = model._forward_cached(p, td, Xd)
+    norms = _row_norms(cfg.kind, Q, D)
+    logits = candidate_logits(ContrastiveBatch(Q, D), cfg, norms)
+    B = logits.shape[0]
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    e_sum = e.sum(axis=1, keepdims=True)
+    loss = float((m[:, 0] + np.log(e_sum[:, 0]) - np.diagonal(logits)).mean())
+    G = np.divide(e, e_sum, out=e)
+    G.ravel()[:: B + 1] -= 1.0
+    G *= cfg.alpha / cfg.tau / B
+    S = None if cfg.kind.tag == "dot" else logits * cfg.tau / cfg.alpha
+    dQ, dD, dgq, dgd = _pre_change_stack_grad(cfg.kind, G, S, Q, D, norms)
+    for t, X, H, dY in (("q", Xq, Hq, dQ), (td, Xd, Hd, dD)):
+        if H is not None:
+            views[f"{t}.w2"] += H.T @ dY
+            views[f"{t}.b2"] += dY.sum(axis=0)
+            dY = dY @ p[f"{t}.w2"].T
+            dY *= 1.0 - H * H
+        views[f"{t}.w1"] += X.T @ dY
+        views[f"{t}.b1"] += dY.sum(axis=0)
+    if learn:
+        gq, gd = cfg.kind.gammas
+        grad[-2:] = dgq * gq * (1.0 - gq), dgd * gd * (1.0 - gd)
+    return loss, grad
+
+
+def _pre_change_train(task, encoder, cfg):
+    """model.train before one draw per epoch: each batch draws its own
+    positives and steps through _pre_change_loss_and_grads."""
+    qids = task.split_queries("train")
+    rng = np.random.default_rng(cfg.seed)
+    k = encoder.theta.size
+    params = np.concatenate([encoder.theta, model.initial_gamma(cfg.loss.kind)])
+    encoder.theta = params[:k]
+    moments = np.zeros((2, params.size))
+    sizes = model._batch_layout(len(qids), cfg.batch_size)
+    total = cfg.epochs * len(sizes)
+    rel_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in qids]
+    table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)
+    val_features = task.query_features[[task.query_row(q) for q in table.query_ids]]
+    log, snapshots = [], []
+
+    def record(step, loss):
+        kind = trained_kind(cfg.loss.kind, params[k:])
+        Q, D = forward(encoder, val_features, "query"), forward(encoder, task.doc_features, "doc")
+        nq, nd = np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1)
+        val = macro_mean(table.rank(similarity_matrix(kind, Q, D, (nq, nd)), depth=10).ndcg(10).tolist())
+        log.append(model.TrainLogRow(step, loss, val, *kind.gammas, *model._mag_stats(nq), *model._mag_stats(nd)))
+        snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
+
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(qids))
+        offset = 0
+        for size in sizes:
+            chunk = order[offset : offset + size]
+            offset += size
+            draws = rng.integers(np.array([len(rel_rows[i]) for i in chunk], dtype=np.int64))
+            Xq = task.query_features[[task.query_row(qids[i]) for i in chunk]]
+            Xd = task.doc_features[[rel_rows[i][j] for i, j in zip(chunk, draws)]]
+            loss_cfg = _at(cfg.loss, params[k:])
+            loss, grad = _pre_change_loss_and_grads(encoder, Xq, Xd, loss_cfg)
+            if step == 0:
+                record(0, loss)
+            lr = sched = lr_at(step, total, cfg.lr)
+            if cfg.gamma_lr is not None and cfg.loss.kind.tag == "learnable":
+                lr = np.full(params.size, sched)
+                lr[k:] = cfg.gamma_lr * (sched / cfg.lr)
+            adamw_step(params, grad, moments, step + 1, cfg, encoder.bounds, lr=lr)
+            step += 1
+            if step % cfg.eval_every == 0 or step == total:
+                record(step, loss)
+    return model.TrainResult(encoder=encoder, log=log, snapshots=snapshots)
+
+
+class TestStepOracle:
+    """The training step against the step it replaced, kept as the oracle."""
+
+    @pytest.mark.parametrize("kind", [COSINE, DOT, QNORM, DNORM, learnable(0.3, 0.8)],
+                             ids=["cosine", "dot", "qnorm", "dnorm", "learnable"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["towers", "shared"])
+    @pytest.mark.parametrize("h", [16, 0], ids=["hidden", "affine"])
+    def test_train_is_the_pre_change_step_bitwise(self, kind, shared, h):
+        # Batch 7 leaves a short last batch; eval_every 5 records mid-epoch.
+        task = gen_asymmetric(TINY)
+        cfg = _tiny_cfg(kind=kind, epochs=2, batch_size=7, eval_every=5)
+        _assert_same_training(train(task, init_encoder(8, h, 8, shared, seed=7), cfg),
+                              _pre_change_train(task, init_encoder(8, h, 8, shared, seed=7), cfg))
+
+    def test_gamma_lr_run_is_the_pre_change_step_bitwise(self):
+        task = gen_asymmetric(TINY)
+        cfg = _tiny_cfg(kind=learnable(0.5, 0.5), gamma_lr=0.05, epochs=3)
+        _assert_same_training(train(task, init_encoder(8, 16, 8, True, seed=7), cfg),
+                              _pre_change_train(task, init_encoder(8, 16, 8, True, seed=7), cfg))
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["towers", "shared"])
+    def test_negative_zero_bias_gradient_comes_out_positive(self, shared, monkeypatch):
+        # Hidden unit 0 saturates (tanh(50) is exactly 1.0), so its
+        # backpropagated signal is dY @ w2[0] times 1 - 1*1 = 0.0.  w2[0] is
+        # chosen so that dY @ w2[0] < 0 on every row of both towers, with b2
+        # cancelling it in the output: every addend of the bias gradient
+        # b1[0] is -0.0.  Under cosine no linear relation ties the 8 rows.
+        rng = np.random.default_rng(5)
+        enc = init_encoder(6, 16, 10, shared=shared, seed=3)
+        cfg = LossConfig(kind=COSINE, tau=1.0, alpha=5.0)
+        Xq, Xd = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        p, towers = enc.params(), ("q",) if shared else ("q", "d")
+        for t in towers:
+            p[f"{t}.b1"][0], p[f"{t}.w2"][0] = 50.0, 0.0
+        _, _, dQ, dD = _step_signals(enc, Xq, Xd, cfg)
+        v = -np.linalg.lstsq(np.vstack([dQ, dD]), np.ones(8), rcond=None)[0]
+        for t in towers:
+            p[f"{t}.w2"][0], p[f"{t}.b2"][...] = v, -v
+        Hq, Hd, dQ, dD = _step_signals(enc, Xq, Xd, cfg)
+        for H, dY in ((Hq, dQ), (Hd, dD)):
+            addends = (dY @ v) * (1.0 - H[:, 0] * H[:, 0])
+            assert np.all(addends == 0.0) and np.all(np.signbit(addends))
+
+        # numpy's add.reduce starts from +0.0, so here it sums them to +0.0;
+        # a reduction that starts from its first addend writes -0.0.  The
+        # wrapper stands in for one, and the +0.0 pass must still clear it.
+        real, written = model._backward_tower, []
+
+        def first_addend_sum(p, t, X, H, dY, grad, add=False):
+            real(p, t, X, H, dY, grad, add)
+            written.append(grad[f"{t}.b1"][0])
+            grad[f"{t}.b1"][0] = -0.0
+
+        monkeypatch.setattr(model, "_backward_tower", first_addend_sum)
+        _, got = loss_and_grads(enc, Xq, Xd, cfg)
+        monkeypatch.undo()
+        _, want = _pre_change_loss_and_grads(enc, Xq, Xd, cfg)
+        assert written == [0.0, 0.0]
+        assert got.tobytes() == want.tobytes() == loss_and_grads(enc, Xq, Xd, cfg)[1].tobytes()
+        for t in towers:
+            assert enc.params(got)[f"{t}.b1"][0] == 0.0 and not np.signbit(enc.params(got)[f"{t}.b1"][0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lengths=st.lists(st.integers(1, 40) | st.just(1), min_size=2, max_size=80),
+        batch_size=st.integers(2, 40),
+    )
+    def test_one_draw_per_epoch_is_the_per_batch_draws(self, seed, lengths, batch_size):
+        # After the epoch's permutation, one rng.integers over the permuted
+        # list lengths draws what one call per _batch_layout chunk drew, and
+        # leaves the generator where those calls leave it.
+        lengths = np.array(lengths, dtype=np.int64)
+        per_batch = np.random.default_rng(seed)
+        order = per_batch.permutation(len(lengths))
+        expect, offset = [], 0
+        for size in model._batch_layout(len(lengths), batch_size):
+            expect += per_batch.integers(lengths[order[offset : offset + size]]).tolist()
+            offset += size
+        per_epoch = np.random.default_rng(seed)
+        assert per_epoch.integers(lengths[per_epoch.permutation(len(lengths))]).tolist() == expect
+        assert per_epoch.bit_generator.state == per_batch.bit_generator.state
+
+
+def _step_signals(enc, Xq, Xd, cfg):
+    """(Hq, Hd, dLoss/dQ, dLoss/dD) of one batch: what the towers' backward passes take."""
+    p = enc.params()
+    Q, Hq = model._forward_cached(p, "q", Xq)
+    D, Hd = model._forward_cached(p, "q" if enc.shared else "d", Xd)
+    g = infonce_grad(ContrastiveBatch(Q, D), cfg)
+    return Hq, Hd, g.d_queries, g.d_positives
+
+
+def _assert_same_training(got, want):
+    assert [dataclasses.astuple(r) for r in got.log] == [dataclasses.astuple(r) for r in want.log]
+    assert [s.params.tobytes() for s in got.snapshots] == [s.params.tobytes() for s in want.snapshots]
+    assert got.encoder.theta.tobytes() == want.encoder.theta.tobytes()
 
 
 class TestTraining:
@@ -582,9 +787,9 @@ class TestTraining:
         lengths=st.lists(st.integers(1, 40) | st.just(1), min_size=1, max_size=80),
     )
     def test_one_positive_draw_per_batch_is_the_per_query_draws(self, seed, lengths):
-        # train draws every batch's positives with one rng.integers over the
-        # chunk's list lengths; that must be the scalar draw per query, in
-        # order, and leave the generator where those leave it.
+        # One rng.integers over a run of list lengths (train makes one per
+        # epoch) must be the scalar draw per query, in order, and leave the
+        # generator where those leave it.
         scalar = np.random.default_rng(seed)
         expect = [int(scalar.integers(n)) for n in lengths]
         batched = np.random.default_rng(seed)

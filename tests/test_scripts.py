@@ -1,4 +1,4 @@
-"""In-process run of the digest script on a tiny spec, and the bench tracer's layer table."""
+"""In-process run of the digest script on a tiny spec, its variants config, and the bench tracer's layer table."""
 
 import functools
 import importlib
@@ -8,6 +8,7 @@ import os
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _load(directory, name):
@@ -49,6 +50,17 @@ def test_artifact_digests_repeat(tmp_path, capsys):
     # and 1 resumed trainlog in run/; the same minus diagnostics and resume,
     # plus the summary, in sweep/.
     assert len(runs[0]) - len(steps) == 16 + 14
+
+
+def test_variants_config_loads():
+    # The second byte-gate spec of artifact_digests.py: the step paths the
+    # reference spec leaves out.
+    from magnorm.cli import load_config
+
+    cfg = load_config(os.path.join(CONFIGS, "variants.json"))
+    assert cfg.sections["encoder"]["shared"] is True and cfg.sections["encoder"]["hidden"] == 0
+    assert cfg.sections["train"]["gamma_lr"] == 0.05
+    assert cfg.kinds == ["learnable:0.3,0.8", "qnorm", "dot"]
 
 
 def test_bench_tracer_layers_resolve():
