@@ -38,7 +38,7 @@ from .errors import (
     TooFewSamples,
     ZeroMagnitude,
 )
-from .metrics import atomic_write, write_csv, write_metrics_csv, write_run_file
+from .metrics import atomic_write, refuse_overwrite, write_csv, write_metrics_csv, write_run_file
 from .model import (
     TrainConfig,
     TrainResult,
@@ -113,13 +113,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# What a config value may be, by the type of its default.
+# What a config value may be, by the type of its default, and the value
+# training takes from it: a number where a float or null default goes is a float.
 _JSON_TYPES = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an integer", _is_int),
-    float: ("a number", _is_number),
-    type(None): ("null or a number", lambda v: v is None or _is_number(v)),
-    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    bool: ("true or false", lambda v: isinstance(v, bool), bool),
+    int: ("an integer", _is_int, int),
+    float: ("a number", _is_number, float),
+    type(None): ("null or a number", lambda v: v is None or _is_number(v), lambda v: v if v is None else float(v)),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), list),
 }
 
 
@@ -131,10 +132,15 @@ def _merge_section(raw: dict, defaults: dict, where: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     for key, value in raw.items():
-        what, ok = _JSON_TYPES[type(defaults[key])]
+        what, ok, _ = _JSON_TYPES[type(defaults[key])]
         if not ok(value):
             raise ConfigError(f"{where}.{key} must be {what}, got {json.dumps(value)}")
     return {**defaults, **raw}
+
+
+def _typed(section: dict, defaults: dict) -> dict:
+    """A merged section's values as training takes them."""
+    return {key: _JSON_TYPES[type(defaults[key])][2](value) for key, value in section.items()}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -174,25 +180,10 @@ def load_config(path) -> ExperimentConfig:
     _check_kinds(kinds)
 
     try:
-        floats = {k: float(task_sec[k]) for k in ("hub_fraction", "noise_sigma")}
-        spec = TaskSpec(**{**task_sec, **floats})
-        loss_params = {
-            "tau": float(loss_sec["tau"]),
-            "alpha": float(loss_sec["alpha"]),
-            "lam": float(loss_sec["lambda"]),
-        }
-        train_params = {
-            "lr": float(train_sec["lr"]),
-            "epochs": train_sec["epochs"],
-            "batch_size": train_sec["batch_size"],
-            "eval_every": train_sec["eval_every"],
-            "beta1": float(train_sec["beta1"]),
-            "beta2": float(train_sec["beta2"]),
-            "eps": float(train_sec["eps"]),
-            "weight_decay": float(train_sec["weight_decay"]),
-            "clip_norm": float(train_sec["clip_norm"]),
-            "gamma_lr": None if train_sec["gamma_lr"] is None else float(train_sec["gamma_lr"]),
-        }
+        spec = TaskSpec(**_typed(task_sec, DEFAULT_TASK))
+        loss_params = _typed(loss_sec, DEFAULT_LOSS)
+        loss_params["lam"] = loss_params.pop("lambda")
+        train_params = _typed(train_sec, DEFAULT_TRAIN)
         # Probe constructions so invalid numbers fail here, not mid-sweep.
         probe_loss = LossConfig(kind=simcore.COSINE, **loss_params)
         TrainConfig(seed=0, loss=probe_loss, **train_params)
@@ -227,14 +218,6 @@ def load_config(path) -> ExperimentConfig:
 
 def resolve_out(cli_out, cfg_out) -> str:
     return cli_out or cfg_out or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT
-
-
-def _guard(paths, force: bool) -> None:
-    if force:
-        return
-    for p in paths:
-        if os.path.exists(p):
-            raise FileExistsError(f"{p} exists (use --force to overwrite)")
 
 
 def _err(msg: str) -> None:
@@ -327,7 +310,7 @@ def _cmd_train(args) -> int:
     plan = _plan(args, cfg)
     task = load_task(out)
 
-    _guard([p for _, _, stem in plan for p in _train_paths(out, stem)], args.force)
+    refuse_overwrite([p for _, _, stem in plan for p in _train_paths(out, stem)], args.force)
     for kname, seed, stem in plan:
         result, best, _ = _train_and_save(cfg, task, out, kname, seed, stem)
         print(
@@ -352,7 +335,7 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
         raise ConfigError(f"{resume_path} lacks the kind/seed echo needed to resume")
     kind = simcore.kind_from_name(kname)
     tlog = os.path.join(out, f"trainlog_{kind.tag}_{seed}_resumed.csv")
-    _guard([tlog], force)
+    refuse_overwrite([tlog], force)
     result = run_training(cfg, task, kname, seed)
     replayed = next((s for s in result.snapshots if s.step == rstep), None)
     if replayed is None:
@@ -414,7 +397,7 @@ def _eval_checkpoint(ckpt_path: str, task, out: str, split: str, k_text: str, fo
     rows = ranking.metric_rows(metric_ks)
     stem = f"{kind.tag}_{echo.get('seed', 0)}"
     run_path, met_path = _eval_paths(out, stem, split)
-    _guard([run_path, met_path], force)
+    refuse_overwrite([run_path, met_path], force)
     write_run_file(run_path, ranking, tag=stem)
     write_metrics_csv(met_path, rows)
     return rows, run_path, met_path
@@ -425,8 +408,7 @@ def _macro_rows(rows) -> list:
 
 
 def _cmd_eval(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    out = resolve_out(args.out, cfg.out if cfg else None)
+    out = resolve_out(args.out, load_config(args.config).out)
     rows, run_path, met_path = _eval_checkpoint(
         args.checkpoint, load_task(out), out, args.split, args.k, args.force
     )
@@ -442,8 +424,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    out = resolve_out(args.out, cfg.out if cfg else None)
+    out = resolve_out(args.out, load_config(args.config).out)
     task = load_task(out)
     reports = []
     for path in args.checkpoint:
@@ -455,7 +436,7 @@ def _cmd_diagnose(args) -> int:
         reports[i] = diagnostics.with_delta_cv(reports[i], reports[by_tag["dot"]].query_cv)
     json_path = os.path.join(out, "diagnostics.json")
     csv_path = os.path.join(out, "diagnostics.csv")
-    _guard([json_path, csv_path], args.force)
+    refuse_overwrite([json_path, csv_path], args.force)
     payload = []
     for r in reports:
         d = dataclasses.asdict(r)
@@ -525,7 +506,7 @@ def _cmd_sweep(args) -> int:
     targets = [summary_path]
     for _, _, stem in plan:
         targets += [*_train_paths(out, stem), *_eval_paths(out, stem, "test")]
-    _guard(targets, args.force)
+    refuse_overwrite(targets, args.force)
 
     summary = []
     for kname, seed, stem in plan:
@@ -572,11 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_help="seed override"):
+    def common(sp, seed_help=None):
         sp.add_argument("--config", default=None, help="JSON experiment config")
         sp.add_argument("--out", default=None, help=f"output dir (default: config, ${OUT_ENV_VAR}, ./{DEFAULT_OUT})")
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        sp.add_argument("--seed", type=int, default=None, help=seed_help)
+        if seed_help:
+            sp.add_argument("--seed", type=int, default=None, help=seed_help)
 
     sp = sub.add_parser("gen", help="generate synthetic task files")
     common(sp, "override the task seed")
@@ -589,20 +571,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a split")
+    common(sp)
     sp.add_argument("--checkpoint", required=True, help="checkpoint JSON to evaluate")
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
     sp.add_argument("--k", default="10,100,10", help="ndcg,recall,mrr cutoffs")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("diagnose", help="magnitude diagnostics for checkpoints")
+    common(sp)
     sp.add_argument("--checkpoint", action="append", required=True, help="repeatable")
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_diagnose)
 
     sp = sub.add_parser("verify", help="run the property-verification suites")
@@ -625,9 +603,6 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError("--seed must be a non-negative integer")
         return args.func(args)
-    except ConfigError as e:
-        _err(f"config error: {e}")
-        return 2
     except FileExistsError as e:
         _err(f"overwrite refusal: {e}")
         return 4

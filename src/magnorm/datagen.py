@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptArtifact, InfeasibleSpec
-from .metrics import Qrels, atomic_write, write_qrels
+from .metrics import Qrels, atomic_write, refuse_overwrite, write_qrels
 
 Array = np.ndarray
 
@@ -95,8 +95,8 @@ class SyntheticTask:
     doc_cluster: Array | None = None
     hub_ids: list | None = None
     spec: TaskSpec | None = None
-    _doc_row: dict = field(default_factory=dict, repr=False)
-    _query_row: dict = field(default_factory=dict, repr=False)
+    _doc_row: dict = field(init=False, repr=False)
+    _query_row: dict = field(init=False, repr=False)
     relevance_count: dict = field(init=False)
 
     def __post_init__(self):
@@ -105,10 +105,8 @@ class SyntheticTask:
             for d, g in grades.items():
                 if g >= 1:
                     self.relevance_count[d] += 1
-        if not self._doc_row:
-            self._doc_row = {d: i for i, d in enumerate(self.doc_ids)}
-        if not self._query_row:
-            self._query_row = {q: i for i, q in enumerate(self.query_ids)}
+        self._doc_row = {d: i for i, d in enumerate(self.doc_ids)}
+        self._query_row = {q: i for i, q in enumerate(self.query_ids)}
 
     def doc_row(self, doc_id: str) -> int:
         return self._doc_row[doc_id]
@@ -321,10 +319,7 @@ def export_task(task: SyntheticTask, outdir: str, force: bool = False) -> list:
     """
     os.makedirs(outdir, exist_ok=True)
     paths = [os.path.join(outdir, name) for name in TASK_FILES]
-    if not force:
-        for p in paths:
-            if os.path.exists(p):
-                raise FileExistsError(f"{p} exists (use --force to overwrite)")
+    refuse_overwrite(paths, force)
     _write_jsonl(paths[0], task.doc_ids, task.doc_features)
     _write_jsonl(paths[1], task.query_ids, task.query_features)
     write_qrels(paths[2], task.qrels)

@@ -430,9 +430,8 @@ def magnitude_report(
         raise EmptyInput(f"split {split!r} has no queries")
     d_mags = np.linalg.norm(D, axis=1)
     q_mags = np.linalg.norm(Q, axis=1)
-    rel_ids = relevant_doc_ids(task, split)
-    rel = [float(d_mags[task.doc_row(did)]) for did in task.doc_ids if did in rel_ids]
-    irrel = [float(d_mags[task.doc_row(did)]) for did in task.doc_ids if did not in rel_ids]
+    relevant = np.isin(task.doc_ids, list(relevant_doc_ids(task, split)))
+    rel, irrel = d_mags[relevant].tolist(), d_mags[~relevant].tolist()
     d = cohens_d(rel, irrel)
     return DiagnosticsReport(
         split=split,

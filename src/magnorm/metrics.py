@@ -342,6 +342,15 @@ def atomic_write(path, newline=None):
         raise
 
 
+def refuse_overwrite(paths, force: bool) -> None:
+    """Raise FileExistsError naming the first of paths that exists, unless force."""
+    if force:
+        return
+    for p in paths:
+        if os.path.exists(p):
+            raise FileExistsError(f"{p} exists (use --force to overwrite)")
+
+
 def write_run_file(path, ranking: Ranking, tag: str = "magnorm") -> None:
     """Write a Ranking in the 6-column run layout, rank starting at 1.
 

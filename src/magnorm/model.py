@@ -165,8 +165,7 @@ def _backward_tower(p: dict, t: str, X: Array, H, dY: Array, grad: dict, add: bo
     """Write tower t's parameter gradients, given dLoss/dOutput, into grad's views; H is overwritten.
 
     Each block is written once with out=, or added into when add (the
-    second tower of a shared encoder).  A written block can hold -0.0
-    where the sum into zeros held +0.0; loss_and_grads clears that.
+    second tower of a shared encoder).
     """
     if H is not None:
         _layer_grad(grad[f"{t}.w2"], grad[f"{t}.b2"], H, dY, add)
@@ -399,9 +398,7 @@ def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: Los
     block as two more entries.  views (encoder.params()) and out, a
     gradient vector and its params views, are built fresh unless given.
     Every entry is written, never read first, so a reused vector returns
-    a fresh one's bytes.  Adding 0.0 to the encoder block turns a -0.0
-    into +0.0 and keeps every other bit, so the block holds the bits of
-    a sum into np.zeros.
+    a fresh one's bytes.
     """
     learn = loss_cfg.kind.tag == "learnable"
     k = encoder.theta.size
@@ -413,8 +410,6 @@ def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: Los
     g = infonce_grad(ContrastiveBatch(Q, D), loss_cfg)
     _backward_tower(p, "q", Xq, Hq, g.d_queries, grad_views)
     _backward_tower(p, td, Xd, Hd, g.d_positives, grad_views, add=encoder.shared)
-    head = grad[:k]
-    np.add(head, 0.0, out=head)
     if learn:
         gq, gd = loss_cfg.kind.gammas
         grad[-2:] = g.d_gamma_q * gq * (1.0 - gq), g.d_gamma_d * gd * (1.0 - gd)
@@ -593,18 +588,22 @@ def load_checkpoint(path) -> tuple:
     for key, kind in _CHECKPOINT_KEYS.items():
         if type(payload.get(key)) is not kind:
             raise CorruptArtifact(f"{path}: key {key!r} is missing or not a JSON {kind.__name__}")
+    m, h, n, shared = (payload[key] for key in ("m", "h", "n", "shared"))
     try:
-        enc = init_encoder(payload["m"], payload["h"], payload["n"], payload["shared"], seed=0)
-        weights = [np.asarray(payload["weights"][name], dtype=np.float64) for name in enc.params()]
+        if min(m, n) < 1 or h < 0:
+            raise ValueError
+        layout = param_layout(m, h, n, shared)
+        weights = [np.asarray(payload["weights"][name], dtype=np.float64).ravel() for name, _ in layout]
         gq, gd = (float(x) for x in payload["gamma_hat"])
     except (KeyError, TypeError, ValueError):
         raise CorruptArtifact(f"{path}: dimensions, weights or gamma_hat out of range or not numeric") from None
-    for (name, p), flat in zip(enc.params().items(), weights):
-        if flat.size != p.size:
-            raise CorruptArtifact(f"{path}: weight {name} has {flat.size} entries, expected {p.size}")
+    # Sizes are checked from the layout's shapes, so declared dims allocate nothing.
+    for (name, shape), flat in zip(layout, weights):
+        if flat.size != math.prod(shape):
+            raise CorruptArtifact(f"{path}: weight {name} has {flat.size} entries, expected {math.prod(shape)}")
         if not np.isfinite(flat).all():
             raise CorruptArtifact(f"{path}: weight {name} has a non-finite entry")
-        p[...] = flat.reshape(p.shape)
+    enc = TwoTowerEncoder(m=m, h=h, n=n, shared=shared, theta=np.concatenate(weights))
     if not (math.isfinite(gq) and math.isfinite(gd)):
         raise CorruptArtifact(f"{path}: gamma_hat has a non-finite entry")
     kind, seed = payload["config"].get("kind", "cosine"), payload["config"].get("seed", 0)

@@ -138,10 +138,28 @@ class TestConfigErrors:
         assert not (tmp_path / "o").exists()
 
     def test_numbers_and_null_where_floats_go(self, tmp_path):
+        # Every float or null default, given as a JSON int, trains as a
+        # float; ints stay ints, and the sections the checkpoint echoes keep
+        # the JSON ints.
+        ints = {
+            "task": {"hub_fraction": 0, "noise_sigma": 1, "splits": [1, 0, 0]},
+            "train": {"lr": 1, "beta1": 0, "beta2": 0, "eps": 1, "weight_decay": 0, "clip_norm": 2, "gamma_lr": 0},
+            "loss": {"tau": 2, "alpha": 20, "lambda": 1},
+        }
+        defaults = {"task": cli.DEFAULT_TASK, "train": cli.DEFAULT_TRAIN, "loss": cli.DEFAULT_LOSS}
+        floats = {(sec, key) for sec, d in defaults.items() for key, v in d.items() if type(v) in (float, type(None))}
+        assert floats <= {(sec, key) for sec, d in ints.items() for key in d}
         ok = tmp_path / "ok.json"
-        ok.write_text('{"train": {"lr": 1, "gamma_lr": 0}, "task": {"splits": [1, 0, 0]}}')
+        ok.write_text(json.dumps(ints))
         cfg = load_config(str(ok))
-        assert cfg.train_params["lr"] == 1.0 and cfg.task.splits == (1.0, 0.0, 0.0)
+        taken = {"task": vars(cfg.task), "train": cfg.train_params, "loss": {"lambda": cfg.loss_params["lam"]}}
+        taken["loss"].update(cfg.loss_params)
+        for sec, key in floats:
+            assert type(taken[sec][key]) is float and taken[sec][key] == ints[sec][key], (sec, key)
+            assert type(cfg.sections[sec][key]) is int, (sec, key)
+        assert type(cfg.train_params["epochs"]) is int and type(cfg.task.n_docs) is int
+        assert cfg.task.splits == (1.0, 0.0, 0.0)
+        assert load_config(None).train_params["gamma_lr"] is None
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 3
@@ -407,6 +425,15 @@ def _nan_w1(b):
     return json.dumps(payload).encode()
 
 
+def _declared_dims(b):
+    # Dims no machine can allocate, with one-entry weights: each weight's
+    # size must be checked before anything of the declared shape is built.
+    payload = json.loads(b)
+    payload["m"] = 10**15
+    payload["weights"] = {name: [0.0] for name in payload["weights"]}
+    return json.dumps(payload).encode()
+
+
 def _echo(key, value):
     def corrupt(b):
         payload = json.loads(b)
@@ -420,9 +447,9 @@ class TestCorruptCheckpoint:
         "corrupt",
         [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1, _nan_w1,
          _echo("kind", "bogus"), _echo("kind", 7), _echo("kind", "learnable:2,2"), _echo("seed", "x"),
-         _echo("kind", "learnablefoo")],
+         _echo("kind", "learnablefoo"), _declared_dims],
         ids=["cut", "no-step", "short-w1", "nan-weight",
-             "kind-bogus", "kind-number", "kind-gamma-2", "seed-string", "kind-learnablefoo"],
+             "kind-bogus", "kind-number", "kind-gamma-2", "seed-string", "kind-learnablefoo", "declared-dims"],
     )
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_exits_three_naming_the_file(self, workdir, capsys, command, corrupt):
@@ -837,6 +864,22 @@ class TestOutResolution:
         }))
         assert main(["gen", "--config", str(cfg)]) == 0
         assert (envdir / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("via", ["config", "env"])
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_eval_and_diagnose_find_the_task_without_out(self, workdir, monkeypatch, command, via):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        if via == "config":
+            flags = ["--config", cfg]
+        else:
+            monkeypatch.setenv("MAGNORM_OUT", str(out))
+            flags = []
+        assert main([command, "--checkpoint", str(out / "checkpoint_dot_0.json"), *flags]) == 0
+        written = {"eval": ("run_dot_0_test.txt", "metrics_dot_0_test.csv"),
+                   "diagnose": ("diagnostics.json", "diagnostics.csv")}[command]
+        assert all((out / name).exists() for name in written)
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as e:

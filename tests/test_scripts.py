@@ -6,9 +6,13 @@ import importlib.util
 import json
 import os
 
+import numpy as np
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 
 
 def _load(directory, name):
@@ -50,6 +54,27 @@ def test_artifact_digests_repeat(tmp_path, capsys):
     # and 1 resumed trainlog in run/; the same minus diagnostics and resume,
     # plus the summary, in sweep/.
     assert len(runs[0]) - len(steps) == 16 + 14
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [("artifact_digests_reference.txt", ["--epochs", "3", "--eval-every", "7"]),
+     ("artifact_digests_variants.txt", ["--config", os.path.join(CONFIGS, "variants.json")])],
+    ids=["reference", "variants"],
+)
+def test_artifact_digests_match_golden(tmp_path, capsys, golden, args):
+    # The byte gate: every artifact, trainlog, checkpoint and verify stdout
+    # of both specs is as the golden records it.  A change that moves an
+    # artifact byte on purpose rewrites the golden in the same commit, with
+    # "# numpy <version>" above the lines that
+    #     python3 scripts/artifact_digests.py <args> --out <new dir>
+    # prints.
+    with open(os.path.join(GOLDENS, golden)) as fh:
+        header, *want = fh.read().splitlines()
+    version = header.removeprefix("# numpy ")
+    if np.__version__ != version:
+        pytest.skip(f"{golden} was written with numpy {version}, not {np.__version__}")
+    assert _run_script("artifact_digests", capsys, [*args, "--out", str(tmp_path / "digests")]) == want
 
 
 def test_variants_config_loads():
