@@ -42,7 +42,7 @@ def _sha256(data: bytes) -> str:
 def _steps(config: str, run: str, sweep: str, cfg) -> list:
     """(label, magnorm argv) of every step, in run order."""
     common = ["--config", config, "--out", run]
-    stems = [f"{kind_from_name(k).tag}_{s}" for k in cfg.kinds for s in cfg.seeds]
+    stems = [cli.artifact_stem(kind_from_name(k), s) for k in cfg.kinds for s in cfg.seeds]
     ckpts = [os.path.join(run, f"checkpoint_{stem}.json") for stem in stems]
     resume = next((c for c, s in zip(ckpts, stems) if s.startswith("learnable_")), ckpts[0])
     steps = [("gen", ["gen", *common]), ("train", ["train", *common])]

@@ -88,6 +88,7 @@ DEFAULT_TRAIN = {
 DEFAULT_LOSS = {"tau": 1.0, "alpha": 20.0, "lambda": 0.01}
 DEFAULT_KINDS = ["cosine", "dot", "qnorm", "dnorm", "learnable"]
 DEFAULT_SEEDS = [0]
+DEFAULT_KS = "10,100,10"
 TOP_LEVEL_KEYS = ("out", "task", "encoder", "train", "loss", "kinds", "seeds")
 
 
@@ -269,11 +270,16 @@ def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int) -> Trai
         raise
 
 
+def artifact_stem(kind, seed: int) -> str:
+    """The <tag>_<seed> stem of one training's checkpoint, trainlog, run and metrics file names."""
+    return f"{kind.tag}_{seed}"
+
+
 def _plan(args, cfg: ExperimentConfig) -> list:
     """(kind name, seed, artifact stem) per training of train or sweep, in run order."""
     kinds = _parse_kinds(args.kinds) if args.kinds else cfg.kinds
     seeds = [args.seed] if args.seed is not None else cfg.seeds
-    plan = [(k, s, f"{simcore.kind_from_name(k).tag}_{s}") for k in kinds for s in seeds]
+    plan = [(k, s, artifact_stem(simcore.kind_from_name(k), s)) for k in kinds for s in seeds]
     stems = [stem for _, _, stem in plan]
     clash = next((stem for i, stem in enumerate(stems) if stem in stems[:i]), None)
     if clash is not None:
@@ -296,7 +302,7 @@ def _train_and_save(cfg: ExperimentConfig, task, out: str, kind_name: str, seed:
     write_trainlog_csv(tlog, result.log)
     echo = {"kind": kind_name, "seed": seed, **cfg.sections}
     save_checkpoint(ckpt, result.encoder, gamma_hat, best.step, echo)
-    return result, best, ckpt
+    return result, best, trained_kind(simcore.kind_from_name(kind_name), gamma_hat)
 
 
 def _cmd_train(args) -> int:
@@ -334,7 +340,7 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
     if kname is None or seed is None:
         raise ConfigError(f"{resume_path} lacks the kind/seed echo needed to resume")
     kind = simcore.kind_from_name(kname)
-    tlog = os.path.join(out, f"trainlog_{kind.tag}_{seed}_resumed.csv")
+    tlog = os.path.join(out, f"trainlog_{artifact_stem(kind, seed)}_resumed.csv")
     refuse_overwrite([tlog], force)
     result = run_training(cfg, task, kname, seed)
     replayed = next((s for s in result.snapshots if s.step == rstep), None)
@@ -372,7 +378,7 @@ def _parse_kinds(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _parse_ks(text: str, n_docs: int) -> list:
+def _parse_ks(text: str) -> list:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 3:
         raise ConfigError("--k expects three comma-separated integers: ndcg,recall,mrr")
@@ -382,25 +388,21 @@ def _parse_ks(text: str, n_docs: int) -> list:
         raise ConfigError(f"--k values must be integers, got {text!r}") from None
     if any(k < 1 for k in ks):
         raise ConfigError("--k values must be positive")
-    return [("ndcg", ks[0]), ("recall", min(ks[1], n_docs)), ("mrr", ks[2])]
+    return ks
 
 
 def _eval_paths(out: str, stem: str, split: str) -> tuple:
     return os.path.join(out, f"run_{stem}_{split}.txt"), os.path.join(out, f"metrics_{stem}_{split}.csv")
 
 
-def _eval_checkpoint(ckpt_path: str, task, out: str, split: str, k_text: str, force: bool):
-    """Rank one split of task with a checkpoint; write its run file and metrics CSV to out."""
-    encoder, kind, _, echo = load_checkpoint(ckpt_path)
-    metric_ks = _parse_ks(k_text, len(task.doc_ids))
+def _eval_encoder(encoder, kind, stem: str, task, out: str, split: str, ks) -> list:
+    """Rank one split of task with a trained encoder and kind; write stem's run file and metrics CSV to out."""
     ranking = rank_split(encoder, task, kind, split)
-    rows = ranking.metric_rows(metric_ks)
-    stem = f"{kind.tag}_{echo.get('seed', 0)}"
+    rows = ranking.metric_rows([("ndcg", ks[0]), ("recall", min(ks[1], len(task.doc_ids))), ("mrr", ks[2])])
     run_path, met_path = _eval_paths(out, stem, split)
-    refuse_overwrite([run_path, met_path], force)
     write_run_file(run_path, ranking, tag=stem)
     write_metrics_csv(met_path, rows)
-    return rows, run_path, met_path
+    return rows
 
 
 def _macro_rows(rows) -> list:
@@ -408,10 +410,13 @@ def _macro_rows(rows) -> list:
 
 
 def _cmd_eval(args) -> int:
+    ks = _parse_ks(args.k)
     out = resolve_out(args.out, load_config(args.config).out)
-    rows, run_path, met_path = _eval_checkpoint(
-        args.checkpoint, load_task(out), out, args.split, args.k, args.force
-    )
+    encoder, kind, _, echo = load_checkpoint(args.checkpoint)
+    stem = artifact_stem(kind, echo.get("seed", 0))
+    run_path, met_path = _eval_paths(out, stem, args.split)
+    refuse_overwrite([run_path, met_path], args.force)
+    rows = _eval_encoder(encoder, kind, stem, load_task(out), out, args.split, ks)
     for name, k, v in _macro_rows(rows):
         print(f"{name}@{k} {v:.4f}")
     print(f"wrote {run_path} and {met_path}")
@@ -424,19 +429,24 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    """Read the checkpoints and refuse an overwrite before the task is loaded.
+
+    Each dnorm report gets delta_cv against the dot report of its own
+    echoed seed, when one was given.
+    """
     out = resolve_out(args.out, load_config(args.config).out)
-    task = load_task(out)
-    reports = []
-    for path in args.checkpoint:
-        encoder, kind, _, _ = load_checkpoint(path)
-        reports.append(diagnostics.magnitude_report(encoder, task, kind, split=args.split))
-    by_tag = {r.kind.split(":")[0]: i for i, r in enumerate(reports)}
-    if "dot" in by_tag and "dnorm" in by_tag:
-        i = by_tag["dnorm"]
-        reports[i] = diagnostics.with_delta_cv(reports[i], reports[by_tag["dot"]].query_cv)
+    loaded = [load_checkpoint(path) for path in args.checkpoint]
     json_path = os.path.join(out, "diagnostics.json")
     csv_path = os.path.join(out, "diagnostics.csv")
     refuse_overwrite([json_path, csv_path], args.force)
+    task = load_task(out)
+    reports = [diagnostics.magnitude_report(enc, task, kind, split=args.split) for enc, kind, _, _ in loaded]
+    seeds = [echo.get("seed", 0) for _, _, _, echo in loaded]
+    dot_cv = {seed: r.query_cv for seed, r in zip(seeds, reports) if r.kind == "dot"}
+    reports = [
+        diagnostics.with_delta_cv(r, dot_cv[seed]) if r.kind == "dnorm" and seed in dot_cv else r
+        for seed, r in zip(seeds, reports)
+    ]
     payload = []
     for r in reports:
         d = dataclasses.asdict(r)
@@ -510,9 +520,9 @@ def _cmd_sweep(args) -> int:
 
     summary = []
     for kname, seed, stem in plan:
-        result, best, ckpt = _train_and_save(cfg, task, out, kname, seed, stem)
-        rows, _, _ = _eval_checkpoint(ckpt, task, out, "test", "10,100,10", force=True)
-        macro = {f"{name}@{k}": v for name, k, v in _macro_rows(rows)}
+        result, best, kind = _train_and_save(cfg, task, out, kname, seed, stem)
+        rows = _eval_encoder(result.encoder, kind, stem, task, out, "test", _parse_ks(DEFAULT_KS))
+        (_, _, ndcg), (_, _, recall), (_, _, mrr) = _macro_rows(rows)
         mags = np.linalg.norm(forward(result.encoder, task.doc_features, "doc"), axis=1)
         pearson, hub_d = diagnostics.relevance_counter(mags, task)
         summary.append(
@@ -522,18 +532,16 @@ def _cmd_sweep(args) -> int:
                 "selected_step": best.step,
                 "val_ndcg10": best.val_ndcg10,
                 "untrained_val_ndcg10": result.log[0].val_ndcg10,
-                "test_ndcg10": macro.get("ndcg@10", 0.0),
-                "test_recall100": next(
-                    (v for key, v in macro.items() if key.startswith("recall@")), 0.0
-                ),
-                "test_mrr10": macro.get("mrr@10", 0.0),
+                "test_ndcg10": ndcg,
+                "test_recall100": recall,
+                "test_mrr10": mrr,
                 "pearson": pearson,
                 "hub_d": hub_d,
             }
         )
         print(
             f"{kname} seed {seed}: step {best.step} val {best.val_ndcg10:.4f} "
-            f"(untrained {result.log[0].val_ndcg10:.4f}) test ndcg {summary[-1]['test_ndcg10']:.4f}"
+            f"(untrained {result.log[0].val_ndcg10:.4f}) test ndcg {ndcg:.4f}"
         )
 
     write_csv(summary_path, list(summary[0]), [row.values() for row in summary])
@@ -574,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--checkpoint", required=True, help="checkpoint JSON to evaluate")
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--k", default="10,100,10", help="ndcg,recall,mrr cutoffs")
+    sp.add_argument("--k", default=DEFAULT_KS, help="ndcg,recall,mrr cutoffs")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("diagnose", help="magnitude diagnostics for checkpoints")

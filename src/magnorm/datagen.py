@@ -389,8 +389,9 @@ def load_task(outdir: str) -> SyntheticTask:
     as None.  A file that does not parse, or a line that lacks a field,
     has one of the wrong type or a non-finite feature, raises
     CorruptArtifact naming it, and so do a doc, query or hub id listed
-    twice, a qrels or hub doc id absent from the corpus and a query
-    without a split.  Both feature matrices must be 2-D with one width
+    twice, a qrels or hub doc id absent from the corpus, a qrels query id
+    absent from queries.jsonl, a query without a line in qrels.txt and a
+    query without a split.  Both feature matrices must be 2-D with one width
     of at least 1: corpus.jsonl is named for a width of 0 (or rows that
     are not lists), queries.jsonl for a width the corpus does not have.
     """
@@ -423,6 +424,13 @@ def load_task(outdir: str) -> SyntheticTask:
         if unknown:
             path = os.path.join(outdir, name)
             raise CorruptArtifact(f"{path} names doc {unknown[0]!r}, which corpus.jsonl lacks")
+    qrels_path = os.path.join(outdir, "qrels.txt")
+    unknown = sorted(set(qrels) - set(query_ids))
+    if unknown:
+        raise CorruptArtifact(f"{qrels_path} names query {unknown[0]!r}, which queries.jsonl lacks")
+    unjudged = [q for q in query_ids if q not in qrels]
+    if unjudged:
+        raise CorruptArtifact(f"{qrels_path} judges no doc for query {unjudged[0]!r}")
     unsplit = [q for q in query_ids if q not in split_of]
     if unsplit:
         path = os.path.join(outdir, "splits.json")

@@ -20,7 +20,7 @@ import numpy as np
 from . import grad, simcore
 from .datagen import SyntheticTask
 from .errors import DegenerateInput, DegenerateVariance, DimensionMismatch, EmptyInput, TooFewSamples
-from .metrics import pearson, write_csv
+from .metrics import id_order, pearson, rank_order, write_csv
 from .model import TwoTowerEncoder, embed_split
 from .objective import ContrastiveBatch, LossConfig
 
@@ -67,10 +67,7 @@ def rank_documents(kinds, Q, D, ids) -> Array:
     per side, by the operations similarity_matrix performs, serve every
     variant, so each score keeps similarity_matrix's bits for its trial;
     each variant then costs one divide_by_norms (and its zero-norm rule),
-    with per-trial gamma arrays where its kinds' gammas differ.  One stable
-    sort of the negated scores, over columns put in doc-id string order,
-    gives ranked_list's (-score, doc id) order: ties go to the
-    lexicographically smaller id, so d10 ranks before d2.
+    with per-trial gamma arrays where its kinds' gammas differ; rank_order sorts them all.
     """
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -81,17 +78,11 @@ def rank_documents(kinds, Q, D, ids) -> Array:
         raise DimensionMismatch(f"expected ({T}, dim) queries and ({T}, {len(ids)}, dim) documents, got {Q.shape} and {D.shape}")
     if not (np.isfinite(Q).all() and np.isfinite(D).all()):
         raise DimensionMismatch("query and document entries must be finite")
-    # Columns in doc-id order from here on, so the sort needs no permuted copy of S.
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    t = (Q[:, None, :] @ D.transpose(0, 2, 1))[:, 0, by_id]
+    t = (Q[:, None, :] @ D.transpose(0, 2, 1))[:, 0]
     nq = np.linalg.norm(Q, axis=1)[:, None]
-    nd = np.linalg.norm(D, axis=2)[:, by_id]
-    S = np.empty((T, len(kinds[0]), len(ids)))
-    for v, variant in enumerate(zip(*kinds)):
-        np.negative(simcore.divide_by_norms(_trial_gammas(variant), t, nq, nd), out=S[:, v])
-    rows = np.argsort(S, axis=2, kind="stable")
-    del S  # the lookup below need not share the peak with the scores
-    return by_id[rows]
+    nd = np.linalg.norm(D, axis=2)
+    S = np.stack([simcore.divide_by_norms(_trial_gammas(v), t, nq, nd) for v in zip(*kinds)], axis=1)
+    return rank_order(S, id_order(ids))
 
 
 def _trial_gammas(variant) -> tuple:

@@ -21,8 +21,10 @@ class DimensionMismatch(MagnormError):
 
 
 class DegenerateBatch(MagnormError):
-    """An in-batch contrastive batch has fewer than two queries, so its
-    pool of positives holds no negative for some query."""
+    """An in-batch contrastive batch cannot be formed: it has fewer than
+    two queries, so its pool of positives holds no negative for some
+    query, or a train query has no relevant document to draw as its
+    positive."""
 
 
 class NonFiniteEvaluation(MagnormError):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simcore
 from .errors import NonFiniteEvaluation, ZeroMagnitude
-from .objective import ContrastiveBatch, LossConfig, candidate_logits
+from .objective import ContrastiveBatch, LossConfig, candidate_logits, infonce_terms
 from .simcore import SimilarityKind
 
 Array = np.ndarray
@@ -146,14 +146,7 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     norms = _row_norms(cfg.kind, batch.queries, batch.positives)
     logits = candidate_logits(batch, cfg, norms)
     B = logits.shape[0]
-    # The ufunc reductions that .max, .sum and .mean wrap, called directly:
-    # the same bits without the method wrappers.
-    m = np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    e_sum = np.add.reduce(e, axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(e_sum[:, 0])
-    loss = float(np.add.reduce(lse - np.diagonal(logits)) / B)
-
+    loss, e, e_sum = infonce_terms(logits)
     G = np.divide(e, e_sum, out=e)
     G.ravel()[:: B + 1] -= 1.0  # the diagonal, through a view of the contiguous G
     G *= cfg.alpha / cfg.tau / B

@@ -132,6 +132,26 @@ def mrr_at_k(run: RankedList, qrels: Qrels, k: int) -> float:
     return 0.0
 
 
+def id_order(ids) -> Array | None:
+    """Positions of ids in string order, or None when ids are already in it."""
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    return None if by_id == list(range(len(by_id))) else np.array(by_id, dtype=np.intp)
+
+
+def rank_order(scores: Array, by_id: Array | None) -> Array:
+    """Column indices ordering the last axis of scores by (-score, doc id), by_id being id_order of the ids.
+
+    Ties go to the lexicographically smaller id, as in ranked_list: an ascending stable sort over the
+    columns in descending id order, read backwards.  With sorted ids that is a reversed view, not a copy."""
+    if by_id is None:
+        order = np.argsort(scores[..., ::-1], axis=-1, kind="stable")
+        np.subtract(scores.shape[-1] - 1, order, out=order)
+    else:
+        desc = by_id[::-1]
+        order = desc[np.argsort(scores[..., desc], axis=-1, kind="stable")]
+    return order[..., ::-1]
+
+
 class GradeTable:
     """One split's judgments as a dense (queries x docs) matrix, for ranking score matrices.
 
@@ -164,8 +184,7 @@ class GradeTable:
         # Ideal DCGs come from qrels, not the columns, as ndcg_at_k's do.
         self._ideal = [_ideal_grades(grades) for grades in judged]
         self._ideal_dcg = {}
-        by_id = sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__)
-        self._by_id = None if by_id == list(range(len(by_id))) else np.array(by_id, dtype=np.intp)
+        self._by_id = id_order(self.doc_ids)
         # Each column's position in doc-id order, the tie key of a partial rank.
         self._id_pos = None if self._by_id is None else np.argsort(self._by_id)
 
@@ -176,12 +195,7 @@ class GradeTable:
         return self._ideal_dcg[k]
 
     def rank(self, scores, depth: int | None = None) -> "Ranking":
-        """Order each row of a (queries x docs) score matrix by descending score.
-
-        Ties go to the lexicographically smaller doc id, as in ranked_list:
-        an ascending stable sort over the columns in descending doc-id
-        order, read backwards, sorts by (-score, doc id).  When doc_ids
-        are sorted, that column order is a reversed view, not a copy.
+        """Order each row of a (queries x docs) score matrix by rank_order.
 
         With depth below the number of docs, only each row's first depth
         ranks are ordered, and they equal the first depth columns of the
@@ -209,13 +223,7 @@ class GradeTable:
             cols = cols[np.lexsort((pos, -S[rows, cols], rows))]
             counts = np.bincount(rows, minlength=len(S))
             return Ranking(self, S, cols[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)])
-        if self._by_id is None:
-            order = np.argsort(S[:, ::-1], axis=1, kind="stable")
-            np.subtract(n - 1, order, out=order)
-        else:
-            desc = self._by_id[::-1]
-            order = desc[np.argsort(S[:, desc], axis=1, kind="stable")]
-        return Ranking(self, S, order[:, ::-1])
+        return Ranking(self, S, rank_order(S, self._by_id))
 
 
 # A plain class: a dataclass definition would add about a millisecond to

@@ -147,18 +147,13 @@ def _forward_cached(p: dict, t: str, X: Array) -> tuple:
 
 
 def forward(encoder: TwoTowerEncoder, features, tower: str = "query") -> Array:
-    """Encode features (one vector or a batch of rows) to embeddings."""
-    name = {"query": "q", "doc": "d", "q": "q", "d": "d"}.get(tower)
-    if name is None:
+    """Encode a (rows x m) feature matrix to embeddings with the "query" or "doc" tower."""
+    if tower not in ("query", "doc"):
         raise ValueError(f"unknown tower {tower!r}")
     X = np.asarray(features, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != encoder.m:
-        raise DimensionMismatch(f"expected feature dim {encoder.m}, got shape {X.shape}")
-    Y, _ = _forward_cached(encoder.params(), "q" if encoder.shared else name, X)
-    return Y[0] if single else Y
+        raise DimensionMismatch(f"expected (rows, {encoder.m}) features, got shape {X.shape}")
+    return _forward_cached(encoder.params(), "q" if encoder.shared or tower == "query" else "d", X)[0]
 
 
 def _backward_tower(p: dict, t: str, X: Array, H, dY: Array, grad: dict, add: bool = False) -> None:
@@ -423,7 +418,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     documents every epoch, so documents relevant to many queries actually
     serve as positives for many queries.  Validation NDCG@10 is measured
     at step 0, every eval_every steps, and at the final step; a full
-    parameter snapshot is kept at each evaluation.
+    parameter snapshot is kept at each evaluation.  A train query with no
+    relevant document, or a batch_size above the train split, raises
+    DegenerateBatch before step 0.
 
     The optimizer updates one vector: theta, then the two gamma logits
     under learnable, which start at the logits of the kind's gammas.
@@ -458,6 +455,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     query_rows = np.array([task.query_row(q) for q in train_qids], dtype=np.intp)
     positive_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in train_qids]
     n_pos = np.array([len(rows) for rows in positive_rows], dtype=np.int64)
+    if not n_pos.all():
+        qid = train_qids[int(np.argmin(n_pos))]
+        raise DegenerateBatch(f"train query {qid!r} has no relevant doc to draw as its positive")
     first_pos = np.cumsum(n_pos) - n_pos
     flat_pos = np.array([r for rows in positive_rows for r in rows], dtype=np.intp)
     val_table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)

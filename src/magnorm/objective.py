@@ -98,11 +98,17 @@ def infonce_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
     Equals ln B exactly when all B candidate logits of every query tie,
     and falls toward 0 as the positive's score dominates.
     """
-    logits = candidate_logits(batch, cfg)
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    per_query = lse - np.diagonal(logits)
-    return float(per_query.mean())
+    return infonce_terms(candidate_logits(batch, cfg))[0]
+
+
+def infonce_terms(logits: Array) -> tuple:
+    """(mean over rows of log-sum-exp minus the diagonal, e = exp(logits - row max), e's row sums as a column),
+    through the ufunc reductions that .max, .sum and .mean wrap: their bits, without the wrappers."""
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    e_sum = np.add.reduce(e, axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(e_sum[:, 0])
+    return float(np.add.reduce(lse - np.diagonal(logits)) / len(logits)), e, e_sum
 
 
 def mse_symmetric_loss(pairs, cfg: LossConfig) -> float:

@@ -228,6 +228,22 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_query_without_relevant_doc_exits_two(self, workdir, capsys):
+        # A train query judged only grade 0 used to crash the first epoch's
+        # positive draw with a numpy traceback.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        qid = json.loads((out / "splits.json").read_text())["train"][0]
+        path = out / "qrels.txt"
+        lines = [line.split() for line in path.read_text().splitlines()]
+        path.write_text("".join(f"{q} 0 {d} {0 if q == qid else g}\n" for q, _, d, g in lines))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 2
+        assert capsys.readouterr().err == (
+            f"magnorm: config error: train query {qid!r} has no relevant doc to draw as its positive\n"
+        )
+        assert not list(out.glob("checkpoint_*"))
+
     def test_refuses_overwrite(self, workdir):
         out, cfg = workdir
         assert main(["gen", "--config", cfg]) == 0
@@ -405,6 +421,26 @@ class TestEval:
         out, cfg = workdir
         assert main(["eval", "--checkpoint", str(out / "nope.json"), "--out", str(out)]) == 3
 
+    def test_checks_k_checkpoint_and_overwrite_before_the_task(self, workdir, capsys):
+        # With a corrupt corpus, each earlier check still answers first:
+        # --k (2), then the checkpoint (3), then the overwrite refusal (4).
+        out, cfg, ckpt = self._trained(workdir)
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 0
+        corpus = out / "corpus.jsonl"
+        corpus.write_text(corpus.read_text()[:40])
+        bad = out / "bad.json"
+        bad.write_text("{")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--out", str(out), "--k", "10,100"]) == 2
+        assert main(["eval", "--checkpoint", str(bad), "--out", str(out)]) == 3
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 4
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out), "--force"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("magnorm: config error: --k expects three")
+        assert err[1].startswith(f"magnorm: corrupt artifact: {bad} ")
+        assert err[2].startswith("magnorm: overwrite refusal: ")
+        assert err[3].startswith(f"magnorm: corrupt artifact: {corpus} ")
+
 
 class _Unprintable:
     """A query id whose formatting raises, to fail the run-file writer partway through."""
@@ -486,6 +522,17 @@ def _narrow_rows(text):
     return "".join(json.dumps({**rec, "features": rec["features"][:-1]}) + "\n" for rec in rows)
 
 
+def _drop_first_query(text):
+    """qrels.txt without any line of its first query."""
+    first = text.split()[0]
+    return "".join(line + "\n" for line in text.splitlines() if line.split()[0] != first)
+
+
+def _add_unknown_query(text):
+    """qrels.txt plus a judgment for a query that queries.jsonl lacks."""
+    return text + f"qZZ 0 {text.split()[2]} 1\n"
+
+
 class TestCorruptTask:
     @pytest.mark.parametrize(
         "name, corrupt",
@@ -511,6 +558,8 @@ class TestCorruptTask:
             ("corpus.jsonl", _first_line(_nan_feature)),
             ("queries.jsonl", _first_line(_nan_feature)),
             ("queries.jsonl", _narrow_rows),
+            ("qrels.txt", _drop_first_query),
+            ("qrels.txt", _add_unknown_query),
         ],
         ids=["qrels-3-columns", "qrels-grade", "splits-cut", "splits-list",
              "corpus-cut-line", "corpus-no-features", "queries-no-id",
@@ -518,7 +567,7 @@ class TestCorruptTask:
              "splits-missing-query", "qrels-negative-grade", "qrels-grade-1024",
              "hubs-cut", "hubs-not-list", "hubs-numeric-id", "hubs-repeated-id",
              "hubs-unknown-doc", "corpus-nan-feature", "queries-nan-feature",
-             "queries-narrow-rows"],
+             "queries-narrow-rows", "qrels-query-without-line", "qrels-unknown-query"],
     )
     def test_eval_exits_three_naming_the_file(self, workdir, capsys, name, corrupt):
         out, cfg = workdir
@@ -558,6 +607,33 @@ class TestCorruptTask:
         assert repr(repeated) in err[0]
         assert sorted(os.listdir(out)) == before
 
+
+    @pytest.mark.parametrize(
+        "corrupt", [_drop_first_query, _add_unknown_query], ids=["query-without-line", "unknown-query"]
+    )
+    @pytest.mark.parametrize("command", ["train", "diagnose"])
+    def test_qrels_disagreeing_on_queries_exits_three_naming_the_id(self, workdir, capsys, command, corrupt):
+        # train used to die in relevant_of with a KeyError, diagnose to
+        # succeed, and an unknown qrels query to pass unnoticed everywhere;
+        # test_eval_exits_three_naming_the_file has both cases for eval.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        ckpt = str(out / "checkpoint_dot_0.json")
+        if command == "diagnose":
+            assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        path = out / "qrels.txt"
+        text = path.read_text()
+        qid = "qZZ" if corrupt is _add_unknown_query else text.split()[0]
+        path.write_text(corrupt(text))
+        capsys.readouterr()
+        argv = {
+            "train": ["train", "--config", cfg, "--force"],
+            "diagnose": ["diagnose", "--checkpoint", ckpt, "--out", str(out)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {path} ")
+        assert repr(qid) in err[0]
 
     @pytest.mark.parametrize("name", ["corpus.jsonl", "queries.jsonl"])
     def test_feature_width_mismatch_exits_three_on_train(self, workdir, capsys, name):
@@ -612,6 +688,50 @@ class TestDiagnose:
         assert "delta_cv" in capsys.readouterr().out
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert header == "split,kind,cohens_d,n_rel,n_irrel,query_cv,doc_cv"
+
+    def test_delta_cv_pairs_each_dnorm_with_the_dot_of_its_seed(self, tmp_path, monkeypatch):
+        # The last dot checkpoint given used to pair with the last dnorm one
+        # whatever their seeds, and every other dnorm got no delta_cv.
+        monkeypatch.delenv("MAGNORM_OUT", raising=False)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg = _write_config(cfg_path, out, kinds=("dot", "dnorm"))
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "seeds": [0, 1]}))
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+
+        def diagnose(*stems):
+            argv = ["diagnose", "--out", str(out), "--force"]
+            for stem in stems:
+                argv += ["--checkpoint", str(out / f"checkpoint_{stem}.json")]
+            assert main(argv) == 0
+            return json.loads((out / "diagnostics.json").read_text())
+
+        alone = {stem: diagnose(stem)[0] for stem in ("dot_0", "dot_1", "dnorm_0", "dnorm_1")}
+        for stems in (("dot_0", "dnorm_0", "dot_1"), ("dot_0", "dnorm_0", "dot_1", "dnorm_1"),
+                      ("dnorm_1", "dot_1", "dnorm_0", "dot_0")):
+            for stem, report in zip(stems, diagnose(*stems)):
+                kind, seed = stem.split("_")
+                if kind == "dot":
+                    assert report == alone[stem]
+                else:
+                    assert report.pop("delta_cv") == report["query_cv"] / alone[f"dot_{seed}"]["query_cv"]
+                    assert report == alone[stem]
+        # A dnorm without a dot of its seed gets none.
+        assert "delta_cv" not in diagnose("dot_1", "dnorm_0")[1]
+
+    def test_refuses_overwrite_before_loading_the_task(self, workdir):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        argv = ["diagnose", "--checkpoint", str(out / "checkpoint_dot_0.json"), "--out", str(out)]
+        assert main(argv) == 0
+        written = (out / "diagnostics.json").read_bytes()
+        corpus = out / "corpus.jsonl"
+        corpus.write_text(corpus.read_text()[:40])
+        assert main(argv) == 4
+        assert main([*argv, "--force"]) == 3
+        assert (out / "diagnostics.json").read_bytes() == written
 
     def test_single_checkpoint_has_no_delta(self, workdir):
         out, cfg = workdir
@@ -768,6 +888,28 @@ class TestSweep:
             (row,) = csv.DictReader(fh)
         assert row["hub_d"] == "nan"
         assert np.isfinite(float(row["pearson"]))
+
+    def test_scores_the_restored_encoder_as_eval_scores_its_checkpoint(self, workdir, monkeypatch):
+        # sweep reads no checkpoint back, and writes the bytes eval writes from one.
+        out, cfg = workdir
+
+        def no_read(path):
+            raise AssertionError(f"sweep read {path}")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "load_checkpoint", no_read)
+            assert main(["sweep", "--config", cfg, "--kinds", "dot,learnable"]) == 0
+        with (out / "sweep_summary.csv").open() as fh:
+            summary = list(csv.DictReader(fh))
+        for row, stem in zip(summary, ("dot_0", "learnable_0")):
+            paths = [out / f"run_{stem}_test.txt", out / f"metrics_{stem}_test.csv"]
+            swept = [p.read_bytes() for p in paths]
+            ckpt = str(out / f"checkpoint_{stem}.json")
+            assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--force"]) == 0
+            assert [p.read_bytes() for p in paths] == swept
+            rows = csv.DictReader(paths[1].read_text().splitlines())
+            macro = [r["value"] for r in rows if r["query_id"] == "ALL"]
+            assert macro == [row["test_ndcg10"], row["test_recall100"], row["test_mrr10"]]
 
     def test_refuses_overwrite(self, workdir):
         out, cfg = workdir

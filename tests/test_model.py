@@ -90,7 +90,7 @@ class TestEncoderInit:
         assert [n for n, _ in param_layout(6, 8, 4, False)] == [
             "q.w1", "q.b1", "q.w2", "q.b2", "d.w1", "d.b1", "d.w2", "d.b2"
         ]
-        x = np.ones(4)
+        x = np.ones((1, 4))
         np.testing.assert_array_equal(forward(enc, x, "query"), forward(enc, x, "doc"))
 
     def test_rejects_bad_dims(self):
@@ -135,23 +135,18 @@ class TestForward:
         enc = init_encoder(5, 0, 3, shared=False, seed=3)
         X = np.random.default_rng(1).standard_normal((4, 5))
         p = enc.params()
-        np.testing.assert_array_equal(forward(enc, X, "q"), X @ p["q.w1"] + p["q.b1"])
+        np.testing.assert_array_equal(forward(enc, X, "query"), X @ p["q.w1"] + p["q.b1"])
         # Zero biases at init make the map linear: zero in, zero out.
-        np.testing.assert_array_equal(forward(enc, np.zeros(5), "q"), np.zeros(3))
-
-    def test_single_vector_round_trip(self):
-        enc = init_encoder(5, 7, 3, shared=False, seed=3)
-        x = np.arange(5.0)
-        y = forward(enc, x, "query")
-        assert y.shape == (3,)
-        np.testing.assert_array_equal(forward(enc, x[None, :], "query")[0], y)
+        np.testing.assert_array_equal(forward(enc, np.zeros((1, 5)), "query"), np.zeros((1, 3)))
 
     def test_rejects_wrong_dim_and_tower(self):
         enc = init_encoder(5, 0, 3, shared=False, seed=3)
-        with pytest.raises(DimensionMismatch):
-            forward(enc, np.ones(4), "query")
-        with pytest.raises(ValueError):
-            forward(enc, np.ones(5), "passage")
+        for features in (np.ones((2, 4)), np.ones(5)):
+            with pytest.raises(DimensionMismatch):
+                forward(enc, features, "query")
+        for tower in ("passage", "q", "d"):
+            with pytest.raises(ValueError):
+                forward(enc, np.ones((2, 5)), tower)
 
 
 class TestOptimizer:
@@ -706,6 +701,19 @@ class TestTraining:
         task = gen_asymmetric(TINY)
         with pytest.raises(DegenerateBatch):
             train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(batch_size=4096))
+
+    def test_train_query_without_relevant_doc_rejected_before_step_0(self, monkeypatch):
+        # A train query judged only grade 0 has no positive to draw; the
+        # epoch's draw used to fail with numpy's "high <= 0".
+        task = gen_asymmetric(TINY)
+        first, second = task.split_queries("train")[3:5]
+        for qid in (second, first):
+            task.qrels[qid] = {d: 0 for d in task.qrels[qid]}
+        steps = []
+        monkeypatch.setattr(model, "loss_and_grads", lambda *a, **k: steps.append(1))
+        with pytest.raises(DegenerateBatch, match=f"train query '{first}' has no relevant doc"):
+            train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
+        assert steps == []
 
     def test_divergence_raises_non_finite_loss(self):
         task = gen_asymmetric(TINY)
