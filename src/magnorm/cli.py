@@ -42,7 +42,6 @@ from .metrics import atomic_write, refuse_overwrite, write_csv, write_metrics_cs
 from .model import (
     TrainConfig,
     TrainResult,
-    forward,
     init_encoder,
     initial_gamma,
     load_checkpoint,
@@ -395,14 +394,17 @@ def _eval_paths(out: str, stem: str, split: str) -> tuple:
     return os.path.join(out, f"run_{stem}_{split}.txt"), os.path.join(out, f"metrics_{stem}_{split}.csv")
 
 
-def _eval_encoder(encoder, kind, stem: str, task, out: str, split: str, ks) -> list:
-    """Rank one split of task with a trained encoder and kind; write stem's run file and metrics CSV to out."""
-    ranking = rank_split(encoder, task, kind, split)
+def _eval_encoder(encoder, kind, stem: str, task, out: str, split: str, ks) -> tuple:
+    """Rank one split of task with a trained encoder and kind; write stem's run file and metrics CSV to out.
+
+    Returns the metric rows and the corpus's embedding norms, in doc_ids order.
+    """
+    ranking, (_, doc_norms) = rank_split(encoder, task, kind, task.grade_table(split))
     rows = ranking.metric_rows([("ndcg", ks[0]), ("recall", min(ks[1], len(task.doc_ids))), ("mrr", ks[2])])
     run_path, met_path = _eval_paths(out, stem, split)
     write_run_file(run_path, ranking, tag=stem)
     write_metrics_csv(met_path, rows)
-    return rows
+    return rows, doc_norms
 
 
 def _macro_rows(rows) -> list:
@@ -416,7 +418,7 @@ def _cmd_eval(args) -> int:
     stem = artifact_stem(kind, echo.get("seed", 0))
     run_path, met_path = _eval_paths(out, stem, args.split)
     refuse_overwrite([run_path, met_path], args.force)
-    rows = _eval_encoder(encoder, kind, stem, load_task(out), out, args.split, ks)
+    rows, _ = _eval_encoder(encoder, kind, stem, load_task(out), out, args.split, ks)
     for name, k, v in _macro_rows(rows):
         print(f"{name}@{k} {v:.4f}")
     print(f"wrote {run_path} and {met_path}")
@@ -521,10 +523,9 @@ def _cmd_sweep(args) -> int:
     summary = []
     for kname, seed, stem in plan:
         result, best, kind = _train_and_save(cfg, task, out, kname, seed, stem)
-        rows = _eval_encoder(result.encoder, kind, stem, task, out, "test", _parse_ks(DEFAULT_KS))
+        rows, doc_norms = _eval_encoder(result.encoder, kind, stem, task, out, "test", _parse_ks(DEFAULT_KS))
         (_, _, ndcg), (_, _, recall), (_, _, mrr) = _macro_rows(rows)
-        mags = np.linalg.norm(forward(result.encoder, task.doc_features, "doc"), axis=1)
-        pearson, hub_d = diagnostics.relevance_counter(mags, task)
+        pearson, hub_d = diagnostics.relevance_counter(doc_norms, task)
         summary.append(
             {
                 "kind": kname,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptArtifact, InfeasibleSpec
-from .metrics import Qrels, atomic_write, refuse_overwrite, write_qrels
+from .metrics import GradeTable, Qrels, atomic_write, refuse_overwrite, write_qrels
 
 Array = np.ndarray
 
@@ -80,10 +80,8 @@ class TaskSpec:
 class SyntheticTask:
     """Generated corpus, queries, graded judgments, and bookkeeping.
 
-    doc_cluster and spec are generation-side metadata; they are not
-    exported and are absent (None) on tasks loaded from disk.  hub_ids is
-    exported as hubs.json.  relevance_count is derived from qrels: per
-    document, the number of queries that judge it grade >= 1.
+    hub_ids is exported as hubs.json.  relevance_count is derived from
+    qrels: per document, the number of queries that judge it grade >= 1.
     """
 
     doc_ids: list
@@ -92,9 +90,7 @@ class SyntheticTask:
     query_features: Array
     qrels: Qrels
     split_of: dict
-    doc_cluster: Array | None = None
     hub_ids: list | None = None
-    spec: TaskSpec | None = None
     _doc_row: dict = field(init=False, repr=False)
     _query_row: dict = field(init=False, repr=False)
     relevance_count: dict = field(init=False)
@@ -119,6 +115,10 @@ class SyntheticTask:
         if name not in SPLIT_NAMES:
             raise ValueError(f"unknown split {name!r}")
         return [q for q in self.query_ids if self.split_of[q] == name]
+
+    def grade_table(self, split: str) -> GradeTable:
+        """One split's judgments against the whole corpus, for ranking that split."""
+        return GradeTable(self.split_queries(split), self.doc_ids, self.qrels)
 
     def relevant_of(self, query_id: str) -> list:
         """Doc ids with grade >= 1 for this query, sorted for determinism."""
@@ -216,9 +216,7 @@ def gen_asymmetric(spec: TaskSpec) -> SyntheticTask:
         query_features=query_features,
         qrels=qrels,
         split_of=split_of,
-        doc_cluster=cluster,
         hub_ids=[doc_ids[h] for h in hub_rows],
-        spec=spec,
     )
 
 
@@ -368,9 +366,15 @@ def _read_splits(path) -> dict:
     if not isinstance(splits, dict):
         raise ValueError("not a JSON object")
     for name, qs in splits.items():
+        if name not in SPLIT_NAMES:
+            raise ValueError(f"unknown split {name!r}, not one of {', '.join(SPLIT_NAMES)}")
         if not isinstance(qs, list) or not all(isinstance(q, str) for q in qs):
             raise TypeError(f"split {name!r} is not a list of query ids")
-    return {q: name for name, qs in splits.items() for q in qs}
+    split_of = {q: name for name, qs in splits.items() for q in qs}
+    # A query listed twice leaves the map shorter than the lists; only then name it.
+    if len(split_of) < sum(map(len, splits.values())):
+        _reject_repeats([q for qs in splits.values() for q in qs])
+    return split_of
 
 
 def _read_hubs(path) -> list:
@@ -385,13 +389,13 @@ def _read_hubs(path) -> list:
 def load_task(outdir: str) -> SyntheticTask:
     """Rebuild a task from its five exported files.
 
-    Generation metadata (clusters, spec) is not persisted and comes back
-    as None.  A file that does not parse, or a line that lacks a field,
-    has one of the wrong type or a non-finite feature, raises
-    CorruptArtifact naming it, and so do a doc, query or hub id listed
-    twice, a qrels or hub doc id absent from the corpus, a qrels query id
-    absent from queries.jsonl, a query without a line in qrels.txt and a
-    query without a split.  Both feature matrices must be 2-D with one width
+    A file that does not parse, or a line that lacks a field, has one of
+    the wrong type or a non-finite feature, raises CorruptArtifact naming
+    it, and so do a doc, query or hub id listed twice (in splits.json, under
+    one split or two), a qrels or hub doc id absent from the corpus, a
+    qrels or splits.json query id absent from queries.jsonl, a split name
+    other than train, val and test, a query without a line in qrels.txt
+    and a query without a split.  Both feature matrices must be 2-D with one width
     of at least 1: corpus.jsonl is named for a width of 0 (or rows that
     are not lists), queries.jsonl for a width the corpus does not have.
     """
@@ -424,17 +428,17 @@ def load_task(outdir: str) -> SyntheticTask:
         if unknown:
             path = os.path.join(outdir, name)
             raise CorruptArtifact(f"{path} names doc {unknown[0]!r}, which corpus.jsonl lacks")
-    qrels_path = os.path.join(outdir, "qrels.txt")
-    unknown = sorted(set(qrels) - set(query_ids))
-    if unknown:
-        raise CorruptArtifact(f"{qrels_path} names query {unknown[0]!r}, which queries.jsonl lacks")
-    unjudged = [q for q in query_ids if q not in qrels]
-    if unjudged:
-        raise CorruptArtifact(f"{qrels_path} judges no doc for query {unjudged[0]!r}")
-    unsplit = [q for q in query_ids if q not in split_of]
-    if unsplit:
-        path = os.path.join(outdir, "splits.json")
-        raise CorruptArtifact(f"{path} assigns no split to query {unsplit[0]!r}")
+    for name, named, lacks in (
+        ("qrels.txt", qrels, "judges no doc for"), ("splits.json", split_of, "assigns no split to")
+    ):
+        path = os.path.join(outdir, name)
+        missing = [q for q in query_ids if q not in named]
+        if missing:
+            raise CorruptArtifact(f"{path} {lacks} query {missing[0]!r}")
+        # named holds every (distinct) query id, so any more are unknown.
+        if len(named) > len(query_ids):
+            unknown = sorted(set(named) - set(query_ids))
+            raise CorruptArtifact(f"{path} names query {unknown[0]!r}, which queries.jsonl lacks")
     return SyntheticTask(
         doc_ids=doc_ids,
         query_ids=query_ids,

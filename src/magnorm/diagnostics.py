@@ -395,16 +395,6 @@ class DiagnosticsReport:
 REPORT_COLUMNS = ("split", "kind", "cohens_d", "n_rel", "n_irrel", "query_cv", "doc_cv")
 
 
-def relevant_doc_ids(task: SyntheticTask, split: str) -> set:
-    """Docs with grade >= 1 for at least one query of the split."""
-    rel = set()
-    for qid in task.split_queries(split):
-        for did, grade in task.qrels.get(qid, {}).items():
-            if grade >= 1:
-                rel.add(did)
-    return rel
-
-
 def magnitude_report(
     encoder: TwoTowerEncoder,
     task: SyntheticTask,
@@ -416,12 +406,13 @@ def magnitude_report(
     Documents are grouped by whether any split query marks them relevant;
     Cohen's d compares relevant against irrelevant document norms.
     """
-    qids, Q, D = embed_split(encoder, task, split)
-    if not qids:
+    table = task.grade_table(split)
+    if not table.query_ids:
         raise EmptyInput(f"split {split!r} has no queries")
+    Q, D = embed_split(encoder, task, table.query_ids)
     d_mags = np.linalg.norm(D, axis=1)
     q_mags = np.linalg.norm(Q, axis=1)
-    relevant = np.isin(task.doc_ids, list(relevant_doc_ids(task, split)))
+    relevant = table.levels.any(axis=0)
     rel, irrel = d_mags[relevant].tolist(), d_mags[~relevant].tolist()
     d = cohens_d(rel, irrel)
     return DiagnosticsReport(

@@ -36,7 +36,7 @@ from . import simcore
 from .datagen import SyntheticTask
 from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from .grad import infonce_grad
-from .metrics import GradeTable, Ranking, atomic_write, macro_mean, write_csv
+from .metrics import GradeTable, atomic_write, macro_mean, write_csv
 from .objective import ContrastiveBatch, LossConfig
 
 Array = np.ndarray
@@ -237,25 +237,28 @@ def clip_by_global_norm(grad: Array, clip_norm: float, bounds: list, step: int |
 
 def adamw_step(
     theta: Array, grad: Array, moments: Array, step_index: int, cfg: TrainConfig, bounds: list, lr=None,
-    scratch=None,
+    tail_lr=None, scratch=None,
 ) -> None:
     """One decoupled-weight-decay Adam update of theta and its moments (two rows), in place.
 
     grad is clipped by global norm before touching the moments; a
     non-finite norm raises NonFiniteLoss at step step_index - 1 and leaves
     theta and the moments as they were.  step_index is 1-based for bias
-    correction.  lr is one rate or one per entry (default cfg.lr); weight
-    decay multiplies it and skips the gamma logits past the last bound.
+    correction.  lr (default cfg.lr) is the rate of every entry, or of the
+    entries before bounds[-1] when tail_lr is the rate of the rest (the
+    gamma logits); both are floats.  Weight decay multiplies lr and skips
+    the entries past bounds[-1].
     scratch (default fresh) is three rows like theta: two for the update, one for the clip.
     """
     if step_index < 1:
         raise ValueError("step_index is 1-based")
-    step_lr = cfg.lr if lr is None else lr
+    step_lr = float(cfg.lr if lr is None else lr)
     a, b, c = np.empty((3, theta.size)) if scratch is None else scratch
     g = clip_by_global_norm(grad, cfg.clip_norm, bounds, step_index - 1, out=c)
     bc1 = 1.0 - cfg.beta1**step_index
     bc2 = 1.0 - cfg.beta2**step_index
     m, v = moments
+    end = bounds[-1]
     # Written in place through two scratch vectors, each operation in the
     # order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     # theta -= lr*mhat / (sqrt(vhat) + eps), so the result has their bits.
@@ -266,20 +269,18 @@ def adamw_step(
     a *= g
     v += a
     np.divide(m, bc1, out=a)
-    a *= step_lr
+    if tail_lr is None:
+        a *= step_lr
+    else:
+        a[:end] *= step_lr
+        a[end:] *= float(tail_lr)
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
     b += cfg.eps
     a /= b
     theta -= a
     if cfg.weight_decay > 0.0:
-        end = bounds[-1]
-        decay = a[:end]
-        if np.ndim(step_lr) == 0:
-            np.multiply(theta[:end], step_lr * cfg.weight_decay, out=decay)
-        else:
-            np.multiply(step_lr[:end], cfg.weight_decay, out=decay)
-            decay *= theta[:end]
+        decay = np.multiply(theta[:end], step_lr * cfg.weight_decay, out=a[:end])
         theta[:end] -= decay
 
 
@@ -363,24 +364,26 @@ def _mag_stats(mags: Array) -> tuple:
     return mean, (sd / mean if mean > 0 else 0.0)
 
 
-def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, split: str) -> tuple:
-    """(query ids, their embeddings, every doc's embedding) for one split."""
-    qids = task.split_queries(split)
-    D = forward(encoder, task.doc_features, "doc")
-    Q = forward(encoder, task.query_features[[task.query_row(q) for q in qids]], "query")
-    return qids, Q, D
+def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, query_ids) -> tuple:
+    """(embeddings of the given queries, every doc's embedding)."""
+    Q = forward(encoder, task.query_features[[task.query_row(q) for q in query_ids]], "query")
+    return Q, forward(encoder, task.doc_features, "doc")
 
 
 def validation_ndcg(encoder: TwoTowerEncoder, task: SyntheticTask, kind, split: str = "val", k: int = 10) -> float:
     """Macro-averaged NDCG@k of the current parameters on one split."""
-    return macro_mean(rank_split(encoder, task, kind, split).ndcg(k).tolist())
+    return macro_mean(rank_split(encoder, task, kind, task.grade_table(split))[0].ndcg(k).tolist())
 
 
-def rank_split(encoder: TwoTowerEncoder, task: SyntheticTask, kind, split: str) -> Ranking:
-    """The split queries' rankings of the full corpus under a trained kind, with their grades."""
-    qids, Q, D = embed_split(encoder, task, split)
-    table = GradeTable(qids, task.doc_ids, task.qrels)
-    return table.rank(simcore.similarity_matrix(kind, Q, D))
+def rank_split(encoder: TwoTowerEncoder, task: SyntheticTask, kind, table: GradeTable, depth=None) -> tuple:
+    """(Ranking, (query norms, doc norms)) of table's queries against the full corpus under a trained kind.
+
+    Each side's row norms are taken once and serve the scores and the
+    caller's magnitude statistics; depth is GradeTable.rank's.
+    """
+    Q, D = embed_split(encoder, task, table.query_ids)
+    norms = np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1)
+    return table.rank(simcore.similarity_matrix(kind, Q, D, norms), depth), norms
 
 
 def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: LossConfig, views=None, out=None):
@@ -440,10 +443,9 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     moments = np.zeros((2, params.size))
     bounds = encoder.bounds
     # Built once: theta's views, a gradient vector with its views, AdamW's
-    # scratch, the loss config, which under learnable follows the logits,
-    # and the per-entry rate vector a gamma_lr needs.
+    # scratch, and the loss config, which under learnable follows the logits.
     views, scratch, loss_cfg = encoder.params(), np.empty((3, params.size)), cfg.loss
-    rates = np.empty(params.size) if learn and cfg.gamma_lr is not None else None
+    gamma_lr = cfg.gamma_lr if learn else None
     grad = np.empty(params.size)
     out = grad, encoder.params(grad)
 
@@ -451,7 +453,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     total_steps = cfg.epochs * len(sizes)
     # Built once per training: each train query's feature row; the rows of
     # its relevant docs (relevant_of's order), laid end to end in flat_pos
-    # from first_pos, n_pos of them; the val grade table and its queries' features.
+    # from first_pos, n_pos of them; the val grade table.
     query_rows = np.array([task.query_row(q) for q in train_qids], dtype=np.intp)
     positive_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in train_qids]
     n_pos = np.array([len(rows) for rows in positive_rows], dtype=np.int64)
@@ -460,8 +462,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         raise DegenerateBatch(f"train query {qid!r} has no relevant doc to draw as its positive")
     first_pos = np.cumsum(n_pos) - n_pos
     flat_pos = np.array([r for rows in positive_rows for r in rows], dtype=np.intp)
-    val_table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)
-    val_features = task.query_features[[task.query_row(q) for q in val_table.query_ids]]
+    val_table = task.grade_table("val")
 
     def kind_now():
         return trained_kind(cfg.loss.kind, params[k:])
@@ -471,15 +472,11 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
 
     def record(step: int, loss: float):
         kind = kind_now()
-        Q, D = forward(encoder, val_features, "query"), forward(encoder, task.doc_features, "doc")
-        # One norm per side serves the scores and the magnitude columns.
-        nq, nd = np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1)
         # NDCG@10 reads ten ranks, so only those are ordered.
-        S = simcore.similarity_matrix(kind, Q, D, (nq, nd))
-        val = macro_mean(val_table.rank(S, depth=10).ndcg(10).tolist())
-        qm, qcv = _mag_stats(nq) if len(Q) else (0.0, 0.0)
-        dm, dcv = _mag_stats(nd)
-        log.append(TrainLogRow(step, loss, val, *kind.gammas, qm, qcv, dm, dcv))
+        ranking, (nq, nd) = rank_split(encoder, task, kind, val_table, depth=10)
+        val = macro_mean(ranking.ndcg(10).tolist())
+        qm, qcv = _mag_stats(nq) if len(nq) else (0.0, 0.0)
+        log.append(TrainLogRow(step, loss, val, *kind.gammas, qm, qcv, *_mag_stats(nd)))
         snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
 
     batches = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
@@ -503,12 +500,8 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             if step == 0:
                 record(0, loss)
             sched = lr_at(step, total_steps, cfg.lr)
-            lr = sched
-            if rates is not None:
-                rates.fill(sched)
-                rates[k:] = cfg.gamma_lr * (sched / cfg.lr if cfg.lr > 0 else 0.0)
-                lr = rates
-            adamw_step(params, grad, moments, step + 1, cfg, bounds, lr=lr, scratch=scratch)
+            tail_lr = None if gamma_lr is None else gamma_lr * (sched / cfg.lr if cfg.lr > 0 else 0.0)
+            adamw_step(params, grad, moments, step + 1, cfg, bounds, sched, tail_lr, scratch)
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:
                 record(step, loss)

@@ -79,8 +79,8 @@ def softmax_probs(q, docs, cfg: LossConfig) -> Array:
         raise DegenerateBatch("no candidate documents")
     q = simcore.as_embedding(q)
     D = np.stack([simcore.as_embedding(d) for d in docs])
-    scores = simcore.similarity_matrix(cfg.kind, q[None, :], D)[0]
-    return _stable_softmax(cfg.alpha * scores / cfg.tau)
+    _, e, e_sum = infonce_terms(cfg.alpha * simcore.similarity_matrix(cfg.kind, q[None, :], D) / cfg.tau)
+    return (e / e_sum)[0]
 
 
 def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig, norms=None) -> Array:
@@ -121,8 +121,3 @@ def mse_symmetric_loss(pairs, cfg: LossConfig) -> float:
         s = simcore.similarity(cfg.kind, a, b)
         residuals.append((cfg.lam * s - float(target)) ** 2)
     return float(np.mean(residuals))
-
-
-def _stable_softmax(z: Array) -> Array:
-    e = np.exp(z - z.max())
-    return e / e.sum()

@@ -391,9 +391,9 @@ class TestEval:
         real_rank_split = cli.rank_split
 
         def rank_split_unprintable_second_query(*args):
-            ranking = real_rank_split(*args)
+            ranking, norms = real_rank_split(*args)
             ranking.table.query_ids[1] = _Unprintable()
-            return ranking
+            return ranking, norms
 
         monkeypatch.setattr(cli, "rank_split", rank_split_unprintable_second_query)
         with pytest.raises(RuntimeError):
@@ -634,6 +634,32 @@ class TestCorruptTask:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {path} ")
         assert repr(qid) in err[0]
+
+    @pytest.mark.parametrize("edit", ["query-in-two-splits", "unknown-query", "unknown-split"])
+    def test_bad_splits_exit_three_naming_the_id(self, workdir, capsys, edit):
+        # Each used to load: the later split won a query listed under two,
+        # a query queries.jsonl lacks was ignored, and the queries of a
+        # split named "dev" dropped out of every split.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        path = out / "splits.json"
+        splits = json.loads(path.read_text())
+        if edit == "query-in-two-splits":
+            named = splits["train"][0]
+            splits["val"].append(named)
+        elif edit == "unknown-query":
+            named = "qZZ"
+            splits["test"].append(named)
+        else:
+            named = "dev"
+            splits[named] = [splits["test"].pop()]
+        path.write_text(json.dumps(splits))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"magnorm: corrupt artifact: {path} ")
+        assert repr(named) in err[0]
+        assert not (out / "checkpoint_dot_0.json").exists()
 
     @pytest.mark.parametrize("name", ["corpus.jsonl", "queries.jsonl"])
     def test_feature_width_mismatch_exits_three_on_train(self, workdir, capsys, name):

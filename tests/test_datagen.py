@@ -346,7 +346,6 @@ class TestDiskLayout:
         assert back.split_of == task.split_of
         assert back.relevance_count == task.relevance_count
         assert back.hub_ids == task.hub_ids
-        assert back.spec is None
 
     def test_refuses_overwrite(self, tmp_path):
         task = gen_asymmetric(SMALL)

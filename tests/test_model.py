@@ -208,12 +208,13 @@ class TestOptimizer:
             assert theta_r.tobytes() == theta.tobytes() and moments_r.tobytes() == moments.tobytes()
 
     @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["no-decay", "decay"])
-    @pytest.mark.parametrize("per_entry", [False, True], ids=["scalar-lr", "per-entry-lr"])
-    def test_equals_the_expression_form(self, decay, per_entry):
+    @pytest.mark.parametrize("tail", [False, True], ids=["scalar-lr", "tail-lr"])
+    def test_equals_the_expression_form(self, decay, tail):
         # Eight steps of random gradients, some clipped and some not, each
         # step from the same state on both sides: exact == on the bytes.
         # A large lr and a weight decay that is not a power of two keep the
-        # decay term's last bit visible in theta.
+        # decay term's last bit visible in theta.  A tail rate is the
+        # expression form's per-entry rate past the last bound.
         cfg = _tiny_cfg(lr=0.5, weight_decay=decay)
         rng = np.random.default_rng(4)
         bounds = [30, 70]
@@ -221,13 +222,14 @@ class TestOptimizer:
         moments = np.zeros((2, 72))
         for step in range(1, 9):
             grad = rng.standard_normal(72) * rng.uniform(0.01, 0.3)
-            lr = lr_at(step - 1, 8, cfg.lr)
-            if per_entry:
-                lr = np.full(72, lr)
-                lr[70:] = 0.05
+            lr = rates = lr_at(step - 1, 8, cfg.lr)
+            tail_lr = 0.05 if tail else None
+            if tail:
+                rates = np.full(72, lr)
+                rates[70:] = tail_lr
             want_theta, want_moments = theta.copy(), moments.copy()
-            _adamw_expression_form(want_theta, grad, want_moments, step, cfg, bounds, lr)
-            adamw_step(theta, grad, moments, step, cfg, bounds, lr=lr)
+            _adamw_expression_form(want_theta, grad, want_moments, step, cfg, bounds, rates)
+            adamw_step(theta, grad, moments, step, cfg, bounds, lr=lr, tail_lr=tail_lr)
             assert theta.tobytes() == want_theta.tobytes()
             assert moments.tobytes() == want_moments.tobytes()
 
@@ -263,12 +265,15 @@ class TestOptimizer:
         np.testing.assert_allclose(theta[0], 2.0 * (1.0 - 0.05), rtol=1e-15)
         np.testing.assert_array_equal(theta[1:], [2.0, -3.0])
 
-    def test_lr_applies_per_entry(self):
+    def test_tail_lr_applies_past_the_last_bound(self):
         cfg = _tiny_cfg(weight_decay=0.0)
         theta = np.zeros(2)
         g = np.full(2, 1.0 / math.sqrt(2))
-        adamw_step(theta, g, np.zeros((2, 2)), 1, cfg, [1], lr=np.array([0.1, 0.2]))
+        adamw_step(theta, g, np.zeros((2, 2)), 1, cfg, [1], lr=0.1, tail_lr=0.2)
         assert theta[1] == pytest.approx(2.0 * theta[0], rel=1e-12)
+        # adamw_step takes no per-entry rate vector.
+        with pytest.raises(TypeError):
+            adamw_step(theta, g, np.zeros((2, 2)), 1, cfg, [1], lr=np.array([0.1, 0.2]))
 
     def test_rejects_zero_based_step(self):
         cfg = _tiny_cfg()
@@ -292,7 +297,10 @@ class TestOptimizer:
 
 
 def _adamw_expression_form(theta, grad, moments, step_index, cfg, bounds, lr):
-    """adamw_step as one expression per line: the arithmetic the in-place update must keep."""
+    """adamw_step as one expression per line: the arithmetic the in-place update must keep.
+
+    lr is one rate or one per entry, as adamw_step took before its tail rate.
+    """
     g = clip_by_global_norm(grad, cfg.clip_norm, bounds)
     bc1 = 1.0 - cfg.beta1**step_index
     bc2 = 1.0 - cfg.beta2**step_index
@@ -427,7 +435,9 @@ def _pre_change_loss_and_grads(encoder, Xq, Xd, cfg):
 
 def _pre_change_train(task, encoder, cfg):
     """model.train before one draw per epoch: each batch draws its own
-    positives and steps through _pre_change_loss_and_grads."""
+    positives and steps through _pre_change_loss_and_grads, then through
+    _adamw_expression_form, with a per-entry rate vector under gamma_lr.
+    Its evaluation is the one train made before it called model.rank_split."""
     qids = task.split_queries("train")
     rng = np.random.default_rng(cfg.seed)
     k = encoder.theta.size
@@ -467,7 +477,7 @@ def _pre_change_train(task, encoder, cfg):
             if cfg.gamma_lr is not None and cfg.loss.kind.tag == "learnable":
                 lr = np.full(params.size, sched)
                 lr[k:] = cfg.gamma_lr * (sched / cfg.lr)
-            adamw_step(params, grad, moments, step + 1, cfg, encoder.bounds, lr=lr)
+            _adamw_expression_form(params, grad, moments, step + 1, cfg, encoder.bounds, lr)
             step += 1
             if step % cfg.eval_every == 0 or step == total:
                 record(step, loss)
@@ -586,37 +596,20 @@ class TestTraining:
         assert [row.step for row in result.log] == [0, steps]
         assert len(calls) == steps * per_step + 2 * len(result.log)
 
-    def test_gamma_rates_fill_one_buffer(self, monkeypatch):
-        # A gamma_lr's per-entry rate vector is allocated once per training
-        # and refilled each step.  Each step's rates are the bits of a fresh
-        # np.full, and a training that hands AdamW a private copy of them,
-        # so that nothing can see the reuse, keeps the log and snapshot bytes.
+    def test_each_evaluation_ranks_through_rank_split(self, monkeypatch):
+        # Training's evaluation is the one eval/sweep use: every trainlog row
+        # comes from one model.rank_split call over the val split, top 10 only.
         task = gen_asymmetric(TINY)
-        cfg = _tiny_cfg(kind=learnable(0.5, 0.5), gamma_lr=0.05, epochs=2)
-        plain = train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
-        real_full, real_step, fulls, rates = np.full, model.adamw_step, [], []
+        real, calls = model.rank_split, []
 
-        def counting_full(*args, **kwargs):
-            fulls.append(None)
-            return real_full(*args, **kwargs)
+        def counting(encoder, task, kind, table, depth=None):
+            calls.append((table.query_ids, depth))
+            return real(encoder, task, kind, table, depth)
 
-        def copying_step(*args, lr=None, **kwargs):
-            rates.append(np.array(lr, copy=True))
-            return real_step(*args, lr=rates[-1], **kwargs)
-
-        monkeypatch.setattr(np, "full", counting_full)
-        monkeypatch.setattr(model, "adamw_step", copying_step)
-        spied = train(task, init_encoder(8, 16, 8, False, seed=7), cfg)
-        assert fulls == []
-        assert len(rates) == plain.log[-1].step == 8
-        k = plain.encoder.theta.size
-        for step, lr in enumerate(rates):
-            sched = lr_at(step, len(rates), cfg.lr)
-            fresh = real_full(k + 2, sched)
-            fresh[k:] = cfg.gamma_lr * (sched / cfg.lr)
-            assert lr.tobytes() == fresh.tobytes()
-        assert [dataclasses.astuple(r) for r in spied.log] == [dataclasses.astuple(r) for r in plain.log]
-        assert [s.params.tobytes() for s in spied.snapshots] == [s.params.tobytes() for s in plain.snapshots]
+        monkeypatch.setattr(model, "rank_split", counting)
+        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=3, eval_every=4))
+        assert len(calls) == len(result.log) == 4
+        assert calls == [(task.split_queries("val"), 10)] * len(result.log)
 
     def test_bit_deterministic(self):
         task = gen_asymmetric(TINY)
@@ -953,11 +946,18 @@ class TestRankSplit:
     def test_covers_split_queries_and_corpus(self):
         task = gen_asymmetric(TINY)
         enc = init_encoder(8, 16, 8, False, seed=7)
-        ranking = rank_split(enc, task, COSINE, "test")
-        assert ranking.table.query_ids == task.split_queries("test")
-        assert ranking.table.doc_ids == task.doc_ids
+        table = task.grade_table("test")
+        assert table.query_ids == task.split_queries("test") and table.doc_ids == task.doc_ids
+        ranking, (nq, nd) = rank_split(enc, task, COSINE, table)
+        assert ranking.table is table
         # Each query's row ranks every corpus column once.
         assert all(sorted(cols) == list(range(len(task.doc_ids))) for cols in ranking.order.tolist())
+        # The norms are each side's rows', in the table's query order and the corpus order.
+        Q = forward(enc, task.query_features[[task.query_row(q) for q in table.query_ids]], "query")
+        assert nq.tobytes() == np.linalg.norm(Q, axis=1).tobytes()
+        assert nd.tobytes() == np.linalg.norm(forward(enc, task.doc_features, "doc"), axis=1).tobytes()
+        top, _ = rank_split(enc, task, COSINE, table, depth=10)
+        assert top.order.tolist() == ranking.order[:, :10].tolist()
 
     @pytest.mark.parametrize(
         "kind", [COSINE, DOT, QNORM, DNORM, learnable(0.5, 0.5)], ids=lambda k: k.tag
