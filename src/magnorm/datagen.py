@@ -82,6 +82,11 @@ class SyntheticTask:
 
     hub_ids is exported as hubs.json.  relevance_count is derived from
     qrels: per document, the number of queries that judge it grade >= 1.
+
+    A task is read-only once something has trained or ranked on it: the
+    row maps and relevance_count are built with it, and each split's
+    grade_table and positive_index on first use, and none of them follows
+    a later edit of the fields they read.
     """
 
     doc_ids: list
@@ -94,6 +99,8 @@ class SyntheticTask:
     _doc_row: dict = field(init=False, repr=False)
     _query_row: dict = field(init=False, repr=False)
     relevance_count: dict = field(init=False)
+    # (method name, split) -> what grade_table and positive_index built.
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.relevance_count = {d: 0 for d in self.doc_ids}
@@ -117,8 +124,35 @@ class SyntheticTask:
         return [q for q in self.query_ids if self.split_of[q] == name]
 
     def grade_table(self, split: str) -> GradeTable:
-        """One split's judgments against the whole corpus, for ranking that split."""
-        return GradeTable(self.split_queries(split), self.doc_ids, self.qrels)
+        """One split's judgments against the whole corpus, for ranking that split; built once per split."""
+        key = ("grade_table", split)
+        if key not in self._memo:
+            self._memo[key] = GradeTable(self.split_queries(split), self.doc_ids, self.qrels)
+        return self._memo[key]
+
+    def positive_index(self, split: str) -> tuple:
+        """(query_ids, query_rows, count, first, flat_rows) of one split, built once per split.
+
+        Query i of the query_ids tuple has feature row query_rows[i] and
+        count[i] relevant docs (0 for none), whose rows are
+        flat_rows[first[i]:first[i] + count[i]] in relevant_of's order.
+        The arrays are read-only.
+        """
+        key = ("positive_index", split)
+        if key not in self._memo:
+            qids = self.split_queries(split)
+            rows = [[self.doc_row(d) for d in self.relevant_of(q)] for q in qids]
+            count = np.array([len(r) for r in rows], dtype=np.int64)
+            arrays = (
+                np.array([self.query_row(q) for q in qids], dtype=np.intp),
+                count,
+                np.cumsum(count) - count,
+                np.array([r for doc_rows in rows for r in doc_rows], dtype=np.intp),
+            )
+            for array in arrays:
+                array.flags.writeable = False
+            self._memo[key] = (tuple(qids), *arrays)
+        return self._memo[key]
 
     def relevant_of(self, query_id: str) -> list:
         """Doc ids with grade >= 1 for this query, sorted for determinism."""

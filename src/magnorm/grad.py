@@ -9,7 +9,8 @@ P_v = I - vhat vhat^T divided by the norm.  P_v is symmetric,
 idempotent, annihilates the radial direction, and has trace n - 1.
 A side's row norms are taken only if its gamma is positive or under
 learnable (whose gamma gradients need ln|v|), by infonce_grad once for
-its scores and gradients; a gamma-0 side skips every division by |v|**0.
+its scores and gradients; a gamma-0 side skips every division by |v|**0,
+and a gamma-1 side the power |v|**1 and the product 1.0 * x.
 
 A central finite-difference oracle and a seeded gradcheck harness verify
 every analytic formula against numerics.  A pair is checked once, by
@@ -116,9 +117,10 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
     learn = kind.tag == "learnable"
     nq, nd = _row_norms(kind, Q, C) if norms is None else norms
     # A side with gamma 0 would divide by |v|**0, all ones, and subtract
-    # nothing; dividing by 1.0 is exact, so skipping the side keeps the bits.
-    scale_q = (nq**gq)[:, None] if gq > 0.0 else None
-    scale_d = nd**gd if gd > 0.0 else None
+    # nothing; at gamma 1, |v|**1 is |v| and 1.0 * x is x.  Each skip is
+    # exact, so the bits stay.
+    scale_q = (nq if gq == 1.0 else nq**gq)[:, None] if gq > 0.0 else None
+    scale_d = (nd if gd == 1.0 else nd**gd) if gd > 0.0 else None
     dQ = (G if scale_d is None else G / scale_d) @ C
     dC = (G if scale_q is None else G / scale_q).T @ Q
     if gq > 0.0 or gd > 0.0 or learn:
@@ -126,10 +128,12 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
         GS_q, GS_c = np.add.reduce(GS, axis=1), np.add.reduce(GS, axis=0)
     if gq > 0.0:
         dQ /= scale_q
-        dQ -= gq * (GS_q / nq**2)[:, None] * Q
+        radial = (GS_q / nq**2)[:, None]
+        dQ -= (radial if gq == 1.0 else gq * radial) * Q
     if gd > 0.0:
         dC /= scale_d[:, None]
-        dC -= gd * (GS_c / nd**2)[:, None] * C
+        radial = (GS_c / nd**2)[:, None]
+        dC -= (radial if gd == 1.0 else gd * radial) * C
     if not learn:
         return dQ, dC, None, None
     return dQ, dC, float(-np.add.reduce(GS_q * np.log(nq))), float(-np.add.reduce(GS_c * np.log(nd)))
@@ -152,10 +156,12 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     G *= cfg.alpha / cfg.tau / B
 
     # _stack_grad reads the scores where a side divides or under learnable:
-    # under every kind but dot.
+    # under every kind but dot.  Multiplying by a tau of 1.0 is exact, so it is skipped.
     S = None
     if cfg.kind.tag != "dot":
-        S = np.divide(np.multiply(logits, cfg.tau, out=logits), cfg.alpha, out=logits)
+        if cfg.tau != 1.0:
+            np.multiply(logits, cfg.tau, out=logits)
+        S = np.divide(logits, cfg.alpha, out=logits)
     dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, batch.positives, norms)
     return InfoNCEGradients(loss, dQ, dC, dgq, dgd)
 

@@ -201,10 +201,12 @@ class GradeTable:
         ranks are ordered, and they equal the first depth columns of the
         full order: np.partition finds the row's depth-th largest score,
         every column scoring at least that much is a candidate (so every
-        tie at that rank is one), and one lexsort orders the candidates by
-        (row, -score, doc-id position).  -0.0 ties 0.0 there as in the
-        stable sort.  The returned Ranking refuses a metric cutoff past
-        depth, and write_run_file refuses it.
+        tie at that rank is one), and the candidates, taken in row-major
+        order, are ordered by (row, -score, doc-id position) with the
+        stable sorts np.lexsort would run, one key at a time from the
+        last; with sorted ids the row-major order already is doc-id order.
+        -0.0 ties 0.0 there as in the full order.  The returned Ranking
+        refuses a metric cutoff past depth, and write_run_file refuses it.
         Raises NonFiniteEvaluation for a NaN or infinite score.
         """
         S = np.asarray(scores, dtype=np.float64)
@@ -218,9 +220,13 @@ class GradeTable:
             if depth < 1:
                 raise ValueError(f"ranking depth must be at least 1, got {depth}")
             kth = np.partition(S, n - depth, axis=1)[:, n - depth]
-            rows, cols = np.nonzero(S >= kth[:, None])
-            pos = cols if self._id_pos is None else self._id_pos[cols]
-            cols = cols[np.lexsort((pos, -S[rows, cols], rows))]
+            flat = np.flatnonzero(S >= kth[:, None])
+            if self._id_pos is not None:
+                flat = flat[np.argsort(self._id_pos[flat % n], kind="stable")]
+            flat = flat[np.argsort(-S.ravel()[flat], kind="stable")]
+            rows, cols = np.divmod(flat, n)
+            # Row numbers in the narrowest unsigned type: numpy's stable sort radix-sorts it.
+            cols = cols[np.argsort(rows.astype(np.min_scalar_type(len(S))), kind="stable")]
             counts = np.bincount(rows, minlength=len(S))
             return Ranking(self, S, cols[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)])
         return Ranking(self, S, rank_order(S, self._by_id))

@@ -422,19 +422,20 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     serve as positives for many queries.  Validation NDCG@10 is measured
     at step 0, every eval_every steps, and at the final step; a full
     parameter snapshot is kept at each evaluation.  A train query with no
-    relevant document, or a batch_size above the train split, raises
-    DegenerateBatch before step 0.
+    relevant document, a batch_size above the train split, or an empty
+    val split raises DegenerateBatch before step 0.  The train split's
+    positives and the val grade table come from the task's per-split
+    memos, built by the first training on it.
 
     The optimizer updates one vector: theta, then the two gamma logits
     under learnable, which start at the logits of the kind's gammas.
     encoder.theta becomes a view of its head, so the returned encoder
     holds the trained parameters.
     """
-    train_qids = task.split_queries("train")
-    if cfg.batch_size > len(train_qids):
-        raise DegenerateBatch(
-            f"batch_size {cfg.batch_size} exceeds train split of {len(train_qids)}"
-        )
+    train_qids, query_rows, n_pos, first_pos, flat_pos = task.positive_index("train")
+    n_train = len(train_qids)
+    if cfg.batch_size > n_train:
+        raise DegenerateBatch(f"batch_size {cfg.batch_size} exceeds train split of {n_train}")
     rng = np.random.default_rng(cfg.seed)
     learn = cfg.loss.kind.tag == "learnable"
     k = encoder.theta.size
@@ -449,20 +450,14 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     grad = np.empty(params.size)
     out = grad, encoder.params(grad)
 
-    sizes = _batch_layout(len(train_qids), cfg.batch_size)
+    sizes = _batch_layout(n_train, cfg.batch_size)
     total_steps = cfg.epochs * len(sizes)
-    # Built once per training: each train query's feature row; the rows of
-    # its relevant docs (relevant_of's order), laid end to end in flat_pos
-    # from first_pos, n_pos of them; the val grade table.
-    query_rows = np.array([task.query_row(q) for q in train_qids], dtype=np.intp)
-    positive_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in train_qids]
-    n_pos = np.array([len(rows) for rows in positive_rows], dtype=np.int64)
     if not n_pos.all():
         qid = train_qids[int(np.argmin(n_pos))]
         raise DegenerateBatch(f"train query {qid!r} has no relevant doc to draw as its positive")
-    first_pos = np.cumsum(n_pos) - n_pos
-    flat_pos = np.array([r for rows in positive_rows for r in rows], dtype=np.intp)
     val_table = task.grade_table("val")
+    if not val_table.query_ids:
+        raise DegenerateBatch("val split has no queries; training selects its checkpoint by val_ndcg10")
 
     def kind_now():
         return trained_kind(cfg.loss.kind, params[k:])
@@ -475,14 +470,13 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         # NDCG@10 reads ten ranks, so only those are ordered.
         ranking, (nq, nd) = rank_split(encoder, task, kind, val_table, depth=10)
         val = macro_mean(ranking.ndcg(10).tolist())
-        qm, qcv = _mag_stats(nq) if len(nq) else (0.0, 0.0)
-        log.append(TrainLogRow(step, loss, val, *kind.gammas, qm, qcv, *_mag_stats(nd)))
+        log.append(TrainLogRow(step, loss, val, *kind.gammas, *_mag_stats(nq), *_mag_stats(nd)))
         snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
 
     batches = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(train_qids))
+        order = rng.permutation(n_train)
         # One draw per epoch takes the same numbers from rng, and leaves it
         # in the same state, as one scalar draw per query in order.  Only
         # row indices are drawn ahead: each batch gathers its own features,

@@ -87,9 +87,11 @@ def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig, norms=None) -> Ar
     """Logit matrix (B, B) of every query against the pool of positives.
 
     Query i's positive is column i.  norms is similarity_matrix's.
+    Dividing by a tau of 1.0 is exact, so it is skipped.
     """
     S = simcore.similarity_matrix(cfg.kind, batch.queries, batch.positives, norms)
-    return np.divide(np.multiply(cfg.alpha, S, out=S), cfg.tau, out=S)  # S is fresh: scaled in place
+    np.multiply(cfg.alpha, S, out=S)  # S is fresh: scaled in place
+    return S if cfg.tau == 1.0 else np.divide(S, cfg.tau, out=S)
 
 
 def infonce_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:

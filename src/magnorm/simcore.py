@@ -135,8 +135,9 @@ def divide_by_norms(gammas, t, nq, nd):
         den = factor if den is None else den * factor
     if den is None:
         return t
-    if isinstance(den, np.ndarray) and den.shape == np.shape(t):
-        # den is a fresh product of the result's shape: the quotient
+    if den is not nq and den is not nd and isinstance(den, np.ndarray) and den.shape == np.shape(t):
+        # den is an array formed here, not a caller's norms (which a gamma
+        # of 1 passes through), of the result's shape: the quotient
         # overwrites it rather than taking a third matrix.
         return np.divide(t, den, out=den)
     return t / den
@@ -149,9 +150,10 @@ def _norm_power(n, g, side):
     zero-norm rule and, for a fractional gamma, numpy's array power
     through a 0-d array: Python's float pow can round an ulp away from
     it, and similarity() must get the bits similarity_matrix() gets for
-    the same pair.  |v|**1 is exact, so a corner gamma returns the norm
-    itself.  Array norms take numpy's power; an array of gammas checks for
-    zero norms only where its gamma is positive, since |0|**0 is 1.
+    the same pair.  |v|**1 is exact, so a float gamma of 1 returns the norm
+    itself, float or array.  Array norms take numpy's power; an array of
+    gammas checks for zero norms only where its gamma is positive, since
+    |0|**0 is 1.
     """
     if isinstance(n, float):
         if not g > 0.0:
@@ -167,7 +169,7 @@ def _norm_power(n, g, side):
         return None
     if np.count_nonzero(zero):
         raise ZeroMagnitude(f"zero-norm {side}")
-    return n**g
+    return n if not isinstance(g, np.ndarray) and g == 1.0 else n**g
 
 
 def similarity(kind: SimilarityKind, q, d) -> float:

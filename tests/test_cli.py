@@ -228,6 +228,21 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_val_split_exits_two_writing_nothing(self, tmp_path, monkeypatch, capsys):
+        # With no val query train used to exit 0, every val_ndcg10 reading 0
+        # and the untrained step 0 saved as the selected checkpoint.
+        monkeypatch.delenv("MAGNORM_OUT", raising=False)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path / "cfg.json", out, **{"task.splits": [0.9, 0.0, 0.1]})
+        assert main(["gen", "--config", cfg]) == 0
+        assert json.loads((out / "splits.json").read_text())["val"] == []
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 2
+        assert capsys.readouterr().err == (
+            "magnorm: config error: val split has no queries; training selects its checkpoint by val_ndcg10\n"
+        )
+        assert not list(out.glob("checkpoint_*")) and not list(out.glob("trainlog_*"))
+
     def test_train_query_without_relevant_doc_exits_two(self, workdir, capsys):
         # A train query judged only grade 0 used to crash the first epoch's
         # positive draw with a numpy traceback.

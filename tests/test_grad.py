@@ -303,8 +303,9 @@ class TestCandidateLayouts:
 
 def _unskipped_stack_grad(kind, G, S, Q, C):
     """_stack_grad as it was before a gamma-0 side skipped its norms and its
-    divisions by |v|**0: both norms, both scales and both G*S sums for every
-    kind, the bitwise reference for the skip."""
+    divisions by |v|**0, and a gamma-1 side its power |v|**1 and product
+    1.0 * x: both norms, both powers, both scales and both G*S sums for
+    every kind, the bitwise reference for the skips."""
     gq, gd = kind.gammas
     nq = np.linalg.norm(Q, axis=1)
     nd = np.linalg.norm(C, axis=1)
@@ -337,7 +338,8 @@ SKIP_KINDS = (COSINE, DOT, QNORM, DNORM,
 
 
 class TestGammaZeroSkip:
-    """Skipping a gamma-0 side's norms and divisions keeps every bit of the formula that took them."""
+    """Skipping a gamma-0 side's norms and divisions, and a gamma-1 side's power and
+    unit product, keeps every bit of the formula that took them."""
 
     @pytest.mark.parametrize("kind", SKIP_KINDS, ids=simcore.kind_name)
     def test_in_batch_pool_is_the_unskipped_formula_bitwise(self, kind):
@@ -354,10 +356,9 @@ class TestGammaZeroSkip:
     @pytest.mark.parametrize("kind", SKIP_KINDS, ids=simcore.kind_name)
     def test_infonce_grad_is_the_unskipped_formula_bitwise(self, kind):
         # infonce_grad's signal G and scores S as written before its
-        # in-place steps, through the unskipped formula.
+        # in-place steps and its skips at tau 1, through the unskipped formula.
         rng = np.random.default_rng(74)
-        cfg = LossConfig(kind=kind, tau=0.7, alpha=3.0)
-        for _ in range(30):
+        for cfg in (LossConfig(kind=kind, tau=tau, alpha=3.0) for tau in (0.7, 1.0) for _ in range(30)):
             B, dim = (int(x) for x in rng.integers(2, 9, size=2))
             Q = np.vstack([_safe_vec(rng, dim) * rng.lognormal(0.0, 1.0) for _ in range(B)])
             D = np.vstack([_safe_vec(rng, dim) * rng.lognormal(0.0, 1.0) for _ in range(B)])

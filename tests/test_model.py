@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnorm import model
-from magnorm.datagen import TaskSpec, gen_asymmetric
+from magnorm import datagen, model
+from magnorm.datagen import SyntheticTask, TaskSpec, gen_asymmetric
 from magnorm.errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
 from magnorm.grad import _row_norms, finite_difference, infonce_grad, rel_error
 from magnorm.metrics import GradeTable, macro_mean, ndcg_at_k, ranked_list
@@ -39,7 +39,7 @@ from magnorm.model import (
     validation_ndcg,
     write_trainlog_csv,
 )
-from magnorm.objective import ContrastiveBatch, LossConfig, candidate_logits
+from magnorm.objective import ContrastiveBatch, LossConfig
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable, similarity_matrix
 
 TINY = TaskSpec(
@@ -400,7 +400,8 @@ def _pre_change_stack_grad(kind, G, S, Q, C, norms):
 
 def _pre_change_loss_and_grads(encoder, Xq, Xd, cfg):
     """loss_and_grads before each block was written once: a zeroed vector
-    that every block adds into, and .max/.sum/.mean in the loss."""
+    that every block adds into, .max/.sum/.mean in the loss, and every
+    multiplication and division by tau, also at tau 1."""
     learn = cfg.kind.tag == "learnable"
     grad = np.empty(encoder.theta.size + (2 if learn else 0))
     grad.fill(0.0)
@@ -408,7 +409,7 @@ def _pre_change_loss_and_grads(encoder, Xq, Xd, cfg):
     Q, Hq = model._forward_cached(p, "q", Xq)
     D, Hd = model._forward_cached(p, td, Xd)
     norms = _row_norms(cfg.kind, Q, D)
-    logits = candidate_logits(ContrastiveBatch(Q, D), cfg, norms)
+    logits = cfg.alpha * similarity_matrix(cfg.kind, Q, D, norms) / cfg.tau
     B = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
@@ -493,10 +494,13 @@ class TestStepOracle:
     @pytest.mark.parametrize("h", [16, 0], ids=["hidden", "affine"])
     def test_train_is_the_pre_change_step_bitwise(self, kind, shared, h):
         # Batch 7 leaves a short last batch; eval_every 5 records mid-epoch.
+        # At tau 1 the step skips its multiplication and division by tau.
         task = gen_asymmetric(TINY)
-        cfg = _tiny_cfg(kind=kind, epochs=2, batch_size=7, eval_every=5)
-        _assert_same_training(train(task, init_encoder(8, h, 8, shared, seed=7), cfg),
-                              _pre_change_train(task, init_encoder(8, h, 8, shared, seed=7), cfg))
+        for tau in (1.0, 0.7):
+            loss = LossConfig(kind=kind, tau=tau, alpha=20.0)
+            cfg = _tiny_cfg(kind=kind, epochs=2, batch_size=7, eval_every=5, loss=loss)
+            _assert_same_training(train(task, init_encoder(8, h, 8, shared, seed=7), cfg),
+                                  _pre_change_train(task, init_encoder(8, h, 8, shared, seed=7), cfg))
 
     def test_gamma_lr_run_is_the_pre_change_step_bitwise(self):
         task = gen_asymmetric(TINY)
@@ -704,7 +708,20 @@ class TestTraining:
             task.qrels[qid] = {d: 0 for d in task.qrels[qid]}
         steps = []
         monkeypatch.setattr(model, "loss_and_grads", lambda *a, **k: steps.append(1))
-        with pytest.raises(DegenerateBatch, match=f"train query '{first}' has no relevant doc"):
+        # The second call reads the task's memoized index, and raises too.
+        for _ in range(2):
+            with pytest.raises(DegenerateBatch, match=f"train query '{first}' has no relevant doc"):
+                train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
+        assert steps == []
+
+    def test_empty_val_split_rejected_before_step_0(self, monkeypatch):
+        # With no val query every val_ndcg10 read 0, and step 0's untrained
+        # parameters were selected.
+        task = gen_asymmetric(dataclasses.replace(TINY, splits=(0.9, 0.0, 0.1)))
+        assert task.split_queries("val") == []
+        steps = []
+        monkeypatch.setattr(model, "loss_and_grads", lambda *a, **k: steps.append(1))
+        with pytest.raises(DegenerateBatch, match="val split has no queries"):
             train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
         assert steps == []
 
@@ -798,6 +815,49 @@ class TestTraining:
         db = np.abs(rb.snapshots[-1].params[k:]).sum()
         ds = np.abs(rs.snapshots[-1].params[k:]).sum()
         assert ds < db
+
+
+class TestTaskMemo:
+    """train reads the train split's positives and the val grade table from the task's per-split memos."""
+
+    def test_second_training_rebuilds_nothing(self, monkeypatch):
+        task = gen_asymmetric(TINY)
+        relevant_of, tables = [], []
+        real_relevant_of, real_table = SyntheticTask.relevant_of, datagen.GradeTable
+
+        def counting_relevant_of(self, query_id):
+            relevant_of.append(query_id)
+            return real_relevant_of(self, query_id)
+
+        def counting_table(*args):
+            tables.append(args[0])
+            return real_table(*args)
+
+        monkeypatch.setattr(SyntheticTask, "relevant_of", counting_relevant_of)
+        monkeypatch.setattr(datagen, "GradeTable", counting_table)
+        train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=1))
+        assert len(relevant_of) == len(task.split_queries("train"))
+        assert tables == [task.split_queries("val")]
+        relevant_of.clear(), tables.clear()
+        train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=COSINE, epochs=1))
+        assert relevant_of == [] and tables == []
+
+    @pytest.mark.parametrize("first", [DOT, learnable(0.3, 0.8)], ids=["dot", "learnable"])
+    def test_training_after_another_is_a_fresh_task_training(self, first):
+        # A training that wrote into the shared index or grade table would
+        # change every later training on the task.
+        task = gen_asymmetric(TINY)
+        train(task, init_encoder(8, 16, 8, False, seed=3), _tiny_cfg(kind=first, epochs=3, eval_every=2))
+        for kind in (COSINE, QNORM):
+            cfg = _tiny_cfg(kind=kind, epochs=2, batch_size=7, eval_every=5)
+            _assert_same_training(train(task, init_encoder(8, 16, 8, False, seed=7), cfg),
+                                  train(gen_asymmetric(TINY), init_encoder(8, 16, 8, False, seed=7), cfg))
+
+    def test_memo_arrays_are_read_only(self):
+        index = gen_asymmetric(TINY).positive_index("train")
+        for array in index[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestSelectionAndSnapshots:

@@ -97,3 +97,29 @@ def test_bench_tracer_layers_resolve():
         module, *attrs = path.split(".")
         fn = functools.reduce(getattr, attrs, importlib.import_module(f"magnorm.{module}"))
         assert callable(fn), path
+
+
+def test_bench_summary_pairs_runs_in_order(tmp_path, capsys):
+    # The i-th parent and change reports of a workload pair up; the change
+    # wins a pair where its value is lower.
+    def report(side, i, pass_rel):
+        path = tmp_path / f"{side}{i}.json"
+        path.write_text(json.dumps({
+            "workload": "train_dense_eval", "trace": 0, "env": {"seed": 11},
+            "metrics": {"pass_rel": {"value": pass_rel, "unit": "x"}, "setup_s": {"value": None, "unit": "s"}},
+        }))
+        return str(path)
+
+    parent = [report("p", i, v) for i, v in enumerate([10.0, 10.4, 10.2])]
+    change = [report("c", i, v) for i, v in enumerate([9.0, 10.5, 9.2])]
+    out = tmp_path / "summary.json"
+    lines = _run_script("bench_summary", capsys, ["--out", str(out), "--parent", *parent, "--change", *change])
+    group = json.loads(out.read_text())["workloads"]["train_dense_eval seed11 trace0"]
+    assert group["pairs"] == 3 and list(group["metrics"]) == ["pass_rel"]
+    m = group["metrics"]["pass_rel"]
+    assert m["parent"] == {"values": [10.0, 10.4, 10.2], "median": 10.2, "q1": 10.1, "q3": 10.3}
+    assert m["change"]["median"] == 9.2 and m["change_wins"] == 2 and m["better"] == "lower"
+    assert m["median_change_rel"] == pytest.approx(-1.0 / 10.2)
+    assert [line.split() for line in lines] == [
+        ["train_dense_eval", "seed11", "trace0", "pass_rel", "parent", "10.2", "change", "9.2", "(-9.8%)", "wins", "2/3"]
+    ]

@@ -304,6 +304,19 @@ class TestSimilarityMatrix:
                 assert [a.tobytes() for a in (t, nq, nd)] == before
                 assert S.tobytes() == (t / (nq**gq * nd**gd)).tobytes()
 
+    def test_one_row_d_leaves_the_callers_norms_alone(self):
+        # At gamma 1 the denominator is the caller's norm array itself; with
+        # one doc the (B, 1) query norms have the result's shape, and the
+        # quotient must not be written into them.
+        rng = np.random.default_rng(14)
+        Q, D = rng.standard_normal((5, 3)), rng.standard_normal((1, 3))
+        for kind in (QNORM, DNORM):
+            norms = np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1)
+            before = [a.tobytes() for a in norms]
+            S = similarity_matrix(kind, Q, D, norms)
+            assert [a.tobytes() for a in norms] == before
+            assert S.tobytes() == similarity_matrix(kind, Q, D).tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             similarity(DOT, [1.0, 2.0], [1.0, 2.0, 3.0])
