@@ -248,19 +248,19 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int) -> TrainResult:
-    """Train one (kind, seed) of the config from a freshly seeded encoder.
+def run_training(cfg: ExperimentConfig, task, kind_name: str, seed: int, encoder=None, state=None) -> TrainResult:
+    """Train one (kind, seed) of the config from a freshly seeded encoder, or continue encoder from state.
 
     A diverging loss or gradient (NonFiniteLoss), a non-finite validation score
     (NonFiniteEvaluation) or a zero-norm embedding under a normalizing kind
     (ZeroMagnitude) is re-raised with the kind and seed in its message,
     which is what the CLI prints before exiting 5.
     """
-    m = task.doc_features.shape[1]
-    encoder = init_encoder(m, cfg.enc_hidden, cfg.enc_dim, cfg.enc_shared, seed)
+    if encoder is None:
+        encoder = init_encoder(task.doc_features.shape[1], cfg.enc_hidden, cfg.enc_dim, cfg.enc_shared, seed)
     loss = LossConfig(kind=simcore.kind_from_name(kind_name), **cfg.loss_params)
     try:
-        return train(task, encoder, TrainConfig(seed=seed, loss=loss, **cfg.train_params))
+        return train(task, encoder, TrainConfig(seed=seed, loss=loss, **cfg.train_params), state)
     except NonFiniteLoss as e:
         e.args = (f"kind {kind_name} seed {seed} at step {e.step} ({e.what} {e.value})",)
         raise
@@ -293,14 +293,14 @@ def _train_paths(out: str, stem: str) -> tuple:
 
 
 def _train_and_save(cfg: ExperimentConfig, task, out: str, kind_name: str, seed: int, stem: str):
-    """Train, restore the best validation snapshot, write its trainlog and checkpoint."""
+    """Train, restore the best validation snapshot, write its trainlog and its checkpoint with its state."""
     result = run_training(cfg, task, kind_name, seed)
     best = select_checkpoint(result.snapshots)
     gamma_hat = restore_snapshot(result.encoder, best)
     ckpt, tlog = _train_paths(out, stem)
     write_trainlog_csv(tlog, result.log)
     echo = {"kind": kind_name, "seed": seed, **cfg.sections}
-    save_checkpoint(ckpt, result.encoder, gamma_hat, best.step, echo)
+    save_checkpoint(ckpt, result.encoder, result.best, echo)
     return result, best, trained_kind(simcore.kind_from_name(kind_name), gamma_hat)
 
 
@@ -310,7 +310,7 @@ def _cmd_train(args) -> int:
     if args.resume:
         given = [flag for flag, v in (("--kinds", args.kinds), ("--seed", args.seed)) if v is not None]
         if given:
-            raise ConfigError(f"--resume replays the checkpoint's own kind and seed; drop {' and '.join(given)}")
+            raise ConfigError(f"--resume continues the checkpoint's own kind and seed; drop {' and '.join(given)}")
         return _resume_training(cfg, load_task(out), args.resume, out, args.force)
     plan = _plan(args, cfg)
     task = load_task(out)
@@ -326,32 +326,30 @@ def _cmd_train(args) -> int:
 
 
 def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, force: bool) -> int:
-    """Deterministic replay past a checkpoint; emits the remaining log rows.
+    """Continue a checkpoint's training from its state; writes the log from the checkpoint step on.
 
-    Checkpoints carry no optimizer state, so resumption re-runs the seeded
-    training (bit-identical by construction) and verifies the replayed
-    weights and trained kind at the checkpoint step before trusting the
-    continuation.
+    The checkpoint holds the moments and generator state of its step, so
+    only the steps after it run.  Its config echo must hold the kind, the
+    seed, and every value of --config's sections.
     """
-    enc_saved, kind_saved, rstep, echo = load_checkpoint(resume_path)
+    encoder, state, echo = load_checkpoint(resume_path, with_state=True)
     kname = echo.get("kind")
     seed = echo.get("seed")
     if kname is None or seed is None:
         raise ConfigError(f"{resume_path} lacks the kind/seed echo needed to resume")
-    kind = simcore.kind_from_name(kname)
-    tlog = os.path.join(out, f"trainlog_{artifact_stem(kind, seed)}_resumed.csv")
+    for section, values in cfg.sections.items():
+        saved = echo.get(section) if isinstance(echo.get(section), dict) else {}
+        for key, value in values.items():
+            if key not in saved or saved[key] != value:
+                raise ConfigError(
+                    f"{resume_path} was trained with {section}.{key} {json.dumps(saved.get(key))}, "
+                    f"--config gives {json.dumps(value)}"
+                )
+    tlog = os.path.join(out, f"trainlog_{artifact_stem(simcore.kind_from_name(kname), seed)}_resumed.csv")
     refuse_overwrite([tlog], force)
-    result = run_training(cfg, task, kname, seed)
-    replayed = next((s for s in result.snapshots if s.step == rstep), None)
-    if replayed is None:
-        raise ConfigError(f"checkpoint step {rstep} is not an evaluation step of this config")
-    k = enc_saved.theta.size
-    same_kind = trained_kind(kind, replayed.params[k:]) == kind_saved
-    if not (same_kind and np.array_equal(replayed.params[:k], enc_saved.theta)):
-        raise ConfigError(f"checkpoint {resume_path} does not match this config/seed at step {rstep}")
-    remaining = [r for r in result.log if r.step >= rstep]
-    write_trainlog_csv(tlog, remaining)
-    print(f"resumed {kname} seed {seed} from step {rstep}: {len(remaining)} remaining evals")
+    result = run_training(cfg, task, kname, seed, encoder, state)
+    write_trainlog_csv(tlog, result.log)
+    print(f"resumed {kname} seed {seed} from step {state.step}: {len(result.log)} remaining evals")
     return 0
 
 
@@ -576,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train checkpoints for each kind and seed")
     common(sp, "train a single seed instead of the config list")
     sp.add_argument("--kinds", default=None, help="comma-separated similarity kinds")
-    sp.add_argument("--resume", default=None, help="checkpoint to replay past; writes the remaining log")
+    sp.add_argument("--resume", default=None, help="checkpoint to continue from; writes the log from its step on")
     sp.set_defaults(func=_cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a split")

@@ -23,6 +23,7 @@ step-matched by construction.
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import functools
 import itertools
@@ -324,10 +325,31 @@ class Snapshot:
 
 
 @dataclass
+class TrainState:
+    """Where a training stands after step updates, enough to continue it bit for bit.
+
+    params is theta, then the gamma logits under learnable; moments holds
+    AdamW's two rows for it.  rng is the generator's bit_generator.state
+    from before the draws of the epoch step belongs to (step // batches
+    per epoch, so a step that ends an epoch belongs to the next), and loss
+    is the loss logged at step.
+    """
+
+    params: Array
+    moments: Array
+    step: int
+    rng: dict
+    loss: float
+
+
+@dataclass
 class TrainResult:
+    """What train returns; best is the state of the evaluation select_checkpoint picks."""
+
     encoder: TwoTowerEncoder
     log: list
     snapshots: list
+    best: TrainState
 
 
 def _batch_layout(n_train: int, batch_size: int) -> list:
@@ -356,6 +378,11 @@ def _batch_layout(n_train: int, batch_size: int) -> list:
             last = sizes.pop()
             sizes[-1] += last
     return sizes
+
+
+def _batch_count(n_train: int, batch_size: int) -> int:
+    """len(_batch_layout(n_train, batch_size)) for both at least 2, without building the layout."""
+    return n_train // 2 if batch_size == 2 else -(-n_train // batch_size)
 
 
 def _mag_stats(mags: Array) -> tuple:
@@ -414,34 +441,54 @@ def loss_and_grads(encoder: TwoTowerEncoder, Xq: Array, Xd: Array, loss_cfg: Los
     return g.loss, grad
 
 
-def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> TrainResult:
+def train(
+    task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig, state: TrainState | None = None
+) -> TrainResult:
     """Epochs of in-batch InfoNCE with AdamW, cosine decay, and clipping.
 
     Each query's positive is sampled uniformly from its graded-relevant
     documents every epoch, so documents relevant to many queries actually
     serve as positives for many queries.  Validation NDCG@10 is measured
     at step 0, every eval_every steps, and at the final step; a full
-    parameter snapshot is kept at each evaluation.  A train query with no
-    relevant document, a batch_size above the train split, or an empty
-    val split raises DegenerateBatch before step 0.  The train split's
-    positives and the val grade table come from the task's per-split
-    memos, built by the first training on it.
+    parameter snapshot is kept at each evaluation, and the running best's
+    moments in one buffer.  A train query with no relevant document, a
+    batch_size above the train split, or an empty val split raises
+    DegenerateBatch before step 0, and features narrower or wider than
+    encoder.m raise DimensionMismatch.  The train split's positives and
+    the val grade table come from the task's per-split memos, built by the
+    first training on it.
 
     The optimizer updates one vector: theta, then the two gamma logits
     under learnable, which start at the logits of the kind's gammas.
     encoder.theta becomes a view of its head, so the returned encoder
     holds the trained parameters.
+
+    Given a state, training continues from it instead, and its params
+    replace encoder.theta: the state's step is logged with its loss, its
+    epoch's draws are redrawn from its generator state, and the batches
+    before it are skipped, so the log from there on, and every state
+    after, is the uninterrupted run's.  A state whose sizes do not fit
+    the encoder and kind, or whose step lies outside [0, total steps],
+    raises ValueError.
     """
     train_qids, query_rows, n_pos, first_pos, flat_pos = task.positive_index("train")
     n_train = len(train_qids)
     if cfg.batch_size > n_train:
         raise DegenerateBatch(f"batch_size {cfg.batch_size} exceeds train split of {n_train}")
+    if task.doc_features.shape[1] != encoder.m:
+        raise DimensionMismatch(f"the task has {task.doc_features.shape[1]} features, the encoder takes {encoder.m}")
     rng = np.random.default_rng(cfg.seed)
     learn = cfg.loss.kind.tag == "learnable"
     k = encoder.theta.size
-    params = np.concatenate([encoder.theta, initial_gamma(cfg.loss.kind)])
+    if state is None:
+        params = np.concatenate([encoder.theta, initial_gamma(cfg.loss.kind)])
+        moments = np.zeros((2, params.size))
+    else:
+        params, moments = np.array(state.params, dtype=np.float64), np.array(state.moments, dtype=np.float64)
+        if params.shape != (k + 2 * learn,) or moments.shape != (2, params.size):
+            raise ValueError(f"state params {params.shape} and moments {moments.shape} do not fit {k + 2 * learn}")
+        rng.bit_generator.state = state.rng
     encoder.theta = params[:k]
-    moments = np.zeros((2, params.size))
     bounds = encoder.bounds
     # Built once: theta's views, a gradient vector with its views, AdamW's
     # scratch, and the loss config, which under learnable follows the logits.
@@ -459,23 +506,38 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
     if not val_table.query_ids:
         raise DegenerateBatch("val split has no queries; training selects its checkpoint by val_ndcg10")
 
+    start = 0 if state is None else state.step
+    if not 0 <= start <= total_steps:
+        raise ValueError(f"state step {start} outside [0, {total_steps}]")
+
     def kind_now():
         return trained_kind(cfg.loss.kind, params[k:])
 
     log: list = []
     snapshots: list = []
+    best_moments = np.empty_like(moments)
+    best = None  # (snapshot, generator state, loss) of the running best
 
     def record(step: int, loss: float):
+        nonlocal best
         kind = kind_now()
         # NDCG@10 reads ten ranks, so only those are ordered.
         ranking, (nq, nd) = rank_split(encoder, task, kind, val_table, depth=10)
         val = macro_mean(ranking.ndcg(10).tolist())
         log.append(TrainLogRow(step, loss, val, *kind.gammas, *_mag_stats(nq), *_mag_stats(nd)))
         snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
+        if best is None or _selection_key(snapshots[-1]) > _selection_key(best[0]):
+            # A step that ends the epoch drawn last belongs to the next one,
+            # whose draws start from the generator as it is now.
+            best_moments[...] = moments
+            best = snapshots[-1], epoch_rng if step // len(sizes) == epoch else rng.bit_generator.state, loss
 
     batches = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
-    step = 0
-    for _ in range(cfg.epochs):
+    step, epoch, epoch_rng = start, start // len(sizes), rng.bit_generator.state
+    if state is not None:
+        record(start, state.loss)
+    for epoch in range(epoch, cfg.epochs):
+        epoch_rng = rng.bit_generator.state
         order = rng.permutation(n_train)
         # One draw per epoch takes the same numbers from rng, and leaves it
         # in the same state, as one scalar draw per query in order.  Only
@@ -483,7 +545,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
         # since gathering a whole epoch's rows at once raises peak memory.
         q_rows = query_rows[order]
         d_rows = flat_pos[first_pos[order] + rng.integers(n_pos[order])]
-        for batch in batches:
+        for batch in batches[step - epoch * len(sizes) :]:
             Xq = task.query_features.take(q_rows[batch], axis=0)
             Xd = task.doc_features.take(d_rows[batch], axis=0)
             if learn:
@@ -491,7 +553,7 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             loss, grad = loss_and_grads(encoder, Xq, Xd, loss_cfg, views, out)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(step, loss)
-            if step == 0:
+            if not log:  # a fresh start logs step 0 with the first batch's loss
                 record(0, loss)
             sched = lr_at(step, total_steps, cfg.lr)
             tail_lr = None if gamma_lr is None else gamma_lr * (sched / cfg.lr if cfg.lr > 0 else 0.0)
@@ -499,14 +561,20 @@ def train(task: SyntheticTask, encoder: TwoTowerEncoder, cfg: TrainConfig) -> Tr
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:
                 record(step, loss)
-    return TrainResult(encoder=encoder, log=log, snapshots=snapshots)
+    snap, best_rng, best_loss = best
+    return TrainResult(encoder, log, snapshots, TrainState(snap.params, best_moments, snap.step, best_rng, best_loss))
+
+
+def _selection_key(snapshot: Snapshot) -> tuple:
+    """Order of checkpoint choice: higher validation NDCG@10, then the earlier step."""
+    return snapshot.val_ndcg10, -snapshot.step
 
 
 def select_checkpoint(snapshots: list) -> Snapshot:
     """Snapshot with maximal validation NDCG@10; ties go to the earliest step."""
     if not snapshots:
         raise ValueError("no snapshots to select from")
-    return max(snapshots, key=lambda s: (s.val_ndcg10, -s.step))
+    return max(snapshots, key=_selection_key)
 
 
 def restore_snapshot(encoder: TwoTowerEncoder, snapshot: Snapshot) -> Array:
@@ -524,45 +592,117 @@ def write_trainlog_csv(path, log) -> None:
     write_csv(path, TRAINLOG_HEADER.split(","), map(dataclasses.astuple, log))
 
 
-def save_checkpoint(path, encoder: TwoTowerEncoder, gamma_hat, step: int, config_echo: dict) -> None:
-    """JSON checkpoint: dims, flat row-major weights, gamma logits, step, config.
+CHECKPOINT_FORMAT = 2
 
-    gamma_hat is the parameter tail restore_snapshot returns; a fixed
-    kind's empty tail is written as [0.0, 0.0].
+
+def _encode(values) -> str:
+    """Base64 of an array's little-endian float64 bytes, in row-major order."""
+    return binascii.b2a_base64(np.asarray(values, dtype="<f8").tobytes(), newline=False).decode("ascii")
+
+
+def save_checkpoint(path, encoder: TwoTowerEncoder, state: TrainState, config_echo: dict) -> None:
+    """JSON checkpoint of format 2: dims, gamma logits, the state to continue from, and the weights.
+
+    encoder gives the dims and the layout; the weights and gamma logits
+    are state.params', and a fixed kind's empty tail is written as
+    [0.0, 0.0].  Each weight (flat, row-major) and the two moment rows
+    are base64 of their little-endian float64 bytes, so every float
+    round-trips exactly; rng is the generator state as JSON ints.
     """
-    weights = {name: p.ravel(order="C").tolist() for name, p in encoder.params().items()}
-    payload = {
+    params = np.asarray(state.params, dtype=np.float64)
+    head = json.dumps({
+        "format": CHECKPOINT_FORMAT,
         "m": encoder.m,
         "h": encoder.h,
         "n": encoder.n,
         "shared": encoder.shared,
-        "weights": weights,
-        "gamma_hat": [float(x) for x in gamma_hat] or [0.0, 0.0],
-        "step": step,
+        "gamma_hat": params[encoder.theta.size :].tolist() or [0.0, 0.0],
+        "step": state.step,
+        "rng": state.rng,
+        "loss": state.loss,
         "config": config_echo,
-    }
+    })
+    # Parameter names and base64 need no JSON escaping, so the blobs, which
+    # are nearly all the bytes, are written as they are, after the rest.
+    weights = ", ".join(f'"{name}": "{_encode(params[a:b])}"' for name, a, b, _ in encoder.spans)
     with atomic_write(path) as fh:
-        # json.dump always takes the pure-Python encoder; dumps takes the C one.
-        fh.write(json.dumps(payload))
-        fh.write("\n")
+        fh.write(f'{head[:-1]}, "moments": "{_encode(state.moments)}", "weights": {{{weights}}}}}\n')
 
 
 # The JSON type of every checkpoint key; only "config" may be absent.
-_CHECKPOINT_KEYS = {"m": int, "h": int, "n": int, "shared": bool, "weights": dict,
-                    "gamma_hat": list, "step": int, "config": dict}
+_CHECKPOINT_KEYS = {"format": int, "m": int, "h": int, "n": int, "shared": bool, "weights": dict, "gamma_hat": list,
+                    "moments": str, "step": int, "rng": dict, "loss": float, "config": dict}
 
 
-def load_checkpoint(path) -> tuple:
+def _decode(path, what: str, blob, size: int) -> Array:
+    """The read-only float64 array of size entries that a base64 blob of _encode holds.
+
+    Raises CorruptArtifact, naming the file and what, for a blob that is
+    not _encode's base64, holds another number of bytes, or holds a
+    non-finite float.
+    """
+    try:
+        raw = binascii.a2b_base64(blob)
+    except (binascii.Error, TypeError, ValueError):
+        raw = None
+    # a2b_base64 skips characters outside the alphabet and stops at padding,
+    # so a blob longer than the base64 of what it decodes to holds more.
+    if raw is None or len(blob) != 4 * -(-len(raw) // 3):
+        raise CorruptArtifact(f"{path}: {what}: not base64 of float64 bytes")
+    if len(raw) != 8 * size:
+        raise CorruptArtifact(f"{path}: {what}: {len(raw)} bytes, expected {8 * size} ({size} floats)")
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CorruptArtifact(f"{path}: {what}: a non-finite entry")
+    return values
+
+
+def _is_pcg64_state(rng: dict) -> bool:
+    """Whether rng is a PCG64 bit_generator.state whose fields are JSON ints in range."""
+    inner = rng.get("state")
+    if rng.keys() != {"bit_generator", "state", "has_uint32", "uinteger"} or rng["bit_generator"] != "PCG64":
+        return False
+    if type(inner) is not dict or inner.keys() != {"state", "inc"}:
+        return False
+    fields = ((inner["state"], 1 << 128), (inner["inc"], 1 << 128), (rng["has_uint32"], 2), (rng["uinteger"], 1 << 32))
+    return all(type(v) is int and 0 <= v < bound for v, bound in fields)
+
+
+def _echoed_total_steps(path, config: dict):
+    """Total steps of the training a config echo describes; None when it echoes no task or train section."""
+    if "task" not in config or "train" not in config:
+        return None
+    try:
+        n_queries, frac = config["task"]["n_queries"], config["task"]["splits"][0]
+        epochs, batch = config["train"]["epochs"], config["train"]["batch_size"]
+        if not (type(n_queries) is type(epochs) is type(batch) is int and type(frac) in (int, float)):
+            raise TypeError
+        # The train split is cut as datagen's _assign_splits cuts it.
+        n_train = int(round(float(frac) * n_queries))
+        if n_train < 2 or batch < 2:
+            raise ValueError
+    except (KeyError, IndexError, TypeError, ValueError):
+        raise CorruptArtifact(f"{path}: config echo gives no total step count") from None
+    return epochs * _batch_count(n_train, batch)
+
+
+def load_checkpoint(path, with_state: bool = False) -> tuple:
     """Rebuild (encoder, trained kind, step, config_echo) from a checkpoint file.
 
     The trained kind is trained_kind of the echoed config kind (default
-    cosine) and gamma_hat.
+    cosine) and gamma_hat.  With with_state, return (encoder, TrainState,
+    config_echo) instead: the state train continues from, its params the
+    weights followed by gamma_hat under a learnable kind.
 
-    Raises CorruptArtifact, naming the file, when it does not parse, a
-    key is missing or of the wrong type, or a weight has the wrong number
-    of entries or a non-finite one, as does a non-finite gamma_hat, an
-    echoed config kind that is not a similarity kind name, or an echoed
-    config seed that is not an integer.
+    Raises CorruptArtifact, naming the file, when it does not parse, is
+    not of format 2, a key is missing or of the wrong type, or a weight
+    or the moments blob is not base64 of the layout's number of floats
+    (2 x (weights + 2 under learnable) for the moments), as does a
+    non-finite weight, moment, gamma_hat or loss, a negative second
+    moment, an rng that is not a PCG64 state, a step outside
+    [0, total steps] of the echoed config, an echoed config kind that is
+    not a similarity kind name, or an echoed config seed that is not an
+    integer.
     """
     with open(path) as fh:
         try:
@@ -575,25 +715,10 @@ def load_checkpoint(path) -> tuple:
     for key, kind in _CHECKPOINT_KEYS.items():
         if type(payload.get(key)) is not kind:
             raise CorruptArtifact(f"{path}: key {key!r} is missing or not a JSON {kind.__name__}")
-    m, h, n, shared = (payload[key] for key in ("m", "h", "n", "shared"))
-    try:
-        if min(m, n) < 1 or h < 0:
-            raise ValueError
-        layout = param_layout(m, h, n, shared)
-        weights = [np.asarray(payload["weights"][name], dtype=np.float64).ravel() for name, _ in layout]
-        gq, gd = (float(x) for x in payload["gamma_hat"])
-    except (KeyError, TypeError, ValueError):
-        raise CorruptArtifact(f"{path}: dimensions, weights or gamma_hat out of range or not numeric") from None
-    # Sizes are checked from the layout's shapes, so declared dims allocate nothing.
-    for (name, shape), flat in zip(layout, weights):
-        if flat.size != math.prod(shape):
-            raise CorruptArtifact(f"{path}: weight {name} has {flat.size} entries, expected {math.prod(shape)}")
-        if not np.isfinite(flat).all():
-            raise CorruptArtifact(f"{path}: weight {name} has a non-finite entry")
-    enc = TwoTowerEncoder(m=m, h=h, n=n, shared=shared, theta=np.concatenate(weights))
-    if not (math.isfinite(gq) and math.isfinite(gd)):
-        raise CorruptArtifact(f"{path}: gamma_hat has a non-finite entry")
-    kind, seed = payload["config"].get("kind", "cosine"), payload["config"].get("seed", 0)
+    if payload["format"] != CHECKPOINT_FORMAT:
+        raise CorruptArtifact(f"{path}: checkpoint format {payload['format']} is not {CHECKPOINT_FORMAT}")
+    config, step = payload["config"], payload["step"]
+    kind, seed = config.get("kind", "cosine"), config.get("seed", 0)
     try:
         if type(kind) is not str:
             raise TypeError
@@ -602,4 +727,31 @@ def load_checkpoint(path) -> tuple:
         raise CorruptArtifact(f"{path}: config kind {kind!r} is not a similarity kind name") from None
     if type(seed) is not int:
         raise CorruptArtifact(f"{path}: config seed {seed!r} is not an integer")
-    return enc, trained_kind(base, (gq, gd)), payload["step"], payload["config"]
+    total = _echoed_total_steps(path, config)
+    if step < 0 or (total is not None and step > total):
+        raise CorruptArtifact(f"{path}: step {step} is outside [0, {total}] of its config echo")
+    m, h, n, shared = (payload[key] for key in ("m", "h", "n", "shared"))
+    try:
+        if min(m, n) < 1 or h < 0:
+            raise ValueError
+        layout = param_layout(m, h, n, shared)
+        blobs = [payload["weights"][name] for name, _ in layout]
+        gq, gd = (float(x) for x in payload["gamma_hat"])
+    except (KeyError, TypeError, ValueError):
+        raise CorruptArtifact(f"{path}: dimensions, weights or gamma_hat out of range or not numeric") from None
+    # Sizes are checked from the layout's shapes, so declared dims allocate nothing.
+    weights = [_decode(path, f"weight {name}", blob, math.prod(shape)) for (name, shape), blob in zip(layout, blobs)]
+    if not (math.isfinite(gq) and math.isfinite(gd) and math.isfinite(payload["loss"])):
+        raise CorruptArtifact(f"{path}: gamma_hat or loss is not finite")
+    learn = base.tag == "learnable"
+    size = sum(flat.size for flat in weights) + 2 * learn
+    moments = _decode(path, "moments", payload["moments"], 2 * size).reshape(2, size)
+    if (moments[1] < 0).any():
+        raise CorruptArtifact(f"{path}: moments: a negative second moment")
+    if not _is_pcg64_state(payload["rng"]):
+        raise CorruptArtifact(f"{path}: rng is not a PCG64 generator state")
+    enc = TwoTowerEncoder(m=m, h=h, n=n, shared=shared, theta=np.concatenate(weights))
+    if not with_state:
+        return enc, trained_kind(base, (gq, gd)), step, config
+    params = np.concatenate([enc.theta, (gq, gd) if learn else ()])
+    return enc, TrainState(params, moments, step, payload["rng"], payload["loss"]), config

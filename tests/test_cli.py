@@ -1,5 +1,6 @@
 """End-to-end command coverage: exit codes, file contracts, determinism."""
 
+import base64
 import builtins
 import csv
 import errno
@@ -305,17 +306,59 @@ class TestTrain:
         assert all(flag in err for flag in flags if flag.startswith("--"))
         assert not list(out.glob("*_resumed.csv"))
 
-    def test_resume_rejects_edited_gamma_hat(self, workdir, capsys):
-        # The weights match the replay, but the trained gammas do not.
+    @pytest.mark.parametrize(
+        "over, named",
+        [({"train.lr": 0.002}, "train.lr 0.01, --config gives 0.002"),
+         ({"loss.tau": 0.5, "train.epochs": 4}, "train.epochs 3, --config gives 4"),
+         ({"train.gamma_lr": 0.05, "encoder.hidden": 8}, "encoder.hidden 16, --config gives 8"),
+         ({"task.splits": [0.7, 0.2, 0.1]}, "task.splits [0.8, 0.1, 0.1], --config gives [0.7, 0.2, 0.1]")],
+        ids=["train-lr", "train-before-loss", "encoder-before-train", "task-default-key"],
+    )
+    def test_resume_names_the_first_config_key_that_differs(self, workdir, tmp_path, capsys, over, named):
+        # The checkpoint continues its own training, so --config must give
+        # every section value its echo holds; the first that differs, in
+        # task, encoder, train, loss order, is named.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        other = _write_config(tmp_path / "other.json", out, **over)
+        ckpt = out / "checkpoint_dot_0.json"
+        capsys.readouterr()
+        assert main(["train", "--config", other, "--resume", str(ckpt)]) == 2
+        assert capsys.readouterr().err == f"magnorm: config error: {ckpt} was trained with {named}\n"
+        assert not list(out.glob("*_resumed.csv"))
+
+    def test_resume_on_a_task_of_another_width_exits_two(self, workdir, tmp_path, capsys):
+        # The echo matches --config, but the task files on disk were regenerated wider.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        assert main(["gen", "--config", _write_config(tmp_path / "wide.json", out, **{"task.feature_dim": 14}),
+                     "--force"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", str(out / "checkpoint_dot_0.json")]) == 2
+        assert capsys.readouterr().err == "magnorm: config error: the task has 14 features, the encoder takes 12\n"
+        assert not list(out.glob("*_resumed.csv"))
+
+    def test_resume_runs_only_the_steps_after_the_checkpoint(self, workdir, capsys, monkeypatch):
+        # 154 train queries at batch 32 make 5 batches an epoch, 15 steps.
         out, cfg = workdir
         assert main(["gen", "--config", cfg]) == 0
         assert main(["train", "--config", cfg, "--kinds", "learnable"]) == 0
         ckpt = out / "checkpoint_learnable_0.json"
-        assert main(["train", "--config", cfg, "--resume", str(ckpt)]) == 0
-        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "gamma_hat": [3, -3]}))
+        _, _, step, _ = load_checkpoint(ckpt)
+        real, calls = model.loss_and_grads, []
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(model, "loss_and_grads", counting)
         capsys.readouterr()
-        assert main(["train", "--config", cfg, "--resume", str(ckpt), "--force"]) == 2
-        assert "does not match" in capsys.readouterr().err
+        assert main(["train", "--config", cfg, "--resume", str(ckpt)]) == 0
+        assert len(calls) == 15 - step
+        rows = (out / "trainlog_learnable_0_resumed.csv").read_text().splitlines()[1:]
+        assert capsys.readouterr().out == f"resumed learnable seed 0 from step {step}: {len(rows)} remaining evals\n"
 
 
 class TestDivergence:
@@ -464,33 +507,79 @@ class _Unprintable:
         raise RuntimeError("cannot format")
 
 
-def _short_w1(b):
-    payload = json.loads(b)
-    payload["weights"]["q.w1"] = payload["weights"]["q.w1"][:2]
-    return json.dumps(payload).encode()
+def _floats(blob) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(blob), dtype="<f8").copy()
 
 
-def _nan_w1(b):
-    payload = json.loads(b)
-    payload["weights"]["q.w1"][0] = float("nan")
-    return json.dumps(payload).encode()
+def _blob(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _declared_dims(b):
+def _edit(change):
+    """A corruption that edits the parsed checkpoint payload in place."""
+    def corrupt(b):
+        payload = json.loads(b)
+        change(payload)
+        return json.dumps(payload).encode()
+    return corrupt
+
+
+@_edit
+def _short_w1(payload):
+    payload["weights"]["q.w1"] = _blob(_floats(payload["weights"]["q.w1"])[:2])
+
+
+@_edit
+def _nan_w1(payload):
+    w1 = _floats(payload["weights"]["q.w1"])
+    w1[0] = float("nan")
+    payload["weights"]["q.w1"] = _blob(w1)
+
+
+@_edit
+def _declared_dims(payload):
     # Dims no machine can allocate, with one-entry weights: each weight's
     # size must be checked before anything of the declared shape is built.
-    payload = json.loads(b)
     payload["m"] = 10**15
-    payload["weights"] = {name: [0.0] for name in payload["weights"]}
-    return json.dumps(payload).encode()
+    payload["weights"] = {name: _blob([0.0]) for name in payload["weights"]}
+
+
+def _moments(edit):
+    @_edit
+    def corrupt(payload):
+        payload["moments"] = _blob(edit(_floats(payload["moments"]).reshape(2, -1)))
+    return corrupt
+
+
+def _set_moment(row, value):
+    def edit(moments):
+        moments[row, 0] = value
+        return moments
+    return _moments(edit)
+
+
+def _set(*path, value):
+    @_edit
+    def corrupt(payload):
+        *parents, leaf = path
+        for key in parents:
+            payload = payload[key]
+        payload[leaf] = value
+    return corrupt
 
 
 def _echo(key, value):
-    def corrupt(b):
-        payload = json.loads(b)
-        payload["config"][key] = value
-        return json.dumps(payload).encode()
-    return corrupt
+    return _set("config", key, value=value)
+
+
+@_edit
+def _no_format(payload):
+    del payload["format"]
+
+
+@_edit
+def _no_rng_inc(payload):
+    del payload["rng"]["state"]["inc"]
 
 
 class TestCorruptCheckpoint:
@@ -498,9 +587,24 @@ class TestCorruptCheckpoint:
         "corrupt",
         [lambda b: b[:300], lambda b: b.replace(b'"step"', b'"stop"'), _short_w1, _nan_w1,
          _echo("kind", "bogus"), _echo("kind", 7), _echo("kind", "learnable:2,2"), _echo("seed", "x"),
-         _echo("kind", "learnablefoo"), _declared_dims],
+         _echo("kind", "learnablefoo"), _declared_dims,
+         # The dot checkpoint's moments hold 2 x K floats; learnable's would hold 2 x (K + 2).
+         _moments(lambda v: np.pad(v, ((0, 0), (0, 2)))), _moments(lambda v: v[:, :-1]),
+         _set_moment(0, float("inf")), _set_moment(1, float("nan")), _set_moment(1, -1e-300),
+         _set("moments", value="AAAA*AAAAAAA"), _set("moments", value="AAAAAAAAAAA"),
+         _set("weights", "q.b1", value="ÅAAAAAAAAAA="),
+         _no_rng_inc, _set("rng", "bit_generator", value="MT19937"), _set("rng", "state", "state", value=-1),
+         _set("rng", "state", "inc", value=1 << 128), _set("rng", "has_uint32", value=True),
+         _set("rng", "uinteger", value=0.5), _set("rng", "extra", value=0),
+         _no_format, _set("format", value=1), _set("format", value=3),
+         # 154 train queries at batch 32 make 5 batches an epoch: 3 epochs end at step 15.
+         _set("step", value=-1), _set("step", value=16), _set("loss", value=float("inf"))],
         ids=["cut", "no-step", "short-w1", "nan-weight",
-             "kind-bogus", "kind-number", "kind-gamma-2", "seed-string", "kind-learnablefoo", "declared-dims"],
+             "kind-bogus", "kind-number", "kind-gamma-2", "seed-string", "kind-learnablefoo", "declared-dims",
+             "moments-learnable-length", "moments-short", "moments-inf", "moments-nan", "moments-negative-v",
+             "blob-stray-char", "blob-bad-padding", "blob-non-ascii",
+             "rng-no-inc", "rng-mt19937", "rng-negative", "rng-too-big", "rng-bool", "rng-float", "rng-extra-key",
+             "no-format", "format-1", "format-3", "step-negative", "step-past-end", "loss-inf"],
     )
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_exits_three_naming_the_file(self, workdir, capsys, command, corrupt):
@@ -516,6 +620,16 @@ class TestCorruptCheckpoint:
             assert main(["train", "--config", cfg, "--resume", str(ckpt)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("magnorm: corrupt artifact: " + str(ckpt))
+
+    def test_last_step_of_the_echoed_config_loads(self, workdir):
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        ckpt = out / "checkpoint_dot_0.json"
+        ckpt.write_bytes(_set("step", value=15)(ckpt.read_bytes()))
+        assert load_checkpoint(ckpt)[2] == 15
+        rows = (out / "trainlog_dot_0.csv").read_text().splitlines()
+        assert rows[-1].startswith("15,")
 
 
 def _first_line(edit):
@@ -801,10 +915,11 @@ class TestDiagnose:
         assert main(["train", "--config", cfg]) == 0
         dot = out / "checkpoint_dot_0.json"
         payload = json.loads(dot.read_text())
-        for name, flat in payload["weights"].items():
+        for name, blob in payload["weights"].items():
             if name.startswith("q."):
-                payload["weights"][name] = [0.0] * len(flat)
-        payload["weights"]["q.b2"][0] = 1.0
+                flat = np.zeros_like(_floats(blob))
+                flat[0] = name == "q.b2"
+                payload["weights"][name] = _blob(flat)
         dot.write_text(json.dumps(payload))
         capsys.readouterr()
         argv = ["diagnose", "--checkpoint", str(dot), "--checkpoint", str(out / "checkpoint_dnorm_0.json")]

@@ -1,5 +1,6 @@
 """Encoders, the optimizer, and the training loop."""
 
+import base64
 import dataclasses
 import itertools
 import json
@@ -21,6 +22,7 @@ from magnorm.model import (
     TRAINLOG_HEADER,
     Snapshot,
     TrainConfig,
+    TrainState,
     adamw_step,
     clip_by_global_norm,
     forward,
@@ -40,7 +42,7 @@ from magnorm.model import (
     write_trainlog_csv,
 )
 from magnorm.objective import ContrastiveBatch, LossConfig
-from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable, similarity_matrix
+from magnorm.simcore import COSINE, DNORM, DOT, QNORM, kind_name, learnable, similarity_matrix
 
 TINY = TaskSpec(
     n_docs=32,
@@ -65,6 +67,17 @@ def _tiny_cfg(kind=DOT, **over):
     )
     base.update(over)
     return TrainConfig(**base)
+
+
+def _state(params, step=0, loss=0.5):
+    """A TrainState of params at step with zero moments and seed 0's fresh generator."""
+    params = np.asarray(params, dtype=np.float64)
+    return TrainState(params, np.zeros((2, params.size)), step, np.random.default_rng(0).bit_generator.state, loss)
+
+
+def _blob(values) -> str:
+    """A checkpoint array blob: standard base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestEncoderInit:
@@ -482,7 +495,7 @@ def _pre_change_train(task, encoder, cfg):
             step += 1
             if step % cfg.eval_every == 0 or step == total:
                 record(step, loss)
-    return model.TrainResult(encoder=encoder, log=log, snapshots=snapshots)
+    return model.TrainResult(encoder=encoder, log=log, snapshots=snapshots, best=None)
 
 
 class TestStepOracle:
@@ -897,6 +910,94 @@ class TestSelectionAndSnapshots:
             assert val == pytest.approx(snap.val_ndcg10, abs=1e-12)
 
 
+def _select_step(monkeypatch, step):
+    """Make select_checkpoint, and so train's running best, pick the given step."""
+    monkeypatch.setattr(model, "_selection_key", lambda snap: (snap.step == step, -snap.step))
+
+
+class TestResume:
+    """train from a TrainState continues the uninterrupted run bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, gamma_lr",
+        [(COSINE, None), (DOT, None), (QNORM, None), (DNORM, None), (learnable(0.3, 0.8), None),
+         (learnable(0.3, 0.8), 0.05)],
+        ids=["cosine", "dot", "qnorm", "dnorm", "learnable", "learnable-gamma_lr"],
+    )
+    def test_resume_matches_the_uninterrupted_run(self, tmp_path, monkeypatch, kind, gamma_lr):
+        # 102 train queries at batch 32 make 4 batches an epoch, 12 steps in
+        # all; eval_every 2 evaluates mid-epoch (2, 6, 10) and at epoch ends
+        # (4, 8, 12).  Each start state comes from an uninterrupted run whose
+        # running best is forced to that step, and passes through a
+        # checkpoint file; each run's best is forced to the final step, so
+        # the final moments and generator state are compared too.
+        task = gen_asymmetric(TINY)
+        cfg = _tiny_cfg(kind=kind, epochs=3, eval_every=2, gamma_lr=gamma_lr)
+
+        def run(at, state=None, encoder=None):
+            _select_step(monkeypatch, at)
+            return train(task, encoder or init_encoder(8, 16, 8, False, seed=7), cfg, state)
+
+        full = run(12)
+        assert [row.step for row in full.log] == [0, 2, 4, 6, 8, 10, 12]
+        k = full.encoder.theta.size
+        for step in (0, 2, 4, 12):
+            start = run(step).best
+            path = tmp_path / f"ckpt_{step}.json"
+            save_checkpoint(path, init_encoder(8, 16, 8, False, seed=7), start, {"kind": kind_name(kind)})
+            enc, loaded, _ = load_checkpoint(path, with_state=True)
+            assert (loaded.step, loaded.rng, loaded.loss) == (start.step, start.rng, start.loss) == (
+                step, start.rng, full.log[step // 2].loss)
+            assert loaded.params.tobytes() == start.params.tobytes()
+            assert loaded.moments.tobytes() == start.moments.tobytes()
+            if step == 0:
+                assert start.rng == np.random.default_rng(cfg.seed).bit_generator.state
+                assert not start.moments.any()
+            resumed = run(12, loaded, enc)
+            assert [dataclasses.astuple(r) for r in resumed.log] == [
+                dataclasses.astuple(r) for r in full.log if r.step >= step
+            ]
+            assert [s.params.tobytes() for s in resumed.snapshots] == [
+                s.params.tobytes() for s in full.snapshots if s.step >= step
+            ]
+            assert resumed.encoder is enc and enc.theta.tobytes() == full.encoder.theta.tobytes()
+            assert resumed.best.params.tobytes() == full.best.params.tobytes()
+            assert resumed.best.params[k:].size == 2 * (kind.tag == "learnable")
+            assert resumed.best.moments.tobytes() == full.best.moments.tobytes()
+            assert (resumed.best.step, resumed.best.rng, resumed.best.loss) == (
+                12, full.best.rng, full.best.loss)
+
+    def test_best_is_the_selected_snapshots_state(self):
+        task = gen_asymmetric(TINY)
+        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=3, eval_every=2))
+        best = select_checkpoint(result.snapshots)
+        assert result.best.params is best.params and result.best.step == best.step
+        assert result.best.loss == next(r.loss for r in result.log if r.step == best.step)
+        assert result.best.moments.shape == (2, best.params.size)
+
+    def test_state_of_another_size_is_refused(self):
+        # Under learnable a state is theta plus two logits; under dot theta alone.
+        task = gen_asymmetric(TINY)
+        state = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=learnable(0.3, 0.8), epochs=1)).best
+        for kind, bad in [(DOT, state),
+                          (learnable(0.3, 0.8), dataclasses.replace(state, params=state.params[:-2])),
+                          (learnable(0.3, 0.8), dataclasses.replace(state, moments=state.moments[:, :-2]))]:
+            with pytest.raises(ValueError, match="do not fit"):
+                train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=1), bad)
+
+    @pytest.mark.parametrize("step", [-1, 5])
+    def test_step_outside_the_run_is_refused(self, step):
+        task = gen_asymmetric(TINY)
+        enc = init_encoder(8, 16, 8, False, seed=7)
+        with pytest.raises(ValueError, match=rf"state step {step} outside \[0, 4\]"):
+            train(task, enc, _tiny_cfg(epochs=1), _state(enc.theta, step))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_train=st.integers(2, 400), batch_size=st.integers(2, 450))
+    def test_batch_count_is_the_layout_length(self, n_train, batch_size):
+        assert model._batch_count(n_train, batch_size) == len(model._batch_layout(n_train, batch_size))
+
+
 class TestSerialization:
     def test_trainlog_header_and_rows(self, tmp_path):
         task = gen_asymmetric(TINY)
@@ -912,16 +1013,28 @@ class TestSerialization:
         assert lines[1].split(",")[0] == "0"
 
     def test_checkpoint_round_trip(self, tmp_path):
+        # Every float of the state comes back with its bits, the moments, the
+        # gamma logits and the loss included.
         enc = init_encoder(6, 8, 4, shared=False, seed=11)
+        rng = np.random.default_rng(3)
+        params = np.concatenate([enc.theta, [0.25, -1.5]])
+        moments = np.stack([rng.standard_normal(params.size), rng.standard_normal(params.size) ** 2])
+        moments[0, 0] = -0.0
+        state = TrainState(params, moments, 42, rng.bit_generator.state, 0.1 + 0.2)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, np.array([0.25, -1.5]), step=42, config_echo={"kind": "dot", "seed": 7})
-        enc2, kind, step, echo = load_checkpoint(path)
+        echo = {"kind": "learnable:0.3,0.8", "seed": 7}
+        save_checkpoint(path, enc, state, config_echo=echo)
+        enc2, kind, step, echo2 = load_checkpoint(path)
         assert (enc2.m, enc2.h, enc2.n, enc2.shared) == (6, 8, 4, False)
-        assert np.array_equal(enc.theta, enc2.theta)
+        assert enc2.theta.tobytes() == enc.theta.tobytes()
         assert json.loads(path.read_text())["gamma_hat"] == [0.25, -1.5]
-        assert kind == DOT
+        assert kind == learnable(sigmoid(0.25), sigmoid(-1.5))
         assert step == 42
-        assert echo == {"kind": "dot", "seed": 7}
+        assert echo2 == echo
+        enc3, loaded, echo3 = load_checkpoint(path, with_state=True)
+        assert enc3.theta.tobytes() == enc.theta.tobytes() and echo3 == echo
+        assert loaded.params.tobytes() == params.tobytes() and loaded.moments.tobytes() == moments.tobytes()
+        assert (loaded.step, loaded.rng, loaded.loss) == (42, state.rng, 0.1 + 0.2)
 
     @pytest.mark.parametrize(
         "echo, kind",
@@ -932,40 +1045,52 @@ class TestSerialization:
         # The echoed kind (cosine when absent), and under learnable the
         # sigmoids of the saved gamma_hat, not the echoed starting gammas.
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_encoder(3, 0, 2, shared=True, seed=0), [0.25, -1.5], 0, echo)
+        enc = init_encoder(3, 0, 2, shared=True, seed=0)
+        tail = [0.25, -1.5] if echo else []
+        save_checkpoint(path, enc, _state(np.concatenate([enc.theta, tail])), echo)
         assert load_checkpoint(path)[1] == kind
 
     @pytest.mark.parametrize("kind", [DOT, learnable(0.3, 0.8)], ids=["dot", "learnable"])
     def test_checkpoint_gamma_hat_is_the_restored_tail(self, tmp_path, kind):
         # A fixed kind has no tail and writes [0.0, 0.0]; a learnable kind
-        # writes the two logits of the snapshot it restored, here one
-        # before the last.
+        # writes the two logits of the state it saves, here the snapshot
+        # one before the last.
         task = gen_asymmetric(TINY)
         result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
         k = result.encoder.theta.size
         snap = result.snapshots[1]
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, result.encoder, restore_snapshot(result.encoder, snap), snap.step, {})
+        gamma_hat = restore_snapshot(result.encoder, snap)
+        save_checkpoint(path, result.encoder, _state(snap.params, snap.step), {"kind": kind_name(kind)})
         written = json.loads(path.read_text())["gamma_hat"]
         if kind.tag == "learnable":
-            assert written == snap.params[k:].tolist() != result.snapshots[-1].params[k:].tolist()
+            assert written == gamma_hat.tolist() != result.snapshots[-1].params[k:].tolist()
         else:
             assert snap.params.size == k and written == [0.0, 0.0]
 
     def test_checkpoint_is_plain_json(self, tmp_path):
+        # Standard base64 of little-endian float64 bytes, row-major, which
+        # the stdlib decodes without magnorm.
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, (), step=0, config_echo={})
+        save_checkpoint(path, enc, _state(enc.theta), config_echo={})
         payload = json.loads(path.read_text())
-        assert set(payload) == {"m", "h", "n", "shared", "weights", "gamma_hat", "step", "config"}
+        assert set(payload) == {"format", "m", "h", "n", "shared", "weights", "gamma_hat", "moments", "step",
+                                "rng", "loss", "config"}
+        assert payload["format"] == 2
         assert set(payload["weights"]) == {"q.w1", "q.b1"}
+        w1 = np.frombuffer(base64.b64decode(payload["weights"]["q.w1"], validate=True), dtype="<f8")
+        assert w1.tobytes() == enc.params()["q.w1"].tobytes()
+        moments = base64.b64decode(payload["moments"], validate=True)
+        assert moments == bytes(16 * enc.theta.size)
+        assert payload["rng"] == np.random.default_rng(0).bit_generator.state
 
     def test_corrupt_weights_rejected(self, tmp_path):
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, (), step=0, config_echo={})
+        save_checkpoint(path, enc, _state(enc.theta), config_echo={})
         payload = json.loads(path.read_text())
-        payload["weights"]["q.w1"] = [1.0, 2.0]
+        payload["weights"]["q.w1"] = _blob([1.0, 2.0])
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptArtifact):
             load_checkpoint(path)
@@ -975,13 +1100,16 @@ class TestSerialization:
         # weight's size is checked against the layout's shapes instead.
         m, h, n = 10**5, 64, 32
         path = tmp_path / "ckpt.json"
+        enc = init_encoder(3, 0, 2, shared=True, seed=0)
+        save_checkpoint(path, enc, _state(enc.theta), config_echo={})
         path.write_text(json.dumps({
-            "m": m, "h": h, "n": n, "shared": False, "gamma_hat": [0.0, 0.0], "step": 0, "config": {},
-            "weights": {name: [0.0] for name, _ in param_layout(m, h, n, False)},
+            **json.loads(path.read_text()), "m": m, "h": h, "n": n, "shared": False,
+            "weights": {name: _blob([0.0]) for name, _ in param_layout(m, h, n, False)},
         }))
         tracemalloc.start()
         try:
-            with pytest.raises(CorruptArtifact, match=f"weight q.w1 has 1 entries, expected {m * h}$"):
+            message = rf"weight q.w1: 8 bytes, expected {8 * m * h} \({m * h} floats\)$"
+            with pytest.raises(CorruptArtifact, match=message):
                 load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -989,18 +1117,34 @@ class TestSerialization:
         assert peak < 1 << 20
 
 
+    @pytest.mark.parametrize("kind", ["dot", "learnable:0.3,0.8"])
+    def test_moments_length_follows_the_kind(self, tmp_path, kind):
+        # P is theta's K entries, plus the two gamma logits under learnable.
+        enc = init_encoder(3, 0, 2, shared=True, seed=0)
+        k, path = enc.theta.size, tmp_path / "ckpt.json"
+        p = k + 2 * kind.startswith("learnable")
+        save_checkpoint(path, enc, _state(np.concatenate([enc.theta, [0.0, 0.0][: p - k]])), {"kind": kind})
+        assert load_checkpoint(path, with_state=True)[1].moments.shape == (2, p)
+        payload = json.loads(path.read_text())
+        for wrong in (2 * k + 4 - 2 * (p - k), 2 * p - 1):
+            path.write_text(json.dumps({**payload, "moments": _blob(np.zeros(wrong))}))
+            with pytest.raises(CorruptArtifact, match=rf"moments: {8 * wrong} bytes, expected {16 * p}"):
+                load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "key, value",
         [("step", "3"), ("m", 3.0), ("shared", 1), ("n", 0), ("config", []), ("gamma_hat", [0.5]),
-         ("weights", None), ("weights", {"q.w1": [0.0] * 6}), ("weights", {"q.w1": "abcdef", "q.b1": [0, 0]})],
+         ("weights", None), ("weights", {"q.w1": _blob([0.0] * 6)}),
+         ("weights", {"q.w1": "abcdef", "q.b1": _blob([0, 0])}),
+         ("format", "2"), ("format", 2.0), ("moments", [0.0] * 16), ("rng", None), ("loss", 1), ("loss", "0.5")],
     )
     def test_ill_typed_key_is_corrupt_artifact(self, tmp_path, key, value):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_encoder(3, 0, 2, shared=True, seed=0), (), 0, {})
+        enc = init_encoder(3, 0, 2, shared=True, seed=0)
+        save_checkpoint(path, enc, _state(enc.theta), {})
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         with pytest.raises(CorruptArtifact, match=re.escape(str(path))):
             load_checkpoint(path)
-
 
 class TestRankSplit:
     def test_covers_split_queries_and_corpus(self):
