@@ -1,4 +1,4 @@
-"""Experiment harness: generation, training sweeps, evaluation, diagnostics, verify.
+"""Experiment harness: generation, training sweeps, evaluation, diagnostics, verify, batch.
 
 Every command is deterministic given its config and seeds, and refuses to
 overwrite existing outputs unless --force is passed.  load_config(None) is
@@ -311,7 +311,7 @@ def _cmd_train(args) -> int:
         given = [flag for flag, v in (("--kinds", args.kinds), ("--seed", args.seed)) if v is not None]
         if given:
             raise ConfigError(f"--resume continues the checkpoint's own kind and seed; drop {' and '.join(given)}")
-        return _resume_training(cfg, load_task(out), args.resume, out, args.force)
+        return _resume_training(cfg, args.resume, out, args.force)
     plan = _plan(args, cfg)
     task = load_task(out)
 
@@ -325,12 +325,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, force: bool) -> int:
+def _resume_training(cfg: ExperimentConfig, resume_path: str, out: str, force: bool) -> int:
     """Continue a checkpoint's training from its state; writes the log from the checkpoint step on.
 
     The checkpoint holds the moments and generator state of its step, so
     only the steps after it run.  Its config echo must hold the kind, the
-    seed, and every value of --config's sections.
+    seed, and every value of --config's sections.  The checkpoint, its
+    echo and the log's overwrite refusal are checked before the task is loaded.
     """
     encoder, state, echo = load_checkpoint(resume_path, with_state=True)
     kname = echo.get("kind")
@@ -347,7 +348,7 @@ def _resume_training(cfg: ExperimentConfig, task, resume_path: str, out: str, fo
                 )
     tlog = os.path.join(out, f"trainlog_{artifact_stem(simcore.kind_from_name(kname), seed)}_resumed.csv")
     refuse_overwrite([tlog], force)
-    result = run_training(cfg, task, kname, seed, encoder, state)
+    result = run_training(cfg, load_task(out), kname, seed, encoder, state)
     write_trainlog_csv(tlog, result.log)
     print(f"resumed {kname} seed {seed} from step {state.step}: {len(result.log)} remaining evals")
     return 0
@@ -549,6 +550,49 @@ def _cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# batch
+# ---------------------------------------------------------------------------
+
+
+def _cmd_batch(args) -> int:
+    """Run a file of magnorm command lines in order, in this process.
+
+    Each line is split as a POSIX shell splits it (# starts a comment), and
+    every line is parsed before the first runs.  The batch stops at the
+    first command that exits non-zero and exits with its code.  Commands
+    over one task directory share load_task's parse of its feature files.
+    """
+    import shlex
+
+    parser = build_parser()
+    steps = []
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                try:
+                    argv = shlex.split(line, comments=True)
+                except ValueError as e:
+                    raise ConfigError(f"{args.file} line {n}: {e}") from None
+                if not argv:
+                    continue
+                if argv[0] == "batch":
+                    raise ConfigError(f"{args.file} line {n}: a batch cannot run another batch")
+                try:
+                    parser.parse_args(argv)
+                except SystemExit:  # argparse has printed why
+                    raise ConfigError(f"{args.file} line {n} is not a magnorm command") from None
+                steps.append((n, argv))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{args.file} is not UTF-8 text ({e})") from None
+    for n, argv in steps:
+        code = main(argv)
+        if code:
+            _err(f"{args.file} line {n} exited {code}; the lines after it did not run")
+            return code
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
 
@@ -599,6 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, "sweep a single seed instead of the config list")
     sp.add_argument("--kinds", default=None, help="comma-separated similarity kinds")
     sp.set_defaults(func=_cmd_sweep)
+
+    sp = sub.add_parser("batch", help="run a file of magnorm commands, one a line, in one process")
+    sp.add_argument("file", help="one command line a line, without 'magnorm'; # starts a comment")
+    sp.set_defaults(func=_cmd_batch)
 
     return p
 

@@ -16,6 +16,7 @@ byte-identical tasks.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -369,23 +370,58 @@ def _write_jsonl(path, ids, features: Array) -> None:
             fh.write(json.dumps({"id": ident, "features": features[i].tolist()}) + "\n")
 
 
+# Parsed feature files by content: sha256 of the bytes -> (ids, read-only
+# features).  Two entries hold one task's corpus and queries, so the
+# commands of a `magnorm batch` over one task directory parse each file once.
+_PARSED: dict = {}
+_PARSED_SIZE = 2
+
+
 def _read_jsonl(path) -> tuple:
+    """(ids, features) of a feature file, parsed once per content.
+
+    The file's sha256 keys the memo.  A hit returns a fresh ids list and
+    the shared features array, which is read-only.  A miss parses the same
+    open file from its start, so the file's bytes are never held whole
+    beside the parsed rows.
+    """
+    import hashlib  # only the commands that load a task pay its import
+
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256()
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+        key = digest.digest()
+        parsed = _PARSED.pop(key, None)
+        if parsed is None:
+            fh.seek(0)
+            # What open(path) in text mode builds: the same decode, universal newlines only.
+            with io.TextIOWrapper(fh) as text:
+                parsed = _parse_jsonl(text)
+            if len(_PARSED) >= _PARSED_SIZE:
+                del _PARSED[next(iter(_PARSED))]
+    _PARSED[key] = parsed
+    ids, features = parsed
+    return list(ids), features
+
+
+def _parse_jsonl(lines) -> tuple:
     ids, rows = [], []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec["id"], str):
-                raise TypeError(f"id {rec['id']!r} is not a string")
-            ids.append(rec["id"])
-            rows.append(rec["features"])
+    for line in lines:
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        if not isinstance(rec["id"], str):
+            raise TypeError(f"id {rec['id']!r} is not a string")
+        ids.append(rec["id"])
+        rows.append(rec["features"])
     _reject_repeats(ids)
     features = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(features)
     if not finite.all():
         raise ValueError(f"id {ids[np.argwhere(~finite)[0][0]]!r} has a non-finite feature")
-    return ids, features
+    features.flags.writeable = False
+    return tuple(ids), features
 
 
 def _reject_repeats(ids: list) -> None:
@@ -432,6 +468,13 @@ def load_task(outdir: str) -> SyntheticTask:
     and a query without a split.  Both feature matrices must be 2-D with one width
     of at least 1: corpus.jsonl is named for a width of 0 (or rows that
     are not lists), queries.jsonl for a width the corpus does not have.
+
+    Every call builds a new task, with its own id lists, row maps and
+    split memos, and parses qrels.txt, splits.json and hubs.json anew.
+    The two feature files are parsed once per content in a process: a
+    feature file whose bytes hash (sha256) to one of the last two parsed
+    reuses that parse, sharing its features array.  Both feature arrays
+    are read-only.
     """
     from .metrics import read_qrels
 

@@ -340,6 +340,31 @@ class TestTrain:
         assert capsys.readouterr().err == "magnorm: config error: the task has 14 features, the encoder takes 12\n"
         assert not list(out.glob("*_resumed.csv"))
 
+    def test_resume_checks_checkpoint_echo_and_overwrite_before_the_task(self, workdir, tmp_path, capsys):
+        # With a corrupt corpus, each earlier check still answers first: the
+        # checkpoint (3), its echo against --config (2), then the overwrite
+        # refusal (4); the corpus is named only once all of them pass.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        ckpt = str(out / "checkpoint_dot_0.json")
+        assert main(["train", "--config", cfg, "--resume", ckpt]) == 0
+        corpus = out / "corpus.jsonl"
+        corpus.write_text(corpus.read_text()[:40])
+        bad = out / "bad.json"
+        bad.write_text("{")
+        other = _write_config(tmp_path / "other.json", out, **{"train.lr": 0.002})
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", str(bad), "--force"]) == 3
+        assert main(["train", "--config", other, "--resume", ckpt, "--force"]) == 2
+        assert main(["train", "--config", cfg, "--resume", ckpt]) == 4
+        assert main(["train", "--config", cfg, "--resume", ckpt, "--force"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"magnorm: corrupt artifact: {bad} ")
+        assert err[1].startswith(f"magnorm: config error: {ckpt} was trained with train.lr ")
+        assert err[2].startswith("magnorm: overwrite refusal: ")
+        assert err[3].startswith(f"magnorm: corrupt artifact: {corpus} ")
+
     def test_resume_runs_only_the_steps_after_the_checkpoint(self, workdir, capsys, monkeypatch):
         # 154 train queries at batch 32 make 5 batches an epoch, 15 steps.
         out, cfg = workdir
@@ -1183,3 +1208,82 @@ class TestOutResolution:
         with pytest.raises(SystemExit) as e:
             main(["transmogrify"])
         assert e.value.code == 2
+
+
+def _sequence(cfg, out) -> list:
+    """gen, train, eval, diagnose, resume and sweep over one task directory."""
+    ckpt = str(out / "checkpoint_dot_0.json")
+    return [
+        ["gen", "--config", cfg],
+        ["train", "--config", cfg, "--kinds", "dot"],
+        ["eval", "--config", cfg, "--checkpoint", ckpt],
+        ["diagnose", "--config", cfg, "--checkpoint", ckpt],
+        ["train", "--config", cfg, "--resume", ckpt],
+        ["sweep", "--config", cfg, "--kinds", "dot", "--force"],
+    ]
+
+
+def _batch_file(path, lines) -> str:
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestBatch:
+    def test_runs_the_commands_as_separate_calls_do_parsing_features_once(self, tmp_path, monkeypatch, capsys):
+        from magnorm import datagen
+
+        monkeypatch.delenv("MAGNORM_OUT", raising=False)
+        apart, batched = tmp_path / "apart", tmp_path / "batched"
+        for argv in _sequence(_write_config(tmp_path / "a.json", apart), apart):
+            assert main(argv) == 0
+        want = capsys.readouterr().out.replace(str(apart), "<out>")
+        lines = ["# the paper's ablation over one task", ""]
+        lines += [" ".join(argv) for argv in _sequence(_write_config(tmp_path / "b.json", batched), batched)]
+        parse = datagen._parse_jsonl
+        parsed = []
+        monkeypatch.setattr(datagen, "_PARSED", {})
+        monkeypatch.setattr(datagen, "_parse_jsonl", lambda lines: parsed.append(1) or parse(lines))
+        assert main(["batch", _batch_file(tmp_path / "steps.txt", lines)]) == 0
+        assert capsys.readouterr().out.replace(str(batched), "<out>") == want
+        assert sorted(p.name for p in batched.iterdir()) == sorted(p.name for p in apart.iterdir())
+        for path in apart.iterdir():
+            assert (batched / path.name).read_bytes() == path.read_bytes(), path.name
+        # Six loads of one task: the first parses the corpus and the queries, the other five reuse them.
+        assert len(parsed) == 2
+
+    def test_stops_at_the_first_command_that_fails(self, workdir, tmp_path, capsys):
+        out, cfg = workdir
+        steps = _batch_file(tmp_path / "steps.txt", [
+            f"gen --config {cfg}",
+            f"eval --config {cfg} --checkpoint {tmp_path / 'missing.json'}",
+            f"train --config {cfg}",
+        ])
+        assert main(["batch", steps]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("magnorm: I/O failure: ")
+        assert err[1:] == [f"magnorm: {steps} line 2 exited 3; the lines after it did not run"]
+        assert (out / "corpus.jsonl").exists() and not list(out.glob("checkpoint_*"))
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("eval --out x", "line 2 is not a magnorm command"),
+            ("transmogrify", "line 2 is not a magnorm command"),
+            ("gen --config 'cfg.json", "line 2: No closing quotation"),
+            ("gen --config cfg.json \\", "line 2 is not a magnorm command"),
+            ("batch other.txt", "line 2: a batch cannot run another batch"),
+        ],
+    )
+    def test_a_bad_line_exits_two_before_any_command_runs(self, workdir, tmp_path, capsys, line, named):
+        out, cfg = workdir
+        steps = _batch_file(tmp_path / "steps.txt", [f"gen --config {cfg}", line])
+        assert main(["batch", steps]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"magnorm: config error: {steps} {named}"
+        assert not out.exists()
+
+    def test_missing_or_undecodable_file(self, tmp_path, capsys):
+        assert main(["batch", str(tmp_path / "missing.txt")]) == 3
+        steps = tmp_path / "steps.txt"
+        steps.write_bytes(b"gen \xff\n")
+        assert main(["batch", str(steps)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"magnorm: config error: {steps} is not UTF-8 text")

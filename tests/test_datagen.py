@@ -1,13 +1,21 @@
-"""Synthetic task generation: determinism, judgments, hubs, disk layout."""
+"""Synthetic task generation: determinism, judgments, hubs, disk layout, the feature-file memo."""
 
+import contextlib
+import io
+import json
 import math
 import os
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from magnorm import datagen
+from magnorm.cli import main
 from magnorm.datagen import (
     SPLIT_NAMES,
     TASK_FILES,
@@ -17,7 +25,7 @@ from magnorm.datagen import (
     gen_symmetric,
     load_task,
 )
-from magnorm.errors import InfeasibleSpec
+from magnorm.errors import CorruptArtifact, InfeasibleSpec
 from magnorm.metrics import GradeTable
 from magnorm.simcore import COSINE, similarity_matrix
 
@@ -359,3 +367,216 @@ class TestDiskLayout:
         assert [os.path.basename(p) for p in paths] == list(TASK_FILES)
         for p in paths:
             assert os.path.getsize(p) > 0
+
+
+# The small CLI task: 48 docs, 192 queries of 12 features, one epoch of dot.
+_SMALL_CONFIG = {
+    "task": {"n_docs": 48, "n_queries": 192, "feature_dim": 12, "n_clusters": 6,
+             "hub_fraction": 0.1, "hub_multiplicity": 6, "seed": 3},
+    "encoder": {"hidden": 16, "embed_dim": 8},
+    "train": {"epochs": 1, "batch_size": 32, "eval_every": 4},
+    "kinds": ["dot"],
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(task files by name, checkpoint bytes) of the small CLI task, generated and trained once."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_CONFIG, "out": str(root)}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+    files = {name: (root / name).read_bytes() for name in TASK_FILES}
+    return files, (root / "checkpoint_dot_0.json").read_bytes()
+
+
+def _lay_out(trained, out) -> str:
+    """Write the trained task files and checkpoint into out; returns the checkpoint path."""
+    files, ckpt = trained
+    os.makedirs(out, exist_ok=True)
+    for name, raw in files.items():
+        with open(os.path.join(out, name), "wb") as fh:
+            fh.write(raw)
+    path = os.path.join(out, "checkpoint_dot_0.json")
+    with open(path, "wb") as fh:
+        fh.write(ckpt)
+    return path
+
+
+def _eval(out, ckpt) -> tuple:
+    """eval's exit code and stderr, run in-process with --force."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--checkpoint", ckpt, "--out", str(out), "--force"])
+    return code, err.getvalue()
+
+
+def _text_mode_read_jsonl(path) -> tuple:
+    """The feature-file reader before the memo: text-mode lines of open(path)."""
+    ids, rows = [], []
+    with open(path) as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            if not isinstance(rec["id"], str):
+                raise TypeError(f"id {rec['id']!r} is not a string")
+            ids.append(rec["id"])
+            rows.append(rec["features"])
+    repeated = [ident for ident, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise ValueError(f"id {repeated[0]!r} appears more than once")
+    features = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(features)
+    if not finite.all():
+        raise ValueError(f"id {ids[np.argwhere(~finite)[0][0]]!r} has a non-finite feature")
+    return ids, features
+
+
+def _fields(task) -> tuple:
+    """Everything load_task reads, with the feature arrays as (shape, bytes)."""
+    return (
+        task.doc_ids, task.query_ids,
+        task.doc_features.shape, task.doc_features.tobytes(),
+        task.query_features.shape, task.query_features.tobytes(),
+        task.qrels, task.split_of, task.hub_ids,
+    )
+
+
+def _outcome(outdir) -> tuple:
+    """load_task's fields, or the type and text of what it raised."""
+    try:
+        return ("task", _fields(load_task(outdir)))
+    except Exception as e:
+        return (type(e).__name__, str(e))
+
+
+def _memo_free_outcome(outdir) -> tuple:
+    """_outcome of a load that starts from an empty memo and leaves the memo as it was."""
+    with mock.patch.dict(datagen._PARSED, clear=True):
+        return _outcome(outdir)
+
+
+class TestFeatureMemo:
+    def test_same_length_one_ulp_edit_with_mtime_restored_is_seen(self, trained, tmp_path):
+        _lay_out(trained, tmp_path)
+        first = load_task(str(tmp_path))
+        path = tmp_path / "corpus.jsonl"
+        before = os.stat(path)
+        line, rest = path.read_text().split("\n", 1)
+        rec = json.loads(line)
+        for col, value in enumerate(rec["features"]):
+            bumped = float(np.nextafter(value, np.inf))
+            if len(repr(bumped)) == len(repr(value)):
+                break
+        rec["features"][col] = bumped
+        edited = json.dumps(rec)
+        assert len(edited) == len(line)
+        path.write_text(edited + "\n" + rest)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        task = load_task(str(tmp_path))
+        assert task.doc_features[0, col] == bumped != first.doc_features[0, col]
+        assert _fields(task) == _memo_free_outcome(str(tmp_path))[1]
+
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "queries.jsonl"])
+    def test_file_garbled_after_a_good_load_exits_three(self, trained, tmp_path, name):
+        ckpt = _lay_out(trained, tmp_path)
+        assert _eval(tmp_path, ckpt) == (0, "")
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:40])
+        memo = dict(datagen._PARSED)
+        code, err = _eval(tmp_path, ckpt)
+        assert code == 3 and err.startswith(f"magnorm: corrupt artifact: {path} ")
+        # A failed parse is not kept.
+        assert datagen._PARSED == memo
+
+    def test_two_loads_share_features_but_no_mutable_state(self, trained, tmp_path):
+        _lay_out(trained, tmp_path)
+        a, b = load_task(str(tmp_path)), load_task(str(tmp_path))
+        assert a.doc_features is b.doc_features and a.query_features is b.query_features
+        for x, y in ((a.doc_ids, b.doc_ids), (a.query_ids, b.query_ids), (a.qrels, b.qrels)):
+            assert x == y and x is not y
+        assert a.grade_table("test") is a.grade_table("test")
+        assert a.grade_table("test") is not b.grade_table("test")
+        a.doc_ids.append("dZZ")
+        assert load_task(str(tmp_path)).doc_ids == b.doc_ids
+
+    def test_loaded_features_are_read_only(self, trained, tmp_path):
+        _lay_out(trained, tmp_path)
+        with mock.patch.dict(datagen._PARSED, clear=True):
+            for task in (load_task(str(tmp_path)), load_task(str(tmp_path))):  # a parse, then a hit
+                for features in (task.doc_features, task.query_features):
+                    with pytest.raises(ValueError, match="read-only"):
+                        features[0, 0] = 1.0
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings_load_as_before(self, trained, tmp_path, newline):
+        _lay_out(trained, tmp_path)
+        expected = _fields(load_task(str(tmp_path)))
+        for name in ("corpus.jsonl", "queries.jsonl"):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+            assert datagen._read_jsonl(path)[0] == _text_mode_read_jsonl(path)[0]
+        assert _memo_free_outcome(str(tmp_path)) == ("task", expected)
+        assert _fields(load_task(str(tmp_path))) == expected
+
+    def test_raw_line_separators_inside_an_id_load_as_before(self, tmp_path):
+        # str.splitlines would split these records; open(path) in text mode does not.
+        path = tmp_path / "corpus.jsonl"
+        ids = ["d\u2028a", "d\x85b", "d\u2029c"]
+        path.write_text("".join(json.dumps({"id": d, "features": [i, 1.5]}, ensure_ascii=False) + "\n"
+                                for i, d in enumerate(ids)), encoding="utf-8")
+        with mock.patch.dict(datagen._PARSED, clear=True):
+            for _ in range(2):  # a parse, then a hit
+                got_ids, got = datagen._read_jsonl(path)
+                want_ids, want = _text_mode_read_jsonl(path)
+                assert got_ids == want_ids == ids
+                assert got.tobytes() == want.tobytes()
+
+    def test_raw_control_character_inside_an_id_fails_as_before(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d\x1ca", "features": [1.0]}\n')
+        with pytest.raises(ValueError) as before:
+            _text_mode_read_jsonl(path)
+        with pytest.raises(ValueError) as after:
+            datagen._read_jsonl(path)
+        assert str(after.value) == str(before.value)
+
+
+@st.composite
+def _task_file_edit(draw, sizes):
+    """(file name, edit) that cuts a task file at a byte or replaces one byte."""
+    name = draw(st.sampled_from(TASK_FILES))
+    at = draw(st.integers(0, sizes[name] - 1))
+    if draw(st.booleans()):
+        return name, lambda raw: raw[:at]
+    # Digits often keep the file well-formed but change what it says.
+    byte = draw(st.one_of(st.sampled_from(b"0123456789"), st.integers(0, 255)))
+    return name, lambda raw: raw[:at] + bytes([byte]) + raw[at + 1:]
+
+
+class TestTaskFileFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_file_after_a_good_load(self, trained, tmp_path_factory, data):
+        # Per example: a good load fills the memo, then one file is cut or
+        # has one byte replaced.  The memo never changes load_task's answer,
+        # and eval exits with one of the documented codes.
+        files, _ = trained
+        out = str(tmp_path_factory.getbasetemp() / "fuzz")
+        ckpt = _lay_out(trained, out)
+        load_task(out)
+        name, edit = data.draw(_task_file_edit({n: len(raw) for n, raw in files.items()}))
+        with open(os.path.join(out, name), "wb") as fh:
+            fh.write(edit(files[name]))
+        got = _outcome(out)
+        event(f"load_task: {got[0]}")
+        assert got[0] in ("task", CorruptArtifact.__name__)
+        assert got == _memo_free_outcome(out)
+        code, _ = _eval(out, ckpt)
+        event(f"eval exit {code}")
+        assert code in range(7)
