@@ -38,7 +38,7 @@ from .simcore import (
 from .objective import ContrastiveBatch, LossConfig, infonce_loss, softmax_probs
 from .grad import gradcheck, infonce_grad, sim_grad, tangent_projector
 from .datagen import TaskSpec, SyntheticTask, gen_asymmetric, gen_symmetric
-from .metrics import mrr_at_k, ndcg_at_k, pearson, recall_at_k, spearman
+from .metrics import mrr_at_k, ndcg_at_k, pearson, recall_at_k
 from .model import TrainConfig, TwoTowerEncoder, init_encoder, train
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "recall_at_k",
     "mrr_at_k",
     "pearson",
-    "spearman",
     "TwoTowerEncoder",
     "TrainConfig",
     "init_encoder",

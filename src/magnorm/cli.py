@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -46,9 +47,7 @@ from .model import (
     initial_gamma,
     load_checkpoint,
     rank_split,
-    restore_snapshot,
     save_checkpoint,
-    select_checkpoint,
     train,
     trained_kind,
     write_trainlog_csv,
@@ -84,7 +83,7 @@ DEFAULT_TRAIN = {
     "clip_norm": 1.0,
     "gamma_lr": None,
 }
-DEFAULT_LOSS = {"tau": 1.0, "alpha": 20.0, "lambda": 0.01}
+DEFAULT_LOSS = {"tau": 1.0, "alpha": 20.0}
 DEFAULT_KINDS = ["cosine", "dot", "qnorm", "dnorm", "learnable"]
 DEFAULT_SEEDS = [0]
 DEFAULT_KS = "10,100,10"
@@ -106,7 +105,11 @@ class ExperimentConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float holds: not a bool, NaN, an infinity or an integer past float range."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_int(value) -> bool:
@@ -118,9 +121,10 @@ def _is_int(value) -> bool:
 _JSON_TYPES = {
     bool: ("true or false", lambda v: isinstance(v, bool), bool),
     int: ("an integer", _is_int, int),
-    float: ("a number", _is_number, float),
-    type(None): ("null or a number", lambda v: v is None or _is_number(v), lambda v: v if v is None else float(v)),
-    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), list),
+    float: ("a finite number", _is_number, float),
+    type(None): ("null or a finite number", lambda v: v is None or _is_number(v),
+                 lambda v: v if v is None else float(v)),
+    list: ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), list),
 }
 
 
@@ -182,7 +186,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         spec = TaskSpec(**_typed(task_sec, DEFAULT_TASK))
         loss_params = _typed(loss_sec, DEFAULT_LOSS)
-        loss_params["lam"] = loss_params.pop("lambda")
         train_params = _typed(train_sec, DEFAULT_TRAIN)
         # Probe constructions so invalid numbers fail here, not mid-sweep.
         probe_loss = LossConfig(kind=simcore.COSINE, **loss_params)
@@ -293,15 +296,18 @@ def _train_paths(out: str, stem: str) -> tuple:
 
 
 def _train_and_save(cfg: ExperimentConfig, task, out: str, kind_name: str, seed: int, stem: str):
-    """Train, restore the best validation snapshot, write its trainlog and its checkpoint with its state."""
+    """Train, put the best evaluation's weights in the encoder, write trainlog and checkpoint.
+
+    Returns the result, the best evaluation's log row, and the kind that scores with its gamma logits.
+    """
     result = run_training(cfg, task, kind_name, seed)
-    best = select_checkpoint(result.snapshots)
-    gamma_hat = restore_snapshot(result.encoder, best)
+    best, k = result.best, result.encoder.theta.size
+    result.encoder.theta[...] = best.params[:k]
     ckpt, tlog = _train_paths(out, stem)
     write_trainlog_csv(tlog, result.log)
-    echo = {"kind": kind_name, "seed": seed, **cfg.sections}
-    save_checkpoint(ckpt, result.encoder, result.best, echo)
-    return result, best, trained_kind(simcore.kind_from_name(kind_name), gamma_hat)
+    save_checkpoint(ckpt, result.encoder, best, {"kind": kind_name, "seed": seed, **cfg.sections})
+    row = next(r for r in result.log if r.step == best.step)
+    return result, row, trained_kind(simcore.kind_from_name(kind_name), best.params[k:])
 
 
 def _cmd_train(args) -> int:
@@ -333,7 +339,7 @@ def _resume_training(cfg: ExperimentConfig, resume_path: str, out: str, force: b
     seed, and every value of --config's sections.  The checkpoint, its
     echo and the log's overwrite refusal are checked before the task is loaded.
     """
-    encoder, state, echo = load_checkpoint(resume_path, with_state=True)
+    encoder, _, state, echo = load_checkpoint(resume_path)
     kname = echo.get("kind")
     seed = echo.get("seed")
     if kname is None or seed is None:

@@ -1,4 +1,4 @@
-"""Ranking metrics and correlation statistics.
+"""Ranking metrics, the Pearson correlation, and the artifact writers.
 
 NDCG uses the graded-gain convention gain = 2^grade - 1 with discount
 1/log2(rank + 1); ties in scores are broken lexicographically by doc id
@@ -309,31 +309,6 @@ def pearson(xs, ys) -> float:
         raise DegenerateInput("correlation undefined for a constant sequence")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / math.sqrt(sxx * syy)
-
-
-def average_ranks(xs) -> list:
-    """1-based ranks with ties replaced by the mean of their rank block."""
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    ranks = [0.0] * len(xs)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = mean_rank
-        i = j + 1
-    return ranks
-
-
-def spearman(xs, ys) -> float:
-    """Pearson correlation of average-tied ranks."""
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise DimensionMismatch(f"length mismatch: {len(xs)} vs {len(ys)}")
-    return pearson(average_ranks(xs), average_ranks(ys))
 
 
 @contextlib.contextmanager

@@ -8,12 +8,12 @@ gradient module can stay in gamma space and this module chains the
 sigmoid derivative itself.
 
 An encoder's parameters are one float64 vector theta laid out by
-param_layout; towers, gradients, snapshots and checkpoint weights are
-named views of a vector with that layout.  Under learnable the trainer
+param_layout; towers, gradients, the running best and checkpoint weights
+are named views of a vector with that layout.  Under learnable the trainer
 appends the two gamma_hat logits and AdamW updates the whole vector.
 That tail is the only store of the trained gammas: trained_kind turns a
-tail into the kind that scores with it, and snapshots and checkpoints
-keep the tail itself.
+tail into the kind that scores with it, and the running best and
+checkpoints keep the tail itself.
 
 Training is single-threaded and bit-deterministic: all shuffling and
 positive sampling flows from the seed in TrainConfig, and the data order
@@ -202,8 +202,8 @@ class TrainConfig:
     gamma_lr: float | None = None
 
     def __post_init__(self):
-        if self.lr < 0 or self.eps <= 0 or self.clip_norm <= 0:
-            raise ValueError("lr must be >= 0, eps and clip_norm positive")
+        if min(self.lr, self.weight_decay, self.gamma_lr or 0.0) < 0 or self.eps <= 0 or self.clip_norm <= 0:
+            raise ValueError("lr, weight_decay and gamma_lr must be >= 0, eps and clip_norm positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
@@ -316,15 +316,6 @@ TRAINLOG_HEADER = "step,loss,val_ndcg10,gamma_q,gamma_d,q_mag_mean,q_mag_cv,d_ma
 
 
 @dataclass
-class Snapshot:
-    """Parameters at one evaluation: theta, then the gamma logits under learnable."""
-
-    step: int
-    params: Array
-    val_ndcg10: float
-
-
-@dataclass
 class TrainState:
     """Where a training stands after step updates, enough to continue it bit for bit.
 
@@ -344,11 +335,10 @@ class TrainState:
 
 @dataclass
 class TrainResult:
-    """What train returns; best is the state of the evaluation select_checkpoint picks."""
+    """What train returns; best is the state of the evaluation _selection_key ranks first."""
 
     encoder: TwoTowerEncoder
     log: list
-    snapshots: list
     best: TrainState
 
 
@@ -449,9 +439,10 @@ def train(
     Each query's positive is sampled uniformly from its graded-relevant
     documents every epoch, so documents relevant to many queries actually
     serve as positives for many queries.  Validation NDCG@10 is measured
-    at step 0, every eval_every steps, and at the final step; a full
-    parameter snapshot is kept at each evaluation, and the running best's
-    moments in one buffer.  A train query with no relevant document, a
+    at step 0, every eval_every steps, and at the final step.  An
+    evaluation that _selection_key ranks above the running best copies the
+    parameters and moments into two buffers allocated once, and that state
+    is TrainResult.best.  A train query with no relevant document, a
     batch_size above the train split, or an empty val split raises
     DegenerateBatch before step 0, and features narrower or wider than
     encoder.m raise DimensionMismatch.  The train split's positives and
@@ -514,9 +505,8 @@ def train(
         return trained_kind(cfg.loss.kind, params[k:])
 
     log: list = []
-    snapshots: list = []
-    best_moments = np.empty_like(moments)
-    best = None  # (snapshot, generator state, loss) of the running best
+    best_params, best_moments = np.empty_like(params), np.empty_like(moments)
+    best = None  # (log row, generator state) of the running best
 
     def record(step: int, loss: float):
         nonlocal best
@@ -525,12 +515,12 @@ def train(
         ranking, (nq, nd) = rank_split(encoder, task, kind, val_table, depth=10)
         val = macro_mean(ranking.ndcg(10).tolist())
         log.append(TrainLogRow(step, loss, val, *kind.gammas, *_mag_stats(nq), *_mag_stats(nd)))
-        snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
-        if best is None or _selection_key(snapshots[-1]) > _selection_key(best[0]):
+        if best is None or _selection_key(log[-1]) > _selection_key(best[0]):
             # A step that ends the epoch drawn last belongs to the next one,
             # whose draws start from the generator as it is now.
+            best_params[...] = params
             best_moments[...] = moments
-            best = snapshots[-1], epoch_rng if step // len(sizes) == epoch else rng.bit_generator.state, loss
+            best = log[-1], epoch_rng if step // len(sizes) == epoch else rng.bit_generator.state
 
     batches = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
     step, epoch, epoch_rng = start, start // len(sizes), rng.bit_generator.state
@@ -561,26 +551,13 @@ def train(
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:
                 record(step, loss)
-    snap, best_rng, best_loss = best
-    return TrainResult(encoder, log, snapshots, TrainState(snap.params, best_moments, snap.step, best_rng, best_loss))
+    row, best_rng = best
+    return TrainResult(encoder, log, TrainState(best_params, best_moments, row.step, best_rng, row.loss))
 
 
-def _selection_key(snapshot: Snapshot) -> tuple:
+def _selection_key(row: TrainLogRow) -> tuple:
     """Order of checkpoint choice: higher validation NDCG@10, then the earlier step."""
-    return snapshot.val_ndcg10, -snapshot.step
-
-
-def select_checkpoint(snapshots: list) -> Snapshot:
-    """Snapshot with maximal validation NDCG@10; ties go to the earliest step."""
-    if not snapshots:
-        raise ValueError("no snapshots to select from")
-    return max(snapshots, key=_selection_key)
-
-
-def restore_snapshot(encoder: TwoTowerEncoder, snapshot: Snapshot) -> Array:
-    """Copy a snapshot's parameters back into the encoder; returns its tail of gamma logits."""
-    encoder.theta[...] = snapshot.params[: encoder.theta.size]
-    return snapshot.params[encoder.theta.size :]
+    return row.val_ndcg10, -row.step
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +663,13 @@ def _echoed_total_steps(path, config: dict):
     return epochs * _batch_count(n_train, batch)
 
 
-def load_checkpoint(path, with_state: bool = False) -> tuple:
-    """Rebuild (encoder, trained kind, step, config_echo) from a checkpoint file.
+def load_checkpoint(path) -> tuple:
+    """Rebuild (encoder, trained kind, TrainState, config_echo) from a checkpoint file.
 
     The trained kind is trained_kind of the echoed config kind (default
-    cosine) and gamma_hat.  With with_state, return (encoder, TrainState,
-    config_echo) instead: the state train continues from, its params the
-    weights followed by gamma_hat under a learnable kind.
+    cosine) and gamma_hat.  The TrainState is the one train continues
+    from, its params the weights followed by gamma_hat under a learnable
+    kind.
 
     Raises CorruptArtifact, naming the file, when it does not parse, is
     not of format 2, a key is missing or of the wrong type, or a weight
@@ -751,7 +728,6 @@ def load_checkpoint(path, with_state: bool = False) -> tuple:
     if not _is_pcg64_state(payload["rng"]):
         raise CorruptArtifact(f"{path}: rng is not a PCG64 generator state")
     enc = TwoTowerEncoder(m=m, h=h, n=n, shared=shared, theta=np.concatenate(weights))
-    if not with_state:
-        return enc, trained_kind(base, (gq, gd)), step, config
     params = np.concatenate([enc.theta, (gq, gd) if learn else ()])
-    return enc, TrainState(params, moments, step, payload["rng"], payload["loss"]), config
+    state = TrainState(params, moments, step, payload["rng"], payload["loss"])
+    return enc, trained_kind(base, (gq, gd)), state, config

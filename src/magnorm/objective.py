@@ -1,4 +1,4 @@
-"""Contrastive and regression objectives built on the similarity family.
+"""The in-batch contrastive objective built on the similarity family.
 
 The InfoNCE loss softmax-normalizes a positive pair's scaled score
 against the batch's other positives (in-batch negatives) at temperature
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
-from .errors import DegenerateBatch, DimensionMismatch, EmptyInput
+from .errors import DegenerateBatch, DimensionMismatch
 from .simcore import SimilarityKind
 
 Array = np.ndarray
@@ -22,25 +22,17 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Objective hyperparameters.
-
-    tau is the softmax temperature, alpha the logit scale, lam the target
-    scale of the symmetric MSE objective (written out because 'lambda' is
-    reserved in Python).
-    """
+    """Objective hyperparameters: tau is the softmax temperature, alpha the logit scale."""
 
     kind: SimilarityKind
     tau: float = 1.0
     alpha: float = 20.0
-    lam: float = 0.01
 
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -111,15 +103,3 @@ def infonce_terms(logits: Array) -> tuple:
     e_sum = np.add.reduce(e, axis=1, keepdims=True)
     lse = m[:, 0] + np.log(e_sum[:, 0])
     return float(np.add.reduce(lse - np.diagonal(logits)) / len(logits)), e, e_sum
-
-
-def mse_symmetric_loss(pairs, cfg: LossConfig) -> float:
-    """Mean of (lam * s(a, b) - target)^2 over (a, b, target) triples."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyInput("no pairs given")
-    residuals = []
-    for a, b, target in pairs:
-        s = simcore.similarity(cfg.kind, a, b)
-        residuals.append((cfg.lam * s - float(target)) ** 2)
-    return float(np.mean(residuals))

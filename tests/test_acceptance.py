@@ -18,7 +18,7 @@ from magnorm.cli import load_config, run_training
 from magnorm.datagen import TaskSpec, gen_asymmetric, gen_symmetric
 from magnorm.grad import finite_difference, gradcheck, rel_error
 from magnorm.metrics import RankedList, mrr_at_k, ndcg_at_k, recall_at_k
-from magnorm.model import forward, init_encoder, loss_and_grads, select_checkpoint, trained_kind
+from magnorm.model import forward, init_encoder, loss_and_grads, trained_kind
 from magnorm.objective import ContrastiveBatch, LossConfig, infonce_loss, softmax_probs
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable
 
@@ -221,7 +221,7 @@ def test_11_step_matched_sweep(reference_runs):
     margins = []
     for name in REFERENCE.kinds:
         result = results[name]
-        best = select_checkpoint(result.snapshots)
+        best = next(row for row in result.log if row.step == result.best.step)
         untrained = result.log[0].val_ndcg10
         assert best.val_ndcg10 > untrained, f"{name}: {best.val_ndcg10} vs {untrained}"
         margins.append(f"{name} {best.val_ndcg10:.3f}>{untrained:.3f}")

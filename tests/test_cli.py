@@ -31,7 +31,7 @@ def _write_config(path, out, kinds=("dot", "cosine"), epochs=3, **over):
         },
         "encoder": {"hidden": 16, "embed_dim": 8, "shared": False},
         "train": {"lr": 0.01, "epochs": epochs, "batch_size": 32, "eval_every": 4},
-        "loss": {"tau": 1.0, "alpha": 20.0, "lambda": 0.01},
+        "loss": {"tau": 1.0, "alpha": 20.0},
         "kinds": list(kinds),
         "seeds": [0],
     }
@@ -97,10 +97,13 @@ class TestConfigErrors:
         assert "tusk" in capsys.readouterr().err
 
     def test_unknown_section_key(self, tmp_path, capsys):
+        # loss.lambda is the deleted pair-regression objective's key.
         bad = tmp_path / "bad.json"
-        bad.write_text('{"train": {"learning_rate": 0.1}}')
-        assert main(["gen", "--config", str(bad)]) == 2
-        assert "learning_rate" in capsys.readouterr().err
+        for body, key in (('{"train": {"learning_rate": 0.1}}', "train: learning_rate"),
+                          ('{"loss": {"lambda": 0.01}}', "loss: lambda")):
+            bad.write_text(body)
+            assert main(["gen", "--config", str(bad)]) == 2
+            assert f"unknown key(s) in {key}" in capsys.readouterr().err
 
     def test_bad_kind_name(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -129,6 +132,15 @@ class TestConfigErrors:
             ('{"seeds": [1.7]}', "seeds"),
             ('{"seeds": [true]}', "seeds"),
             ('{"out": 5}', "out"),
+            # Python's json reads NaN and Infinity.  Unchecked, a NaN
+            # noise_sigma crashed gen, an infinite tau trained to a flat loss
+            # of ln B and exited 0, a NaN alpha exited 5 as a divergence, and
+            # an integer no float holds crashed with an OverflowError.
+            ('{"task": {"noise_sigma": NaN}}', "task.noise_sigma"),
+            ('{"loss": {"tau": Infinity}}', "loss.tau"),
+            ('{"loss": {"alpha": NaN}}', "loss.alpha"),
+            ('{"task": {"splits": [0.8, NaN, 0.1]}}', "task.splits"),
+            pytest.param('{"train": {"lr": 1%s}}' % ("0" * 400), "train.lr", id="lr-past-float-range"),
         ],
     )
     def test_ill_typed_value_exits_two_naming_it(self, tmp_path, capsys, body, named):
@@ -138,6 +150,16 @@ class TestConfigErrors:
         assert f"config error: {named} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_rates_exit_two(self, tmp_path, capsys):
+        # As a negative lr is; a gamma_lr of 0 freezes the gammas and stays valid.
+        for key, value in (("weight_decay", -0.01), ("gamma_lr", -0.05)):
+            bad = _write_config(tmp_path / "bad.json", tmp_path / "o", **{f"train.{key}": value})
+            assert main(["gen", "--config", bad]) == 2
+            assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        ok = _write_config(tmp_path / "ok.json", tmp_path / "o", **{"train.gamma_lr": 0})
+        assert load_config(ok).train_params["gamma_lr"] == 0.0
+
     def test_numbers_and_null_where_floats_go(self, tmp_path):
         # Every float or null default, given as a JSON int, trains as a
         # float; ints stay ints, and the sections the checkpoint echoes keep
@@ -145,7 +167,7 @@ class TestConfigErrors:
         ints = {
             "task": {"hub_fraction": 0, "noise_sigma": 1, "splits": [1, 0, 0]},
             "train": {"lr": 1, "beta1": 0, "beta2": 0, "eps": 1, "weight_decay": 0, "clip_norm": 2, "gamma_lr": 0},
-            "loss": {"tau": 2, "alpha": 20, "lambda": 1},
+            "loss": {"tau": 2, "alpha": 20},
         }
         defaults = {"task": cli.DEFAULT_TASK, "train": cli.DEFAULT_TRAIN, "loss": cli.DEFAULT_LOSS}
         floats = {(sec, key) for sec, d in defaults.items() for key, v in d.items() if type(v) in (float, type(None))}
@@ -153,8 +175,7 @@ class TestConfigErrors:
         ok = tmp_path / "ok.json"
         ok.write_text(json.dumps(ints))
         cfg = load_config(str(ok))
-        taken = {"task": vars(cfg.task), "train": cfg.train_params, "loss": {"lambda": cfg.loss_params["lam"]}}
-        taken["loss"].update(cfg.loss_params)
+        taken = {"task": vars(cfg.task), "train": cfg.train_params, "loss": cfg.loss_params}
         for sec, key in floats:
             assert type(taken[sec][key]) is float and taken[sec][key] == ints[sec][key], (sec, key)
             assert type(cfg.sections[sec][key]) is int, (sec, key)
@@ -190,9 +211,9 @@ class TestTrain:
             tlog = out / f"trainlog_{tag}_0.csv"
             assert ckpt.exists() and tlog.exists()
             assert tlog.read_text().splitlines()[0] == TRAINLOG_HEADER
-            _, _, step, echo = load_checkpoint(ckpt)
+            _, _, state, echo = load_checkpoint(ckpt)
             assert echo["kind"] == tag and echo["seed"] == 0
-            assert step >= 0
+            assert state.step >= 0
         assert "selected step" in capsys.readouterr().out
 
     def test_missing_task_is_io_error(self, workdir, capsys):
@@ -271,7 +292,7 @@ class TestTrain:
         out, cfg = workdir
         assert main(["gen", "--config", cfg]) == 0
         assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
-        _, _, step, _ = load_checkpoint(out / "checkpoint_dot_0.json")
+        step = load_checkpoint(out / "checkpoint_dot_0.json")[2].step
         assert main(
             ["train", "--config", cfg, "--resume", str(out / "checkpoint_dot_0.json")]
         ) == 0
@@ -279,6 +300,30 @@ class TestTrain:
         resumed = (out / "trainlog_dot_0_resumed.csv").read_text().splitlines()
         expect = [full[0]] + [r for r in full[1:] if int(r.split(",")[0]) >= step]
         assert resumed == expect
+
+    def test_checkpoint_echoing_loss_lambda_still_loads(self, workdir, capsys):
+        # Checkpoints written while the config had loss.lambda echo it.  A
+        # config without the key still resumes, evaluates and diagnoses them,
+        # with the bytes of the same checkpoint without it.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        capsys.readouterr()
+        ckpt = out / "checkpoint_dot_0.json"
+        commands = [["train", "--config", cfg, "--resume", str(ckpt)], ["eval", "--checkpoint", str(ckpt)],
+                    ["diagnose", "--checkpoint", str(ckpt)]]
+        outputs = ["trainlog_dot_0_resumed.csv", "run_dot_0_test.txt", "metrics_dot_0_test.csv", "diagnostics.json"]
+
+        def run():
+            for argv in commands:
+                assert main([*argv, "--out", str(out), "--force"]) == 0
+            return capsys.readouterr().out, [(out / name).read_bytes() for name in outputs]
+
+        want = run()
+        text = ckpt.read_text()
+        ckpt.write_text(text.replace('"alpha": 20.0}', '"alpha": 20.0, "lambda": 0.01}', 1))
+        assert load_checkpoint(ckpt)[3]["loss"] == {"tau": 1.0, "alpha": 20.0, "lambda": 0.01}
+        assert run() == want
 
     def test_resume_rejects_foreign_checkpoint(self, workdir, tmp_path):
         out, cfg = workdir
@@ -371,7 +416,7 @@ class TestTrain:
         assert main(["gen", "--config", cfg]) == 0
         assert main(["train", "--config", cfg, "--kinds", "learnable"]) == 0
         ckpt = out / "checkpoint_learnable_0.json"
-        _, _, step, _ = load_checkpoint(ckpt)
+        step = load_checkpoint(ckpt)[2].step
         real, calls = model.loss_and_grads, []
 
         def counting(*args):
@@ -652,7 +697,7 @@ class TestCorruptCheckpoint:
         assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
         ckpt = out / "checkpoint_dot_0.json"
         ckpt.write_bytes(_set("step", value=15)(ckpt.read_bytes()))
-        assert load_checkpoint(ckpt)[2] == 15
+        assert load_checkpoint(ckpt)[2].step == 15
         rows = (out / "trainlog_dot_0.csv").read_text().splitlines()
         assert rows[-1].startswith("15,")
 

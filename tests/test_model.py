@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from magnorm.grad import _row_norms, finite_difference, infonce_grad, rel_error
 from magnorm.metrics import GradeTable, macro_mean, ndcg_at_k, ranked_list
 from magnorm.model import (
     TRAINLOG_HEADER,
-    Snapshot,
     TrainConfig,
     TrainState,
     adamw_step,
@@ -32,9 +32,7 @@ from magnorm.model import (
     lr_at,
     param_layout,
     rank_split,
-    restore_snapshot,
     save_checkpoint,
-    select_checkpoint,
     sigmoid,
     train,
     trained_kind,
@@ -73,6 +71,22 @@ def _state(params, step=0, loss=0.5):
     """A TrainState of params at step with zero moments and seed 0's fresh generator."""
     params = np.asarray(params, dtype=np.float64)
     return TrainState(params, np.zeros((2, params.size)), step, np.random.default_rng(0).bit_generator.state, loss)
+
+
+def _train_evals(task, encoder, cfg, state=None):
+    """(train's result, (theta, trained kind) at each evaluation), captured by wrapping model.rank_split."""
+    real, evals = model.rank_split, []
+
+    def capturing(encoder, task, kind, table, depth=None):
+        evals.append((encoder.theta.copy(), kind))
+        return real(encoder, task, kind, table, depth)
+
+    with mock.patch.object(model, "rank_split", capturing):
+        return train(task, encoder, cfg, state), evals
+
+
+def _bytes(evals) -> list:
+    return [(theta.tobytes(), kind) for theta, kind in evals]
 
 
 def _blob(values) -> str:
@@ -451,7 +465,8 @@ def _pre_change_train(task, encoder, cfg):
     """model.train before one draw per epoch: each batch draws its own
     positives and steps through _pre_change_loss_and_grads, then through
     _adamw_expression_form, with a per-entry rate vector under gamma_lr.
-    Its evaluation is the one train made before it called model.rank_split."""
+    Its evaluation is the one train made before it called model.rank_split.
+    Returns the result and (theta, trained kind) at each evaluation."""
     qids = task.split_queries("train")
     rng = np.random.default_rng(cfg.seed)
     k = encoder.theta.size
@@ -463,7 +478,7 @@ def _pre_change_train(task, encoder, cfg):
     rel_rows = [[task.doc_row(d) for d in task.relevant_of(q)] for q in qids]
     table = GradeTable(task.split_queries("val"), task.doc_ids, task.qrels)
     val_features = task.query_features[[task.query_row(q) for q in table.query_ids]]
-    log, snapshots = [], []
+    log, evals = [], []
 
     def record(step, loss):
         kind = trained_kind(cfg.loss.kind, params[k:])
@@ -471,7 +486,7 @@ def _pre_change_train(task, encoder, cfg):
         nq, nd = np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1)
         val = macro_mean(table.rank(similarity_matrix(kind, Q, D, (nq, nd)), depth=10).ndcg(10).tolist())
         log.append(model.TrainLogRow(step, loss, val, *kind.gammas, *model._mag_stats(nq), *model._mag_stats(nd)))
-        snapshots.append(Snapshot(step=step, params=params.copy(), val_ndcg10=val))
+        evals.append((encoder.theta.copy(), kind))
 
     step = 0
     for _ in range(cfg.epochs):
@@ -495,7 +510,7 @@ def _pre_change_train(task, encoder, cfg):
             step += 1
             if step % cfg.eval_every == 0 or step == total:
                 record(step, loss)
-    return model.TrainResult(encoder=encoder, log=log, snapshots=snapshots, best=None)
+    return model.TrainResult(encoder=encoder, log=log, best=None), evals
 
 
 class TestStepOracle:
@@ -512,13 +527,13 @@ class TestStepOracle:
         for tau in (1.0, 0.7):
             loss = LossConfig(kind=kind, tau=tau, alpha=20.0)
             cfg = _tiny_cfg(kind=kind, epochs=2, batch_size=7, eval_every=5, loss=loss)
-            _assert_same_training(train(task, init_encoder(8, h, 8, shared, seed=7), cfg),
+            _assert_same_training(_train_evals(task, init_encoder(8, h, 8, shared, seed=7), cfg),
                                   _pre_change_train(task, init_encoder(8, h, 8, shared, seed=7), cfg))
 
     def test_gamma_lr_run_is_the_pre_change_step_bitwise(self):
         task = gen_asymmetric(TINY)
         cfg = _tiny_cfg(kind=learnable(0.5, 0.5), gamma_lr=0.05, epochs=3)
-        _assert_same_training(train(task, init_encoder(8, 16, 8, True, seed=7), cfg),
+        _assert_same_training(_train_evals(task, init_encoder(8, 16, 8, True, seed=7), cfg),
                               _pre_change_train(task, init_encoder(8, 16, 8, True, seed=7), cfg))
 
     @pytest.mark.parametrize("shared", [False, True], ids=["towers", "shared"])
@@ -584,8 +599,10 @@ def _step_signals(enc, Xq, Xd, cfg):
 
 
 def _assert_same_training(got, want):
+    """Two (result, evaluations) pairs agree on every log row, every evaluation's state and the final theta."""
+    (got, got_evals), (want, want_evals) = got, want
     assert [dataclasses.astuple(r) for r in got.log] == [dataclasses.astuple(r) for r in want.log]
-    assert [s.params.tobytes() for s in got.snapshots] == [s.params.tobytes() for s in want.snapshots]
+    assert _bytes(got_evals) == _bytes(want_evals)
     assert got.encoder.theta.tobytes() == want.encoder.theta.tobytes()
 
 
@@ -630,12 +647,8 @@ class TestTraining:
 
     def test_bit_deterministic(self):
         task = gen_asymmetric(TINY)
-        ra = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
-        rb = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg())
-        assert ra.log == rb.log
-        for sa, sb in zip(ra.snapshots, rb.snapshots):
-            assert np.array_equal(sa.params, sb.params)
-        assert np.array_equal(ra.encoder.theta, rb.encoder.theta)
+        _assert_same_training(_train_evals(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg()),
+                              _train_evals(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg()))
 
     def test_learns_the_tiny_task(self):
         task = gen_asymmetric(TINY)
@@ -651,7 +664,6 @@ class TestTraining:
         steps = [row.step for row in result.log]
         assert steps == [0, 4, 8, 12]
         assert all(a < b for a, b in zip(steps, steps[1:]))
-        assert len(result.snapshots) == len(result.log)
 
     def test_final_partial_step_is_recorded(self):
         task = gen_asymmetric(TINY)
@@ -666,8 +678,8 @@ class TestTraining:
         assert result.log[0].gamma_q == 0.5 and result.log[0].gamma_d == 0.5
         for row in result.log:
             assert 0.0 < row.gamma_q < 1.0 and 0.0 < row.gamma_d < 1.0
-        moved = [s.params[-2:] for s in result.snapshots]
-        assert not np.array_equal(moved[0], moved[-1])
+        first, last = result.log[0], result.log[-1]
+        assert (first.gamma_q, first.gamma_d) != (last.gamma_q, last.gamma_d)
 
     def test_spelled_learnable_gammas_are_the_start(self):
         task = gen_asymmetric(TINY)
@@ -823,10 +835,9 @@ class TestTraining:
         slow = _tiny_cfg(kind=learnable(0.5, 0.5), epochs=1, gamma_lr=1e-6)
         rb = train(task, init_encoder(8, 16, 8, False, seed=7), base)
         rs = train(task, init_encoder(8, 16, 8, False, seed=7), slow)
-        # The last snapshot is the final step's parameters; its tail is the two logits.
-        k = rb.encoder.theta.size
-        db = np.abs(rb.snapshots[-1].params[k:]).sum()
-        ds = np.abs(rs.snapshots[-1].params[k:]).sum()
+        # The last log row holds the final step's gammas, which start at 0.5.
+        db = abs(rb.log[-1].gamma_q - 0.5) + abs(rb.log[-1].gamma_d - 0.5)
+        ds = abs(rs.log[-1].gamma_q - 0.5) + abs(rs.log[-1].gamma_d - 0.5)
         assert ds < db
 
 
@@ -863,8 +874,8 @@ class TestTaskMemo:
         train(task, init_encoder(8, 16, 8, False, seed=3), _tiny_cfg(kind=first, epochs=3, eval_every=2))
         for kind in (COSINE, QNORM):
             cfg = _tiny_cfg(kind=kind, epochs=2, batch_size=7, eval_every=5)
-            _assert_same_training(train(task, init_encoder(8, 16, 8, False, seed=7), cfg),
-                                  train(gen_asymmetric(TINY), init_encoder(8, 16, 8, False, seed=7), cfg))
+            _assert_same_training(_train_evals(task, init_encoder(8, 16, 8, False, seed=7), cfg),
+                                  _train_evals(gen_asymmetric(TINY), init_encoder(8, 16, 8, False, seed=7), cfg))
 
     def test_memo_arrays_are_read_only(self):
         index = gen_asymmetric(TINY).positive_index("train")
@@ -873,46 +884,86 @@ class TestTaskMemo:
                 array[0] = 0
 
 
+def _forced_vals(monkeypatch, kind, vals):
+    """A training evaluated at steps 0, 4, 8 and 12 whose val_ndcg10 are vals, forced through model.macro_mean."""
+    forced = iter(vals)
+    monkeypatch.setattr(model, "macro_mean", lambda values: next(forced))
+    task = gen_asymmetric(TINY)
+    cfg = _tiny_cfg(kind=kind, epochs=3, eval_every=4)
+    result, evals = _train_evals(task, init_encoder(8, 16, 8, False, seed=7), cfg)
+    assert [(row.step, row.val_ndcg10) for row in result.log] == list(zip([0, 4, 8, 12], vals))
+    return result, evals
+
+
+def _assert_best_is_evaluation(result, evals, kind, i):
+    """result.best is the state of evaluation i: its parameters, its step and its log row's loss."""
+    best, k = result.best, result.encoder.theta.size
+    theta, eval_kind = evals[i]
+    assert (best.step, best.loss) == (result.log[i].step, result.log[i].loss)
+    assert best.params[:k].tobytes() == theta.tobytes() and trained_kind(kind, best.params[k:]) == eval_kind
+    assert best.params.size == k + 2 * (kind.tag == "learnable") and best.moments.shape == (2, best.params.size)
+
+
 class TestSelectionAndSnapshots:
-    def _fake(self, steps_vals):
-        return [Snapshot(step=step, params=np.array([float(step)]), val_ndcg10=val) for step, val in steps_vals]
+    """train's running best, checked against the snapshot (theta, kind) taken at each evaluation."""
 
-    def test_max_val_wins(self):
-        assert select_checkpoint(self._fake([(0, 0.2), (10, 0.9), (20, 0.5)])).step == 10
+    def test_max_val_wins(self, monkeypatch):
+        for kind in (DOT, learnable(0.5, 0.5)):
+            for vals, i in (([0.2, 0.9, 0.5, 0.3], 1), ([0.1, 0.2, 0.3, 0.4], 3)):
+                _assert_best_is_evaluation(*_forced_vals(monkeypatch, kind, vals), kind, i)
 
-    def test_tie_goes_to_earliest(self):
-        assert select_checkpoint(self._fake([(0, 0.2), (10, 0.8), (20, 0.8)])).step == 10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_checkpoint([])
+    def test_tie_goes_to_earliest(self, monkeypatch):
+        for kind in (DOT, learnable(0.5, 0.5)):
+            for vals, i in (([0.2, 0.8, 0.5, 0.8], 1), ([0.5, 0.5, 0.5, 0.5], 0)):
+                _assert_best_is_evaluation(*_forced_vals(monkeypatch, kind, vals), kind, i)
 
     def test_snapshot_val_is_its_log_row(self):
-        # select_checkpoint reads each snapshot's own score, so it must be
-        # the float record wrote to the log row of the same step.
+        # Selection compares the floats in the log, so each evaluation's
+        # parameters must score exactly its row's val_ndcg10 again.
         task = gen_asymmetric(TINY)
-        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=2, eval_every=2))
-        assert [(s.step, s.val_ndcg10) for s in result.snapshots] == [(r.step, r.val_ndcg10) for r in result.log]
+        result, evals = _train_evals(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=2, eval_every=2))
+        assert len(evals) == len(result.log)
+        for (theta, kind), row in zip(evals, result.log):
+            result.encoder.theta[...] = theta
+            assert validation_ndcg(result.encoder, task, kind) == row.val_ndcg10
+
+    def test_evaluations_keep_no_parameter_copy(self):
+        # The running best is two buffers allocated once, so evaluating at
+        # every one of the 8 steps peaks no higher than evaluating at the
+        # first and the last; a parameter copy kept per evaluation would add 7.
+        task = gen_asymmetric(TINY)
+        peaks = []
+        for eval_every in (1, 10**9):
+            enc = init_encoder(8, 256, 64, False, seed=7)
+            tracemalloc.start()
+            try:
+                train(task, enc, _tiny_cfg(epochs=2, eval_every=eval_every))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] < 2 * enc.theta.nbytes
 
     @pytest.mark.parametrize("kind", [DOT, learnable(0.5, 0.5)], ids=["dot", "learnable"])
-    def test_restore_rewinds_parameters(self, kind):
+    def test_restore_rewinds_parameters(self, monkeypatch, kind):
+        # Written into the encoder, best.params score the val_ndcg10 logged
+        # at best.step, both for the selected step and for step 5, which the
+        # training moved on from (steps 0, 5, 8).
         task = gen_asymmetric(TINY)
-        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
-        best = select_checkpoint(result.snapshots)
-        # The best snapshot here is the last one, so step 5 is the one that
-        # actually rewinds the trained parameters.
-        k = result.encoder.theta.size
-        for snap in (result.snapshots[1], best):
-            gamma_hat = restore_snapshot(result.encoder, snap)
-            assert np.array_equal(result.encoder.theta, snap.params[:k])
-            assert np.array_equal(gamma_hat, snap.params[k:])
-            val = validation_ndcg(result.encoder, task, trained_kind(kind, gamma_hat))
-            assert val == pytest.approx(snap.val_ndcg10, abs=1e-12)
+        for forced in (None, 5):
+            if forced is not None:
+                _select_step(monkeypatch, forced)
+            result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
+            best, k = result.best, result.encoder.theta.size
+            if forced is not None:
+                assert best.step == forced and result.encoder.theta.tobytes() != best.params[:k].tobytes()
+            result.encoder.theta[...] = best.params[:k]
+            row = next(r for r in result.log if r.step == best.step)
+            assert validation_ndcg(result.encoder, task, trained_kind(kind, best.params[k:])) == row.val_ndcg10
 
 
 def _select_step(monkeypatch, step):
-    """Make select_checkpoint, and so train's running best, pick the given step."""
-    monkeypatch.setattr(model, "_selection_key", lambda snap: (snap.step == step, -snap.step))
+    """Make train's running best the evaluation at the given step."""
+    monkeypatch.setattr(model, "_selection_key", lambda row: (row.step == step, -row.step))
 
 
 class TestResume:
@@ -936,16 +987,16 @@ class TestResume:
 
         def run(at, state=None, encoder=None):
             _select_step(monkeypatch, at)
-            return train(task, encoder or init_encoder(8, 16, 8, False, seed=7), cfg, state)
+            return _train_evals(task, encoder or init_encoder(8, 16, 8, False, seed=7), cfg, state)
 
-        full = run(12)
+        full, full_evals = run(12)
         assert [row.step for row in full.log] == [0, 2, 4, 6, 8, 10, 12]
         k = full.encoder.theta.size
         for step in (0, 2, 4, 12):
-            start = run(step).best
+            start = run(step)[0].best
             path = tmp_path / f"ckpt_{step}.json"
             save_checkpoint(path, init_encoder(8, 16, 8, False, seed=7), start, {"kind": kind_name(kind)})
-            enc, loaded, _ = load_checkpoint(path, with_state=True)
+            enc, _, loaded, _ = load_checkpoint(path)
             assert (loaded.step, loaded.rng, loaded.loss) == (start.step, start.rng, start.loss) == (
                 step, start.rng, full.log[step // 2].loss)
             assert loaded.params.tobytes() == start.params.tobytes()
@@ -953,13 +1004,11 @@ class TestResume:
             if step == 0:
                 assert start.rng == np.random.default_rng(cfg.seed).bit_generator.state
                 assert not start.moments.any()
-            resumed = run(12, loaded, enc)
+            resumed, resumed_evals = run(12, loaded, enc)
             assert [dataclasses.astuple(r) for r in resumed.log] == [
                 dataclasses.astuple(r) for r in full.log if r.step >= step
             ]
-            assert [s.params.tobytes() for s in resumed.snapshots] == [
-                s.params.tobytes() for s in full.snapshots if s.step >= step
-            ]
+            assert _bytes(resumed_evals) == _bytes(e for e, r in zip(full_evals, full.log) if r.step >= step)
             assert resumed.encoder is enc and enc.theta.tobytes() == full.encoder.theta.tobytes()
             assert resumed.best.params.tobytes() == full.best.params.tobytes()
             assert resumed.best.params[k:].size == 2 * (kind.tag == "learnable")
@@ -968,12 +1017,13 @@ class TestResume:
                 12, full.best.rng, full.best.loss)
 
     def test_best_is_the_selected_snapshots_state(self):
+        # Unforced: best is the evaluation with the highest val_ndcg10, the
+        # earliest on a tie, and holds a copy, not the live parameters.
         task = gen_asymmetric(TINY)
-        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=3, eval_every=2))
-        best = select_checkpoint(result.snapshots)
-        assert result.best.params is best.params and result.best.step == best.step
-        assert result.best.loss == next(r.loss for r in result.log if r.step == best.step)
-        assert result.best.moments.shape == (2, best.params.size)
+        result, evals = _train_evals(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(epochs=3, eval_every=2))
+        i = max(range(len(result.log)), key=lambda j: (result.log[j].val_ndcg10, -j))
+        _assert_best_is_evaluation(result, evals, DOT, i)
+        assert not np.shares_memory(result.best.params, result.encoder.theta)
 
     def test_state_of_another_size_is_refused(self):
         # Under learnable a state is theta plus two logits; under dot theta alone.
@@ -1024,15 +1074,12 @@ class TestSerialization:
         path = tmp_path / "ckpt.json"
         echo = {"kind": "learnable:0.3,0.8", "seed": 7}
         save_checkpoint(path, enc, state, config_echo=echo)
-        enc2, kind, step, echo2 = load_checkpoint(path)
+        enc2, kind, loaded, echo2 = load_checkpoint(path)
         assert (enc2.m, enc2.h, enc2.n, enc2.shared) == (6, 8, 4, False)
         assert enc2.theta.tobytes() == enc.theta.tobytes()
         assert json.loads(path.read_text())["gamma_hat"] == [0.25, -1.5]
         assert kind == learnable(sigmoid(0.25), sigmoid(-1.5))
-        assert step == 42
         assert echo2 == echo
-        enc3, loaded, echo3 = load_checkpoint(path, with_state=True)
-        assert enc3.theta.tobytes() == enc.theta.tobytes() and echo3 == echo
         assert loaded.params.tobytes() == params.tobytes() and loaded.moments.tobytes() == moments.tobytes()
         assert (loaded.step, loaded.rng, loaded.loss) == (42, state.rng, 0.1 + 0.2)
 
@@ -1051,22 +1098,22 @@ class TestSerialization:
         assert load_checkpoint(path)[1] == kind
 
     @pytest.mark.parametrize("kind", [DOT, learnable(0.3, 0.8)], ids=["dot", "learnable"])
-    def test_checkpoint_gamma_hat_is_the_restored_tail(self, tmp_path, kind):
+    def test_checkpoint_gamma_hat_is_the_restored_tail(self, tmp_path, monkeypatch, kind):
         # A fixed kind has no tail and writes [0.0, 0.0]; a learnable kind
-        # writes the two logits of the state it saves, here the snapshot
-        # one before the last.
+        # writes the two logits of the state it saves, here the best state,
+        # forced to the evaluation one before the last (steps 0, 5, 8).
+        _select_step(monkeypatch, 5)
         task = gen_asymmetric(TINY)
         result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
-        k = result.encoder.theta.size
-        snap = result.snapshots[1]
+        best, k = result.best, result.encoder.theta.size
         path = tmp_path / "ckpt.json"
-        gamma_hat = restore_snapshot(result.encoder, snap)
-        save_checkpoint(path, result.encoder, _state(snap.params, snap.step), {"kind": kind_name(kind)})
+        save_checkpoint(path, result.encoder, best, {"kind": kind_name(kind)})
         written = json.loads(path.read_text())["gamma_hat"]
         if kind.tag == "learnable":
-            assert written == gamma_hat.tolist() != result.snapshots[-1].params[k:].tolist()
+            at_5, last = [(row.gamma_q, row.gamma_d) for row in result.log[1:]]
+            assert written == best.params[k:].tolist() and tuple(map(sigmoid, written)) == at_5 != last
         else:
-            assert snap.params.size == k and written == [0.0, 0.0]
+            assert best.params.size == k and written == [0.0, 0.0]
 
     def test_checkpoint_is_plain_json(self, tmp_path):
         # Standard base64 of little-endian float64 bytes, row-major, which
@@ -1124,7 +1171,7 @@ class TestSerialization:
         k, path = enc.theta.size, tmp_path / "ckpt.json"
         p = k + 2 * kind.startswith("learnable")
         save_checkpoint(path, enc, _state(np.concatenate([enc.theta, [0.0, 0.0][: p - k]])), {"kind": kind})
-        assert load_checkpoint(path, with_state=True)[1].moments.shape == (2, p)
+        assert load_checkpoint(path)[2].moments.shape == (2, p)
         payload = json.loads(path.read_text())
         for wrong in (2 * k + 4 - 2 * (p - k), 2 * p - 1):
             path.write_text(json.dumps({**payload, "moments": _blob(np.zeros(wrong))}))
@@ -1167,23 +1214,24 @@ class TestRankSplit:
         "kind", [COSINE, DOT, QNORM, DNORM, learnable(0.5, 0.5)], ids=lambda k: k.tag
     )
     def test_validation_ndcg_equals_the_per_query_oracle(self, kind):
-        # Every snapshot of a short training, through the oracle path the
+        # Every evaluation of a short training, through the oracle path the
         # matrix evaluator replaced: ranked_list per query, ndcg_at_k, and a
-        # sum in query order.  Exact ==, since select_checkpoint compares them.
+        # sum in query order.  Exact ==, since train's selection compares them.
         task = gen_asymmetric(TINY)
-        result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2, eval_every=2))
+        result, evals = _train_evals(task, init_encoder(8, 16, 8, False, seed=7),
+                                     _tiny_cfg(kind=kind, epochs=2, eval_every=2))
         qids = task.split_queries("val")
-        for snap in result.snapshots:
-            gamma_hat = restore_snapshot(result.encoder, snap)
+        assert len(evals) == len(result.log)
+        for (theta, step_kind), log_row in zip(evals, result.log):
+            result.encoder.theta[...] = theta
             D = forward(result.encoder, task.doc_features, "doc")
             Q = forward(result.encoder, task.query_features[[task.query_row(q) for q in qids]], "query")
-            step_kind = learnable(*map(sigmoid, gamma_hat)) if kind.tag == "learnable" else kind
             S = similarity_matrix(step_kind, Q, D)
             total = 0.0
             for qid, row in zip(qids, S):
                 total += ndcg_at_k(ranked_list(qid, zip(task.doc_ids, row.tolist())), task.qrels, 10)
-            assert validation_ndcg(result.encoder, task, trained_kind(kind, gamma_hat)) == total / len(qids)
-            assert snap.val_ndcg10 == total / len(qids)
+            assert validation_ndcg(result.encoder, task, step_kind) == total / len(qids)
+            assert log_row.val_ndcg10 == total / len(qids)
 
     def test_sigmoid_is_stable_at_extremes(self):
         assert sigmoid(800.0) == 1.0

@@ -1,4 +1,4 @@
-"""InfoNCE and symmetric-MSE objectives: frozen values and stability."""
+"""The InfoNCE objective: frozen values and stability."""
 
 import math
 
@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from magnorm import simcore
-from magnorm.errors import DegenerateBatch, DimensionMismatch, EmptyInput
+from magnorm.errors import DegenerateBatch, DimensionMismatch
 from magnorm.objective import (
     ContrastiveBatch,
     LossConfig,
     candidate_logits,
     infonce_loss,
-    mse_symmetric_loss,
     softmax_probs,
 )
 from magnorm.simcore import COSINE, DNORM, DOT, QNORM, learnable
 
 
-def plain_cfg(kind=DOT, tau=1.0, alpha=1.0, lam=0.01):
-    return LossConfig(kind=kind, tau=tau, alpha=alpha, lam=lam)
+def plain_cfg(kind=DOT, tau=1.0, alpha=1.0):
+    return LossConfig(kind=kind, tau=tau, alpha=alpha)
 
 
 class TestSoftmaxProbs:
@@ -117,26 +116,6 @@ class TestCandidateLogits:
         assert logits[1, 2] == pytest.approx(2.0 * simcore.similarity(DOT, Q[1], D[2]), rel=1e-14)
 
 
-class TestMseSymmetric:
-    def test_frozen_example(self):
-        # lam*s = 0.5 against target 1 gives squared residual 0.25.
-        cfg = LossConfig(kind=DOT, lam=0.5)
-        pairs = [([1.0, 0.0], [1.0, 0.0], 1.0)]
-        assert mse_symmetric_loss(pairs, cfg) == pytest.approx(0.25, rel=1e-14)
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            mse_symmetric_loss([], plain_cfg())
-
-    def test_mean_over_pairs(self):
-        cfg = LossConfig(kind=DOT, lam=1.0)
-        pairs = [
-            ([1.0, 0.0], [1.0, 0.0], 1.0),  # residual 0
-            ([1.0, 0.0], [3.0, 0.0], 1.0),  # residual 4
-        ]
-        assert mse_symmetric_loss(pairs, cfg) == pytest.approx(2.0, rel=1e-14)
-
-
 class TestEffectiveTemperature:
     def test_learnable_interpolates(self):
         """With gamma_d = 1 the query keeps |q|^(1 - gamma_q): cosine at tau / |q|^(1 - gamma_q)."""
@@ -170,7 +149,3 @@ class TestConfigValidation:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             LossConfig(kind=DOT, alpha=-1.0)
-
-    def test_rejects_nonpositive_lam(self):
-        with pytest.raises(ValueError):
-            LossConfig(kind=DOT, lam=0.0)

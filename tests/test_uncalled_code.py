@@ -29,11 +29,6 @@ SEARCHED = [
     ROOT / "tests" / "test_acceptance.py",
 ]
 
-# Kept without a caller: the symmetric-MSE objective and the rank
-# correlation are the objective and metric of the planned symmetric-task
-# study, which no command runs yet.
-KEEP = {"mse_symmetric_loss", "spearman"}
-
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
@@ -82,10 +77,4 @@ def uncalled() -> list:
 
 
 def test_every_definition_is_named_outside_itself():
-    flagged = uncalled()
-    assert [q for q in flagged if q.rsplit(".", 1)[-1] not in KEEP] == []
-
-
-def test_keep_holds_only_uncalled_names():
-    kept = {q.rsplit(".", 1)[-1] for q in uncalled()}
-    assert KEEP <= kept
+    assert uncalled() == []
