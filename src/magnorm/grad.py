@@ -13,14 +13,14 @@ its scores and gradients; a gamma-0 side skips every division by |v|**0,
 and a gamma-1 side the power |v|**1 and the product 1.0 * x.
 
 A central finite-difference oracle and a seeded gradcheck harness verify
-every analytic formula against numerics.  A pair is checked once, by
-sim_grad; the probes then run simcore.pair_score, the arithmetic
-similarity() runs, with the fixed side's norm taken once per pair, so
-they get similarity()'s bits and errors without its re-checks.
+every analytic formula against numerics, a block of trials of one dim at
+once, with a pair-by-pair loop's bits: _stack_grad over a diagonal pool,
+and each probe's dot and norm from np.dot's ddot in a stacked matmul.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,8 +92,8 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
         if 0.0 in (nq, nd):
             raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
     s = simcore.pair_score(kind, q, d, nq, nd)
-    dQ, dC, dgq, dgd = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, :])
-    return SimGradient(d_q=dQ[0], d_d=dC[0], d_gamma_q=dgq, d_gamma_d=dgd)
+    dQ, dC, *terms = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, :])
+    return SimGradient(dQ[0], dC[0], *_gamma_sums(*terms))
 
 
 def _row_norms(kind: SimilarityKind, Q: Array, C: Array) -> tuple:
@@ -107,9 +107,10 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
     """Gradients of sum_bk G[b, k] * s(Q[b], C[k]), S holding the scores s.
 
     Q is (B, n) and C a (K, n) pool every query scores: in-batch
-    positives, or sim_grad's 1x1 pool.  A candidate's gradient and
-    d_gamma_d sum over queries.  Returns (dQ, dC, d_gamma_q, d_gamma_d),
-    gammas None unless learnable.  norms is _row_norms(kind, Q, C), taken
+    positives, or sim_grad's 1x1 pool.  A candidate's gradient sums over
+    queries.  Returns (dQ, dC, tq, tc), tq[b] = ln|Q[b]| sum_k G[b, k] s_bk
+    the per-row terms of d_gamma_q = -sum(tq) (_gamma_sums), likewise tc,
+    both None unless learnable.  norms is _row_norms(kind, Q, C), taken
     here unless given.  A zero norm on a side divided here was already
     rejected by the scores S came from.
     """
@@ -136,7 +137,12 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
         dC -= (radial if gd == 1.0 else gd * radial) * C
     if not learn:
         return dQ, dC, None, None
-    return dQ, dC, float(-np.add.reduce(GS_q * np.log(nq))), float(-np.add.reduce(GS_c * np.log(nd)))
+    return dQ, dC, GS_q * np.log(nq), GS_c * np.log(nd)
+
+
+def _gamma_sums(tq, tc) -> tuple:
+    """d_gamma_q and d_gamma_d from _stack_grad's per-row terms, or (None, None)."""
+    return (None, None) if tq is None else (-float(np.add.reduce(tq)), -float(np.add.reduce(tc)))
 
 
 def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
@@ -162,8 +168,8 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
         if cfg.tau != 1.0:
             np.multiply(logits, cfg.tau, out=logits)
         S = np.divide(logits, cfg.alpha, out=logits)
-    dQ, dC, dgq, dgd = _stack_grad(cfg.kind, G, S, batch.queries, batch.positives, norms)
-    return InfoNCEGradients(loss, dQ, dC, dgq, dgd)
+    dQ, dC, *terms = _stack_grad(cfg.kind, G, S, batch.queries, batch.positives, norms)
+    return InfoNCEGradients(loss, dQ, dC, *_gamma_sums(*terms))
 
 
 def finite_difference(f, x, h: float = 1e-5) -> Array:
@@ -214,54 +220,109 @@ def gradcheck(
     tol: float = 1e-6,
     h: float = 1e-5,
 ) -> GradcheckReport:
-    """Compare sim_grad against finite differences over seeded random pairs.
+    """Compare _stack_grad's pair gradients (sim_grad's bits) with block finite differences.
 
-    Deterministic given seed (per-trial generators are spawned from one
-    seed sequence, so trials could run in any order or in parallel).
-    Fails iff any parameter group's relative error exceeds tol.  Each
-    pair is checked once; every probe runs the same arithmetic as
-    similarity(), so the errors carry its bits, and a gamma probe outside
+    Deterministic given seed: each trial's pair comes from its own
+    generator, spawned from one seed sequence.  Fails iff any parameter
+    group's relative error exceeds tol or is NaN.  A gamma probe outside
     [0, 1] raises ValueError as learnable() does.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    gq, gd = kind.gammas
-    learn = kind.tag == "learnable"
-    groups = {"q": 0.0, "d": 0.0}
-    if learn:
-        groups["gamma_q"] = 0.0
-        groups["gamma_d"] = 0.0
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for child in children:
-        rng = np.random.default_rng(child)
-        dim = int(rng.integers(2, 9))
-        q = _well_conditioned(rng, dim)
-        d = _well_conditioned(rng, dim)
-        g = sim_grad(kind, q, d)
-        # sim_grad checked the pair; each probe runs only pair_score, with
-        # the fixed side's norm taken here once, or not at all at gamma 0.
-        nq, nd = (simcore.norm(v) if gamma > 0.0 else None for v, gamma in ((q, gq), (d, gd)))
-        num_q = finite_difference(lambda x: simcore.pair_score(kind, x, d, None, nd), q.copy(), h)
-        num_d = finite_difference(lambda x: simcore.pair_score(kind, q, x, nq, None), d.copy(), h)
-        groups["q"] = max(groups["q"], rel_error(g.d_q, num_q))
-        groups["d"] = max(groups["d"], rel_error(g.d_d, num_d))
-        if learn:
+    gq, gd = gammas = kind.gammas
+    names = ("q", "d", "gamma_q", "gamma_d") if kind.tag == "learnable" else ("q", "d")
+    groups = dict.fromkeys(names, 0.0)
 
-            def s_of_gammas(gm):
-                return simcore.pair_score(simcore.learnable(gm[0], gm[1]), q, d, nq, nd)
+    def pairs():
+        spawner = np.random.SeedSequence(seed)
+        for _ in range(trials):
+            rng = np.random.default_rng(spawner.spawn(1)[0])
+            dim = int(rng.integers(2, 9))
+            yield _well_conditioned(rng, dim), _well_conditioned(rng, dim)
 
-            num_g = finite_difference(s_of_gammas, np.array([gq, gd]), h)
-            groups["gamma_q"] = max(groups["gamma_q"], rel_error(g.d_gamma_q, num_g[0]))
-            groups["gamma_d"] = max(groups["gamma_d"], rel_error(g.d_gamma_d, num_g[1]))
-    worst = max(groups.values())
+    for Q, D in _probe_blocks(pairs()):
+        t, nq, nd = _row_dots(Q, D), np.sqrt(_row_dots(Q, Q)), np.sqrt(_row_dots(D, D))
+        S = np.diag(simcore.divide_by_norms(gammas, t, nq, nd))
+        dQ, dD, tq, td = _stack_grad(kind, np.eye(len(t)), S, Q, D)
+        errors = [rel_error(dQ, _vector_differences(gammas, Q, D, nd, h, True))]
+        errors.append(rel_error(dD, _vector_differences(gammas, D, Q, nq, h, False)))
+        if tq is not None:
+            num_g = _gamma_differences(gq, gd, t, nq, nd, h)
+            errors += [rel_error(-tq, num_g[:, 0]), rel_error(-td, num_g[:, 1])]
+        for name, err in zip(names, errors):
+            groups[name] = float(np.maximum(groups[name], err))  # max() would drop a NaN
+    worst = float(np.max(list(groups.values())))
     return GradcheckReport(
         kind=simcore.kind_name(kind),
         trials=trials,
         seed=seed,
         max_rel_err=worst,
         passed=worst <= tol,
-        group_errors=dict(groups),
+        group_errors=groups,
     )
+
+
+def gamma_check(draws) -> tuple:
+    """Learnable gamma gradients of (q, d, gamma_q, gamma_d) draws: (worst rel_error
+    against finite differences of step 1e-5, whether each is -ln|v| s within 1e-12).  _stack_grad's
+    gamma terms read the gammas only through the scores: one learnable kind serves all."""
+    worst, ok = 0.0, True
+    for Q, D, gq, gd in _probe_blocks(draws):
+        t, nq, nd = _row_dots(Q, D), np.sqrt(_row_dots(Q, Q)), np.sqrt(_row_dots(D, D))
+        s = simcore.divide_by_norms((gq, gd), t, nq, nd)
+        tq, td = _stack_grad(simcore.learnable(0.0, 0.0), np.eye(len(s)), np.diag(s), Q, D)[2:]
+        ok = ok and all(np.all(np.abs(np.log(n) * s - terms) <= 1e-12) for n, terms in ((nq, tq), (nd, td)))
+        err = rel_error(-np.stack([tq, td], axis=1), _gamma_differences(gq, gd, t, nq, nd, 1e-5))
+        worst = float(np.maximum(worst, err))
+    return worst, ok
+
+
+# Trials per block of gradcheck and gamma_check, so memory stays flat in the trial count.
+PROBE_BLOCK = 128
+
+
+def _probe_blocks(draws):
+    """The draws, tuples led by a 1-d vector, PROBE_BLOCK at a time, grouped by
+    that vector's dim in order of first appearance: each group's entries stacked."""
+    draws = iter(draws)
+    while block := list(itertools.islice(draws, PROBE_BLOCK)):
+        for dim in dict.fromkeys(row[0].size for row in block):
+            yield [np.array(column) for column in zip(*(row for row in block if row[0].size == dim))]
+
+
+def _row_dots(A: Array, B: Array) -> Array:
+    """np.dot of each row pair of A and B, broadcast, bit for bit: one ddot per row."""
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
+
+
+def _vector_differences(gammas, V: Array, W: Array, nw: Array, h: float, query: bool) -> Array:
+    """Central differences (T, n) in V's rows of their scores against W's rows of norm nw,
+    pair_score's at each probe point; query says whether V holds the queries."""
+    X = np.repeat(V[:, None, None, :], V.shape[1], axis=1).repeat(2, axis=2)  # (T, n, +-h, n)
+    i = np.arange(V.shape[1])
+    X[:, i, 0, i] += h
+    X[:, i, 1, i] -= h
+    nx, nw = np.sqrt(_row_dots(X, X)), nw[:, None, None]
+    S = simcore.divide_by_norms(gammas, _row_dots(X, W[:, None, None]), *((nx, nw) if query else (nw, nx)))
+    return _differences(S, h)
+
+
+def _differences(S: Array, h: float) -> Array:
+    """finite_difference's (f(x + h e_i) - f(x - h e_i)) / 2h, and its error, from probe scores S (..., 2)."""
+    finite = np.isfinite(S).all(axis=-1)
+    if not finite.all():
+        raise NonFiniteEvaluation(f"non-finite probe at coordinate {np.argwhere(~finite)[0, -1]}")
+    return (S[..., 0] - S[..., 1]) / (2.0 * h)
+
+
+def _gamma_differences(gq, gd, t: Array, nq: Array, nd: Array, h: float) -> Array:
+    """Central differences (T, 2) of t / (nq**gq * nd**gd) in the gammas, floats or per-row
+    arrays; a probe outside [0, 1] raises learnable()'s ValueError."""
+    probes = ((gq + h, gd), (gq - h, gd), (gq, gd + h), (gq, gd - h))
+    for a, b in probes:
+        simcore.learnable(np.min(a), np.min(b)), simcore.learnable(np.max(a), np.max(b))
+    S = np.stack([simcore.divide_by_norms(g, t, nq, nd) for g in probes], axis=-1)
+    return _differences(S.reshape(-1, 2, 2), h)
 
 
 def _well_conditioned(rng, dim: int, min_norm: float = 0.3) -> Array:

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from magnorm import cli, diagnostics, model
+from magnorm import cli, diagnostics, grad, model
 from magnorm.cli import load_config, main
 from magnorm.datagen import TASK_FILES, load_task
 from magnorm.model import TRAINLOG_HEADER, forward, load_checkpoint
@@ -1024,6 +1024,20 @@ class TestVerify:
             "  planted residual",
             "FAILED: planted",
         ]
+
+    def test_nan_gradient_error_exits_one(self, monkeypatch, capsys):
+        real = grad._stack_grad
+
+        def nan_stack_grad(kind, G, S, Q, C, norms=None):
+            dQ, dC, *terms = real(kind, G, S, Q, C, norms)
+            return dQ * np.nan, dC, *(None if t is None else t * np.nan for t in terms)
+
+        monkeypatch.setattr(grad, "_stack_grad", nan_stack_grad)
+        assert main(["verify", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "gamma-gradient                 nan  1e-6        FAIL" in lines
+        assert "gradcheck                      nan  1e-6        FAIL" in lines
+        assert lines[-1] == "FAILED: gamma-gradient, gradcheck"
 
     def test_zero_trials_is_config_error(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2

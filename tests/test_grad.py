@@ -1,5 +1,6 @@
 """Analytic gradients against finite differences and spectral identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from magnorm import diagnostics, simcore
 from magnorm import grad as grad_module
 from magnorm.errors import NonFiniteEvaluation, ZeroMagnitude
 from magnorm.grad import (
+    PROBE_BLOCK,
+    _gamma_sums,
+    _row_dots,
     _row_norms,
     _stack_grad,
     _well_conditioned,
@@ -295,7 +299,7 @@ class TestCandidateLayouts:
         rng = np.random.default_rng(71)
         for _ in range(300):
             G, S, Q, D = _random_pool(rng, kind)
-            got = _stack_grad(kind, G, S, Q, D)
+            got = _summed(_stack_grad(kind, G, S, Q, D))
             want = _pre_fold_pool_grad(kind, G, S, Q, D)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[2:] == want[2:]
@@ -327,6 +331,12 @@ def _unskipped_stack_grad(kind, G, S, Q, C):
     return dQ, dC, float(-(GS_q * np.log(nq)).sum()), float(-(GS_c * np.log(nd)).sum())
 
 
+def _summed(grads):
+    """_stack_grad's (dQ, dC, per-row gamma terms) as (dQ, dC, d_gamma_q, d_gamma_d)."""
+    dQ, dC, *terms = grads
+    return dQ, dC, *_gamma_sums(*terms)
+
+
 def _as_bytes(grads):
     """(dQ, dC, d_gamma_q, d_gamma_d) as bytes, so -0.0 and NaN payloads count."""
     return [None if x is None else np.asarray(x, dtype=np.float64).tobytes() for x in grads]
@@ -350,8 +360,8 @@ class TestGammaZeroSkip:
             D = np.vstack([_safe_vec(rng, dim) * rng.lognormal(0.0, 1.0) for _ in range(B)])
             G, S = rng.standard_normal((B, B)), simcore.similarity_matrix(kind, Q, D)
             want = _as_bytes(_unskipped_stack_grad(kind, G, S, Q, D))
-            assert _as_bytes(_stack_grad(kind, G, S, Q, D)) == want
-            assert _as_bytes(_stack_grad(kind, G, S, Q, D, _row_norms(kind, Q, D))) == want
+            assert _as_bytes(_summed(_stack_grad(kind, G, S, Q, D))) == want
+            assert _as_bytes(_summed(_stack_grad(kind, G, S, Q, D, _row_norms(kind, Q, D)))) == want
 
     @pytest.mark.parametrize("kind", SKIP_KINDS, ids=simcore.kind_name)
     def test_infonce_grad_is_the_unskipped_formula_bitwise(self, kind):
@@ -402,6 +412,65 @@ class TestGradcheck:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             gradcheck(DOT, trials=0, seed=0)
+
+
+class TestNanErrorsFail:
+    """A NaN relative error fails its group; max() would pass it over."""
+
+    @staticmethod
+    def _nan_gradients(monkeypatch):
+        real = grad_module._stack_grad
+
+        def nan_stack_grad(kind, G, S, Q, C, norms=None):
+            dQ, dC, *terms = real(kind, G, S, Q, C, norms)
+            return dQ * np.nan, dC, *(None if t is None else t * np.nan for t in terms)
+
+        monkeypatch.setattr(grad_module, "_stack_grad", nan_stack_grad)
+
+    @pytest.mark.parametrize("kind", (COSINE, learnable(0.3, 0.8)), ids=simcore.kind_name)
+    def test_gradcheck_fails_a_nan_group(self, kind, monkeypatch):
+        self._nan_gradients(monkeypatch)
+        report = gradcheck(kind, trials=5, seed=0)
+        assert not report.passed and math.isnan(report.max_rel_err)
+        assert math.isnan(report.group_errors["q"]) and report.group_errors["d"] <= 1e-6
+        if kind.tag == "learnable":
+            assert math.isnan(report.group_errors["gamma_q"]) and math.isnan(report.group_errors["gamma_d"])
+
+    def test_suites_fail_a_nan_error(self, monkeypatch):
+        self._nan_gradients(monkeypatch)
+        for suite in (diagnostics.suite_gamma_grad, diagnostics.suite_gradcheck):
+            result = suite(np.random.default_rng(0), 5, 0)
+            assert not result.ok and math.isnan(result.err)
+
+
+class TestStackedDots:
+    """The property the block probes rest on: a stacked (..., 1, n) @ (..., n, 1)
+    matmul runs np.dot's ddot per row, and the sqrt of a row's self-dot is
+    simcore.norm, bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_stacked_matmul_is_np_dot_and_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        A = rng.standard_normal((400, dim)) * rng.lognormal(0.0, 2.0, (400, 1))
+        B = rng.standard_normal((400, dim))
+        dots = (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+        self_dots = (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+        assert dots.tobytes() == np.array([np.dot(a, b) for a, b in zip(A, B)]).tobytes()
+        assert np.sqrt(self_dots).tobytes() == np.array([simcore.norm(a) for a in A]).tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_row_dots_of_probe_points_against_a_broadcast_side(self, dim):
+        # The probes' layout: T trials, n coordinates, +h and -h, against
+        # each trial's fixed side, and that side against them.
+        rng = np.random.default_rng(100 + dim)
+        X, B = rng.standard_normal((30, dim, 2, dim)), rng.standard_normal((30, dim))
+        dots = _row_dots(X, B[:, None, None])
+        flat = X.reshape(30, -1, dim)
+        assert dots.shape == (30, dim, 2)
+        assert dots.tobytes() == np.array([[np.dot(x, b) for x in xs] for xs, b in zip(flat, B)]).tobytes()
+        assert _row_dots(B[:, None, None], X).tobytes() == dots.tobytes()
+        norms = np.sqrt(_row_dots(X, X))
+        assert norms.tobytes() == np.array([[simcore.norm(x) for x in xs] for xs in flat]).tobytes()
 
 
 def _checked_finite_difference(f, x, h=1e-5):
@@ -460,12 +529,14 @@ def _checked_gradcheck(kind, trials, seed, arrays, h=1e-5):
     return groups
 
 
-def _checked_suite_gamma_grad(rng, trials, arrays):
-    """diagnostics.suite_gamma_grad with every probe a _checked_similarity call."""
+def _checked_suite_gamma_grad(rng, trials, arrays, dims):
+    """diagnostics.suite_gamma_grad with every probe a _checked_similarity call;
+    each trial's differences land in arrays and its dim in dims."""
     worst_rel = 0.0
     ok = True
     for _ in range(trials):
         dim = int(rng.integers(2, 9))
+        dims.append(dim)
         q = diagnostics._rand_vec(rng, dim)
         d = diagnostics._rand_vec(rng, dim)
         gq = float(rng.uniform(0.05, 0.95))
@@ -485,15 +556,68 @@ def _checked_suite_gamma_grad(rng, trials, arrays):
 
 
 def _recording(monkeypatch) -> list:
-    """Every array grad.finite_difference returns from here on, in call order."""
-    arrays, real = [], grad_module.finite_difference
+    """Every block of central differences the batched probes compute from here on, in call order."""
+    blocks, real = [], grad_module._differences
 
-    def recording(f, x, h=1e-5):
-        arrays.append(real(f, x, h))
-        return arrays[-1]
+    def recording(S, h):
+        blocks.append(real(S, h))
+        return blocks[-1]
 
-    monkeypatch.setattr(grad_module, "finite_difference", recording)
-    return arrays
+    monkeypatch.setattr(grad_module, "_differences", recording)
+    return blocks
+
+
+def _in_trial_order(blocks, dims, per_group):
+    """The recorded blocks' rows, one array per trial and probe group, in trial order.
+
+    The batched path takes PROBE_BLOCK trials at a time and groups them by
+    dim in order of first appearance; each group computes per_group blocks
+    (q, d, then the gammas), a row per trial.  dims are the trials' dims.
+    """
+    blocks, rows = iter(blocks), {}
+    for start in range(0, len(dims), PROBE_BLOCK):
+        trials = range(start, min(start + PROBE_BLOCK, len(dims)))
+        for dim in dict.fromkeys(dims[i] for i in trials):
+            group = [i for i in trials if dims[i] == dim]
+            for block in itertools.islice(blocks, per_group):
+                for i, row in zip(group, block):
+                    rows.setdefault(i, []).append(row)
+    return [row for i in sorted(rows) for row in rows[i]]
+
+
+def _assert_gradcheck_is_checked(kind, trials, seed, monkeypatch):
+    """gradcheck's group errors, or its error, and every trial's differences are the checked form's."""
+    want_arrays = []
+    want = _result(_checked_gradcheck, kind, trials, seed, want_arrays)
+    blocks = _recording(monkeypatch)
+    got = _result(lambda: gradcheck(kind, trials=trials, seed=seed).group_errors)
+    assert got == want
+    per_trial = 3 if kind.tag == "learnable" else 2
+    got_arrays = _in_trial_order(blocks, [a.size for a in want_arrays[::per_trial]], per_trial)
+    if isinstance(got, tuple):
+        # At a corner the first trial's gamma probe raises, after its q and d
+        # probes.  Those come in blocks over the first dim group, so that
+        # group's q and d rows are all computed first; only the first
+        # trial's are the checked form's.
+        assert len(want_arrays) == 2
+        children = np.random.SeedSequence(seed).spawn(trials)
+        dims = [int(np.random.default_rng(c).integers(2, 9)) for c in children]
+        first_group = dims[:PROBE_BLOCK].count(dims[0])
+        assert [len(block) for block in blocks] == [first_group, first_group]
+        got_arrays = got_arrays[:2]
+    else:
+        assert sum(map(len, blocks)) == len(got_arrays) == trials * per_trial
+    assert _as_bytes(got_arrays) == _as_bytes(want_arrays)
+
+
+def _assert_suite_is_checked(seed, trials, monkeypatch):
+    want_arrays, dims = [], []
+    want = _checked_suite_gamma_grad(np.random.default_rng([seed, 5]), trials, want_arrays, dims)
+    blocks = _recording(monkeypatch)
+    got = diagnostics.suite_gamma_grad(np.random.default_rng([seed, 5]), trials)
+    assert got == want and got.err.hex() == want.err.hex()
+    assert sum(map(len, blocks)) == trials
+    assert _as_bytes(_in_trial_order(blocks, dims, 1)) == _as_bytes(want_arrays)
 
 
 def _result(f, *args):
@@ -511,32 +635,52 @@ PROBE_KINDS = (COSINE, DOT, QNORM, DNORM, learnable(0.3, 0.8), learnable(0.0, 0.
 
 
 class TestLeanProbes:
-    """Probes that run only pair_score give every bit, and every error, of
-    probes that re-check the pair and take both norms on every call."""
+    """Block probes give every bit, and every error, of a pair-by-pair loop
+    whose probes re-check the pair and take both norms on every call."""
 
     @pytest.mark.parametrize("seed", (0, 1, 5))
     @pytest.mark.parametrize("kind", PROBE_KINDS, ids=simcore.kind_name)
     def test_gradcheck_is_the_checked_form_bitwise(self, kind, seed, monkeypatch):
-        want_arrays = []
-        want = _result(_checked_gradcheck, kind, 25, seed, want_arrays)
-        got_arrays = _recording(monkeypatch)
-        got = _result(lambda: gradcheck(kind, trials=25, seed=seed).group_errors)
-        assert got == want
-        assert _as_bytes(got_arrays) == _as_bytes(want_arrays)
-        # q and d per trial, and the gammas under learnable; at a corner the
-        # first trial's gamma probe raises.
-        per_trial = 3 if kind.tag == "learnable" else 2
-        assert len(got_arrays) == (2 if isinstance(got, tuple) else 25 * per_trial)
+        _assert_gradcheck_is_checked(kind, 25, seed, monkeypatch)
+
+    @pytest.mark.parametrize("trials", (1, PROBE_BLOCK + 1))
+    @pytest.mark.parametrize("kind", PROBE_KINDS, ids=simcore.kind_name)
+    def test_gradcheck_block_edges_are_the_checked_form_bitwise(self, kind, trials, monkeypatch):
+        _assert_gradcheck_is_checked(kind, trials, 3, monkeypatch)
 
     @pytest.mark.parametrize("seed", (0, 1, 5))
     def test_suite_gamma_grad_is_the_checked_form_bitwise(self, seed, monkeypatch):
-        want_arrays = []
-        want = _checked_suite_gamma_grad(np.random.default_rng([seed, 5]), 60, want_arrays)
-        got_arrays = _recording(monkeypatch)
-        got = diagnostics.suite_gamma_grad(np.random.default_rng([seed, 5]), 60)
+        _assert_suite_is_checked(seed, 60, monkeypatch)
+
+    @pytest.mark.parametrize("trials", (1, PROBE_BLOCK + 1))
+    def test_suite_gamma_grad_block_edges_are_the_checked_form_bitwise(self, trials, monkeypatch):
+        _assert_suite_is_checked(2, trials, monkeypatch)
+
+    @pytest.mark.parametrize("pair", ("edge-other", "other-edge", "huge-huge"))
+    @pytest.mark.parametrize("kind", PROBE_KINDS, ids=simcore.kind_name)
+    def test_block_probe_errors_are_the_checked_forms(self, kind, pair, monkeypatch):
+        # Every trial draws the pair.  An edge side's -h probe of coordinate
+        # 0 lands on the origin, which raises ZeroMagnitude where that side's
+        # gamma is positive; a huge pair's q.d overflows to inf, so a probe
+        # scores inf or inf / inf and raises NonFiniteEvaluation.
+        vectors = {"edge": [1e-5, 0.0], "other": [0.6, -0.8], "huge": [1e200, -1e200]}
+        sides = [np.array(vectors[side]) for side in pair.split("-")]
+        calls = itertools.count()
+
+        def well_conditioned(rng, dim):
+            return sides[next(calls) % 2].copy()
+
+        monkeypatch.setattr(grad_module, "_well_conditioned", well_conditioned)
+        monkeypatch.setitem(globals(), "_well_conditioned", well_conditioned)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _result(_checked_gradcheck, kind, 3, 0, [])
+            got = _result(lambda: gradcheck(kind, trials=3, seed=0).group_errors)
         assert got == want
-        assert _as_bytes(got_arrays) == _as_bytes(want_arrays)
-        assert len(got_arrays) == 60
+        raised = got[0] if isinstance(got, tuple) else None
+        if pair == "huge-huge":
+            assert raised is NonFiniteEvaluation
+        else:
+            assert (raised is ZeroMagnitude) == (kind.gammas[pair.split("-").index("edge")] > 0.0)
 
     def test_gamma_probe_outside_the_square_raises(self):
         with pytest.raises(ValueError, match=r"gamma_q must lie in \[0, 1\]"):
