@@ -3,8 +3,9 @@
 
 Runs, in process and in this order: gen, train, eval of every checkpoint,
 diagnose of all checkpoints, train --resume of the learnable checkpoint
-(else the first kind's), sweep into a second directory, and verify
---trials 200 at seeds 0, 1 and 2.  Prints each step's exit code with the
+(else the first kind's), sweep into a second directory, verify --trials
+200 at seeds 0, 1 and 2, and verify at the edges of the suites' blocks of
+128 trials: --trials 1 --seed 3 and --trials 129 --seed 4.  Prints each step's exit code with the
 sha256 of its stdout, the output directory masked as <out>, then
 "relpath sha256" for every artifact.  Two runs of one commit print the
 same lines, and so do a commit and its parent when a change keeps every
@@ -51,6 +52,8 @@ def _steps(config: str, run: str, sweep: str, cfg) -> list:
     steps.append((f"resume {os.path.basename(resume)}", ["train", *common, "--resume", resume]))
     steps.append(("sweep", ["sweep", "--config", config, "--out", sweep]))
     steps += [(f"verify seed {seed}", ["verify", "--trials", "200", "--seed", str(seed)]) for seed in (0, 1, 2)]
+    for trials, seed in ((1, 3), (129, 4)):
+        steps.append((f"verify trials {trials} seed {seed}", ["verify", "--trials", str(trials), "--seed", str(seed)]))
     return steps
 
 

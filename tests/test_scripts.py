@@ -47,7 +47,7 @@ def test_artifact_digests_repeat(tmp_path, capsys):
     assert steps == [
         "gen", "train", "eval checkpoint_dot_0.json", "eval checkpoint_learnable_0.json",
         "diagnose", "resume checkpoint_learnable_0.json", "sweep",
-        "verify seed 0", "verify seed 1", "verify seed 2",
+        "verify seed 0", "verify seed 1", "verify seed 2", "verify trials 1 seed 3", "verify trials 129 seed 4",
     ]
     assert all(": exit 0 stdout " in line for line in runs[0][: len(steps)])
     # 5 task files, 2 checkpoints, 2 trainlogs, 2 runs, 2 metrics, 2 diagnostics
