@@ -226,38 +226,39 @@ def suite_ranking(rng, trials: int, seed: int) -> SuiteResult:
     return SuiteResult(0.0 if verdict.all_ok else 1.0, "exact", verdict.all_ok, verdict.counterexample)
 
 
-def suite_corners(rng, trials: int, _seed=None) -> SuiteResult:
-    """Each discrete kind equals learnable at its corner gammas."""
-    discrete = (simcore.COSINE, simcore.DOT, simcore.QNORM, simcore.DNORM)
-    worst = 0.0
+def _pair_draws(rng, trials: int):
+    """Each trial's dim in [2, 16], then its two _rand_vec sides, drawn one trial at a time."""
     for _ in range(trials):
         dim = int(rng.integers(2, 17))
-        q = _rand_vec(rng, dim)
-        d = _rand_vec(rng, dim)
-        for kind in discrete:
-            a = simcore.similarity(simcore.learnable(*kind.gammas), q, d)
-            b = simcore.similarity(kind, q, d)
-            worst = max(worst, abs(a - b))
+        yield _rand_vec(rng, dim), _rand_vec(rng, dim)
+
+
+def suite_corners(rng, trials: int, _seed=None) -> SuiteResult:
+    """Each discrete kind equals learnable at its corner gammas."""
+    worst = 0.0
+    for Q, D in grad._probe_blocks(_pair_draws(rng, trials)):
+        for kind in (simcore.COSINE, simcore.DOT, simcore.QNORM, simcore.DNORM):
+            a = simcore.row_scores(simcore.learnable(*kind.gammas).gammas, Q, D)[0]
+            b = simcore.row_scores(kind.gammas, Q, D)[0]
+            worst = float(np.maximum(worst, np.max(np.abs(a - b))))  # max() would drop a NaN
     return SuiteResult(worst, "1e-12", worst <= 1e-12)
 
 
 def suite_symmetry(rng, trials: int, _seed=None) -> SuiteResult:
     """Cosine and dot are exactly symmetric; qnorm's asymmetry is (|b| - |a|) cos."""
     exact = identity = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 17))
-        a = _rand_vec(rng, dim)
-        b = _rand_vec(rng, dim)
+    for A, B in grad._probe_blocks(_pair_draws(rng, trials)):
         for kind in (simcore.COSINE, simcore.DOT):
-            x, y = simcore.similarity(kind, a, b), simcore.similarity(kind, b, a)
-            if x != y:  # a NaN compares unequal, but max() would pass it over
-                exact = max(exact, math.inf if math.isnan(x - y) else abs(x - y))
-        na, nb, cos = simcore.decompose(a, b)
-        asym = simcore.similarity(simcore.QNORM, a, b) - simcore.similarity(simcore.QNORM, b, a)
-        identity = max(identity, abs(asym - (nb - na) * cos))
+            x, y = simcore.row_scores(kind.gammas, A, B)[0], simcore.row_scores(kind.gammas, B, A)[0]
+            gap = np.abs(x - y)[x != y]
+            exact = float(np.max(np.where(np.isnan(gap), np.inf, gap), initial=exact))  # a NaN side reads inf
+        s, t, na, nb = simcore.row_scores(simcore.QNORM.gammas, A, B)
+        cos = np.clip(t / (na * nb), -1.0, 1.0)
+        asym = s - simcore.row_scores(simcore.QNORM.gammas, B, A)[0]
+        identity = float(np.maximum(identity, np.max(np.abs(asym - (nb - na) * cos))))
     note = None if exact == 0.0 else f"cosine/dot asymmetry {exact:.3e} (must be exactly 0)"
     ok = exact == 0.0 and identity <= 1e-12
-    return SuiteResult(max(exact, identity), "1e-12", ok, note, {"cosine/dot": exact, "qnorm": identity})
+    return SuiteResult(float(np.maximum(exact, identity)), "1e-12", ok, note, {"cosine/dot": exact, "qnorm": identity})
 
 
 def suite_jacobian(rng, trials: int, _seed=None) -> SuiteResult:
@@ -272,10 +273,11 @@ def suite_jacobian(rng, trials: int, _seed=None) -> SuiteResult:
             r_idem = float(np.abs(P @ P - P).max())
             r_null = simcore.norm(P @ vhat)
             r_trace = abs(float(np.trace(P)) - (n - 1))
-            tight = max(tight, r_idem, r_null)
-            trace = max(trace, r_trace)
+            tight = float(np.max([tight, r_idem, r_null]))  # max() would drop a NaN
+            trace = float(np.maximum(trace, r_trace))
             ok = ok and r_idem <= 1e-12 and r_null <= 1e-12 and r_trace <= 1e-9
-    return SuiteResult(max(tight, trace), "1e-12/1e-9", ok, None, {"idempotency/null": tight, "trace": trace})
+    parts = {"idempotency/null": tight, "trace": trace}
+    return SuiteResult(float(np.maximum(tight, trace)), "1e-12/1e-9", ok, None, parts)
 
 
 def suite_radial(rng, trials: int, _seed=None) -> SuiteResult:
@@ -290,8 +292,8 @@ def suite_radial(rng, trials: int, _seed=None) -> SuiteResult:
         for i in range(B):
             gn = simcore.norm(g.d_queries[i])
             qn = simcore.norm(Q[i])
-            if gn > 0.0:
-                worst = max(worst, abs(float(g.d_queries[i] @ Q[i])) / (gn * qn))
+            if gn != 0.0:  # a NaN gradient is checked, and fails
+                worst = float(np.maximum(worst, abs(float(g.d_queries[i] @ Q[i])) / (gn * qn)))
     return SuiteResult(worst, "1e-10", worst <= 1e-10)
 
 

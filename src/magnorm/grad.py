@@ -2,20 +2,20 @@
 
 Everything here is hand-derived; there is no autodiff engine.  One
 formula, _stack_grad, serves the whole family for a pool of candidates
-shared by every query: in-batch InfoNCE's positives, and sim_grad's
-single document.  The normalization Jacobian d(v/|v|)/dv =
-(I - vv^T/|v|^2)/|v| factors as the tangent-space projector
-P_v = I - vhat vhat^T divided by the norm.  P_v is symmetric,
-idempotent, annihilates the radial direction, and has trace n - 1.
-A side's row norms are taken only if its gamma is positive or under
+shared by every query: in-batch InfoNCE's positives, sim_grad's single
+document, and a diagonal pool for gradcheck's block of trials.  The
+normalization Jacobian d(v/|v|)/dv = (I - vv^T/|v|^2)/|v| factors as the
+tangent-space projector P_v = I - vhat vhat^T divided by the norm.  P_v is
+symmetric, idempotent, annihilates the radial direction, and has trace
+n - 1.  A side's row norms are taken only if its gamma is positive or under
 learnable (whose gamma gradients need ln|v|), by infonce_grad once for
 its scores and gradients; a gamma-0 side skips every division by |v|**0,
 and a gamma-1 side the power |v|**1 and the product 1.0 * x.
 
 A central finite-difference oracle and a seeded gradcheck harness verify
 every analytic formula against numerics, a block of trials of one dim at
-once, with a pair-by-pair loop's bits: _stack_grad over a diagonal pool,
-and each probe's dot and norm from np.dot's ddot in a stacked matmul.
+once: _stack_grad over a diagonal pool, and every probe point scored by
+simcore.row_scores, the scorer similarity() runs on one row.
 """
 
 from __future__ import annotations
@@ -84,15 +84,14 @@ def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
         ds/dgq = -ln|q| * s          ds/dgd = -ln|d| * s
     """
     q, d = simcore.check_pair(q, d)
-    nq = nd = None
-    if kind.tag == "learnable":
+    Q, D = q[None, :], d[None, :]
+    norms = _row_norms(kind, Q, D)
+    if kind.tag == "learnable" and 0.0 in (norms[0][0], norms[1][0]):
         # The gamma gradients carry ln of both norms, so that variant needs
-        # both sides nonzero even at gamma = 0; the score reuses the norms.
-        nq, nd = simcore.norm(q), simcore.norm(d)
-        if 0.0 in (nq, nd):
-            raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
-    s = simcore.pair_score(kind, q, d, nq, nd)
-    dQ, dC, *terms = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, :])
+        # both sides nonzero even at gamma = 0.
+        raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
+    s = simcore.row_scores(kind.gammas, Q, D)[0]
+    dQ, dC, *terms = _stack_grad(kind, np.ones((1, 1)), s[:, None], Q, D, norms)
     return SimGradient(dQ[0], dC[0], *_gamma_sums(*terms))
 
 
@@ -241,11 +240,10 @@ def gradcheck(
             yield _well_conditioned(rng, dim), _well_conditioned(rng, dim)
 
     for Q, D in _probe_blocks(pairs()):
-        t, nq, nd = _row_dots(Q, D), np.sqrt(_row_dots(Q, Q)), np.sqrt(_row_dots(D, D))
-        S = np.diag(simcore.divide_by_norms(gammas, t, nq, nd))
-        dQ, dD, tq, td = _stack_grad(kind, np.eye(len(t)), S, Q, D)
-        errors = [rel_error(dQ, _vector_differences(gammas, Q, D, nd, h, True))]
-        errors.append(rel_error(dD, _vector_differences(gammas, D, Q, nq, h, False)))
+        s, t, nq, nd = simcore.row_scores(gammas, Q, D)
+        dQ, dD, tq, td = _stack_grad(kind, np.eye(len(s)), np.diag(s), Q, D)
+        errors = [rel_error(dQ, _vector_differences(gammas, Q, D, h, True))]
+        errors.append(rel_error(dD, _vector_differences(gammas, D, Q, h, False)))
         if tq is not None:
             num_g = _gamma_differences(gq, gd, t, nq, nd, h)
             errors += [rel_error(-tq, num_g[:, 0]), rel_error(-td, num_g[:, 1])]
@@ -268,8 +266,7 @@ def gamma_check(draws) -> tuple:
     gamma terms read the gammas only through the scores: one learnable kind serves all."""
     worst, ok = 0.0, True
     for Q, D, gq, gd in _probe_blocks(draws):
-        t, nq, nd = _row_dots(Q, D), np.sqrt(_row_dots(Q, Q)), np.sqrt(_row_dots(D, D))
-        s = simcore.divide_by_norms((gq, gd), t, nq, nd)
+        s, t, nq, nd = simcore.row_scores((gq, gd), Q, D)
         tq, td = _stack_grad(simcore.learnable(0.0, 0.0), np.eye(len(s)), np.diag(s), Q, D)[2:]
         ok = ok and all(np.all(np.abs(np.log(n) * s - terms) <= 1e-12) for n, terms in ((nq, tq), (nd, td)))
         err = rel_error(-np.stack([tq, td], axis=1), _gamma_differences(gq, gd, t, nq, nd, 1e-5))
@@ -277,7 +274,7 @@ def gamma_check(draws) -> tuple:
     return worst, ok
 
 
-# Trials per block of gradcheck and gamma_check, so memory stays flat in the trial count.
+# Trials per block of _probe_blocks' callers, so memory stays flat in the trial count.
 PROBE_BLOCK = 128
 
 
@@ -290,21 +287,15 @@ def _probe_blocks(draws):
             yield [np.array(column) for column in zip(*(row for row in block if row[0].size == dim))]
 
 
-def _row_dots(A: Array, B: Array) -> Array:
-    """np.dot of each row pair of A and B, broadcast, bit for bit: one ddot per row."""
-    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
-
-
-def _vector_differences(gammas, V: Array, W: Array, nw: Array, h: float, query: bool) -> Array:
-    """Central differences (T, n) in V's rows of their scores against W's rows of norm nw,
-    pair_score's at each probe point; query says whether V holds the queries."""
+def _vector_differences(gammas, V: Array, W: Array, h: float, query: bool) -> Array:
+    """Central differences (T, n) in V's rows of their scores against W's rows;
+    query says whether V holds the queries."""
     X = np.repeat(V[:, None, None, :], V.shape[1], axis=1).repeat(2, axis=2)  # (T, n, +-h, n)
     i = np.arange(V.shape[1])
     X[:, i, 0, i] += h
     X[:, i, 1, i] -= h
-    nx, nw = np.sqrt(_row_dots(X, X)), nw[:, None, None]
-    S = simcore.divide_by_norms(gammas, _row_dots(X, W[:, None, None]), *((nx, nw) if query else (nw, nx)))
-    return _differences(S, h)
+    W = W[:, None, None]
+    return _differences(simcore.row_scores(gammas, *((X, W) if query else (W, X)))[0], h)
 
 
 def _differences(S: Array, h: float) -> Array:

@@ -13,7 +13,8 @@ The learnable variant equals |q|^(1-gq) * |d|^(1-gd) * cos(theta) and
 reduces exactly to the four discrete variants at the corners of the
 (gq, gd) unit square; every kind carries its pair as kind.gammas.
 divide_by_norms is the one place that applies that division and its
-zero-norm rule: for the scalar scores, the all-pairs matrix, and
+zero-norm rule, always to arrays: row_scores' row pairs (one pair is a
+one-row block: similarity()), the all-pairs matrix, and
 diagnostics.rank_documents' blocks of trials, whose learnable variants
 pass one gamma per trial as an array.  The InfoNCE objective scores its
 in-batch pool through the matrix.
@@ -98,35 +99,19 @@ def kind_name(kind: SimilarityKind) -> str:
     return kind.tag
 
 
-def decompose(q, d) -> tuple[float, float, float]:
-    """Split a pair into (|q|, |d|, cos theta) with the cosine clamped to [-1, 1].
-
-    The clamp absorbs floating-point drift so that downstream angular
-    identities always see a valid cosine.
-    """
-    q, d = check_pair(q, d)
-    nq = norm(q)
-    nd = norm(d)
-    if nq == 0.0 or nd == 0.0:
-        raise ZeroMagnitude("angular decomposition undefined for a zero vector")
-    cos_theta = float(np.dot(q, d)) / (nq * nd)
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    return nq, nd, cos_theta
-
-
 def divide_by_norms(gammas, t, nq, nd):
     """The family's one rule: raw scores t over |q|^gq * |d|^gd, divided once.
 
     gammas is a kind's (gq, gd) pair, kind.gammas, each a float, or
     an array of per-row exponents that broadcasts against its side's
     norms (rank_documents' per-trial learnable variants).  t, nq and nd
-    are floats or broadcastable arrays; a side whose gamma is the float
-    0.0 may pass None.  Raises ZeroMagnitude where a side with a positive
-    gamma has a zero norm; silent zeros would mask generator bugs
-    upstream.  A float-gamma side at 0 contributes no factor, which is
-    exact since |v|**0 is 1, and when neither side has one (dot) t itself
-    comes back, undivided.  Dividing by the product, not by one side and
-    then the other, keeps cosine and dot exactly symmetric in q and d.
+    are broadcastable arrays; a side whose gamma is the float 0.0 may pass
+    None.  Raises ZeroMagnitude where a side with a positive gamma has a
+    zero norm; silent zeros would mask generator bugs upstream.  A
+    float-gamma side at 0 contributes no factor, which is exact since
+    |v|**0 is 1, and when neither side has one (dot) t itself comes back,
+    undivided.  Dividing by the product, not by one side and then the
+    other, keeps cosine and dot exactly symmetric in q and d.
     """
     gq, gd = gammas
     den = _norm_power(nq, gq, "query")
@@ -146,21 +131,11 @@ def divide_by_norms(gammas, t, nq, nd):
 def _norm_power(n, g, side):
     """One side's factor |v|**g in divide_by_norms, or None for a float gamma of 0.
 
-    A float norm (np.float64 included) costs one comparison for the
-    zero-norm rule and, for a fractional gamma, numpy's array power
-    through a 0-d array: Python's float pow can round an ulp away from
-    it, and similarity() must get the bits similarity_matrix() gets for
-    the same pair.  |v|**1 is exact, so a float gamma of 1 returns the norm
-    itself, float or array.  Array norms take numpy's power; an array of
+    n is an array of norms.  |v|**1 is exact, so a float gamma of 1 returns
+    the norms themselves; any other gamma takes numpy's power.  An array of
     gammas checks for zero norms only where its gamma is positive, since
     |0|**0 is 1.
     """
-    if isinstance(n, float):
-        if not g > 0.0:
-            return None
-        if n == 0.0:
-            raise ZeroMagnitude(f"zero-norm {side}")
-        return n if g == 1.0 else float(np.asarray(n) ** g)
     if isinstance(g, np.ndarray):
         zero = (n == 0.0) & (g > 0.0)
     elif g > 0.0:
@@ -172,15 +147,39 @@ def _norm_power(n, g, side):
     return n if not isinstance(g, np.ndarray) and g == 1.0 else n**g
 
 
-def similarity(kind: SimilarityKind, q, d) -> float:
-    """Score one (query, document) pair under the given variant.
+def row_dots(A: Array, B: Array) -> Array:
+    """np.dot of each row pair of A and B, broadcast, bit for bit: one ddot per row.
 
-    The pair is checked once (check_pair), then scored by pair_score, the
-    arithmetic that finite-difference probes call directly.  Raises
-    ZeroMagnitude as divide_by_norms does.
+    Like np.dot, the ddot reads a row with a negative or zero stride from a
+    contiguous copy, and one-entry rows give their product x*y, whose zero
+    keeps its sign where the ddot's 0.0 + x*y would not.
+    """
+    if A.shape[-1] == 1:
+        return (A * B)[..., 0]
+    A, B = (M if M.strides[-1] > 0 else np.ascontiguousarray(M) for M in (A, B))
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
+
+
+def row_scores(gammas, Q: Array, D: Array) -> tuple:
+    """Scores of each row pair of Q and D under gammas, and the terms they divide: (s, Q.D, |Q|, |D|).
+
+    Rows broadcast as in row_dots.  The dots are np.dot's bits, taken on
+    the rows as given; the norms are norm()'s, taken over a contiguous copy
+    of strided rows.  Raises ZeroMagnitude as divide_by_norms does.
+    """
+    t = row_dots(Q, D)
+    nq, nd = (np.sqrt(row_dots(M, M)) for M in map(np.ascontiguousarray, (Q, D)))
+    return divide_by_norms(gammas, t, nq, nd), t, nq, nd
+
+
+def similarity(kind: SimilarityKind, q, d) -> float:
+    """Score one (query, document) pair under the given variant: row_scores on one row.
+
+    Raises DimensionMismatch as check_pair does and ZeroMagnitude as
+    divide_by_norms does.
     """
     q, d = check_pair(q, d)
-    return pair_score(kind, q, d)
+    return float(row_scores(kind.gammas, q[None], d[None])[0][0])
 
 
 def check_pair(q, d) -> tuple[Array, Array]:
@@ -191,25 +190,10 @@ def check_pair(q, d) -> tuple[Array, Array]:
     return q, d
 
 
-def pair_score(kind: SimilarityKind, q: Array, d: Array, nq=None, nd=None) -> float:
-    """similarity()'s arithmetic on a pair check_pair returned, unchecked.
-
-    nq and nd are the sides' norm() if the caller holds them, as a probe
-    loop does for the side it keeps fixed; else a side takes its norm here
-    only if its gamma is positive, since divide_by_norms reads no other.
-    """
-    gq, gd = gammas = kind.gammas
-    if nq is None and gq > 0.0:
-        nq = norm(q)
-    if nd is None and gd > 0.0:
-        nd = norm(d)
-    return divide_by_norms(gammas, float(np.dot(q, d)), nq, nd)
-
-
 def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> Array:
     """All-pairs scores: rows are queries, columns are documents.
 
-    Vectorized companion of similarity() for batched objectives and
+    The all-pairs companion of row_scores for batched objectives and
     evaluation; identical semantics including the zero-norm errors.
     norms is the rows' np.linalg.norm(., axis=1) of (Q, D) if the caller
     holds them; else a side takes its norms here only if its gamma is positive.

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from magnorm import cli, diagnostics, grad, model
+from magnorm import cli, diagnostics, grad, model, simcore
 from magnorm.cli import load_config, main
 from magnorm.datagen import TASK_FILES, load_task
 from magnorm.model import TRAINLOG_HEADER, forward, load_checkpoint
@@ -1035,9 +1035,28 @@ class TestVerify:
         monkeypatch.setattr(grad, "_stack_grad", nan_stack_grad)
         assert main(["verify", "--trials", "3"]) == 1
         lines = capsys.readouterr().out.splitlines()
+        assert "radial-gradient                nan  1e-10       FAIL" in lines
         assert "gamma-gradient                 nan  1e-6        FAIL" in lines
         assert "gradcheck                      nan  1e-6        FAIL" in lines
-        assert lines[-1] == "FAILED: gamma-gradient, gradcheck"
+        assert lines[-1] == "FAILED: radial-gradient, gamma-gradient, gradcheck"
+
+    def test_nan_residuals_exit_one(self, monkeypatch, capsys):
+        # NaN qnorm scores of pairs (one score per row) and a NaN projector;
+        # each residual is NaN, which max() would have passed over.
+        real = simcore.divide_by_norms
+
+        def nan_qnorm_rows(gammas, t, nq, nd):
+            s = real(gammas, t, nq, nd)
+            return s * np.nan if gammas is simcore.QNORM.gammas and np.ndim(t) == 1 else s
+
+        monkeypatch.setattr(simcore, "divide_by_norms", nan_qnorm_rows)
+        monkeypatch.setattr(grad, "tangent_projector", lambda v: np.full((v.size, v.size), np.nan))
+        assert main(["verify", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "corner-degeneracy              nan  1e-12       FAIL" in lines
+        assert "symmetry                       nan  1e-12       FAIL" in lines
+        assert "jacobian-spectral              nan  1e-12/1e-9  FAIL" in lines
+        assert lines[-1] == "FAILED: corner-degeneracy, symmetry, jacobian-spectral, gradcheck"
 
     def test_zero_trials_is_config_error(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pair_oracle import decompose
+from pair_oracle import similarity as scalar_similarity
 
+from magnorm import grad
 from magnorm.datagen import TaskSpec, gen_asymmetric
 from magnorm import diagnostics
 from magnorm.diagnostics import (
@@ -18,6 +21,9 @@ from magnorm.diagnostics import (
     magnitude_report,
     rank_documents,
     relevance_counter,
+    suite_corners,
+    suite_jacobian,
+    suite_radial,
     suite_symmetry,
     verify_ranking_equivalence,
     with_delta_cv,
@@ -382,26 +388,126 @@ class TestSymmetrySuite:
         assert r.ok and r.parts["cosine/dot"] == 0.0 and r.note is None
 
     def test_nan_cosine_score_fails(self, monkeypatch):
-        real = simcore.similarity
+        real = simcore.row_scores
 
-        def nan_cosine(kind, q, d):
-            return math.nan if kind == COSINE else real(kind, q, d)
+        def nan_cosine(gammas, Q, D):
+            s, *terms = real(gammas, Q, D)
+            return (s * math.nan if gammas == COSINE.gammas else s), *terms
 
-        monkeypatch.setattr(simcore, "similarity", nan_cosine)
+        monkeypatch.setattr(simcore, "row_scores", nan_cosine)
         r = suite_symmetry(np.random.default_rng(0), 5)
         assert not r.ok and r.parts["cosine/dot"] == math.inf
         assert r.note == "cosine/dot asymmetry inf (must be exactly 0)"
 
     def test_asymmetric_dot_fails_with_its_residual(self, monkeypatch):
-        real = simcore.similarity
+        real = simcore.row_scores
 
-        def skewed_dot(kind, q, d):
-            return real(kind, q, d) + (1e-15 * q[0] if kind == DOT else 0.0)
+        def skewed_dot(gammas, Q, D):
+            s, *terms = real(gammas, Q, D)
+            return (s + 1e-15 * Q[:, 0] if gammas == DOT.gammas else s), *terms
 
-        monkeypatch.setattr(simcore, "similarity", skewed_dot)
+        monkeypatch.setattr(simcore, "row_scores", skewed_dot)
         r = suite_symmetry(np.random.default_rng(0), 5)
         assert not r.ok and 0.0 < r.parts["cosine/dot"] < 1e-12
         assert r.note.endswith("(must be exactly 0)")
+
+def _loop_suite_corners(rng, trials):
+    """suite_corners as a pair-by-pair loop of scalar scores (pair_oracle)."""
+    worst = 0.0
+    for _ in range(trials):
+        dim = int(rng.integers(2, 17))
+        q = diagnostics._rand_vec(rng, dim)
+        d = diagnostics._rand_vec(rng, dim)
+        for kind in (COSINE, DOT, QNORM, DNORM):
+            worst = max(worst, abs(scalar_similarity(learnable(*kind.gammas), q, d) - scalar_similarity(kind, q, d)))
+    return diagnostics.SuiteResult(worst, "1e-12", worst <= 1e-12)
+
+
+def _loop_suite_symmetry(rng, trials):
+    """suite_symmetry as a pair-by-pair loop of scalar scores and pair_oracle's decompose."""
+    exact = identity = 0.0
+    for _ in range(trials):
+        dim = int(rng.integers(2, 17))
+        a = diagnostics._rand_vec(rng, dim)
+        b = diagnostics._rand_vec(rng, dim)
+        for kind in (COSINE, DOT):
+            x, y = scalar_similarity(kind, a, b), scalar_similarity(kind, b, a)
+            if x != y:
+                exact = max(exact, math.inf if math.isnan(x - y) else abs(x - y))
+        na, nb, cos = decompose(a, b)
+        asym = scalar_similarity(QNORM, a, b) - scalar_similarity(QNORM, b, a)
+        identity = max(identity, abs(asym - (nb - na) * cos))
+    note = None if exact == 0.0 else f"cosine/dot asymmetry {exact:.3e} (must be exactly 0)"
+    ok = exact == 0.0 and identity <= 1e-12
+    return diagnostics.SuiteResult(max(exact, identity), "1e-12", ok, note, {"cosine/dot": exact, "qnorm": identity})
+
+
+def _hexed(result) -> tuple:
+    """A SuiteResult with every float as hex, parts included."""
+    return tuple(
+        v.hex() if isinstance(v, float) else {k: x.hex() for k, x in v.items()} if isinstance(v, dict) else v
+        for v in result
+    )
+
+
+class TestPairSuitesInBlocks:
+    """The corner and symmetry suites draw one trial at a time and score blocks
+    of trials; every field is the pair-by-pair loop's, bit for bit."""
+
+    @pytest.mark.parametrize("trials", (1, 128, 129, 300))
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "suite, loop, index", [(suite_corners, _loop_suite_corners, 1), (suite_symmetry, _loop_suite_symmetry, 2)],
+        ids=["corners", "symmetry"],
+    )
+    def test_is_the_pair_loop_bitwise(self, suite, loop, index, seed, trials):
+        # verify seeds suite i with default_rng([seed, i]).
+        got = suite(np.random.default_rng([seed, index]), trials)
+        want = loop(np.random.default_rng([seed, index]), trials)
+        assert type(got.err) is float and _hexed(got) == _hexed(want)
+
+
+def _nan_scores(monkeypatch, gammas=None):
+    """Make divide_by_norms return NaN, for every kind or for gammas only."""
+    real = simcore.divide_by_norms
+
+    def nan_scores(g, t, nq, nd):
+        s = real(g, t, nq, nd)
+        return s * math.nan if gammas is None or g is gammas else s
+
+    monkeypatch.setattr(simcore, "divide_by_norms", nan_scores)
+
+
+class TestNanResidualsFail:
+    """A NaN residual fails its suite and reads NaN; max() would pass it over."""
+
+    def test_corners(self, monkeypatch):
+        _nan_scores(monkeypatch)
+        r = suite_corners(np.random.default_rng(0), 3)
+        assert not r.ok and math.isnan(r.err)
+
+    def test_symmetry_qnorm_identity(self, monkeypatch):
+        _nan_scores(monkeypatch, QNORM.gammas)
+        r = suite_symmetry(np.random.default_rng(0), 3)
+        assert not r.ok and math.isnan(r.err) and math.isnan(r.parts["qnorm"])
+        assert r.parts["cosine/dot"] == 0.0 and r.note is None
+
+    def test_jacobian(self, monkeypatch):
+        monkeypatch.setattr(grad, "tangent_projector", lambda v: np.full((v.size, v.size), math.nan))
+        r = suite_jacobian(np.random.default_rng(0), 3)
+        assert not r.ok and math.isnan(r.err) and math.isnan(r.parts["idempotency/null"])
+
+    def test_radial(self, monkeypatch):
+        real = grad._stack_grad
+
+        def nan_stack_grad(kind, G, S, Q, C, norms=None):
+            dQ, *rest = real(kind, G, S, Q, C, norms)
+            return dQ * math.nan, *rest
+
+        monkeypatch.setattr(grad, "_stack_grad", nan_stack_grad)
+        r = suite_radial(np.random.default_rng(0), 3)
+        assert not r.ok and math.isnan(r.err)
+
 
 TASK = TaskSpec(
     n_docs=32,

@@ -5,14 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from pair_oracle import ORACLE_KINDS, decompose, divide_by_float_norms, pair_score
 
 from magnorm import diagnostics, simcore
 from magnorm import grad as grad_module
 from magnorm.errors import NonFiniteEvaluation, ZeroMagnitude
 from magnorm.grad import (
     PROBE_BLOCK,
+    SimGradient,
     _gamma_sums,
-    _row_dots,
     _row_norms,
     _stack_grad,
     _well_conditioned,
@@ -52,7 +53,7 @@ class TestSimGradFrozen:
             kind = learnable(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
             g = sim_grad(kind, q, d)
             s = simcore.similarity(kind, q, d)
-            nq, nd, _ = simcore.decompose(q, d)
+            nq, nd, _ = decompose(q, d)
             assert g.d_gamma_q == pytest.approx(-math.log(nq) * s, rel=1e-12, abs=1e-12)
             assert g.d_gamma_d == pytest.approx(-math.log(nd) * s, rel=1e-12, abs=1e-12)
 
@@ -72,9 +73,9 @@ class TestSimGradFrozen:
         ids=["cosine", "dot", "qnorm", "dnorm", "learnable:0.3,0.8", "learnable:0,0"],
     )
     def test_norms_per_call(self, kind, per_call, monkeypatch):
-        # The score takes a side's 1-d norm where it divides by it; under
-        # learnable the zero check takes both and the score reuses them.
-        # _stack_grad takes its own axis-1 norms, which can round apart.
+        # The score takes both norms from row dots, calling neither function.
+        # The axis-1 norms are taken once where _stack_grad reads them, and
+        # under learnable they also serve the zero check.
         calls = {"norm": 0, "linalg": 0}
         real_norm, real_linalg = simcore.norm, np.linalg.norm
 
@@ -88,7 +89,68 @@ class TestSimGradFrozen:
         monkeypatch.setattr(simcore, "norm", counting("norm", real_norm))
         monkeypatch.setattr(np.linalg, "norm", counting("linalg", real_linalg))
         sim_grad(kind, [0.3, -1.2, 0.5], [0.7, 0.1, -0.4])
-        assert calls == {"norm": per_call, "linalg": per_call}
+        assert calls == {"norm": 0, "linalg": per_call}
+
+
+def _scalar_sim_grad(kind, q, d):
+    """sim_grad as it scored its pair before a pair became a one-row block: pair_oracle's pair_score."""
+    q, d = simcore.check_pair(q, d)
+    nq = nd = None
+    if kind.tag == "learnable":
+        nq, nd = simcore.norm(q), simcore.norm(d)
+        if 0.0 in (nq, nd):
+            raise ZeroMagnitude("learnable gamma gradients need a nonzero query and document")
+    s = pair_score(kind, q, d, nq, nd)
+    dQ, dC, *terms = _stack_grad(kind, np.ones((1, 1)), np.array([[s]]), q[None, :], d[None, :])
+    return SimGradient(dQ[0], dC[0], *_gamma_sums(*terms))
+
+
+def _grad_or_error(f, kind, q, d):
+    """The gradient's bytes and gamma floats as hex, or the type and message of the error it raised."""
+    try:
+        g = f(kind, q, d)
+    except (ZeroMagnitude, ValueError) as e:
+        return type(e), str(e)
+    return g.d_q.tobytes(), g.d_d.tobytes(), *(None if x is None else x.hex() for x in (g.d_gamma_q, g.d_gamma_d))
+
+
+class TestSimGradIsTheScalarOracle:
+    """sim_grad scores its pair as a one-row block, with the scalar path's bits."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=simcore.kind_name)
+    def test_random_pairs_bitwise(self, kind):
+        rng = np.random.default_rng(50)
+        for dim in (*range(1, 65), 512):
+            for _ in range(4):
+                q = rng.standard_normal(dim) * rng.lognormal(0.0, 2.0)
+                d = rng.standard_normal(dim) * rng.lognormal(0.0, 2.0)
+                assert _grad_or_error(sim_grad, kind, q, d) == _grad_or_error(_scalar_sim_grad, kind, q, d)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=simcore.kind_name)
+    def test_strided_views_bitwise(self, kind):
+        rng = np.random.default_rng(51)
+        for dim in (*range(1, 40), 100, 512):
+            M = rng.standard_normal((dim, 3)) * rng.lognormal(0.0, 2.0)
+            for q, d in ((M[:, 0], M[:, 2]), (M[::-1, 1], M[:, 0]), (np.broadcast_to(M[0, 1], (dim,)), M[:, 2])):
+                assert _grad_or_error(sim_grad, kind, q, d) == _grad_or_error(_scalar_sim_grad, kind, q, d)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=simcore.kind_name)
+    def test_zero_and_underflowing_vectors_raise_as_the_oracle(self, kind):
+        # [1e-170, -1e-170] is nonzero, but its self-dot underflows to 0.
+        q, zero, tiny = np.array([0.6, -0.8]), np.zeros(2), np.array([1e-170, -1e-170])
+        for pair in ((zero, q), (q, zero), (zero, zero), (tiny, q), (q, tiny)):
+            got = _grad_or_error(sim_grad, kind, *pair)
+            assert got == _grad_or_error(_scalar_sim_grad, kind, *pair)
+            zero_side = [g > 0.0 or kind.tag == "learnable" for v, g in zip(pair, kind.gammas) if not v @ v]
+            assert (got[0] is ZeroMagnitude) == any(zero_side)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=simcore.kind_name)
+    def test_overflowing_dots_bitwise(self, kind):
+        pairs = [([1e200, -1e200], [1e200, 1e200]), ([1e200, 1e200], [1e200, 1e200]), ([-1e200, 3e199], [1e200, 0.5])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q, d in pairs:
+                q, d = np.array(q), np.array(d)
+                assert _grad_or_error(sim_grad, kind, q, d) == _grad_or_error(_scalar_sim_grad, kind, q, d)
 
 
 class TestSimGradNumeric:
@@ -464,12 +526,12 @@ class TestStackedDots:
         # each trial's fixed side, and that side against them.
         rng = np.random.default_rng(100 + dim)
         X, B = rng.standard_normal((30, dim, 2, dim)), rng.standard_normal((30, dim))
-        dots = _row_dots(X, B[:, None, None])
+        dots = simcore.row_dots(X, B[:, None, None])
         flat = X.reshape(30, -1, dim)
         assert dots.shape == (30, dim, 2)
         assert dots.tobytes() == np.array([[np.dot(x, b) for x in xs] for xs, b in zip(flat, B)]).tobytes()
-        assert _row_dots(B[:, None, None], X).tobytes() == dots.tobytes()
-        norms = np.sqrt(_row_dots(X, X))
+        assert simcore.row_dots(B[:, None, None], X).tobytes() == dots.tobytes()
+        norms = np.sqrt(simcore.row_dots(X, X))
         assert norms.tobytes() == np.array([[simcore.norm(x) for x in xs] for xs in flat]).tobytes()
 
 
@@ -497,7 +559,7 @@ def _checked_similarity(kind, q, d):
     q, d = simcore.as_embedding(q), simcore.as_embedding(d)
     assert q.shape == d.shape
     nq, nd = math.sqrt(float(q.dot(q))), math.sqrt(float(d.dot(d)))
-    return simcore.divide_by_norms(kind.gammas, float(np.dot(q, d)), nq, nd)
+    return divide_by_float_norms(kind.gammas, float(np.dot(q, d)), nq, nd)
 
 
 def _checked_gradcheck(kind, trials, seed, arrays, h=1e-5):
@@ -544,7 +606,7 @@ def _checked_suite_gamma_grad(rng, trials, arrays, dims):
         kind = learnable(gq, gd)
         g = sim_grad(kind, q, d)
         s = _checked_similarity(kind, q, d)
-        nq, nd, _ = simcore.decompose(q, d)
+        nq, nd, _ = decompose(q, d)
         ok = ok and abs(g.d_gamma_q + math.log(nq) * s) <= 1e-12
         ok = ok and abs(g.d_gamma_d + math.log(nd) * s) <= 1e-12
         arrays.append(_checked_finite_difference(
@@ -692,13 +754,13 @@ class TestLeanProbes:
     def test_zero_norm_probe_raises(self, kind):
         # The -h probe of coordinate 0 lands on the origin, and a fixed side
         # at the origin holds a zero norm; a side with a positive gamma
-        # raises ZeroMagnitude in both, as a checked call does.
+        # raises ZeroMagnitude in similarity, as a checked call does.
         edge, other, zero = np.array([1e-5, 0.0]), np.array([0.6, -0.8]), np.zeros(2)
         lean = (
-            lambda x: simcore.pair_score(kind, x, other, None, simcore.norm(other)),
-            lambda x: simcore.pair_score(kind, other, x, simcore.norm(other), None),
-            lambda x: simcore.pair_score(kind, zero, x, simcore.norm(zero), None),
-            lambda x: simcore.pair_score(kind, x, zero, None, simcore.norm(zero)),
+            lambda x: simcore.similarity(kind, x, other),
+            lambda x: simcore.similarity(kind, other, x),
+            lambda x: simcore.similarity(kind, zero, x),
+            lambda x: simcore.similarity(kind, x, zero),
         )
         checked = (
             lambda x: _checked_similarity(kind, x, other),
@@ -719,10 +781,9 @@ class TestLeanProbes:
         q = np.array([1e200, -1e200])
         d = q.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            nq, nd = simcore.norm(q), simcore.norm(d)
             with pytest.raises(NonFiniteEvaluation):
-                finite_difference(lambda x: simcore.pair_score(kind, x, d, None, nd), q.copy())
+                finite_difference(lambda x: simcore.similarity(kind, x, d), q.copy())
             with pytest.raises(NonFiniteEvaluation):
-                finite_difference(lambda x: simcore.pair_score(kind, q, x, nq, None), d.copy())
+                finite_difference(lambda x: simcore.similarity(kind, q, x), d.copy())
             with pytest.raises(NonFiniteEvaluation):
                 _checked_finite_difference(lambda x: _checked_similarity(kind, x, d), q.copy())

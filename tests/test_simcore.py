@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pair_oracle import ORACLE_KINDS, decompose, divide_by_float_norms, pair_score
 
 from magnorm import simcore
 from magnorm.errors import DimensionMismatch, ZeroMagnitude
@@ -14,7 +15,6 @@ from magnorm.simcore import (
     DNORM,
     DOT,
     QNORM,
-    decompose,
     kind_from_name,
     kind_name,
     learnable,
@@ -26,6 +26,8 @@ RNG = np.random.default_rng(42)
 
 
 class TestNormAndDecompose:
+    # decompose is pair_oracle's, the arithmetic the symmetry suite's qnorm
+    # identity is held to.
     def test_decompose_unit_pair(self):
         nq, nd, cos = decompose([1.0, 0.0], [1.0, 1.0])
         assert nq == 1.0
@@ -327,13 +329,11 @@ class TestSimilarityMatrix:
 
 
 class TestDivideByNorms:
-    # Each way a scalar norm reaches divide_by_norms: pair_score's float, a
-    # numpy scalar, and a 0-d array.
-    NORM_TYPES = (float, np.float64, np.asarray)
-
     @pytest.mark.parametrize("gq", (0.3, 0.7, 1.0))
     @pytest.mark.parametrize("gd", (0.3, 0.7, 1.0))
     def test_scalar_norms_keep_the_matrix_bits(self, gq, gd):
+        # One pair's norms, as a one-row block (row_scores) or 0-d arrays,
+        # give the bits the matrix gives, and so does the float oracle.
         rng = np.random.default_rng(15)
         kind = learnable(gq, gd)
         for _ in range(200):
@@ -341,13 +341,18 @@ class TestDivideByNorms:
             q = rng.standard_normal((1, dim)) * rng.lognormal(0.0, 1.0)
             d = rng.standard_normal((1, dim)) * rng.lognormal(0.0, 1.0)
             # The inputs similarity_matrix divides: its product and its row norms.
-            t, nq, nd = float((q @ d.T)[0, 0]), np.linalg.norm(q, axis=1)[0], np.linalg.norm(d, axis=1)[0]
-            expect = similarity_matrix(kind, q, d)[0, 0].tobytes()
-            for wrap in self.NORM_TYPES:
-                s = simcore.divide_by_norms((gq, gd), t, wrap(float(nq)), wrap(float(nd)))
-                assert np.float64(s).tobytes() == expect
+            t, nq, nd = (q @ d.T)[0], np.linalg.norm(q, axis=1), np.linalg.norm(d, axis=1)
+            expect = similarity_matrix(kind, q, d)[0].tobytes()
+            assert simcore.divide_by_norms((gq, gd), t, nq, nd).tobytes() == expect
+            s = simcore.divide_by_norms((gq, gd), t[0], np.asarray(nq[0]), np.asarray(nd[0]))
+            assert np.float64(s).tobytes() == expect
+            oracle = divide_by_float_norms((gq, gd), float(t[0]), float(nq[0]), float(nd[0]))
+            assert np.float64(oracle).tobytes() == expect
 
-    @pytest.mark.parametrize("wrap", NORM_TYPES + (lambda n: np.full((2, 3), n),), ids=["float", "float64", "0-d", "array"])
+    # Numbers numpy takes as 0-d arrays follow the zero-norm rule as arrays do.
+    @pytest.mark.parametrize(
+        "wrap", (float, np.float64, np.asarray, lambda n: np.full((2, 3), n)), ids=["float", "float64", "0-d", "array"]
+    )
     def test_zero_norm_raises_only_where_its_gamma_is_positive(self, wrap):
         zero, one = wrap(0.0), wrap(1.0)
         for gq, gd in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (1.0, 1.0)):
@@ -404,9 +409,7 @@ def _outcome(f, *args):
 def _similarity_via_linalg_norm(kind, q, d):
     """similarity() as it took its norms before: float(np.linalg.norm(v))."""
     q, d = simcore.as_embedding(q), simcore.as_embedding(d)
-    return simcore.divide_by_norms(
-        kind.gammas, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d))
-    )
+    return divide_by_float_norms(kind.gammas, float(np.dot(q, d)), float(np.linalg.norm(q)), float(np.linalg.norm(d)))
 
 
 def _decompose_via_linalg_norm(q, d):
@@ -449,3 +452,75 @@ def test_strided_vectors_keep_np_linalg_norm_bits():
         assert simcore.norm(q) == np.linalg.norm(q)
         assert similarity(COSINE, q, d) == _similarity_via_linalg_norm(COSINE, q, d)
         assert decompose(q, d) == _decompose_via_linalg_norm(q, d)
+
+
+def _score_or_error(f, *args):
+    """The score's bytes, or the type and message of the error it raised."""
+    try:
+        return np.float64(f(*args)).tobytes()
+    except ZeroMagnitude as e:
+        return type(e), str(e)
+
+
+class TestOneRowScorer:
+    """similarity is row_scores on one row, with the scalar path's bits (pair_oracle)."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=kind_name)
+    def test_similarity_is_the_scalar_oracle_bitwise(self, kind):
+        rng = np.random.default_rng(40)
+        for dim in (*range(1, 65), 512):
+            for _ in range(8):
+                q = rng.standard_normal(dim) * rng.lognormal(0.0, 2.0)
+                d = rng.standard_normal(dim) * rng.lognormal(0.0, 2.0)
+                assert _score_or_error(similarity, kind, q, d) == _score_or_error(pair_score, kind, q, d)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=kind_name)
+    def test_strided_views_are_the_scalar_oracle_bitwise(self, kind):
+        # A strided view's dot can round apart from a contiguous copy's; the
+        # dot is taken on the view and the norms on copies, as the oracle does.
+        rng = np.random.default_rng(41)
+        for dim in (*range(1, 40), 100, 512):
+            M = rng.standard_normal((dim, 3)) * rng.lognormal(0.0, 2.0)
+            views = ((M[:, 0], M[:, 2]), (M[::-1, 1], M[:, 0]), (M.T.ravel()[::3], M[::-1, 2]),
+                     (np.broadcast_to(M[0, 1], (dim,)), M[:, 2]))
+            for q, d in views:
+                assert _score_or_error(similarity, kind, q, d) == _score_or_error(pair_score, kind, q, d)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=kind_name)
+    def test_zero_vectors_raise_as_the_scalar_oracle(self, kind):
+        q, zero = np.array([0.6, -0.8, 0.1]), np.zeros(3)
+        for pair in ((zero, q), (q, zero), (zero, zero)):
+            got = _score_or_error(similarity, kind, *pair)
+            assert got == _score_or_error(pair_score, kind, *pair)
+            sides = [side for side, v, g in zip(("query", "document"), pair, kind.gammas) if g > 0.0 and not v.any()]
+            assert got == ((ZeroMagnitude, f"zero-norm {sides[0]}") if sides else np.float64(0.0).tobytes())
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=kind_name)
+    def test_one_entry_pairs_keep_the_sign_of_a_zero(self, kind):
+        # np.dot of one-entry vectors is their product: -0.0 for a zero times
+        # a negative number, or for a product that underflows below zero.
+        for q, d in (([0.0], [-2.0]), ([-0.0], [3.0]), ([-1e-300], [1e-30]), ([1e-300], [-1e-30]), ([0.5], [-4.0])):
+            got = _score_or_error(similarity, kind, q, d)
+            assert got == _score_or_error(pair_score, kind, np.array(q), np.array(d))
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=kind_name)
+    def test_overflowing_dots_are_the_scalar_oracle_bitwise(self, kind):
+        # Finite pairs whose q.d, and whose self-dots, overflow to inf: a
+        # score is inf, -inf or inf / inf, NaN, with the oracle's bits.
+        pairs = [([1e200, -1e200], [1e200, 1e200]), ([1e200, 1e200], [1e200, 1e200]),
+                 ([-1e200, 3e199], [1e200, 0.5]), ([1e160] * 64, [1e160] * 64)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q, d in pairs:
+                got = _score_or_error(similarity, kind, q, d)
+                assert got == _score_or_error(pair_score, kind, np.array(q), np.array(d))
+                assert not np.isfinite(np.frombuffer(got)[0])
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS[:5], ids=kind_name)
+    def test_a_block_scores_each_row_as_alone(self, kind):
+        rng = np.random.default_rng(42)
+        Q, D = rng.standard_normal((2, 300, 9)) * rng.lognormal(0.0, 1.0, (2, 300, 1))
+        s, t, nq, nd = simcore.row_scores(kind.gammas, Q, D)
+        assert s.tobytes() == np.array([similarity(kind, q, d) for q, d in zip(Q, D)]).tobytes()
+        assert t.tobytes() == np.array([np.dot(q, d) for q, d in zip(Q, D)]).tobytes()
+        assert nq.tobytes() == np.array([simcore.norm(q) for q in Q]).tobytes()
+        assert nd.tobytes() == np.array([simcore.norm(d) for d in D]).tobytes()
