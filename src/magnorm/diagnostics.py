@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grad, simcore
 from .datagen import SyntheticTask
-from .errors import DegenerateInput, DegenerateVariance, DimensionMismatch, EmptyInput, TooFewSamples
+from .errors import DegenerateInput, DegenerateVariance, DimensionMismatch, EmptyInput, NonFiniteEvaluation, TooFewSamples
 from .metrics import id_order, pearson, rank_order, write_csv
 from .model import TwoTowerEncoder, embed_split
 from .objective import ContrastiveBatch, LossConfig
@@ -68,6 +68,7 @@ def rank_documents(kinds, Q, D, ids) -> Array:
     variant, so each score keeps similarity_matrix's bits for its trial;
     each variant then costs one divide_by_norms (and its zero-norm rule),
     with per-trial gamma arrays where its kinds' gammas differ; rank_order sorts them all.
+    A non-finite score raises NonFiniteEvaluation naming its trial, as GradeTable.rank does.
     """
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -82,6 +83,8 @@ def rank_documents(kinds, Q, D, ids) -> Array:
     nq = np.linalg.norm(Q, axis=1)[:, None]
     nd = np.linalg.norm(D, axis=2)
     S = np.stack([simcore.divide_by_norms(_trial_gammas(v), t, nq, nd) for v in zip(*kinds)], axis=1)
+    if not np.isfinite(S).all():
+        raise NonFiniteEvaluation(f"non-finite score in ranking for trial {np.argmin(np.isfinite(S).all(axis=(1, 2)))}")
     return rank_order(S, id_order(ids))
 
 
@@ -136,7 +139,7 @@ def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) ->
     ties to the lexicographically smaller doc id.  The orders are compared
     exactly (no tolerance: ranking is discrete).  Never raises on a
     mismatch; the verdict carries the first counterexample, in trial order
-    and then check order, instead.
+    and then check order, instead; a non-finite score raises NonFiniteEvaluation.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -149,7 +152,10 @@ def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) ->
         return tuple(ids[j] for j in row.tolist())
 
     for start in range(0, trials, EQUIVALENCE_BLOCK):
-        O, ga, gb, gd = _equivalence_block(rng, min(EQUIVALENCE_BLOCK, trials - start), dim, ids)
+        try:
+            O, ga, gb, gd = _equivalence_block(rng, min(EQUIVALENCE_BLOCK, trials - start), dim, ids)
+        except NonFiniteEvaluation as e:
+            raise NonFiniteEvaluation(f"block from trial {start}: {e}") from None
         agree = np.stack([(O[:, x] == O[:, y]).all(axis=1) for x, y in _EQUIVALENT_PAIRS], axis=1)
         # nonzero walks the (trial, check) grid row by row: trial order, then check order.
         for i, c in zip(*np.nonzero(~agree)):
@@ -157,22 +163,11 @@ def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) ->
                 continue
             ok[c] = False
             x, y = (order(O[i, v]) for v in _EQUIVALENT_PAIRS[c])
-            if c == 0:
-                found = f"cosine {x} vs dnorm {y}"
-            elif c == 1:
-                found = f"qnorm {x} vs dot {y}"
-            else:
-                found = f"gamma_q {ga[i]:.3f} vs {gb[i]:.3f} at gamma_d {gd[i]:.3f}: {x} vs {y}"
+            found = (f"cosine {x} vs dnorm {y}", f"qnorm {x} vs dot {y}",
+                     f"gamma_q {ga[i]:.3f} vs {gb[i]:.3f} at gamma_d {gd[i]:.3f}: {x} vs {y}")[c]
             counterexample = counterexample or f"trial {start + i}: {found}"
         del O  # the next block's draws need not share the peak with this block's orders
-    return EquivalenceVerdict(
-        trials=trials,
-        seed=seed,
-        cosine_dnorm_ok=ok[0],
-        qnorm_dot_ok=ok[1],
-        gamma_q_invariant_ok=ok[2],
-        counterexample=counterexample,
-    )
+    return EquivalenceVerdict(trials, seed, *ok, counterexample=counterexample)
 
 
 def _equivalence_block(rng, T: int, dim: int, ids) -> tuple:
@@ -222,7 +217,10 @@ def _rand_vec(rng, dim: int):
 
 
 def suite_ranking(rng, trials: int, seed: int) -> SuiteResult:
-    verdict = verify_ranking_equivalence(dim=8, n_docs=16, trials=trials, seed=seed)
+    try:
+        verdict = verify_ranking_equivalence(dim=8, n_docs=16, trials=trials, seed=seed)
+    except NonFiniteEvaluation as e:
+        return SuiteResult(math.nan, "exact", False, str(e))
     return SuiteResult(0.0 if verdict.all_ok else 1.0, "exact", verdict.all_ok, verdict.counterexample)
 
 
@@ -261,39 +259,40 @@ def suite_symmetry(rng, trials: int, _seed=None) -> SuiteResult:
     return SuiteResult(float(np.maximum(exact, identity)), "1e-12", ok, note, {"cosine/dot": exact, "qnorm": identity})
 
 
+# Entries of a block's projectors (suite_jacobian) or batches, queries and positives (suite_radial),
+# so memory stays flat in the trial count.
+SUITE_BLOCK_ENTRIES = 8192
+
+
 def suite_jacobian(rng, trials: int, _seed=None) -> SuiteResult:
-    """The tangent projector is idempotent, kills v, and has trace n - 1."""
+    """The tangent projector is idempotent, kills v, and has trace n - 1: blocks of trials, each with its own bits."""
     tight = trace = 0.0
-    ok = True
     for n in (2, 8, 64):
-        for _ in range(trials):
-            v = _rand_vec(rng, n)
-            P = grad.tangent_projector(v)
-            vhat = v / simcore.norm(v)
-            r_idem = float(np.abs(P @ P - P).max())
-            r_null = simcore.norm(P @ vhat)
-            r_trace = abs(float(np.trace(P)) - (n - 1))
-            tight = float(np.max([tight, r_idem, r_null]))  # max() would drop a NaN
-            trace = float(np.maximum(trace, r_trace))
-            ok = ok and r_idem <= 1e-12 and r_null <= 1e-12 and r_trace <= 1e-9
-    parts = {"idempotency/null": tight, "trace": trace}
-    return SuiteResult(float(np.maximum(tight, trace)), "1e-12/1e-9", ok, None, parts)
+        draws = ((_rand_vec(rng, n),) for _ in range(trials))
+        for (V,) in grad._probe_blocks(draws, SUITE_BLOCK_ENTRIES // n**2):
+            P = grad.tangent_projector(V)
+            vhat = V / np.sqrt(simcore.row_dots(V, V))[:, None]
+            r_idem = np.abs(P @ P - P).max(axis=(1, 2))
+            null = (P @ vhat[..., None])[..., 0]  # one gemv per vector, as P @ vhat alone
+            r_null = np.sqrt(simcore.row_dots(null, null))
+            r_trace = np.abs(np.trace(P, axis1=1, axis2=2) - (n - 1))
+            tight = float(np.max([r_idem, r_null], initial=tight))  # max() would drop a NaN
+            trace = float(np.max(r_trace, initial=trace))
+    parts = {"idempotency/null": tight, "trace": trace}  # a NaN residual reads NaN here, and fails
+    return SuiteResult(float(np.maximum(tight, trace)), "1e-12/1e-9", tight <= 1e-12 and trace <= 1e-9, None, parts)
 
 
 def suite_radial(rng, trials: int, _seed=None) -> SuiteResult:
-    """Cosine InfoNCE query gradients are orthogonal to the queries."""
+    """Cosine InfoNCE query gradients are orthogonal to the queries: one infonce_grad per block of 8x8 batches."""
     cfg = LossConfig(kind=simcore.COSINE, tau=1.0, alpha=20.0)
+    B = dim = 8
+    draws = (tuple(np.vstack([_rand_vec(rng, dim) for _ in range(B)]) for _ in "QD") for _ in range(trials))
     worst = 0.0
-    for _ in range(trials):
-        B, dim = 8, 8
-        Q = np.vstack([_rand_vec(rng, dim) for _ in range(B)])
-        D = np.vstack([_rand_vec(rng, dim) for _ in range(B)])
-        g = grad.infonce_grad(ContrastiveBatch(Q, D), cfg)
-        for i in range(B):
-            gn = simcore.norm(g.d_queries[i])
-            qn = simcore.norm(Q[i])
-            if gn != 0.0:  # a NaN gradient is checked, and fails
-                worst = float(np.maximum(worst, abs(float(g.d_queries[i] @ Q[i])) / (gn * qn)))
+    for Q, D in grad._probe_blocks(draws, SUITE_BLOCK_ENTRIES // (2 * B * dim)):
+        dQ = grad.infonce_grad(ContrastiveBatch(Q, D), cfg).d_queries
+        gn, qn = (np.sqrt(simcore.row_dots(M, M)) for M in (dQ, Q))
+        checked = gn != 0.0  # a NaN gradient is checked, and fails
+        worst = float(np.max(np.abs(simcore.row_dots(dQ, Q))[checked] / (gn * qn)[checked], initial=worst))
     return SuiteResult(worst, "1e-10", worst <= 1e-10)
 
 
@@ -311,13 +310,8 @@ def suite_gamma_grad(rng, trials: int, _seed=None) -> SuiteResult:
 
 
 def suite_gradcheck(rng, trials: int, seed: int) -> SuiteResult:
-    kinds = [
-        simcore.COSINE,
-        simcore.DOT,
-        simcore.QNORM,
-        simcore.DNORM,
-        simcore.learnable(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))),
-    ]
+    learn = simcore.learnable(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9)))
+    kinds = [simcore.COSINE, simcore.DOT, simcore.QNORM, simcore.DNORM, learn]
     worst = 0.0
     ok = True
     note = None

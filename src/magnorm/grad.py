@@ -3,14 +3,16 @@
 Everything here is hand-derived; there is no autodiff engine.  One
 formula, _stack_grad, serves the whole family for a pool of candidates
 shared by every query: in-batch InfoNCE's positives, sim_grad's single
-document, and a diagonal pool for gradcheck's block of trials.  The
-normalization Jacobian d(v/|v|)/dv = (I - vv^T/|v|^2)/|v| factors as the
-tangent-space projector P_v = I - vhat vhat^T divided by the norm.  P_v is
-symmetric, idempotent, annihilates the radial direction, and has trace
-n - 1.  A side's row norms are taken only if its gamma is positive or under
-learnable (whose gamma gradients need ln|v|), by infonce_grad once for
-its scores and gradients; a gamma-0 side skips every division by |v|**0,
-and a gamma-1 side the power |v|**1 and the product 1.0 * x.
+document, and a diagonal pool for gradcheck's block of trials; a stack
+(..., B, n) of blocks gives each block its bits alone, so a batch is a
+one-block stack.  The normalization Jacobian d(v/|v|)/dv =
+(I - vv^T/|v|^2)/|v| factors as the tangent-space projector P_v =
+I - vhat vhat^T divided by the norm.  P_v is symmetric, idempotent,
+annihilates the radial direction, and has trace n - 1.  A side's row
+norms are taken only if its gamma is positive or under learnable (whose
+gamma gradients need ln|v|), by infonce_grad once for its scores and
+gradients; a gamma-0 side skips every division by |v|**0, and a gamma-1
+side the power |v|**1 and the product 1.0 * x.
 
 A central finite-difference oracle and a seeded gradcheck harness verify
 every analytic formula against numerics, a block of trials of one dim at
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
-from .errors import NonFiniteEvaluation, ZeroMagnitude
+from .errors import DimensionMismatch, NonFiniteEvaluation, ZeroMagnitude
 from .objective import ContrastiveBatch, LossConfig, candidate_logits, infonce_terms
 from .simcore import SimilarityKind
 
@@ -54,7 +56,7 @@ class InfoNCEGradients:
     """Gradients of the batch-mean InfoNCE loss.
 
     The positives are a pool every query scores, so d_positives sums
-    over queries.
+    over queries.  A stack of batches has a loss and gamma gradients per batch.
     """
 
     loss: float
@@ -65,13 +67,15 @@ class InfoNCEGradients:
 
 
 def tangent_projector(v) -> Array:
-    """P_v = I - vhat vhat^T, the projector onto the tangent space at vhat."""
-    v = simcore.as_embedding(v)
-    n = simcore.norm(v)
-    if n == 0.0:
+    """P_v = I - vhat vhat^T, the projector onto the tangent space at vhat, of each vector of a (..., n) stack."""
+    V = np.ascontiguousarray(v, dtype=np.float64)  # |v| is simcore.norm's, over a contiguous copy
+    if np.ndim(v) < 1 or V.shape[-1] < 1 or not np.isfinite(V).all():
+        raise DimensionMismatch(f"vectors must be a finite (..., n) stack with n >= 1, got shape {np.shape(v)}")
+    n = np.sqrt(simcore.row_dots(V, V))[..., None]
+    if not n.all():
         raise ZeroMagnitude("tangent space undefined at the origin")
-    vhat = v / n
-    return np.eye(v.size) - np.outer(vhat, vhat)
+    vhat = V / n
+    return np.eye(V.shape[-1]) - vhat[..., :, None] * vhat[..., None, :]
 
 
 def sim_grad(kind: SimilarityKind, q, d) -> SimGradient:
@@ -99,17 +103,17 @@ def _row_norms(kind: SimilarityKind, Q: Array, C: Array) -> tuple:
     """Row norms of Q and C where _stack_grad reads them (gamma > 0, or learnable), else None."""
     gq, gd = kind.gammas
     learn = kind.tag == "learnable"
-    return tuple(np.linalg.norm(M, axis=1) if g > 0.0 or learn else None for M, g in ((Q, gq), (C, gd)))
+    return tuple(np.linalg.norm(M, axis=-1) if g > 0.0 or learn else None for M, g in ((Q, gq), (C, gd)))
 
 
 def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, norms=None) -> tuple:
     """Gradients of sum_bk G[b, k] * s(Q[b], C[k]), S holding the scores s.
 
-    Q is (B, n) and C a (K, n) pool every query scores: in-batch
-    positives, or sim_grad's 1x1 pool.  A candidate's gradient sums over
-    queries.  Returns (dQ, dC, tq, tc), tq[b] = ln|Q[b]| sum_k G[b, k] s_bk
-    the per-row terms of d_gamma_q = -sum(tq) (_gamma_sums), likewise tc,
-    both None unless learnable.  norms is _row_norms(kind, Q, C), taken
+    Q is (..., B, n) and C a (..., K, n) pool every query of its block
+    scores: in-batch positives, or sim_grad's 1x1 pool.  A candidate's
+    gradient sums over its block's queries.  Returns (dQ, dC, tq, tc),
+    tq[..., b] = ln|Q[b]| sum_k G[b, k] s_bk the per-row terms of
+    d_gamma_q = -sum(tq) (_gamma_sums), likewise tc, both None unless learnable.  norms is _row_norms(kind, Q, C), taken
     here unless given.  A zero norm on a side divided here was already
     rejected by the scores S came from.
     """
@@ -119,20 +123,20 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
     # A side with gamma 0 would divide by |v|**0, all ones, and subtract
     # nothing; at gamma 1, |v|**1 is |v| and 1.0 * x is x.  Each skip is
     # exact, so the bits stay.
-    scale_q = (nq if gq == 1.0 else nq**gq)[:, None] if gq > 0.0 else None
+    scale_q = (nq if gq == 1.0 else nq**gq)[..., None] if gq > 0.0 else None
     scale_d = (nd if gd == 1.0 else nd**gd) if gd > 0.0 else None
-    dQ = (G if scale_d is None else G / scale_d) @ C
-    dC = (G if scale_q is None else G / scale_q).T @ Q
+    dQ = (G if scale_d is None else G / scale_d[..., None, :]) @ C
+    dC = (G if scale_q is None else G / scale_q).swapaxes(-1, -2) @ Q
     if gq > 0.0 or gd > 0.0 or learn:
         GS = G * S
-        GS_q, GS_c = np.add.reduce(GS, axis=1), np.add.reduce(GS, axis=0)
+        GS_q, GS_c = np.add.reduce(GS, axis=-1), np.add.reduce(GS, axis=-2)
     if gq > 0.0:
         dQ /= scale_q
-        radial = (GS_q / nq**2)[:, None]
+        radial = (GS_q / nq**2)[..., None]
         dQ -= (radial if gq == 1.0 else gq * radial) * Q
     if gd > 0.0:
-        dC /= scale_d[:, None]
-        radial = (GS_c / nd**2)[:, None]
+        dC /= scale_d[..., None]
+        radial = (GS_c / nd**2)[..., None]
         dC -= (radial if gd == 1.0 else gd * radial) * C
     if not learn:
         return dQ, dC, None, None
@@ -140,8 +144,9 @@ def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, no
 
 
 def _gamma_sums(tq, tc) -> tuple:
-    """d_gamma_q and d_gamma_d from _stack_grad's per-row terms, or (None, None)."""
-    return (None, None) if tq is None else (-float(np.add.reduce(tq)), -float(np.add.reduce(tc)))
+    """d_gamma_q and d_gamma_d from _stack_grad's per-row terms, per block (floats for one), or (None, None)."""
+    sums = (None, None) if tq is None else (-np.add.reduce(t, axis=-1) for t in (tq, tc))
+    return tuple(x if x is None or x.ndim else float(x) for x in sums)
 
 
 def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
@@ -150,14 +155,14 @@ def infonce_grad(batch: ContrastiveBatch, cfg: LossConfig) -> InfoNCEGradients:
     With logits z_ij = (alpha/tau) s_ij and softmax rows p_i, the chain
     rule gives dL/ds_ij = (alpha/tau)(p_ij - [j = i]) / B, after which
     _stack_grad distributes the signal onto queries, the pool of
-    positives, and gammas.
+    positives, and gammas, each batch of a stack on its own.
     """
     norms = _row_norms(cfg.kind, batch.queries, batch.positives)
     logits = candidate_logits(batch, cfg, norms)
-    B = logits.shape[0]
+    B = logits.shape[-1]
     loss, e, e_sum = infonce_terms(logits)
     G = np.divide(e, e_sum, out=e)
-    G.ravel()[:: B + 1] -= 1.0  # the diagonal, through a view of the contiguous G
+    G.reshape(*G.shape[:-2], -1)[..., :: B + 1] -= 1.0  # each diagonal, through a flat view of the contiguous G
     G *= cfg.alpha / cfg.tau / B
 
     # _stack_grad reads the scores where a side divides or under learnable:
@@ -278,11 +283,11 @@ def gamma_check(draws) -> tuple:
 PROBE_BLOCK = 128
 
 
-def _probe_blocks(draws):
-    """The draws, tuples led by a 1-d vector, PROBE_BLOCK at a time, grouped by
-    that vector's dim in order of first appearance: each group's entries stacked."""
+def _probe_blocks(draws, size=PROBE_BLOCK):
+    """The draws, tuples of arrays, size at a time, grouped by the first array's
+    size in order of first appearance: each group's entries stacked."""
     draws = iter(draws)
-    while block := list(itertools.islice(draws, PROBE_BLOCK)):
+    while block := list(itertools.islice(draws, size)):
         for dim in dict.fromkeys(row[0].size for row in block):
             yield [np.array(column) for column in zip(*(row for row in block if row[0].size == dim))]
 

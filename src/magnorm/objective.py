@@ -39,9 +39,9 @@ class LossConfig:
 class ContrastiveBatch:
     """Aligned queries and positives, scored in-batch.
 
-    queries and positives have shape (B, n), B >= 2.  Every query scores
-    against the whole pool of positives, its own at index i, so the
-    other B - 1 positives are its negatives.
+    queries and positives have shape (..., B, n), B >= 2: a batch or a stack
+    of batches.  Every query scores against its batch's whole pool of positives,
+    its own at index i, so the other B - 1 positives are its negatives.
     """
 
     queries: Array
@@ -52,11 +52,11 @@ class ContrastiveBatch:
         p = np.asarray(self.positives, dtype=np.float64)
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "positives", p)
-        if q.ndim != 2 or p.shape != q.shape:
+        if q.ndim < 2 or p.shape != q.shape:
             raise DimensionMismatch(
-                f"queries and positives must share shape (B, n), got {q.shape} and {p.shape}"
+                f"queries and positives must share shape (..., B, n), got {q.shape} and {p.shape}"
             )
-        if q.shape[0] < 2:
+        if q.shape[-2] < 2:
             raise DegenerateBatch("in-batch negatives need at least 2 queries")
 
 
@@ -76,7 +76,7 @@ def softmax_probs(q, docs, cfg: LossConfig) -> Array:
 
 
 def candidate_logits(batch: ContrastiveBatch, cfg: LossConfig, norms=None) -> Array:
-    """Logit matrix (B, B) of every query against the pool of positives.
+    """Logit matrix (..., B, B) of every query against its pool of positives.
 
     Query i's positive is column i.  norms is similarity_matrix's.
     Dividing by a tau of 1.0 is exact, so it is skipped.
@@ -97,9 +97,11 @@ def infonce_loss(batch: ContrastiveBatch, cfg: LossConfig) -> float:
 
 def infonce_terms(logits: Array) -> tuple:
     """(mean over rows of log-sum-exp minus the diagonal, e = exp(logits - row max), e's row sums as a column),
-    through the ufunc reductions that .max, .sum and .mean wrap: their bits, without the wrappers."""
-    m = np.maximum.reduce(logits, axis=1, keepdims=True)
+    through the ufunc reductions that .max, .sum and .mean wrap: their bits, without the wrappers.
+    A (B, C) block gives a float mean, a stack of blocks one mean per block."""
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    e_sum = np.add.reduce(e, axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(e_sum[:, 0])
-    return float(np.add.reduce(lse - np.diagonal(logits)) / len(logits)), e, e_sum
+    e_sum = np.add.reduce(e, axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(e_sum[..., 0])
+    loss = np.add.reduce(lse - logits.diagonal(0, -2, -1), axis=-1) / logits.shape[-2]
+    return (loss if loss.ndim else float(loss)), e, e_sum

@@ -184,27 +184,29 @@ def similarity(kind: SimilarityKind, q, d) -> float:
 
 def check_pair(q, d) -> tuple[Array, Array]:
     """Both sides as finite 1-d float64 vectors of one dimension, else DimensionMismatch."""
-    q = as_embedding(q)
-    d = as_embedding(d)
-    _check_dims(q, d)
+    q, d = as_embedding(q), as_embedding(d)
+    if q.shape != d.shape:
+        raise DimensionMismatch(f"dimension mismatch: {q.shape} vs {d.shape}")
     return q, d
 
 
 def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> Array:
-    """All-pairs scores: rows are queries, columns are documents.
+    """All-pairs scores: rows are queries, columns are documents, per leading index.
 
     The all-pairs companion of row_scores for batched objectives and
-    evaluation; identical semantics including the zero-norm errors.
-    norms is the rows' np.linalg.norm(., axis=1) of (Q, D) if the caller
-    holds them; else a side takes its norms here only if its gamma is positive.
+    evaluation; identical semantics including the zero-norm errors.  Stacks
+    (..., B, n) and (..., C, n) give each block its bits alone.  norms is the rows'
+    np.linalg.norm(., axis=-1) of (Q, D) if the caller holds them; else a side
+    takes its norms here only if its gamma is positive.
     """
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
-        raise DimensionMismatch(f"expected (B, n) and (C, n), got {Q.shape} and {D.shape}")
+    if min(Q.ndim, D.ndim) < 2 or Q.shape[:-2] != D.shape[:-2] or Q.shape[-1] != D.shape[-1]:
+        raise DimensionMismatch(f"expected (..., B, n) and (..., C, n), got {Q.shape} and {D.shape}")
     gq, gd = gammas = kind.gammas
-    nq, nd = norms or [np.linalg.norm(M, axis=1) if g > 0.0 else None for M, g in ((Q, gq), (D, gd))]
-    return divide_by_norms(gammas, Q @ D.T, nq[:, None] if gq > 0.0 else None, nd)
+    nq, nd = norms or [np.linalg.norm(M, axis=-1) if g > 0.0 else None for M, g in ((Q, gq), (D, gd))]
+    nq, nd = nq[..., None] if gq > 0.0 else None, nd[..., None, :] if gd > 0.0 else None
+    return divide_by_norms(gammas, Q @ D.swapaxes(-1, -2), nq, nd)
 
 
 def norm(v: Array) -> float:
@@ -215,9 +217,3 @@ def norm(v: Array) -> float:
     """
     v = v.ravel("K")
     return math.sqrt(float(v.dot(v)))
-
-
-def _check_dims(q: Array, d: Array) -> None:
-    if q.shape != d.shape:
-        raise DimensionMismatch(f"dimension mismatch: {q.shape} vs {d.shape}")
-

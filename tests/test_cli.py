@@ -1050,7 +1050,7 @@ class TestVerify:
             return s * np.nan if gammas is simcore.QNORM.gammas and np.ndim(t) == 1 else s
 
         monkeypatch.setattr(simcore, "divide_by_norms", nan_qnorm_rows)
-        monkeypatch.setattr(grad, "tangent_projector", lambda v: np.full((v.size, v.size), np.nan))
+        monkeypatch.setattr(grad, "tangent_projector", lambda V: np.full(V.shape + V.shape[-1:], np.nan))
         assert main(["verify", "--trials", "3"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "corner-degeneracy              nan  1e-12       FAIL" in lines

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import suite_oracle
 from pair_oracle import decompose
 from pair_oracle import similarity as scalar_similarity
 
 from magnorm import grad
+from magnorm.cli import main
 from magnorm.datagen import TaskSpec, gen_asymmetric
 from magnorm import diagnostics
 from magnorm.diagnostics import (
@@ -24,6 +26,7 @@ from magnorm.diagnostics import (
     suite_corners,
     suite_jacobian,
     suite_radial,
+    suite_ranking,
     suite_symmetry,
     verify_ranking_equivalence,
     with_delta_cv,
@@ -35,6 +38,7 @@ from magnorm.errors import (
     DegenerateVariance,
     DimensionMismatch,
     EmptyInput,
+    NonFiniteEvaluation,
     TooFewSamples,
     ZeroMagnitude,
 )
@@ -225,6 +229,15 @@ class TestRankDocuments:
     def test_rejects_a_malformed_query_block(self, Q):
         with pytest.raises(DimensionMismatch):
             rank_documents([[DOT]], Q, np.ones((1, 2, 2)), ["d0", "d1"])
+
+    def test_a_non_finite_score_names_its_trial(self):
+        # Trial 2's dot overflows to inf, and its cosine divides inf by inf; NaN rows would all sort alike.
+        Q, D = np.ones((4, 2)), np.ones((4, 3, 2))
+        Q[2] = D[2, 1] = 1e200
+        for kind in (DOT, COSINE):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEvaluation) as e:
+                rank_documents([[kind]] * 4, Q, D, ["d0", "d1", "d2"])
+            assert str(e.value) == "non-finite score in ranking for trial 2"
 
     def test_rejects_uneven_or_missing_kinds(self):
         for kinds in ([], [[DOT], [DOT, COSINE]]):
@@ -467,6 +480,47 @@ class TestPairSuitesInBlocks:
         assert type(got.err) is float and _hexed(got) == _hexed(want)
 
 
+class TestVectorSuitesInBlocks:
+    """The jacobian and radial suites draw one trial at a time and check blocks
+    of trials; every field is the per-trial loop's (suite_oracle), bit for bit."""
+
+    @pytest.mark.parametrize("trials", (1, 7, 127, 128, 129, 200, 300))
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "suite, loop, index",
+        [(suite_jacobian, suite_oracle.suite_jacobian, 3), (suite_radial, suite_oracle.suite_radial, 4)],
+        ids=["jacobian", "radial"],
+    )
+    def test_is_the_per_trial_loop_bitwise(self, suite, loop, index, seed, trials):
+        # verify seeds suite i with default_rng([seed, i]).
+        got = suite(np.random.default_rng([seed, index]), trials)
+        want = loop(np.random.default_rng([seed, index]), trials)
+        assert type(got.err) is float and type(got.ok) is bool and _hexed(got) == _hexed(want)
+
+    def test_no_block_holds_more_than_8192_entries(self, monkeypatch, capsys):
+        # Spy on what each block stacks: its projectors, and its batches' queries and positives.
+        projectors, batches = [], []
+        real_projector, real_grad = grad.tangent_projector, grad.infonce_grad
+
+        def projector(V):
+            projectors.append(V.shape)
+            return real_projector(V)
+
+        def infonce(batch, cfg):
+            batches.append(batch.queries.shape)
+            return real_grad(batch, cfg)
+
+        monkeypatch.setattr(grad, "tangent_projector", projector)
+        monkeypatch.setattr(grad, "infonce_grad", infonce)
+        assert main(["verify", "--trials", "300"]) == 0
+        assert max(T * n * n for T, n in projectors) <= 8192
+        assert max(2 * T * B * n for T, B, n in batches) <= 8192
+        # Whole blocks, not trials one at a time: 300 vectors of dims 2, 8 and 64
+        # in 1 + 3 + 150 blocks, and 300 batches in 5.
+        assert [T for T, n in projectors[:4]] == [300, 128, 128, 44] and len(projectors) == 154
+        assert [T for T, _, _ in batches] == [64, 64, 64, 64, 44]
+
+
 def _nan_scores(monkeypatch, gammas=None):
     """Make divide_by_norms return NaN, for every kind or for gammas only."""
     real = simcore.divide_by_norms
@@ -492,21 +546,58 @@ class TestNanResidualsFail:
         assert not r.ok and math.isnan(r.err) and math.isnan(r.parts["qnorm"])
         assert r.parts["cosine/dot"] == 0.0 and r.note is None
 
+    def test_ranking(self, monkeypatch):
+        _nan_scores(monkeypatch)
+        r = suite_ranking(np.random.default_rng(0), 3, 0)
+        assert not r.ok and math.isnan(r.err) and r.tol == "exact"
+        assert r.note == "block from trial 0: non-finite score in ranking for trial 0"
+
+    def test_ranking_names_the_block_and_trial(self, monkeypatch):
+        # Only the second block (trials 128-199) scores NaN, from its trial 5 on.
+        real = simcore.divide_by_norms
+
+        def nan_in_second_block(g, t, nq, nd):
+            s = real(g, t, nq, nd)
+            if len(t) == 72:
+                s = s.copy()
+                s[5:] = math.nan
+            return s
+
+        monkeypatch.setattr(simcore, "divide_by_norms", nan_in_second_block)
+        with pytest.raises(NonFiniteEvaluation) as e:
+            verify_ranking_equivalence(8, 16, 200, 0)
+        assert str(e.value) == "block from trial 128: non-finite score in ranking for trial 5"
+
+    def test_ranking_fails_verify(self, monkeypatch, capsys):
+        # The other suites' probes raise on NaN scores (exit 5), so verify runs the ranking suite alone.
+        _nan_scores(monkeypatch)
+        monkeypatch.setattr(diagnostics, "SUITES", diagnostics.SUITES[:1])
+        assert main(["verify", "--trials", "3"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "ranking-equivalence            nan  exact       FAIL",
+            "  block from trial 0: non-finite score in ranking for trial 0",
+            "FAILED: ranking-equivalence",
+        ]
+
     def test_jacobian(self, monkeypatch):
-        monkeypatch.setattr(grad, "tangent_projector", lambda v: np.full((v.size, v.size), math.nan))
+        monkeypatch.setattr(grad, "tangent_projector", lambda V: np.full(V.shape + V.shape[-1:], math.nan))
         r = suite_jacobian(np.random.default_rng(0), 3)
         assert not r.ok and math.isnan(r.err) and math.isnan(r.parts["idempotency/null"])
 
     def test_radial(self, monkeypatch):
         real = grad._stack_grad
 
+        signals = []
+
         def nan_stack_grad(kind, G, S, Q, C, norms=None):
+            signals.append(G.shape)
             dQ, *rest = real(kind, G, S, Q, C, norms)
             return dQ * math.nan, *rest
 
         monkeypatch.setattr(grad, "_stack_grad", nan_stack_grad)
         r = suite_radial(np.random.default_rng(0), 3)
         assert not r.ok and math.isnan(r.err)
+        assert signals == [(3, 8, 8)]  # the patch reached the block of three batches
 
 
 TASK = TaskSpec(

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import suite_oracle
 from pair_oracle import ORACLE_KINDS, decompose, divide_by_float_norms, pair_score
 
 from magnorm import diagnostics, simcore
 from magnorm import grad as grad_module
-from magnorm.errors import NonFiniteEvaluation, ZeroMagnitude
+from magnorm.errors import DegenerateBatch, DimensionMismatch, NonFiniteEvaluation, ZeroMagnitude
 from magnorm.grad import (
     PROBE_BLOCK,
     SimGradient,
@@ -787,3 +788,64 @@ class TestLeanProbes:
                 finite_difference(lambda x: simcore.similarity(kind, q, x), d.copy())
             with pytest.raises(NonFiniteEvaluation):
                 _checked_finite_difference(lambda x: _checked_similarity(kind, x, d), q.copy())
+
+
+# (leading shape, B, n): one trial, two-row batches, one-entry rows, verify's
+# 8x8 batches, the reference (64, 32) batch, and a two-axis stack.
+STACK_SHAPES = [((1,), 2, 3), ((3,), 2, 1), ((5,), 8, 8), ((1,), 64, 32), ((3,), 64, 32), ((2, 3), 5, 17)]
+
+
+class TestStackedBatches:
+    """infonce_grad on a stack of batches is each batch on its own, bit for bit:
+    a training batch is a one-block stack."""
+
+    @pytest.mark.parametrize("lead, B, n", STACK_SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=simcore.kind_name)
+    def test_each_batch_gets_its_own_bits(self, kind, lead, B, n):
+        rng = np.random.default_rng(B * n + len(lead))
+        Q = rng.standard_normal((*lead, B, n)) * rng.lognormal(0.0, 0.7, (*lead, B, 1))
+        D = rng.standard_normal((*lead, B, n)) * rng.lognormal(0.0, 0.7, (*lead, B, 1))
+        for tau, alpha in ((1.0, 20.0), (0.5, 3.0)):
+            cfg = LossConfig(kind, tau, alpha)
+            g = infonce_grad(ContrastiveBatch(Q, D), cfg)
+            fields = [g.loss, g.d_queries, g.d_positives, g.d_gamma_q, g.d_gamma_d]
+            assert all(isinstance(x, np.ndarray) or x is None for x in fields)
+            for i in np.ndindex(*lead):
+                alone = infonce_grad(ContrastiveBatch(Q[i], D[i]), cfg)
+                assert type(alone.loss) is float
+                assert all(type(x) is float for x in (alone.d_gamma_q, alone.d_gamma_d) if x is not None)
+                want = [alone.loss, alone.d_queries, alone.d_positives, alone.d_gamma_q, alone.d_gamma_d]
+                assert _as_bytes([None if x is None else x[i] for x in fields]) == _as_bytes(want)
+
+    def test_a_stack_needs_aligned_batches_of_two(self):
+        with pytest.raises(DegenerateBatch):
+            ContrastiveBatch(np.ones((3, 1, 2)), np.ones((3, 1, 2)))
+        with pytest.raises(DimensionMismatch):
+            ContrastiveBatch(np.ones((3, 2, 2)), np.ones((2, 3, 2)))
+        with pytest.raises(DimensionMismatch):
+            simcore.similarity_matrix(DOT, np.ones((3, 2, 2)), np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("n", (1, 2, 8, 64))
+    def test_projectors_of_a_stack_are_each_vectors(self, n):
+        rng = np.random.default_rng(n)
+        V = rng.standard_normal((40, n)) * rng.lognormal(0.0, 2.0, (40, 1))
+        P = tangent_projector(V)
+        assert P.shape == (40, n, n)
+        for v, p in zip(V, P):
+            assert p.tobytes() == tangent_projector(v).tobytes() == suite_oracle.tangent_projector(v).tobytes()
+        strided = np.hstack([V, V])[:, ::-2]  # rows read through a negative, non-unit stride
+        want = np.array([suite_oracle.tangent_projector(v) for v in strided])
+        assert tangent_projector(strided).tobytes() == want.tobytes()
+
+    def test_a_zero_or_non_finite_vector_raises(self):
+        V = np.ones((4, 3))
+        V[2] = 0.0
+        with pytest.raises(ZeroMagnitude):
+            tangent_projector(V)
+        for bad in (np.nan, np.inf):
+            V[2] = bad
+            with pytest.raises(DimensionMismatch):
+                tangent_projector(V)
+        for shape in ((), (3, 0)):
+            with pytest.raises(DimensionMismatch):
+                tangent_projector(np.ones(shape))
