@@ -26,10 +26,11 @@ import sys
 import numpy as np
 
 from . import diagnostics, simcore
-from .datagen import TASK_FILES, TaskSpec, export_task, gen_asymmetric, load_task
+from .datagen import TASK_FILES, TaskSpec, export_task, gen_asymmetric, load_task, split_bounds
 from .errors import (
     ConfigError,
     CorruptArtifact,
+    DegenerateBatch,
     DegenerateInput,
     DegenerateVariance,
     EmptyInput,
@@ -43,6 +44,7 @@ from .metrics import atomic_write, refuse_overwrite, write_csv, write_metrics_cs
 from .model import (
     TrainConfig,
     TrainResult,
+    _batch_layout,
     init_encoder,
     initial_gamma,
     load_checkpoint,
@@ -84,10 +86,12 @@ DEFAULT_TRAIN = {
     "gamma_lr": None,
 }
 DEFAULT_LOSS = {"tau": 1.0, "alpha": 20.0}
+# The config sections, in the order load_config checks them and --resume compares them.
+SECTION_DEFAULTS = {"task": DEFAULT_TASK, "encoder": DEFAULT_ENCODER, "train": DEFAULT_TRAIN, "loss": DEFAULT_LOSS}
 DEFAULT_KINDS = ["cosine", "dot", "qnorm", "dnorm", "learnable"]
 DEFAULT_SEEDS = [0]
 DEFAULT_KS = "10,100,10"
-TOP_LEVEL_KEYS = ("out", "task", "encoder", "train", "loss", "kinds", "seeds")
+TOP_LEVEL_KEYS = ("out", *SECTION_DEFAULTS, "kinds", "seeds")
 
 
 @dataclasses.dataclass
@@ -150,17 +154,18 @@ def _typed(section: dict, defaults: dict) -> dict:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; None means all defaults."""
     if path is None:
-        raw = {}
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.loads(fh.read())
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"config parse failure at line {e.lineno}, column {e.colno}: {e.msg}"
-            ) from None
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path} is not UTF-8 text ({e})") from None
+        return _parse_config({})
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_config(json.loads(fh.read()))
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config parse failure at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text ({e})") from None
+
+
+def _parse_config(raw) -> ExperimentConfig:
+    """Validate a parsed config: each section merged over its defaults, every value checked."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a single JSON object")
     unknown = sorted(set(raw) - set(TOP_LEVEL_KEYS))
@@ -169,10 +174,8 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw.get("out"), (str, type(None))):
         raise ConfigError(f"out must be a string or null, got {json.dumps(raw['out'])}")
 
-    task_sec = _merge_section(raw.get("task", {}), DEFAULT_TASK, "task")
-    enc_sec = _merge_section(raw.get("encoder", {}), DEFAULT_ENCODER, "encoder")
-    train_sec = _merge_section(raw.get("train", {}), DEFAULT_TRAIN, "train")
-    loss_sec = _merge_section(raw.get("loss", {}), DEFAULT_LOSS, "loss")
+    sections = {name: _merge_section(raw.get(name, {}), defaults, name) for name, defaults in SECTION_DEFAULTS.items()}
+    task_sec, enc_sec = sections["task"], sections["encoder"]
     kinds = raw.get("kinds", list(DEFAULT_KINDS))
     seeds = raw.get("seeds", list(DEFAULT_SEEDS))
     if not isinstance(kinds, list) or not kinds:
@@ -184,16 +187,11 @@ def load_config(path) -> ExperimentConfig:
     _check_kinds(kinds)
 
     try:
-        spec = TaskSpec(**_typed(task_sec, DEFAULT_TASK))
-        loss_params = _typed(loss_sec, DEFAULT_LOSS)
-        train_params = _typed(train_sec, DEFAULT_TRAIN)
+        typed = {name: _typed(section, SECTION_DEFAULTS[name]) for name, section in sections.items()}
+        spec = TaskSpec(**typed["task"])
         # Probe constructions so invalid numbers fail here, not mid-sweep.
-        probe_loss = LossConfig(kind=simcore.COSINE, **loss_params)
-        TrainConfig(seed=0, loss=probe_loss, **train_params)
-        enc_hidden = enc_sec["hidden"]
-        enc_dim = enc_sec["embed_dim"]
-        enc_shared = enc_sec["shared"]
-        if enc_hidden < 0 or enc_dim < 1:
+        TrainConfig(seed=0, loss=LossConfig(kind=simcore.COSINE, **typed["loss"]), **typed["train"])
+        if enc_sec["hidden"] < 0 or enc_sec["embed_dim"] < 1:
             raise ValueError("encoder hidden must be >= 0 and embed_dim >= 1")
     except (ValueError, MagnormError) as e:
         if isinstance(e, ConfigError):
@@ -203,19 +201,14 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         out=raw.get("out"),
         task=spec,
-        enc_hidden=enc_hidden,
-        enc_dim=enc_dim,
-        enc_shared=enc_shared,
-        train_params=train_params,
-        loss_params=loss_params,
+        enc_hidden=enc_sec["hidden"],
+        enc_dim=enc_sec["embed_dim"],
+        enc_shared=enc_sec["shared"],
+        train_params=typed["train"],
+        loss_params=typed["loss"],
         kinds=[str(k) for k in kinds],
         seeds=seeds,
-        sections={
-            "task": task_sec,
-            "encoder": enc_sec,
-            "train": train_sec,
-            "loss": loss_sec,
-        },
+        sections=sections,
     )
 
 
@@ -305,7 +298,9 @@ def _train_and_save(cfg: ExperimentConfig, task, out: str, kind_name: str, seed:
     result.encoder.theta[...] = best.params[:k]
     ckpt, tlog = _train_paths(out, stem)
     write_trainlog_csv(tlog, result.log)
-    save_checkpoint(ckpt, result.encoder, best, {"kind": kind_name, "seed": seed, **cfg.sections})
+    # The echo holds only what differs from the defaults, so a new key at its default moves no byte.
+    sparse = {name: {k: v for k, v in sec.items() if v != SECTION_DEFAULTS[name][k]} for name, sec in cfg.sections.items()}
+    save_checkpoint(ckpt, result.encoder, best, {"kind": kind_name, "seed": seed, **sparse})
     row = next(r for r in result.log if r.step == best.step)
     return result, row, trained_kind(simcore.kind_from_name(kind_name), best.params[k:])
 
@@ -331,25 +326,44 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_run(path) -> tuple:
+    """load_checkpoint's (encoder, trained kind, state, echo), each echoed section merged over the defaults.
+
+    load_config's rules read the sections, ignoring keys no longer defined.
+    An echo they refuse, or a step outside [0, epochs x batches an epoch]
+    of its training, raises CorruptArtifact naming the file.
+    """
+    encoder, kind, state, echo = load_checkpoint(path)
+    raw = {}
+    for name, defaults in SECTION_DEFAULTS.items():
+        section = echo.get(name, {})
+        raw[name] = {k: v for k, v in section.items() if k in defaults} if isinstance(section, dict) else section
+    try:
+        cfg = _parse_config(raw)
+        n_train = split_bounds(cfg.task.n_queries, cfg.task.splits)[0]
+        total = cfg.train_params["epochs"] * len(_batch_layout(n_train, cfg.train_params["batch_size"]))
+    except (ConfigError, DegenerateBatch) as e:
+        raise CorruptArtifact(f"{path}: config echo: {e}") from None
+    if not 0 <= state.step <= total:
+        raise CorruptArtifact(f"{path}: step {state.step} is outside [0, {total}] of its config echo")
+    return encoder, kind, state, {"kind": echo["kind"], "seed": echo["seed"], **cfg.sections}
+
+
 def _resume_training(cfg: ExperimentConfig, resume_path: str, out: str, force: bool) -> int:
     """Continue a checkpoint's training from its state; writes the log from the checkpoint step on.
 
     The checkpoint holds the moments and generator state of its step, so
-    only the steps after it run.  Its config echo must hold the kind, the
-    seed, and every value of --config's sections.  The checkpoint, its
+    only the steps after it run.  --config must give every section value
+    of the checkpoint's echo as _load_run reads it.  The checkpoint, its
     echo and the log's overwrite refusal are checked before the task is loaded.
     """
-    encoder, _, state, echo = load_checkpoint(resume_path)
-    kname = echo.get("kind")
-    seed = echo.get("seed")
-    if kname is None or seed is None:
-        raise ConfigError(f"{resume_path} lacks the kind/seed echo needed to resume")
+    encoder, _, state, echo = _load_run(resume_path)
+    kname, seed = echo["kind"], echo["seed"]
     for section, values in cfg.sections.items():
-        saved = echo.get(section) if isinstance(echo.get(section), dict) else {}
         for key, value in values.items():
-            if key not in saved or saved[key] != value:
+            if echo[section][key] != value:
                 raise ConfigError(
-                    f"{resume_path} was trained with {section}.{key} {json.dumps(saved.get(key))}, "
+                    f"{resume_path} was trained with {section}.{key} {json.dumps(echo[section][key])}, "
                     f"--config gives {json.dumps(value)}"
                 )
     tlog = os.path.join(out, f"trainlog_{artifact_stem(simcore.kind_from_name(kname), seed)}_resumed.csv")
@@ -419,8 +433,8 @@ def _macro_rows(rows) -> list:
 def _cmd_eval(args) -> int:
     ks = _parse_ks(args.k)
     out = resolve_out(args.out, load_config(args.config).out)
-    encoder, kind, _, echo = load_checkpoint(args.checkpoint)
-    stem = artifact_stem(kind, echo.get("seed", 0))
+    encoder, kind, _, echo = _load_run(args.checkpoint)
+    stem = artifact_stem(kind, echo["seed"])
     run_path, met_path = _eval_paths(out, stem, args.split)
     refuse_overwrite([run_path, met_path], args.force)
     rows, _ = _eval_encoder(encoder, kind, stem, load_task(out), out, args.split, ks)
@@ -442,13 +456,13 @@ def _cmd_diagnose(args) -> int:
     echoed seed, when one was given.
     """
     out = resolve_out(args.out, load_config(args.config).out)
-    loaded = [load_checkpoint(path) for path in args.checkpoint]
+    loaded = [_load_run(path) for path in args.checkpoint]
     json_path = os.path.join(out, "diagnostics.json")
     csv_path = os.path.join(out, "diagnostics.csv")
     refuse_overwrite([json_path, csv_path], args.force)
     task = load_task(out)
     reports = [diagnostics.magnitude_report(enc, task, kind, split=args.split) for enc, kind, _, _ in loaded]
-    seeds = [echo.get("seed", 0) for _, _, _, echo in loaded]
+    seeds = [echo["seed"] for _, _, _, echo in loaded]
     dot_cv = {seed: r.query_cv for seed, r in zip(seeds, reports) if r.kind == "dot"}
     reports = [
         diagnostics.with_delta_cv(r, dot_cv[seed]) if r.kind == "dnorm" and seed in dot_cv else r
@@ -486,7 +500,10 @@ def _cmd_verify(args) -> int:
     failures = []
     print(f"{'suite':<22}{'max_err':>12}  {'tol':<12}{'status'}")
     for i, (name, suite) in enumerate(diagnostics.SUITES):
-        r = suite(np.random.default_rng([args.seed, i]), args.trials, args.seed)
+        try:
+            r = suite(np.random.default_rng([args.seed, i]), args.trials, args.seed)
+        except NonFiniteEvaluation as e:  # a probe the suite could not compare: no tolerance was applied
+            r = diagnostics.SuiteResult(math.nan, "-", False, str(e))
         print(f"{name:<22}{r.err:>12.3e}  {r.tol:<12}{'PASS' if r.ok else 'FAIL'}")
         if not r.ok:
             failures.append(name)

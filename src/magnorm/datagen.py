@@ -290,11 +290,14 @@ def _angular_weights(unit_queries: Array, hub: Array) -> Array:
     return w / w.sum()
 
 
+def split_bounds(n: int, fractions) -> tuple:
+    """How many of n permuted queries come before the val split, and before the test split."""
+    return int(round(fractions[0] * n)), int(round((fractions[0] + fractions[1]) * n))
+
+
 def _assign_splits(query_ids, fractions, rng) -> dict:
-    n = len(query_ids)
-    perm = rng.permutation(n)
-    b1 = int(round(fractions[0] * n))
-    b2 = int(round((fractions[0] + fractions[1]) * n))
+    perm = rng.permutation(len(query_ids))
+    b1, b2 = split_bounds(len(query_ids), fractions)
     split_of = {}
     for pos, qi in enumerate(perm):
         name = "train" if pos < b1 else ("val" if pos < b2 else "test")

@@ -20,7 +20,7 @@ import numpy as np
 from . import grad, simcore
 from .datagen import SyntheticTask
 from .errors import DegenerateInput, DegenerateVariance, DimensionMismatch, EmptyInput, NonFiniteEvaluation, TooFewSamples
-from .metrics import id_order, pearson, rank_order, write_csv
+from .metrics import id_order, left_sum, pearson, rank_order, write_csv
 from .model import TwoTowerEncoder, embed_split
 from .objective import ContrastiveBatch, LossConfig
 
@@ -34,10 +34,10 @@ def cohens_d(group_a, group_b) -> float:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise TooFewSamples(f"need >= 2 samples per group, got {na} and {nb}")
-    ma = sum(a) / na
-    mb = sum(b) / nb
-    va = sum((x - ma) ** 2 for x in a) / (na - 1)
-    vb = sum((x - mb) ** 2 for x in b) / (nb - 1)
+    ma = left_sum(a) / na
+    mb = left_sum(b) / nb
+    va = left_sum((x - ma) ** 2 for x in a) / (na - 1)
+    vb = left_sum((x - mb) ** 2 for x in b) / (nb - 1)
     pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
     if pooled == 0.0:
         raise DegenerateVariance(
@@ -51,10 +51,10 @@ def cv(values) -> float:
     xs = [float(x) for x in values]
     if not xs:
         raise EmptyInput("coefficient of variation of an empty sample")
-    mean = sum(xs) / len(xs)
+    mean = left_sum(xs) / len(xs)
     if mean <= 0.0:
         raise DegenerateInput(f"coefficient of variation needs mean > 0, got {mean}")
-    var = sum((x - mean) ** 2 for x in xs) / len(xs)
+    var = left_sum((x - mean) ** 2 for x in xs) / len(xs)
     return math.sqrt(var) / mean
 
 

@@ -27,6 +27,10 @@ class DegenerateBatch(MagnormError):
     positive."""
 
 
+class StateMismatch(MagnormError, ValueError):
+    """A training state's sizes or step do not fit the run asked to continue it."""
+
+
 class NonFiniteEvaluation(MagnormError):
     """A value that must be finite is NaN or Inf: a finite-difference
     probe, or a score in a ranking."""

@@ -36,18 +36,21 @@ Array = np.ndarray
 Qrels = dict[str, dict[str, int]]
 
 
-def macro_mean(values) -> float:
-    """Mean of a sequence of floats, added left to right; 0.0 when empty.
+def left_sum(values) -> float:
+    """Floats added left to right from 0.0.
 
-    An explicit loop, not sum(): Python 3.12's sum() compensates float
-    rounding, which would change the ALL rows and the logged NDCG between
-    Python versions.
+    Not sum(): Python 3.12's sum() compensates float rounding, which would
+    move metric means and statistics between Python versions.
     """
-    total, count = 0.0, 0
+    total = 0.0
     for value in values:
         total += value
-        count += 1
-    return total / count if count else 0.0
+    return total
+
+
+def macro_mean(values) -> float:
+    """Mean of a list of floats, added left to right; 0.0 when empty."""
+    return left_sum(values) / len(values) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -301,13 +304,13 @@ def pearson(xs, ys) -> float:
     n = len(xs)
     if n < 2:
         raise DegenerateInput("correlation needs at least 2 points")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    mx = left_sum(xs) / n
+    my = left_sum(ys) / n
+    sxx = left_sum((x - mx) ** 2 for x in xs)
+    syy = left_sum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("correlation undefined for a constant sequence")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / math.sqrt(sxx * syy)
 
 

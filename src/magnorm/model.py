@@ -35,7 +35,7 @@ import numpy as np
 
 from . import simcore
 from .datagen import SyntheticTask
-from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss
+from .errors import CorruptArtifact, DegenerateBatch, DimensionMismatch, NonFiniteLoss, StateMismatch
 from .grad import infonce_grad
 from .metrics import GradeTable, atomic_write, macro_mean, write_csv
 from .objective import ContrastiveBatch, LossConfig
@@ -370,11 +370,6 @@ def _batch_layout(n_train: int, batch_size: int) -> list:
     return sizes
 
 
-def _batch_count(n_train: int, batch_size: int) -> int:
-    """len(_batch_layout(n_train, batch_size)) for both at least 2, without building the layout."""
-    return n_train // 2 if batch_size == 2 else -(-n_train // batch_size)
-
-
 def _mag_stats(mags: Array) -> tuple:
     mean = float(mags.mean())
     sd = float(mags.std())
@@ -460,7 +455,7 @@ def train(
     before it are skipped, so the log from there on, and every state
     after, is the uninterrupted run's.  A state whose sizes do not fit
     the encoder and kind, or whose step lies outside [0, total steps],
-    raises ValueError.
+    raises StateMismatch.
     """
     train_qids, query_rows, n_pos, first_pos, flat_pos = task.positive_index("train")
     n_train = len(train_qids)
@@ -477,7 +472,7 @@ def train(
     else:
         params, moments = np.array(state.params, dtype=np.float64), np.array(state.moments, dtype=np.float64)
         if params.shape != (k + 2 * learn,) or moments.shape != (2, params.size):
-            raise ValueError(f"state params {params.shape} and moments {moments.shape} do not fit {k + 2 * learn}")
+            raise StateMismatch(f"state params {params.shape} and moments {moments.shape} do not fit {k + 2 * learn}")
         rng.bit_generator.state = state.rng
     encoder.theta = params[:k]
     bounds = encoder.bounds
@@ -499,7 +494,7 @@ def train(
 
     start = 0 if state is None else state.step
     if not 0 <= start <= total_steps:
-        raise ValueError(f"state step {start} outside [0, {total_steps}]")
+        raise StateMismatch(f"state step {start} outside [0, {total_steps}]")
 
     def kind_now():
         return trained_kind(cfg.loss.kind, params[k:])
@@ -606,7 +601,7 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, state: TrainState, config_ec
         fh.write(f'{head[:-1]}, "moments": "{_encode(state.moments)}", "weights": {{{weights}}}}}\n')
 
 
-# The JSON type of every checkpoint key; only "config" may be absent.
+# The JSON type of every checkpoint key.
 _CHECKPOINT_KEYS = {"format": int, "m": int, "h": int, "n": int, "shared": bool, "weights": dict, "gamma_hat": list,
                     "moments": str, "step": int, "rng": dict, "loss": float, "config": dict}
 
@@ -645,41 +640,23 @@ def _is_pcg64_state(rng: dict) -> bool:
     return all(type(v) is int and 0 <= v < bound for v, bound in fields)
 
 
-def _echoed_total_steps(path, config: dict):
-    """Total steps of the training a config echo describes; None when it echoes no task or train section."""
-    if "task" not in config or "train" not in config:
-        return None
-    try:
-        n_queries, frac = config["task"]["n_queries"], config["task"]["splits"][0]
-        epochs, batch = config["train"]["epochs"], config["train"]["batch_size"]
-        if not (type(n_queries) is type(epochs) is type(batch) is int and type(frac) in (int, float)):
-            raise TypeError
-        # The train split is cut as datagen's _assign_splits cuts it.
-        n_train = int(round(float(frac) * n_queries))
-        if n_train < 2 or batch < 2:
-            raise ValueError
-    except (KeyError, IndexError, TypeError, ValueError):
-        raise CorruptArtifact(f"{path}: config echo gives no total step count") from None
-    return epochs * _batch_count(n_train, batch)
-
-
 def load_checkpoint(path) -> tuple:
     """Rebuild (encoder, trained kind, TrainState, config_echo) from a checkpoint file.
 
-    The trained kind is trained_kind of the echoed config kind (default
-    cosine) and gamma_hat.  The TrainState is the one train continues
-    from, its params the weights followed by gamma_hat under a learnable
-    kind.
+    The trained kind is trained_kind of the echoed config kind and
+    gamma_hat.  The TrainState is the one train continues from, its
+    params the weights followed by gamma_hat under a learnable kind.  The
+    echo's sections are returned as written; cli reads them as a config
+    and checks the step against the training they describe.
 
     Raises CorruptArtifact, naming the file, when it does not parse, is
     not of format 2, a key is missing or of the wrong type, or a weight
     or the moments blob is not base64 of the layout's number of floats
     (2 x (weights + 2 under learnable) for the moments), as does a
     non-finite weight, moment, gamma_hat or loss, a negative second
-    moment, an rng that is not a PCG64 state, a step outside
-    [0, total steps] of the echoed config, an echoed config kind that is
-    not a similarity kind name, or an echoed config seed that is not an
-    integer.
+    moment, an rng that is not a PCG64 state, an echoed config kind that
+    is missing or not a similarity kind name, or an echoed config seed
+    that is missing or not an integer.
     """
     with open(path) as fh:
         try:
@@ -688,14 +665,12 @@ def load_checkpoint(path) -> tuple:
             raise CorruptArtifact(f"{path} does not parse as JSON: {e}") from None
     if not isinstance(payload, dict):
         raise CorruptArtifact(f"{path} is not a JSON object")
-    payload.setdefault("config", {})
     for key, kind in _CHECKPOINT_KEYS.items():
         if type(payload.get(key)) is not kind:
             raise CorruptArtifact(f"{path}: key {key!r} is missing or not a JSON {kind.__name__}")
     if payload["format"] != CHECKPOINT_FORMAT:
         raise CorruptArtifact(f"{path}: checkpoint format {payload['format']} is not {CHECKPOINT_FORMAT}")
-    config, step = payload["config"], payload["step"]
-    kind, seed = config.get("kind", "cosine"), config.get("seed", 0)
+    kind, seed = payload["config"].get("kind"), payload["config"].get("seed")
     try:
         if type(kind) is not str:
             raise TypeError
@@ -704,9 +679,6 @@ def load_checkpoint(path) -> tuple:
         raise CorruptArtifact(f"{path}: config kind {kind!r} is not a similarity kind name") from None
     if type(seed) is not int:
         raise CorruptArtifact(f"{path}: config seed {seed!r} is not an integer")
-    total = _echoed_total_steps(path, config)
-    if step < 0 or (total is not None and step > total):
-        raise CorruptArtifact(f"{path}: step {step} is outside [0, {total}] of its config echo")
     m, h, n, shared = (payload[key] for key in ("m", "h", "n", "shared"))
     try:
         if min(m, n) < 1 or h < 0:
@@ -729,5 +701,5 @@ def load_checkpoint(path) -> tuple:
         raise CorruptArtifact(f"{path}: rng is not a PCG64 generator state")
     enc = TwoTowerEncoder(m=m, h=h, n=n, shared=shared, theta=np.concatenate(weights))
     params = np.concatenate([enc.theta, (gq, gd) if learn else ()])
-    state = TrainState(params, moments, step, payload["rng"], payload["loss"])
-    return enc, trained_kind(base, (gq, gd)), state, config
+    state = TrainState(params, moments, payload["step"], payload["rng"], payload["loss"])
+    return enc, trained_kind(base, (gq, gd)), state, payload["config"]

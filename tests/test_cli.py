@@ -50,6 +50,24 @@ def workdir(tmp_path, monkeypatch):
     return out, cfg
 
 
+def _trained_dot_readers(out, cfg, capsys):
+    """Train dot; return its checkpoint and a run of --resume, eval and diagnose on it (stdout, file bytes)."""
+    assert main(["gen", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+    capsys.readouterr()
+    ckpt = out / "checkpoint_dot_0.json"
+    commands = [["train", "--config", cfg, "--resume", str(ckpt)], ["eval", "--checkpoint", str(ckpt)],
+                ["diagnose", "--checkpoint", str(ckpt)]]
+    outputs = ["trainlog_dot_0_resumed.csv", "run_dot_0_test.txt", "metrics_dot_0_test.csv", "diagnostics.json"]
+
+    def run():
+        for argv in commands:
+            assert main([*argv, "--out", str(out), "--force"]) == 0
+        return capsys.readouterr().out, [(out / name).read_bytes() for name in outputs]
+
+    return ckpt, run
+
+
 class TestGen:
     def test_writes_task_files(self, workdir, capsys):
         out, cfg = workdir
@@ -302,28 +320,51 @@ class TestTrain:
         assert resumed == expect
 
     def test_checkpoint_echoing_loss_lambda_still_loads(self, workdir, capsys):
-        # Checkpoints written while the config had loss.lambda echo it.  A
-        # config without the key still resumes, evaluates and diagnoses them,
-        # with the bytes of the same checkpoint without it.
+        # Checkpoints written while the config had loss.lambda echo it, in
+        # the full loss section of that time.  A config without the key
+        # still resumes, evaluates and diagnoses them, with the bytes of
+        # the same checkpoint without it.
+        out, cfg = workdir
+        ckpt, run = _trained_dot_readers(out, cfg, capsys)
+        want = run()
+        ckpt.write_bytes(_echo("loss", {"tau": 1.0, "alpha": 20.0, "lambda": 0.01})(ckpt.read_bytes()))
+        assert load_checkpoint(ckpt)[3]["loss"] == {"tau": 1.0, "alpha": 20.0, "lambda": 0.01}
+        assert run() == want
+
+    def test_echo_holds_only_values_off_their_defaults(self, workdir, capsys):
+        # Besides kind and seed, the echo holds what differs from its
+        # default, so a new key at its default moves no checkpoint byte.  A
+        # full echo of every section value, as older checkpoints hold, reads
+        # the same: --resume, eval and diagnose write the same bytes.
+        out, cfg = workdir
+        ckpt, run = _trained_dot_readers(out, cfg, capsys)
+        assert json.loads(ckpt.read_text())["config"] == {
+            "kind": "dot", "seed": 0,
+            "task": {"n_docs": 48, "n_queries": 192, "feature_dim": 12, "n_clusters": 6, "hub_fraction": 0.1,
+                     "hub_multiplicity": 6, "seed": 3},
+            "encoder": {"hidden": 16, "embed_dim": 8},
+            "train": {"epochs": 3, "batch_size": 32, "eval_every": 4},
+            "loss": {},
+        }
+        want = run()
+        full = {"kind": "dot", "seed": 0, **load_config(cfg).sections}
+        ckpt.write_bytes(_set("config", value=full)(ckpt.read_bytes()))
+        assert run() == want
+
+    def test_sparse_echo_resumes_under_a_config_that_spells_every_default(self, workdir, tmp_path, capsys):
+        # The echo leaves train.weight_decay out; --config spells it, and every other value, at its default.
         out, cfg = workdir
         assert main(["gen", "--config", cfg]) == 0
         assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
-        capsys.readouterr()
         ckpt = out / "checkpoint_dot_0.json"
-        commands = [["train", "--config", cfg, "--resume", str(ckpt)], ["eval", "--checkpoint", str(ckpt)],
-                    ["diagnose", "--checkpoint", str(ckpt)]]
-        outputs = ["trainlog_dot_0_resumed.csv", "run_dot_0_test.txt", "metrics_dot_0_test.csv", "diagnostics.json"]
-
-        def run():
-            for argv in commands:
-                assert main([*argv, "--out", str(out), "--force"]) == 0
-            return capsys.readouterr().out, [(out / name).read_bytes() for name in outputs]
-
-        want = run()
-        text = ckpt.read_text()
-        ckpt.write_text(text.replace('"alpha": 20.0}', '"alpha": 20.0, "lambda": 0.01}', 1))
-        assert load_checkpoint(ckpt)[3]["loss"] == {"tau": 1.0, "alpha": 20.0, "lambda": 0.01}
-        assert run() == want
+        assert "weight_decay" not in json.loads(ckpt.read_text())["config"]["train"]
+        spelled = tmp_path / "spelled.json"
+        spelled.write_text(json.dumps({"out": str(out), **load_config(cfg).sections}))
+        assert main(["train", "--config", str(spelled), "--resume", str(ckpt)]) == 0
+        step = load_checkpoint(ckpt)[2].step
+        full = (out / "trainlog_dot_0.csv").read_text().splitlines()
+        resumed = (out / "trainlog_dot_0_resumed.csv").read_text().splitlines()
+        assert resumed == [full[0]] + [r for r in full[1:] if int(r.split(",")[0]) >= step]
 
     def test_resume_rejects_foreign_checkpoint(self, workdir, tmp_path):
         out, cfg = workdir
@@ -383,6 +424,22 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--config", cfg, "--resume", str(out / "checkpoint_dot_0.json")]) == 2
         assert capsys.readouterr().err == "magnorm: config error: the task has 14 features, the encoder takes 12\n"
+        assert not list(out.glob("*_resumed.csv"))
+
+    def test_resume_on_a_smaller_regenerated_task_exits_two(self, workdir, tmp_path, capsys):
+        # 40 queries leave 32 train queries, one batch an epoch: 3 steps in
+        # all, which end before the checkpoint's step.
+        out, cfg = workdir
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--kinds", "dot"]) == 0
+        ckpt = out / "checkpoint_dot_0.json"
+        step = load_checkpoint(ckpt)[2].step
+        assert step > 3
+        assert main(["gen", "--config", _write_config(tmp_path / "small.json", out, **{"task.n_queries": 40}),
+                     "--force"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", str(ckpt)]) == 2
+        assert capsys.readouterr().err == f"magnorm: config error: state step {step} outside [0, 3]\n"
         assert not list(out.glob("*_resumed.csv"))
 
     def test_resume_checks_checkpoint_echo_and_overwrite_before_the_task(self, workdir, tmp_path, capsys):
@@ -1057,6 +1114,32 @@ class TestVerify:
         assert "symmetry                       nan  1e-12       FAIL" in lines
         assert "jacobian-spectral              nan  1e-12/1e-9  FAIL" in lines
         assert lines[-1] == "FAILED: corner-degeneracy, symmetry, jacobian-spectral, gradcheck"
+
+    def test_non_finite_probes_fail_their_suites(self, monkeypatch, capsys):
+        # With every score NaN, the gamma-gradient and gradcheck probes raise
+        # NonFiniteEvaluation: each is its suite's FAIL row, with no
+        # tolerance applied, and the suites after it still run.
+        real = simcore.divide_by_norms
+        monkeypatch.setattr(simcore, "divide_by_norms", lambda g, t, nq, nd: real(g, t, nq, nd) * np.nan)
+        assert main(["verify", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # The projector reads no score; the last bits of its residual are the BLAS build's.
+        jacobian = lines.pop(6)
+        assert jacobian.startswith("jacobian-spectral ") and jacobian.endswith("  1e-12/1e-9  PASS")
+        assert lines == [
+            "suite                      max_err  tol         status",
+            "ranking-equivalence            nan  exact       FAIL",
+            "  block from trial 0: non-finite score in ranking for trial 0",
+            "corner-degeneracy              nan  1e-12       FAIL",
+            "symmetry                       nan  1e-12       FAIL",
+            "  cosine/dot asymmetry inf (must be exactly 0)",
+            "radial-gradient                nan  1e-10       FAIL",
+            "gamma-gradient                 nan  -           FAIL",
+            "  non-finite probe at coordinate 0",
+            "gradcheck                      nan  -           FAIL",
+            "  non-finite probe at coordinate 0",
+            "FAILED: ranking-equivalence, corner-degeneracy, symmetry, radial-gradient, gamma-gradient, gradcheck",
+        ]
 
     def test_zero_trials_is_config_error(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2

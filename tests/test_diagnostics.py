@@ -94,6 +94,15 @@ class TestCV:
             cv([-1.0, 1.0])
 
 
+def test_statistics_add_left_to_right(monkeypatch):
+    # math.fsum compensates rounding as Python 3.12's sum() does; standing in
+    # for the module's sum, it moves no bit of cv or cohens_d.
+    xs, ys = [0.1] * 10 + [0.3, 0.7], [0.2, 0.5, 0.9]
+    monkeypatch.setattr(diagnostics, "sum", math.fsum, raising=False)
+    assert cv(xs) == 1.0198039027185573
+    assert cohens_d(xs, ys) == -1.7163020957556192
+
+
 def _rank_alone(kinds, q, D, ids):
     """rank_documents on a block of one trial: that trial's rows, one per kind."""
     return rank_documents([kinds], np.asarray(q)[None], np.asarray(D)[None], ids)[0]
@@ -569,7 +578,7 @@ class TestNanResidualsFail:
         assert str(e.value) == "block from trial 128: non-finite score in ranking for trial 5"
 
     def test_ranking_fails_verify(self, monkeypatch, capsys):
-        # The other suites' probes raise on NaN scores (exit 5), so verify runs the ranking suite alone.
+        # The ranking suite alone; test_cli's test_non_finite_probes_fail_their_suites runs all seven.
         _nan_scores(monkeypatch)
         monkeypatch.setattr(diagnostics, "SUITES", diagnostics.SUITES[:1])
         assert main(["verify", "--trials", "3"]) == 1

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from magnorm import metrics
 from magnorm.errors import CorruptArtifact, DegenerateInput, DimensionMismatch, NonFiniteEvaluation, UnknownQuery
 from magnorm.metrics import (
     GradeTable,
@@ -155,6 +156,14 @@ class TestCorrelations:
     def test_too_short_raises(self):
         with pytest.raises(DegenerateInput):
             pearson([1], [2])
+
+    def test_pearson_adds_left_to_right(self, monkeypatch):
+        # math.fsum compensates rounding as Python 3.12's sum() does; standing
+        # in for the module's sum, it moves no bit of the correlation.
+        xs = [0.1] * 10 + [0.3, 0.7]
+        ys = [0.2, 0.5, 0.9, 0.1, 0.3, 0.3, 0.6, 0.1, 0.7, 0.2, 0.4, 0.8]
+        monkeypatch.setattr(metrics, "sum", math.fsum, raising=False)
+        assert pearson(xs, ys) == 0.412001393770158
 
 
 def _unjudged_ranking(query_ids, doc_ids, scores):

@@ -67,6 +67,10 @@ def _tiny_cfg(kind=DOT, **over):
     return TrainConfig(**base)
 
 
+# The least config echo a checkpoint holds: its kind and seed.
+ECHO = {"kind": "dot", "seed": 0}
+
+
 def _state(params, step=0, loss=0.5):
     """A TrainState of params at step with zero moments and seed 0's fresh generator."""
     params = np.asarray(params, dtype=np.float64)
@@ -995,7 +999,7 @@ class TestResume:
         for step in (0, 2, 4, 12):
             start = run(step)[0].best
             path = tmp_path / f"ckpt_{step}.json"
-            save_checkpoint(path, init_encoder(8, 16, 8, False, seed=7), start, {"kind": kind_name(kind)})
+            save_checkpoint(path, init_encoder(8, 16, 8, False, seed=7), start, {"kind": kind_name(kind), "seed": 0})
             enc, _, loaded, _ = load_checkpoint(path)
             assert (loaded.step, loaded.rng, loaded.loss) == (start.step, start.rng, start.loss) == (
                 step, start.rng, full.log[step // 2].loss)
@@ -1042,11 +1046,6 @@ class TestResume:
         with pytest.raises(ValueError, match=rf"state step {step} outside \[0, 4\]"):
             train(task, enc, _tiny_cfg(epochs=1), _state(enc.theta, step))
 
-    @settings(max_examples=300, deadline=None)
-    @given(n_train=st.integers(2, 400), batch_size=st.integers(2, 450))
-    def test_batch_count_is_the_layout_length(self, n_train, batch_size):
-        assert model._batch_count(n_train, batch_size) == len(model._batch_layout(n_train, batch_size))
-
 
 class TestSerialization:
     def test_trainlog_header_and_rows(self, tmp_path):
@@ -1085,17 +1084,31 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "echo, kind",
-        [({}, COSINE), ({"kind": "learnable:0.3,0.8"}, learnable(sigmoid(0.25), sigmoid(-1.5)))],
-        ids=["no-echo", "learnable"],
+        [({"kind": "cosine", "seed": 0}, COSINE),
+         ({"kind": "learnable:0.3,0.8", "seed": 0}, learnable(sigmoid(0.25), sigmoid(-1.5)))],
+        ids=["cosine", "learnable"],
     )
     def test_load_returns_the_trained_kind(self, tmp_path, echo, kind):
-        # The echoed kind (cosine when absent), and under learnable the
-        # sigmoids of the saved gamma_hat, not the echoed starting gammas.
+        # The echoed kind, and under learnable the sigmoids of the saved
+        # gamma_hat, not the echoed starting gammas.
         path = tmp_path / "ckpt.json"
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
-        tail = [0.25, -1.5] if echo else []
+        tail = [0.25, -1.5] if kind.tag == "learnable" else []
         save_checkpoint(path, enc, _state(np.concatenate([enc.theta, tail])), echo)
         assert load_checkpoint(path)[1] == kind
+
+    @pytest.mark.parametrize("echo", [None, {"seed": 0}, {"kind": "dot"}], ids=["no-config", "no-kind", "no-seed"])
+    def test_echo_without_kind_or_seed_is_corrupt_artifact(self, tmp_path, echo):
+        # Every checkpoint cli writes echoes both; none is filled in by default.
+        path = tmp_path / "ckpt.json"
+        enc = init_encoder(3, 0, 2, shared=True, seed=0)
+        save_checkpoint(path, enc, _state(enc.theta), ECHO if echo is None else echo)
+        payload = json.loads(path.read_text())
+        if echo is None:
+            del payload["config"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptArtifact, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("kind", [DOT, learnable(0.3, 0.8)], ids=["dot", "learnable"])
     def test_checkpoint_gamma_hat_is_the_restored_tail(self, tmp_path, monkeypatch, kind):
@@ -1107,7 +1120,7 @@ class TestSerialization:
         result = train(task, init_encoder(8, 16, 8, False, seed=7), _tiny_cfg(kind=kind, epochs=2))
         best, k = result.best, result.encoder.theta.size
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, result.encoder, best, {"kind": kind_name(kind)})
+        save_checkpoint(path, result.encoder, best, {"kind": kind_name(kind), "seed": 0})
         written = json.loads(path.read_text())["gamma_hat"]
         if kind.tag == "learnable":
             at_5, last = [(row.gamma_q, row.gamma_d) for row in result.log[1:]]
@@ -1120,7 +1133,7 @@ class TestSerialization:
         # the stdlib decodes without magnorm.
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, _state(enc.theta), config_echo={})
+        save_checkpoint(path, enc, _state(enc.theta), config_echo=ECHO)
         payload = json.loads(path.read_text())
         assert set(payload) == {"format", "m", "h", "n", "shared", "weights", "gamma_hat", "moments", "step",
                                 "rng", "loss", "config"}
@@ -1135,7 +1148,7 @@ class TestSerialization:
     def test_corrupt_weights_rejected(self, tmp_path):
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, enc, _state(enc.theta), config_echo={})
+        save_checkpoint(path, enc, _state(enc.theta), config_echo=ECHO)
         payload = json.loads(path.read_text())
         payload["weights"]["q.w1"] = _blob([1.0, 2.0])
         path.write_text(json.dumps(payload))
@@ -1148,7 +1161,7 @@ class TestSerialization:
         m, h, n = 10**5, 64, 32
         path = tmp_path / "ckpt.json"
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
-        save_checkpoint(path, enc, _state(enc.theta), config_echo={})
+        save_checkpoint(path, enc, _state(enc.theta), config_echo=ECHO)
         path.write_text(json.dumps({
             **json.loads(path.read_text()), "m": m, "h": h, "n": n, "shared": False,
             "weights": {name: _blob([0.0]) for name, _ in param_layout(m, h, n, False)},
@@ -1170,7 +1183,7 @@ class TestSerialization:
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
         k, path = enc.theta.size, tmp_path / "ckpt.json"
         p = k + 2 * kind.startswith("learnable")
-        save_checkpoint(path, enc, _state(np.concatenate([enc.theta, [0.0, 0.0][: p - k]])), {"kind": kind})
+        save_checkpoint(path, enc, _state(np.concatenate([enc.theta, [0.0, 0.0][: p - k]])), {"kind": kind, "seed": 0})
         assert load_checkpoint(path)[2].moments.shape == (2, p)
         payload = json.loads(path.read_text())
         for wrong in (2 * k + 4 - 2 * (p - k), 2 * p - 1):
@@ -1188,7 +1201,7 @@ class TestSerialization:
     def test_ill_typed_key_is_corrupt_artifact(self, tmp_path, key, value):
         path = tmp_path / "ckpt.json"
         enc = init_encoder(3, 0, 2, shared=True, seed=0)
-        save_checkpoint(path, enc, _state(enc.theta), {})
+        save_checkpoint(path, enc, _state(enc.theta), ECHO)
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         with pytest.raises(CorruptArtifact, match=re.escape(str(path))):
             load_checkpoint(path)
