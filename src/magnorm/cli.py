@@ -228,7 +228,6 @@ def _err(msg: str) -> None:
 def _cmd_gen(args) -> int:
     cfg = load_config(args.config)
     out = resolve_out(args.out, cfg.out)
-    os.makedirs(out, exist_ok=True)
     spec = cfg.task if args.seed is None else dataclasses.replace(cfg.task, seed=args.seed)
     task = gen_asymmetric(spec)
     export_task(task, out, force=args.force)
@@ -468,12 +467,7 @@ def _cmd_diagnose(args) -> int:
         diagnostics.with_delta_cv(r, dot_cv[seed]) if r.kind == "dnorm" and seed in dot_cv else r
         for seed, r in zip(seeds, reports)
     ]
-    payload = []
-    for r in reports:
-        d = dataclasses.asdict(r)
-        if d.get("delta_cv") is None:
-            d.pop("delta_cv", None)
-        payload.append(d)
+    payload = [{key: v for key, v in dataclasses.asdict(r).items() if v is not None} for r in reports]
     with atomic_write(json_path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -524,7 +518,6 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out = resolve_out(args.out, cfg.out)
-    os.makedirs(out, exist_ok=True)
     plan = _plan(args, cfg)
 
     # A partial task directory is loaded, so the missing file exits 3 by name.

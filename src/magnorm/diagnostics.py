@@ -123,9 +123,6 @@ class EquivalenceVerdict:
         return self.cosine_dnorm_ok and self.qnorm_dot_ok and self.gamma_q_invariant_ok
 
 
-# Trials per rank_documents call in verify_ranking_equivalence.
-EQUIVALENCE_BLOCK = 128
-
 # The variant pairs verify_ranking_equivalence compares, as positions in a trial's kinds.
 _EQUIVALENT_PAIRS = ((0, 1), (2, 3), (4, 5))
 
@@ -134,7 +131,7 @@ def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) ->
     """Randomized check of which variants induce identical rankings.
 
     Each trial draws one query and n_docs documents d0, d1, ... and ranks
-    them under every variant; blocks of EQUIVALENCE_BLOCK trials share one
+    them under every variant; blocks of grad.PROBE_BLOCK trials share one
     rank_documents call (_equivalence_block): one score tensor, one sort,
     ties to the lexicographically smaller doc id.  The orders are compared
     exactly (no tolerance: ranking is discrete).  Never raises on a
@@ -151,9 +148,9 @@ def verify_ranking_equivalence(dim: int, n_docs: int, trials: int, seed: int) ->
     def order(row) -> tuple:
         return tuple(ids[j] for j in row.tolist())
 
-    for start in range(0, trials, EQUIVALENCE_BLOCK):
+    for start in range(0, trials, grad.PROBE_BLOCK):
         try:
-            O, ga, gb, gd = _equivalence_block(rng, min(EQUIVALENCE_BLOCK, trials - start), dim, ids)
+            O, ga, gb, gd = _equivalence_block(rng, min(grad.PROBE_BLOCK, trials - start), dim, ids)
         except NonFiniteEvaluation as e:
             raise NonFiniteEvaluation(f"block from trial {start}: {e}") from None
         agree = np.stack([(O[:, x] == O[:, y]).all(axis=1) for x, y in _EQUIVALENT_PAIRS], axis=1)
@@ -389,9 +386,7 @@ def magnitude_report(
     table = task.grade_table(split)
     if not table.query_ids:
         raise EmptyInput(f"split {split!r} has no queries")
-    Q, D = embed_split(encoder, task, table.query_ids)
-    d_mags = np.linalg.norm(D, axis=1)
-    q_mags = np.linalg.norm(Q, axis=1)
+    q_mags, d_mags = embed_split(encoder, task, table.query_ids)[2]
     relevant = table.levels.any(axis=0)
     rel, irrel = d_mags[relevant].tolist(), d_mags[~relevant].tolist()
     d = cohens_d(rel, irrel)

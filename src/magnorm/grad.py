@@ -217,18 +217,12 @@ class GradcheckReport:
     group_errors: dict
 
 
-def gradcheck(
-    kind: SimilarityKind,
-    trials: int,
-    seed: int,
-    tol: float = 1e-6,
-    h: float = 1e-5,
-) -> GradcheckReport:
-    """Compare _stack_grad's pair gradients (sim_grad's bits) with block finite differences.
+def gradcheck(kind: SimilarityKind, trials: int, seed: int) -> GradcheckReport:
+    """Compare _stack_grad's pair gradients (sim_grad's bits) with block finite differences of step 1e-5.
 
     Deterministic given seed: each trial's pair comes from its own
     generator, spawned from one seed sequence.  Fails iff any parameter
-    group's relative error exceeds tol or is NaN.  A gamma probe outside
+    group's relative error exceeds 1e-6 or is NaN.  A gamma probe outside
     [0, 1] raises ValueError as learnable() does.
     """
     if trials < 1:
@@ -247,10 +241,10 @@ def gradcheck(
     for Q, D in _probe_blocks(pairs()):
         s, t, nq, nd = simcore.row_scores(gammas, Q, D)
         dQ, dD, tq, td = _stack_grad(kind, np.eye(len(s)), np.diag(s), Q, D)
-        errors = [rel_error(dQ, _vector_differences(gammas, Q, D, h, True))]
-        errors.append(rel_error(dD, _vector_differences(gammas, D, Q, h, False)))
+        errors = [rel_error(dQ, _vector_differences(gammas, Q, D, 1e-5, True))]
+        errors.append(rel_error(dD, _vector_differences(gammas, D, Q, 1e-5, False)))
         if tq is not None:
-            num_g = _gamma_differences(gq, gd, t, nq, nd, h)
+            num_g = _gamma_differences(gq, gd, t, nq, nd, 1e-5)
             errors += [rel_error(-tq, num_g[:, 0]), rel_error(-td, num_g[:, 1])]
         for name, err in zip(names, errors):
             groups[name] = float(np.maximum(groups[name], err))  # max() would drop a NaN
@@ -260,7 +254,7 @@ def gradcheck(
         trials=trials,
         seed=seed,
         max_rel_err=worst,
-        passed=worst <= tol,
+        passed=worst <= 1e-6,
         group_errors=groups,
     )
 
@@ -279,7 +273,8 @@ def gamma_check(draws) -> tuple:
     return worst, ok
 
 
-# Trials per block of _probe_blocks' callers, so memory stays flat in the trial count.
+# Trials per block of _probe_blocks' callers and of diagnostics.verify_ranking_equivalence,
+# so memory stays flat in the trial count.
 PROBE_BLOCK = 128
 
 
@@ -321,9 +316,9 @@ def _gamma_differences(gq, gd, t: Array, nq: Array, nd: Array, h: float) -> Arra
     return _differences(S.reshape(-1, 2, 2), h)
 
 
-def _well_conditioned(rng, dim: int, min_norm: float = 0.3) -> Array:
-    """Standard normal sample, redrawn until its norm clears min_norm."""
+def _well_conditioned(rng, dim: int) -> Array:
+    """Standard normal sample, redrawn until its norm clears 0.3."""
     v = rng.standard_normal(dim)
-    while simcore.norm(v) < min_norm:
+    while simcore.norm(v) < 0.3:
         v = rng.standard_normal(dim)
     return v

@@ -377,24 +377,24 @@ def _mag_stats(mags: Array) -> tuple:
 
 
 def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, query_ids) -> tuple:
-    """(embeddings of the given queries, every doc's embedding)."""
+    """(embeddings of the given queries, every doc's embedding, (their row norms, in that order))."""
     Q = forward(encoder, task.query_features[[task.query_row(q) for q in query_ids]], "query")
-    return Q, forward(encoder, task.doc_features, "doc")
+    D = forward(encoder, task.doc_features, "doc")
+    return Q, D, (np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1))
 
 
-def validation_ndcg(encoder: TwoTowerEncoder, task: SyntheticTask, kind, split: str = "val", k: int = 10) -> float:
-    """Macro-averaged NDCG@k of the current parameters on one split."""
-    return macro_mean(rank_split(encoder, task, kind, task.grade_table(split))[0].ndcg(k).tolist())
+def validation_ndcg(encoder: TwoTowerEncoder, task: SyntheticTask, kind) -> float:
+    """Macro-averaged NDCG@10 of the current parameters on the val split: a training evaluation's val_ndcg10."""
+    return macro_mean(rank_split(encoder, task, kind, task.grade_table("val"), depth=10)[0].ndcg(10).tolist())
 
 
 def rank_split(encoder: TwoTowerEncoder, task: SyntheticTask, kind, table: GradeTable, depth=None) -> tuple:
     """(Ranking, (query norms, doc norms)) of table's queries against the full corpus under a trained kind.
 
-    Each side's row norms are taken once and serve the scores and the
-    caller's magnitude statistics; depth is GradeTable.rank's.
+    embed_split's row norms serve the scores and the caller's magnitude
+    statistics; depth is GradeTable.rank's.
     """
-    Q, D = embed_split(encoder, task, table.query_ids)
-    norms = np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1)
+    Q, D, norms = embed_split(encoder, task, table.query_ids)
     return table.rank(simcore.similarity_matrix(kind, Q, D, norms), depth), norms
 
 

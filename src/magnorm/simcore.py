@@ -106,7 +106,7 @@ def divide_by_norms(gammas, t, nq, nd):
     an array of per-row exponents that broadcasts against its side's
     norms (rank_documents' per-trial learnable variants).  t, nq and nd
     are broadcastable arrays; a side whose gamma is the float 0.0 may pass
-    None.  Raises ZeroMagnitude where a side with a positive gamma has a
+    None.  Raises ZeroMagnitude where a side with a nonzero gamma has a
     zero norm; silent zeros would mask generator bugs upstream.  A
     float-gamma side at 0 contributes no factor, which is exact since
     |v|**0 is 1, and when neither side has one (dot) t itself comes back,
@@ -131,20 +131,18 @@ def divide_by_norms(gammas, t, nq, nd):
 def _norm_power(n, g, side):
     """One side's factor |v|**g in divide_by_norms, or None for a float gamma of 0.
 
-    n is an array of norms.  |v|**1 is exact, so a float gamma of 1 returns
-    the norms themselves; any other gamma takes numpy's power.  An array of
-    gammas checks for zero norms only where its gamma is positive, since
-    |0|**0 is 1.
+    n is an array of norms and g a float or an array of gammas; one rule
+    serves both.  A nonzero gamma raises ZeroMagnitude on a zero norm, and
+    a gamma of 0 contributes nothing, since |v|**0 is 1 even at |0|.  |v|**1
+    is exact, so a float gamma of 1 returns the norms themselves; any other
+    gamma takes numpy's power.
     """
-    if isinstance(g, np.ndarray):
-        zero = (n == 0.0) & (g > 0.0)
-    elif g > 0.0:
-        zero = n == 0.0
-    else:
+    array = isinstance(g, np.ndarray)
+    if not array and g == 0.0:
         return None
-    if np.count_nonzero(zero):
+    if np.count_nonzero((n == 0.0) & (g != 0.0) if array else n == 0.0):
         raise ZeroMagnitude(f"zero-norm {side}")
-    return n if not isinstance(g, np.ndarray) and g == 1.0 else n**g
+    return n if not array and g == 1.0 else n**g
 
 
 def row_dots(A: Array, B: Array) -> Array:

@@ -31,7 +31,7 @@ def divide_by_float_norms(gammas, t: float, nq, nd) -> float:
 
 
 def _float_norm_power(n, g, side):
-    if not g > 0.0:
+    if g == 0.0:
         return None
     if n == 0.0:
         raise ZeroMagnitude(f"zero-norm {side}")

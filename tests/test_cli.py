@@ -99,6 +99,14 @@ class TestGen:
         assert main(["gen", "--config", cfg, "--seed", "9", "--force"]) == 0
         assert (out / "corpus.jsonl").read_bytes() != first
 
+    def test_infeasible_spec_exits_two_leaving_no_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("MAGNORM_OUT", raising=False)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path / "cfg.json", out, **{"task.hub_multiplicity": 193})
+        assert main(["gen", "--config", cfg]) == 2
+        assert "hub_multiplicity" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigErrors:
     def test_malformed_json_reports_position(self, tmp_path, capsys):
@@ -1206,6 +1214,11 @@ class TestSweep:
         assert "reusing task files" in capsys.readouterr().out
         with (out / "sweep_summary.csv").open() as fh:
             _assert_relevance_columns(out, list(csv.DictReader(fh)))
+
+    def test_clashing_kinds_exit_two_leaving_no_directory(self, workdir):
+        out, cfg = workdir
+        assert main(["sweep", "--config", cfg, "--kinds", "dot,dot"]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("force", [False, True])
     def test_partial_task_dir_exits_three_naming_the_missing_file(self, workdir, capsys, force):

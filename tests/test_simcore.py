@@ -381,6 +381,26 @@ class TestDivideByNorms:
         with pytest.raises(ZeroMagnitude, match="^zero-norm query$"):
             simcore.divide_by_norms((gq, gd), t, np.array([[2.0], [0.0]]), nd)
 
+    @pytest.mark.parametrize("g", (-0.5, -1.0, 0.25))
+    def test_float_and_array_gammas_share_one_rule(self, g):
+        # Any nonzero gamma divides by |v|**g, a negative one too, and rejects
+        # a zero norm, whether it comes as a float or as an array of gammas.
+        rng = np.random.default_rng(32)
+        t = rng.standard_normal((3, 5))
+        norms = {"query": rng.lognormal(0.0, 1.0, (3, 1)), "document": rng.lognormal(0.0, 1.0, (1, 5))}
+        nq, nd = norms.values()
+        for side, n in norms.items():
+            on_side = (lambda x: (x, 0.0)) if side == "query" else (lambda x: (0.0, x))
+            S = simcore.divide_by_norms(on_side(g), t, nq, nd)
+            assert S.tobytes() == simcore.divide_by_norms(on_side(np.full((3, 1), g)), t, nq, nd).tobytes()
+            assert S.tobytes() == (t / n**g).tobytes()
+            oracle = divide_by_float_norms(on_side(g), float(t[0, 0]), float(nq[0, 0]), float(nd[0, 0]))
+            assert np.float64(oracle).tobytes() == S[0, 0].tobytes()
+            zeroed = {**norms, side: np.zeros_like(n)}
+            for gammas in (on_side(g), on_side(np.full((3, 1), g))):
+                with pytest.raises(ZeroMagnitude, match=f"^zero-norm {side}$"):
+                    simcore.divide_by_norms(gammas, t, *zeroed.values())
+
     @pytest.mark.parametrize("t", (1.5, np.float64(-2.0), np.ones((2, 3))), ids=["float", "float64", "array"])
     def test_dot_returns_t_itself(self, t):
         assert simcore.divide_by_norms(DOT.gammas, t, None, None) is t

@@ -1,13 +1,14 @@
 """Guard against uncalled code: every definition in src/magnorm is named elsewhere.
 
-Every top-level function and class of src/magnorm/*.py, and every
-non-dunder method of a top-level class, must be named somewhere other
-than inside its own definition.  The search covers src/, scripts/,
-bench/ and tests/test_acceptance.py; the unit tests do not count, since
-code that only its own unit test calls is uncalled code.  A name counts
-where it appears as a Name, an Attribute, a name imported with
-`from ... import`, or a part of a dotted string constant: bench/spans.py
-names the layers it traces in strings such as "model.validation_ndcg".
+Every top-level function, class and non-dunder assigned name (a module
+constant) of src/magnorm/*.py, and every non-dunder method of a top-level
+class, must be named somewhere other than inside its own definition.  The
+search covers src/, scripts/, bench/ and tests/test_acceptance.py; the
+unit tests do not count, since code that only its own unit test calls is
+uncalled code.  A name counts where it appears as a Name, an Attribute, a
+name imported with `from ... import`, or a part of a dotted string
+constant: bench/spans.py names the layers it traces in strings such as
+"model.validation_ndcg".
 The package's `__init__` re-exports do not count, as re-exporting a
 function does not call it.
 
@@ -37,6 +38,11 @@ def _definitions(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)):
+                if isinstance(name.ctx, ast.Store) and not (name.id.startswith("__") and name.id.endswith("__")):
+                    yield name.id, name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
