@@ -351,8 +351,8 @@ def _load_run(path) -> tuple:
 def _resume_training(cfg: ExperimentConfig, resume_path: str, out: str, force: bool) -> int:
     """Continue a checkpoint's training from its state; writes the log from the checkpoint step on.
 
-    The checkpoint holds the moments and generator state of its step, so
-    only the steps after it run.  --config must give every section value
+    The checkpoint holds the moments of its step, and the echoed seed
+    redraws the data order, so only the steps after it run.  --config must give every section value
     of the checkpoint's echo as _load_run reads it.  The checkpoint, its
     echo and the log's overwrite refusal are checked before the task is loaded.
     """

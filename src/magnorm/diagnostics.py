@@ -12,6 +12,7 @@ generators and trial counts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -80,8 +81,8 @@ def rank_documents(kinds, Q, D, ids) -> Array:
     if not (np.isfinite(Q).all() and np.isfinite(D).all()):
         raise DimensionMismatch("query and document entries must be finite")
     t = (Q[:, None, :] @ D.transpose(0, 2, 1))[:, 0]
-    nq = np.linalg.norm(Q, axis=1)[:, None]
-    nd = np.linalg.norm(D, axis=2)
+    nq = simcore.row_norms(Q)[:, None]
+    nd = simcore.row_norms(D)
     S = np.stack([simcore.divide_by_norms(_trial_gammas(v), t, nq, nd) for v in zip(*kinds)], axis=1)
     if not np.isfinite(S).all():
         raise NonFiniteEvaluation(f"non-finite score in ranking for trial {np.argmin(np.isfinite(S).all(axis=(1, 2)))}")
@@ -413,5 +414,4 @@ def with_delta_cv(report: DiagnosticsReport, dot_query_cv: float) -> Diagnostics
 
 
 def write_report_csv(path, reports) -> None:
-    rows = [(r.split, r.kind, r.cohens_d, r.n_rel, r.n_irrel, r.query_cv, r.doc_cv) for r in reports]
-    write_csv(path, REPORT_COLUMNS, rows)
+    write_csv(path, REPORT_COLUMNS, map(operator.attrgetter(*REPORT_COLUMNS), reports))

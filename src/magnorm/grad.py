@@ -103,7 +103,7 @@ def _row_norms(kind: SimilarityKind, Q: Array, C: Array) -> tuple:
     """Row norms of Q and C where _stack_grad reads them (gamma > 0, or learnable), else None."""
     gq, gd = kind.gammas
     learn = kind.tag == "learnable"
-    return tuple(np.linalg.norm(M, axis=-1) if g > 0.0 or learn else None for M, g in ((Q, gq), (C, gd)))
+    return tuple(simcore.row_norms(M) if g > 0.0 or learn else None for M, g in ((Q, gq), (C, gd)))
 
 
 def _stack_grad(kind: SimilarityKind, G: Array, S: Array, Q: Array, C: Array, norms=None) -> tuple:

@@ -312,7 +312,7 @@ class TrainLogRow:
     d_mag_cv: float
 
 
-TRAINLOG_HEADER = "step,loss,val_ndcg10,gamma_q,gamma_d,q_mag_mean,q_mag_cv,d_mag_mean,d_mag_cv"
+TRAINLOG_HEADER = ",".join(field.name for field in dataclasses.fields(TrainLogRow))
 
 
 @dataclass
@@ -320,16 +320,13 @@ class TrainState:
     """Where a training stands after step updates, enough to continue it bit for bit.
 
     params is theta, then the gamma logits under learnable; moments holds
-    AdamW's two rows for it.  rng is the generator's bit_generator.state
-    from before the draws of the epoch step belongs to (step // batches
-    per epoch, so a step that ends an epoch belongs to the next), and loss
-    is the loss logged at step.
+    AdamW's two rows for it, and loss is the loss logged at step.  The
+    data order needs no state: the config's seed redraws it.
     """
 
     params: Array
     moments: Array
     step: int
-    rng: dict
     loss: float
 
 
@@ -380,7 +377,7 @@ def embed_split(encoder: TwoTowerEncoder, task: SyntheticTask, query_ids) -> tup
     """(embeddings of the given queries, every doc's embedding, (their row norms, in that order))."""
     Q = forward(encoder, task.query_features[[task.query_row(q) for q in query_ids]], "query")
     D = forward(encoder, task.doc_features, "doc")
-    return Q, D, (np.linalg.norm(Q, axis=1), np.linalg.norm(D, axis=1))
+    return Q, D, (simcore.row_norms(Q), simcore.row_norms(D))
 
 
 def validation_ndcg(encoder: TwoTowerEncoder, task: SyntheticTask, kind) -> float:
@@ -450,10 +447,10 @@ def train(
     holds the trained parameters.
 
     Given a state, training continues from it instead, and its params
-    replace encoder.theta: the state's step is logged with its loss, its
-    epoch's draws are redrawn from its generator state, and the batches
-    before it are skipped, so the log from there on, and every state
-    after, is the uninterrupted run's.  A state whose sizes do not fit
+    replace encoder.theta: the state's step is logged with its loss, every
+    epoch is drawn from the seed as in a fresh run, and the batches before
+    the state's step are skipped, so the log from there on, and every
+    state after, is the uninterrupted run's.  A state whose sizes do not fit
     the encoder and kind, or whose step lies outside [0, total steps],
     raises StateMismatch.
     """
@@ -473,7 +470,6 @@ def train(
         params, moments = np.array(state.params, dtype=np.float64), np.array(state.moments, dtype=np.float64)
         if params.shape != (k + 2 * learn,) or moments.shape != (2, params.size):
             raise StateMismatch(f"state params {params.shape} and moments {moments.shape} do not fit {k + 2 * learn}")
-        rng.bit_generator.state = state.rng
     encoder.theta = params[:k]
     bounds = encoder.bounds
     # Built once: theta's views, a gradient vector with its views, AdamW's
@@ -501,7 +497,7 @@ def train(
 
     log: list = []
     best_params, best_moments = np.empty_like(params), np.empty_like(moments)
-    best = None  # (log row, generator state) of the running best
+    best = None  # log row of the running best
 
     def record(step: int, loss: float):
         nonlocal best
@@ -510,24 +506,22 @@ def train(
         ranking, (nq, nd) = rank_split(encoder, task, kind, val_table, depth=10)
         val = macro_mean(ranking.ndcg(10).tolist())
         log.append(TrainLogRow(step, loss, val, *kind.gammas, *_mag_stats(nq), *_mag_stats(nd)))
-        if best is None or _selection_key(log[-1]) > _selection_key(best[0]):
-            # A step that ends the epoch drawn last belongs to the next one,
-            # whose draws start from the generator as it is now.
+        if best is None or _selection_key(log[-1]) > _selection_key(best):
             best_params[...] = params
             best_moments[...] = moments
-            best = log[-1], epoch_rng if step // len(sizes) == epoch else rng.bit_generator.state
+            best = log[-1]
 
     batches = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
-    step, epoch, epoch_rng = start, start // len(sizes), rng.bit_generator.state
+    step = start
     if state is not None:
         record(start, state.loss)
-    for epoch in range(epoch, cfg.epochs):
-        epoch_rng = rng.bit_generator.state
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
         # One draw per epoch takes the same numbers from rng, and leaves it
         # in the same state, as one scalar draw per query in order.  Only
         # row indices are drawn ahead: each batch gathers its own features,
         # since gathering a whole epoch's rows at once raises peak memory.
+        # A resumed run draws every epoch and skips the batches before step.
         q_rows = query_rows[order]
         d_rows = flat_pos[first_pos[order] + rng.integers(n_pos[order])]
         for batch in batches[step - epoch * len(sizes) :]:
@@ -546,8 +540,7 @@ def train(
             step += 1
             if step % cfg.eval_every == 0 or step == total_steps:
                 record(step, loss)
-    row, best_rng = best
-    return TrainResult(encoder, log, TrainState(best_params, best_moments, row.step, best_rng, row.loss))
+    return TrainResult(encoder, log, TrainState(best_params, best_moments, best.step, best.loss))
 
 
 def _selection_key(row: TrainLogRow) -> tuple:
@@ -579,7 +572,7 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, state: TrainState, config_ec
     are state.params', and a fixed kind's empty tail is written as
     [0.0, 0.0].  Each weight (flat, row-major) and the two moment rows
     are base64 of their little-endian float64 bytes, so every float
-    round-trips exactly; rng is the generator state as JSON ints.
+    round-trips exactly.
     """
     params = np.asarray(state.params, dtype=np.float64)
     head = json.dumps({
@@ -590,7 +583,6 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, state: TrainState, config_ec
         "shared": encoder.shared,
         "gamma_hat": params[encoder.theta.size :].tolist() or [0.0, 0.0],
         "step": state.step,
-        "rng": state.rng,
         "loss": state.loss,
         "config": config_echo,
     })
@@ -603,7 +595,7 @@ def save_checkpoint(path, encoder: TwoTowerEncoder, state: TrainState, config_ec
 
 # The JSON type of every checkpoint key.
 _CHECKPOINT_KEYS = {"format": int, "m": int, "h": int, "n": int, "shared": bool, "weights": dict, "gamma_hat": list,
-                    "moments": str, "step": int, "rng": dict, "loss": float, "config": dict}
+                    "moments": str, "step": int, "loss": float, "config": dict}
 
 
 def _decode(path, what: str, blob, size: int) -> Array:
@@ -629,17 +621,6 @@ def _decode(path, what: str, blob, size: int) -> Array:
     return values
 
 
-def _is_pcg64_state(rng: dict) -> bool:
-    """Whether rng is a PCG64 bit_generator.state whose fields are JSON ints in range."""
-    inner = rng.get("state")
-    if rng.keys() != {"bit_generator", "state", "has_uint32", "uinteger"} or rng["bit_generator"] != "PCG64":
-        return False
-    if type(inner) is not dict or inner.keys() != {"state", "inc"}:
-        return False
-    fields = ((inner["state"], 1 << 128), (inner["inc"], 1 << 128), (rng["has_uint32"], 2), (rng["uinteger"], 1 << 32))
-    return all(type(v) is int and 0 <= v < bound for v, bound in fields)
-
-
 def load_checkpoint(path) -> tuple:
     """Rebuild (encoder, trained kind, TrainState, config_echo) from a checkpoint file.
 
@@ -654,9 +635,10 @@ def load_checkpoint(path) -> tuple:
     or the moments blob is not base64 of the layout's number of floats
     (2 x (weights + 2 under learnable) for the moments), as does a
     non-finite weight, moment, gamma_hat or loss, a negative second
-    moment, an rng that is not a PCG64 state, an echoed config kind that
-    is missing or not a similarity kind name, or an echoed config seed
-    that is missing or not an integer.
+    moment, an echoed config kind that is missing or not a similarity kind
+    name, or an echoed config seed that is missing or not an integer.
+    Keys past these, such as the rng of a checkpoint written before the
+    seed alone fixed the data order, are ignored.
     """
     with open(path) as fh:
         try:
@@ -697,9 +679,7 @@ def load_checkpoint(path) -> tuple:
     moments = _decode(path, "moments", payload["moments"], 2 * size).reshape(2, size)
     if (moments[1] < 0).any():
         raise CorruptArtifact(f"{path}: moments: a negative second moment")
-    if not _is_pcg64_state(payload["rng"]):
-        raise CorruptArtifact(f"{path}: rng is not a PCG64 generator state")
     enc = TwoTowerEncoder(m=m, h=h, n=n, shared=shared, theta=np.concatenate(weights))
     params = np.concatenate([enc.theta, (gq, gd) if learn else ()])
-    state = TrainState(params, moments, payload["step"], payload["rng"], payload["loss"])
+    state = TrainState(params, moments, payload["step"], payload["loss"])
     return enc, trained_kind(base, (gq, gd)), state, payload["config"]

@@ -193,8 +193,8 @@ def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> A
 
     The all-pairs companion of row_scores for batched objectives and
     evaluation; identical semantics including the zero-norm errors.  Stacks
-    (..., B, n) and (..., C, n) give each block its bits alone.  norms is the rows'
-    np.linalg.norm(., axis=-1) of (Q, D) if the caller holds them; else a side
+    (..., B, n) and (..., C, n) give each block its bits alone.  norms is
+    (row_norms(Q), row_norms(D)) if the caller holds them; else a side
     takes its norms here only if its gamma is positive.
     """
     Q = np.asarray(Q, dtype=np.float64)
@@ -202,9 +202,14 @@ def similarity_matrix(kind: SimilarityKind, Q: Array, D: Array, norms=None) -> A
     if min(Q.ndim, D.ndim) < 2 or Q.shape[:-2] != D.shape[:-2] or Q.shape[-1] != D.shape[-1]:
         raise DimensionMismatch(f"expected (..., B, n) and (..., C, n), got {Q.shape} and {D.shape}")
     gq, gd = gammas = kind.gammas
-    nq, nd = norms or [np.linalg.norm(M, axis=-1) if g > 0.0 else None for M, g in ((Q, gq), (D, gd))]
+    nq, nd = norms or [row_norms(M) if g > 0.0 else None for M, g in ((Q, gq), (D, gd))]
     nq, nd = nq[..., None] if gq > 0.0 else None, nd[..., None, :] if gd > 0.0 else None
     return divide_by_norms(gammas, Q @ D.swapaxes(-1, -2), nq, nd)
+
+
+def row_norms(M: Array) -> Array:
+    """The norm of each row of M, over its last axis: np.linalg.norm(M, axis=-1)."""
+    return np.linalg.norm(M, axis=-1)
 
 
 def norm(v: Array) -> float:

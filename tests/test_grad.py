@@ -75,10 +75,10 @@ class TestSimGradFrozen:
     )
     def test_norms_per_call(self, kind, per_call, monkeypatch):
         # The score takes both norms from row dots, calling neither function.
-        # The axis-1 norms are taken once where _stack_grad reads them, and
+        # The row norms are taken once where _stack_grad reads them, and
         # under learnable they also serve the zero check.
-        calls = {"norm": 0, "linalg": 0}
-        real_norm, real_linalg = simcore.norm, np.linalg.norm
+        calls = {"norm": 0, "rows": 0}
+        real_norm, real_rows = simcore.norm, simcore.row_norms
 
         def counting(key, real):
             def f(*args, **kwargs):
@@ -88,9 +88,9 @@ class TestSimGradFrozen:
             return f
 
         monkeypatch.setattr(simcore, "norm", counting("norm", real_norm))
-        monkeypatch.setattr(np.linalg, "norm", counting("linalg", real_linalg))
+        monkeypatch.setattr(simcore, "row_norms", counting("rows", real_rows))
         sim_grad(kind, [0.3, -1.2, 0.5], [0.7, 0.1, -0.4])
-        assert calls == {"norm": 0, "linalg": per_call}
+        assert calls == {"norm": 0, "rows": per_call}
 
 
 def _scalar_sim_grad(kind, q, d):
